@@ -20,8 +20,6 @@ from .core import (
     RationalFunc,
     RationalRing,
     complex_eval,
-    ratfunc_reduce,
-    ratfunc_to_laurent,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -45,21 +46,28 @@ def _parse_weights(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}") from exc
 
 
+def _parse_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad complex {text!r}") from exc
+    return complex(_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="propergenus")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=10, help="truncation order N")
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    common.add_argument("--tol", type=_parse_finite, default=1e-9, help="numeric tolerance")
     common.add_argument("--json-indent", type=int, default=2)
     common.add_argument("--output", default=None, help="write JSON here instead of stdout")
     weighted = argparse.ArgumentParser(add_help=False)

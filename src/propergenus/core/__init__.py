@@ -10,11 +10,11 @@ from .qseries import (
     complex_eval,
     half_units,
 )
-from .ratfunc import Poly, RationalFunc, poly_gcd, ratfunc_reduce, ratfunc_to_laurent
+from .ratfunc import Poly, RationalFunc, poly_gcd
 
 __all__ = [
     "LAMBDA", "MU", "Z", "LaurentPoly",
     "LAMBDA_RING", "MU_RING", "RATIONAL", "Z_RING",
     "LaurentRing", "QSeries", "RationalRing", "complex_eval", "half_units",
-    "Poly", "RationalFunc", "poly_gcd", "ratfunc_reduce", "ratfunc_to_laurent",
+    "Poly", "RationalFunc", "poly_gcd",
 ]

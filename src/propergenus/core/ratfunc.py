@@ -1,10 +1,10 @@
 """Univariate polynomials and rational functions over the rationals.
 
-These serve as the intermediate ring for fixed-point sums: each local
-contribution is a Laurent polynomial divided by a product of terms
-``mu^(2w) - 1``.  Sums of such contributions are reduced here, and
-:func:`RationalFunc.to_laurent` certifies that a sum collapsed to an
-honest Laurent polynomial.
+:class:`Poly` holds the one conversion to and from Laurent polynomials
+(:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`), and its exact
+``divmod`` certifies fixed-point sums.  :class:`RationalFunc`, reduced
+by Euclid's gcd, is the reference reduction, off the hot path: it serves
+diagnostics, failed certificates and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +37,19 @@ class Poly:
     @classmethod
     def monomial(cls, deg: int, c: Scalar = 1) -> "Poly":
         return cls([0] * deg + [c])
+
+    @classmethod
+    def from_laurent(cls, p: LaurentPoly) -> tuple["Poly", int]:
+        """Clear negative exponents: return (poly, shift) with p = poly * x^(-shift)."""
+        shift = -min(0, p.min_exp())
+        coeffs = [0] * (p.max_exp() + shift + 1) if p.coeffs else []
+        for e, c in p.coeffs.items():
+            coeffs[e + shift] = c
+        return cls(coeffs), shift
+
+    def to_laurent(self, shift: int, var: str = MU) -> LaurentPoly:
+        """The Laurent polynomial self * x^(-shift); inverse of :meth:`from_laurent`."""
+        return LaurentPoly({i - shift: c for i, c in enumerate(self.coeffs) if c != 0}, var)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -156,11 +169,8 @@ class RationalFunc:
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "RationalFunc":
         """Embed a Laurent polynomial by clearing negative exponents."""
-        shift = -min(0, p.min_exp())
-        coeffs = [0] * (p.max_exp() + shift + 1) if p.coeffs else []
-        for e, c in p.coeffs.items():
-            coeffs[e + shift] = c
-        return cls(Poly(coeffs), Poly.monomial(shift))
+        poly, shift = Poly.from_laurent(p)
+        return cls(poly, Poly.monomial(shift))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -197,19 +207,14 @@ class RationalFunc:
     def to_laurent(self, var: str = MU) -> LaurentPoly:
         """Certify the reduced form as a Laurent polynomial.
 
-        Succeeds exactly when the denominator is a monomial c*x^k;
+        Succeeds exactly when the (monic) denominator is a monomial x^k;
         otherwise raises :class:`NotLaurent`.
         """
         if self.is_zero():
             return LaurentPoly.zero(var)
         if not self.den.is_monomial():
             raise NotLaurent(f"denominator {self.den} has a non-monomial factor")
-        k = self.den.degree()
-        c = self.den.leading()
-        return LaurentPoly(
-            {i - k: normalize_scalar(Fraction(a) / c) for i, a in enumerate(self.num.coeffs) if a != 0},
-            var,
-        )
+        return self.num.to_laurent(self.den.degree(), var)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -220,10 +225,6 @@ class RationalFunc:
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero():
         return Poly.zero(), Poly.one()
-    # cheap path first: exact division covers all fixed-point sums
-    quo, rem = divmod(num, den)
-    if rem.is_zero():
-        return quo, Poly.one()
     g = poly_gcd(num, den)
     if g.degree() > 0:
         num, _ = divmod(num, g)
@@ -234,11 +235,3 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         den = den.monic()
     return num, den
 
-
-def ratfunc_reduce(f: RationalFunc) -> RationalFunc:
-    """Return f in reduced normal form (constructor already reduces)."""
-    return RationalFunc(f.num, f.den)
-
-
-def ratfunc_to_laurent(f: RationalFunc, var: str = MU) -> LaurentPoly:
-    return f.to_laurent(var)

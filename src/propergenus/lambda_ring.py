@@ -203,10 +203,10 @@ def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8,
 
 
 def theta_bundle(E: VirtualChar, variant: str = THETA, N: int = 8,
-                 route: str = "auto", check_integral: bool = True) -> QSeries:
+                 route: str = "auto") -> QSeries:
     """Witten bundle of the rank-reduced representation E~ = E - rank(E)."""
     out = theta_series(E.tilde(), variant, N, route)
-    if check_integral and E.char.is_integral():
+    if E.char.is_integral():
         for g, c in out.nonzero_terms():
             if not c.is_integral():
                 raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")

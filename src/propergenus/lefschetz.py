@@ -13,10 +13,14 @@ lam = mu^2, the Dirac denominator of a point is
     W_j = sum_s w_s,
 
 so every q-grade of the sum is a single rational function with the
-structured denominator D = prod_{s<t} (mu^(2|a_s - a_t|) - 1).  The sum
-collapses to a Laurent polynomial exactly when the orientation signs
+structured denominator D = prod_{s<t} (mu^(2|a_s - a_t|) - 1).  D is
+monic and D(0) = +-1, so D is coprime to mu: a grade certifies as a
+Laurent polynomial exactly when D divides its numerator shifted into a
+polynomial, and the quotient is exact.  The reduced rational form is
+built only for a failing grade and for lefschetz_grade_ratfunc.  The
+sum collapses to a Laurent polynomial exactly when the orientation signs
 sigma_j = (-1)^j (weights sorted ascending) are in place; the unsigned
-literal formula is kept available for comparison and fails the Laurent
+literal formula is kept available for comparison and fails the
 certificate already for the two-point case.
 
 A mu-adic series expansion of the same sum provides an independent
@@ -31,7 +35,7 @@ from fractions import Fraction
 from .core.laurent import LAMBDA, MU, LaurentPoly
 from .core.qseries import LAMBDA_RING, MU_RING, QSeries
 from .core.ratfunc import Poly, RationalFunc
-from .errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
+from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle, theta_series
 
 DIRAC = "dirac"
@@ -98,14 +102,6 @@ def _pair_factor(w: int) -> Poly:
     return Poly([-1] + [0] * (2 * w - 1) + [1])
 
 
-def _laurent_to_ratfunc_over(num: LaurentPoly, den: Poly) -> RationalFunc:
-    shift = -min(0, num.min_exp())
-    coeffs = [0] * (num.max_exp() + shift + 1) if num.coeffs else []
-    for e, c in num.coeffs.items():
-        coeffs[e + shift] = c
-    return RationalFunc(Poly(coeffs), den * Poly.monomial(shift))
-
-
 def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], Poly]:
     """Per-point numerator prefactors over the common denominator D.
 
@@ -128,8 +124,7 @@ def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], P
         for (i, k), f in pairs.items():
             if j not in (i, k):
                 cofactor = cofactor * f
-        pre = LaurentPoly({e: c for e, c in enumerate(cofactor.coeffs) if c != 0}, MU)
-        pre = pre.shift(sum(datum.tangent_weights))
+        pre = cofactor.to_laurent(-sum(datum.tangent_weights), MU)
         if signed and datum.sign < 0:
             pre = -pre
         if operator == SIGNATURE:
@@ -140,8 +135,27 @@ def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], P
     return prefactors, denominator
 
 
-def _assemble(data, point_series, operator: str, signed: bool,
-              check_integral: bool = True) -> QSeries:
+def _grade_numerator(point_series, prefactors, h: int) -> tuple[Poly, int]:
+    """The numerator over D of grade h/2, embedded as (poly, shift)."""
+    num = LaurentPoly.zero(MU)
+    for series, pre in zip(point_series, prefactors):
+        c = series.coeffs[h]
+        if not c.is_zero():
+            num = num + c * pre
+    return Poly.from_laurent(num)
+
+
+def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
+    """poly * mu^(-shift) / D as a Laurent polynomial in mu, by exact division."""
+    quo, rem = divmod(poly, denominator)
+    if not rem.is_zero():
+        # D is coprime to mu, so the reduced form keeps a non-monomial
+        # denominator and to_laurent raises NotLaurent naming it
+        return RationalFunc(poly, denominator * Poly.monomial(shift)).to_laurent(MU)
+    return quo.to_laurent(shift, MU)
+
+
+def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
@@ -149,20 +163,14 @@ def _assemble(data, point_series, operator: str, signed: bool,
     Laurent polynomial in lam at every grade.
     """
     N = point_series[0].trunc
-    npts = len(data)
     prefactors, denominator = _prefactors(data, operator, signed)
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):
-        num = LaurentPoly.zero(MU)
-        for j in range(npts):
-            c = point_series[j].coeffs[h]
-            if not c.is_zero():
-                num = num + c * prefactors[j]
-        if num.is_zero():
+        poly, shift = _grade_numerator(point_series, prefactors, h)
+        if poly.is_zero():
             continue
-        value = _laurent_to_ratfunc_over(num, denominator).to_laurent(MU)
-        lam_poly = value.halve_exponents(LAMBDA)
-        if check_integral and not lam_poly.is_integral():
+        lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
+        if not lam_poly.is_integral():
             raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
         out.coeffs[h] = lam_poly
     return out
@@ -190,21 +198,16 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
                             signed: bool = True) -> RationalFunc:
     """One grade of the fixed-point sum as a reduced rational function in mu.
 
-    Exposes the pre-certification value; useful for pole/cancellation
-    inspection and for specialising lam -> 1 through the reduced form.
+    Exposes the gcd-reduced value the certificate skips; useful for pole
+    and cancellation inspection and for specialising lam -> 1.
     """
     data = validate_weights(weights)
     if N is None:
         N = max(1, int(Fraction(grade)) + 1)
     point_series = [_twist_series(d, twist, N) for d in data]
-    h = int(Fraction(grade) * 2)
     prefactors, denominator = _prefactors(data, operator, signed)
-    num = LaurentPoly.zero(MU)
-    for j in range(len(data)):
-        c = point_series[j].coeffs[h]
-        if not c.is_zero():
-            num = num + c * prefactors[j]
-    return _laurent_to_ratfunc_over(num, denominator)
+    poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
+    return RationalFunc(poly, denominator * Poly.monomial(shift))
 
 
 def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:

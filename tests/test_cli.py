@@ -81,6 +81,20 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == USAGE_ERROR
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "check", "--v", "0.1,0.2", "--tau", "nan,1"],
+    ["theta", "check", "--v", "-inf,0", "--tau", "0,1"],
+    ["modforms", "check", "--tau", "0.1,1", "--tol", "nan"],
+    ["modforms", "check", "--tau", "0.1,1", "--tol", "inf"],
+    ["modforms", "check", "--tau", "0.1,inf"],
+])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
 def test_theta_check_verb(capsys):
     code, out = run(capsys, "theta", "check", "--v", "0,0", "--tau", "0,1", "--order", "40")
     assert code == 0

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from propergenus.core import LaurentPoly
+from propergenus.core import LAMBDA, LaurentPoly
 from propergenus.errors import DuplicateWeights, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
 from propergenus.lefschetz import (
@@ -135,6 +136,27 @@ def test_grade_ratfunc_specializes_at_one():
         assert rf.evaluate(Fraction(1)) == series.coefficient(2).eval_one()
 
 
+@pytest.mark.parametrize("operator,twist", [
+    (DIRAC, THETA), (DIRAC, THETA2), (SIGNATURE, THETA1), (DIRAC, None),
+])
+def test_certificate_matches_gcd_reference(operator, twist):
+    # the division certificate against the gcd-reduced rational function
+    # of every grade, over random valid weight vectors
+    rng = random.Random(f"certificate-{operator}-{twist}")
+    N = 3
+    for two_l in (2, 4, 6):
+        ws = rng.sample(range(-4, 5), two_l)
+        while sum(ws) % 2 != 0:
+            ws = rng.sample(range(-4, 5), two_l)
+        series = lefschetz_twisted(ws, operator, twist, N)
+        for h in range(2 * N + 1):
+            grade = Fraction(h, 2)
+            reference = lefschetz_grade_ratfunc(ws, grade, operator, twist, N).to_laurent()
+            assert series.coefficient(grade) == reference.halve_exponents(LAMBDA), (ws, grade)
+        with pytest.raises(NotLaurent):
+            lefschetz_twisted(ws, operator, twist, N, signed=False)
+
+
 def test_translation_invariance():
     base = lefschetz_witten((0, 1, 2, 5), N=4)
     shifted = lefschetz_witten((4, 5, 6, 9), N=4)  # +4 preserves parity
@@ -159,8 +181,6 @@ def test_cp5_case():
 
 
 def test_random_weight_vector_sweep():
-    import random
-
     rng = random.Random(41)
     found = 0
     while found < 10:

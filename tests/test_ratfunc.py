@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from propergenus.core import LaurentPoly, Poly, RationalFunc, ratfunc_reduce, ratfunc_to_laurent
+from propergenus.core import LaurentPoly, Poly, RationalFunc
 from propergenus.errors import NotLaurent
 
 
@@ -35,11 +35,10 @@ def test_reduce_preserves_evaluation_at_random_points():
         if num.is_zero():
             continue
         f = RationalFunc(num, den)
-        g = ratfunc_reduce(f)
         for _ in range(3):
             x = Fraction(rng.randint(1, 40), rng.randint(1, 7)) + 41
             raw = num.evaluate(x) / den.evaluate(x)
-            assert g.evaluate(x) == raw
+            assert f.evaluate(x) == raw
 
 
 def test_two_fixed_point_terms_cancel():
@@ -59,7 +58,7 @@ def test_to_laurent_monomial_division():
 
 def test_to_laurent_rejects_off_origin_pole():
     with pytest.raises(NotLaurent):
-        ratfunc_to_laurent(RationalFunc(Poly([1]), Poly([-1, 1])))
+        RationalFunc(Poly([1]), Poly([-1, 1])).to_laurent()
 
 
 def test_cp3_brute_force_grade_zero_vanishes():
@@ -92,6 +91,8 @@ def test_embed_laurent_then_extract_is_identity():
             "mu",
         )
         assert RationalFunc.from_laurent(p).to_laurent() == p
+        poly, shift = Poly.from_laurent(p)
+        assert shift >= 0 and poly.to_laurent(shift) == p
 
 
 def test_zero_denominator_rejected():

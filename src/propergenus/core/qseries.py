@@ -260,18 +260,26 @@ class QSeries:
         return QSeries(self.ring, self.trunc, out)
 
     def exp(self) -> "QSeries":
-        """Exponential of a series with zero constant term."""
-        if not self.ring.is_zero(self.coeffs[0]):
+        """Exponential of a series with zero constant term.
+
+        f = exp(g) solves x f' = x g' f in x = q^(1/2), which is the
+        recurrence h f_h = sum_k k g_k f_(h-k) (Brent and Kung, 1978).
+        """
+        ring = self.ring
+        if not ring.is_zero(self.coeffs[0]):
             raise ValueError("exp requires vanishing constant term")
-        top = 2 * self.trunc
-        acc = QSeries.one(self.ring, self.trunc)
-        term = QSeries.one(self.ring, self.trunc)
-        for m in range(1, top + 1):
-            term = (term * self).scale(Fraction(1, m))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
+        weighted = [(k, g * k) for k, g in enumerate(self.coeffs) if k and not ring.is_zero(g)]
+        out = [ring.one()]
+        for h in range(1, 2 * self.trunc + 1):
+            acc = ring.zero()
+            for k, kg in weighted:
+                if k > h:
+                    break
+                f = out[h - k]
+                if not ring.is_zero(f):
+                    acc = acc + kg * f
+            out.append(acc * Fraction(1, h))
+        return QSeries(ring, self.trunc, out)
 
     def map_coefficients(self, fn, ring=None) -> "QSeries":
         ring = ring or self.ring
@@ -315,6 +323,42 @@ class QSeries:
         return f"{body} + O(q^{self.trunc + Fraction(1, 2)})"
 
     __repr__ = __str__
+
+
+def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None = None) -> QSeries:
+    """The product of binomial factors over a Laurent ring, built in place.
+
+    Each factor ``(s, w, h, divide)`` multiplies the running product by
+    1 + s x^w q^(h/2) or, when ``divide``, divides it by 1 - s x^w q^(h/2),
+    with h >= 1.  The product lives in per-grade rows ``{exponent: coeff}``:
+    multiplying is ``row[k] += s x^w row[k-h]`` for k downwards, dividing
+    the same update for k upwards, so each factor costs one pass over the
+    grades.  With ``bound``, every row is clamped to |e| <= bound, the
+    initial 1 included, exactly as if each partial product were clamped.
+    The rows become Laurent polynomials only at the end.
+    """
+    top = 2 * trunc
+    rows: list[dict] = [{} for _ in range(top + 1)]
+    if bound is None or bound >= 0:
+        rows[0][0] = 1
+    for s, w, h, divide in factors:
+        if h > top:
+            continue
+        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
+            src = rows[k - h]
+            if not src:
+                continue
+            dst = rows[k]
+            for e, c in src.items():
+                e += w
+                if bound is not None and not -bound <= e <= bound:
+                    continue
+                c = dst.get(e, 0) + s * c
+                if c:
+                    dst[e] = c
+                else:
+                    del dst[e]
+    return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
 
 
 def complex_eval(series: QSeries, tau: complex) -> tuple[complex, float]:

@@ -102,7 +102,9 @@ class Poly:
         if dq < 0:
             return Poly.zero(), Poly(rem)
         quo = [0] * (dq + 1)
-        inv_lead = Fraction(1) / Fraction(other.leading())
+        lead = other.leading()
+        # a unit leading coefficient is its own inverse: stay in int arithmetic
+        inv_lead = lead if lead in (1, -1) else Fraction(1) / Fraction(lead)
         d = other.degree()
         for i in range(dq, -1, -1):
             c = rem[i + d] * inv_lead

@@ -3,15 +3,21 @@
 A virtual representation of the circle is recorded by its character, a
 Laurent polynomial whose exponent n carries the one-dimensional
 representation of weight n.  Total symmetric and exterior powers S_t
-and L_t are computed either by the classical product formulas (for
-genuine representations, split into positive and negative parts) or by
-the Adams-operation exponential
+and L_t of a character with integer multiplicities are products over
+its lines: split E = P - M into positive and negative parts, then
+S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M), so
+every line of weight w contributes one binomial factor 1 +- t x^w or
+its inverse.  The product route applies these factors in place, one
+pass over the grades each (``core.qseries._binomial_product``); a whole
+Witten bundle, the weight-0 part of E~ included, is one such product.
+The Adams-operation exponential
 
     S_t(E) = exp( sum_k  psi^k(E) t^k / k ),
     L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ),
 
-which works for arbitrary virtual inputs and validates the product
-route.  On top of these sit the three Witten bundles
+works for arbitrary virtual inputs: it is taken for non-integral
+characters and on request, and the tests hold the two routes equal.
+On top of these sit the three Witten bundles
 
     Theta  = tensor_n S_{q^n}(E~)
     Theta1 = Theta * tensor_m L_{q^m}(E~)
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core.laurent import LAMBDA, LaurentPoly
-from .core.qseries import LaurentRing, QSeries, half_units
+from .core.qseries import LaurentRing, QSeries, _binomial_product, half_units
 from .errors import NonIntegral
 
 THETA = "theta"
@@ -106,25 +112,6 @@ class VirtualChar:
     __repr__ = __str__
 
 
-def _geometric_factor(ring, w: int, h_t: int, sign: int, trunc: int) -> QSeries:
-    """S_t of a weight-w line: sum_i sign^i x^(w i) q^(h_t i / 2)."""
-    s = QSeries(ring, trunc)
-    i = 0
-    while i * h_t <= 2 * trunc:
-        c = 1 if (sign == 1 or i % 2 == 0) else -1
-        s.coeffs[i * h_t] = LaurentPoly.monomial(w * i, c, ring.var)
-        i += 1
-    return s
-
-
-def _two_term_factor(ring, w: int, h_t: int, sign: int, trunc: int) -> QSeries:
-    """L_t of a weight-w line: 1 + sign * x^w q^(h_t / 2)."""
-    s = QSeries.one(ring, trunc)
-    if h_t <= 2 * trunc:
-        s.coeffs[h_t] = LaurentPoly.monomial(w, sign, ring.var)
-    return s
-
-
 def sym_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8,
               route: str = "auto") -> QSeries:
     """Total symmetric power S_t(E) with t = sign * q^t_grade."""
@@ -137,6 +124,33 @@ def ext_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8,
     return _total_power(E, t_grade, sign, N, exterior=True, route=route)
 
 
+def _product_route(E: VirtualChar, route: str) -> bool:
+    """Whether ``route`` resolves to the product formulas for E."""
+    if route == "auto":
+        try:
+            E.split()
+        except NonIntegral:
+            return False
+        return True
+    return route != "adams"
+
+
+def _line_factors(E: VirtualChar, h_t: int, sign: int, exterior: bool):
+    """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per line.
+
+    A weight-w line of P contributes 1/(1 - t x^w) to S_t and 1 + t x^w
+    to L_t; by S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
+    a line of M contributes the other one with -t.
+    """
+    pos, neg = E.split()
+    for weights, flip in ((pos, False), (neg, True)):
+        s = -sign if flip else sign
+        divide = not (exterior ^ flip)
+        for w, mult in sorted(weights.items()):
+            for _ in range(mult):
+                yield s, w, h_t, divide
+
+
 def _total_power(E: VirtualChar, t_grade, sign: int, N: int,
                  exterior: bool, route: str) -> QSeries:
     if sign not in (1, -1):
@@ -145,25 +159,9 @@ def _total_power(E: VirtualChar, t_grade, sign: int, N: int,
     if h_t < 1:
         raise ValueError("t must carry a positive power of q")
     ring = LaurentRing(E.var)
-    if route == "auto":
-        try:
-            E.split()
-            route = "product"
-        except NonIntegral:
-            route = "adams"
-    if route == "adams":
+    if not _product_route(E, route):
         return _adams_exponential(E, h_t, sign, N, exterior, ring)
-    pos, neg = E.split()
-    out = QSeries.one(ring, N)
-    # S_t(P - M) = S_t(P) L_{-t}(M);  L_t(P - M) = L_t(P) S_{-t}(M)
-    for weights, flip in ((pos, False), (neg, True)):
-        use_ext = exterior ^ flip
-        s = -sign if flip else sign
-        for w, mult in sorted(weights.items()):
-            factor = (_two_term_factor if use_ext else _geometric_factor)(ring, w, h_t, s, N)
-            for _ in range(mult):
-                out = out * factor
-    return out
+    return _binomial_product(ring, N, _line_factors(E, h_t, sign, exterior))
 
 
 def _adams_exponential(E, h_t, sign, N, exterior, ring) -> QSeries:
@@ -185,20 +183,22 @@ def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8,
     Factors with first contribution above the truncation are dropped,
     which leaves every stored grade exact.
     """
-    ring = LaurentRing(E.var)
-    out = QSeries.one(ring, N)
-    for n in range(1, N + 1):
-        out = out * sym_total(E, n, 1, N, route)
+    # (t in half units, sign of t, exterior) of each total power
+    powers = [(2 * n, 1, False) for n in range(1, N + 1)]
     if variant == THETA1:
-        for m in range(1, N + 1):
-            out = out * ext_total(E, m, 1, N, route)
+        powers += [(2 * m, 1, True) for m in range(1, N + 1)]
     elif variant == THETA2:
-        m = 1
-        while half_units(Fraction(2 * m - 1, 2)) <= 2 * N:
-            out = out * ext_total(E, Fraction(2 * m - 1, 2), -1, N, route)
-            m += 1
+        powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
+    ring = LaurentRing(E.var)
+    if _product_route(E, route):
+        return _binomial_product(ring, N, (
+            f for h_t, sign, exterior in powers
+            for f in _line_factors(E, h_t, sign, exterior)))
+    out = QSeries.one(ring, N)
+    for h_t, sign, exterior in powers:
+        out = out * _adams_exponential(E, h_t, sign, N, exterior, ring)
     return out
 
 

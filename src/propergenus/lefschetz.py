@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, MU_RING, QSeries
+from .core.qseries import LAMBDA_RING, MU_RING, QSeries, _binomial_product
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle, theta_series
@@ -223,9 +223,8 @@ def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
     """
     data = validate_weights(weights)
     l2 = len(data)  # 2l
-    one_minus = QSeries.one(LAMBDA_RING, N)
-    for n in range(1, N + 1):
-        one_minus = one_minus * QSeries.from_terms(LAMBDA_RING, N, {0: 1, n: -1}) ** (2 * l2)
+    one_minus = _binomial_product(
+        LAMBDA_RING, N, [(-1, 0, 2 * n, False) for n in range(1, N + 1) for _ in range(2 * l2)])
     adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
     middle = theta_series(adjoint, THETA, N)
     point_series = [theta_series(_tangent_char_mu(d), THETA, N) for d in data]

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core.laurent import LaurentPoly
-from .core.qseries import RATIONAL, Z_RING, QSeries, complex_eval
+from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, complex_eval
 from .errors import NotUpperHalfPlane
 
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
@@ -41,10 +40,6 @@ class ThetaExpansion:
     z_order: int
 
 
-def _clamp(poly: LaurentPoly, n_z: int) -> LaurentPoly:
-    return LaurentPoly({e: c for e, c in poly.coeffs.items() if abs(e) <= n_z}, poly.var)
-
-
 def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     """Truncated triple-product expansion of a theta function.
 
@@ -57,18 +52,12 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     if n_z is None:
         n_z = n_q
     trig, sign, half_offset = _THETA_SHAPE[kind]
-    series = QSeries.one(Z_RING, n_q)
+    factors = []
     for j in range(1, n_q + 1):
-        # scalar factor (1 - q^j)
-        series = series * QSeries.from_terms(Z_RING, n_q, {0: 1, j: -1})
-        g = Fraction(2 * j - 1, 2) if half_offset else Fraction(j)
-        if g > n_q:
-            continue
-        for e in (1, -1):
-            factor = QSeries.from_terms(
-                Z_RING, n_q, {0: 1, g: LaurentPoly.monomial(e, sign, "z")})
-            series = series * factor
-            series = series.map_coefficients(lambda c: _clamp(c, n_z))
+        factors.append((-1, 0, 2 * j, False))  # scalar factor (1 - q^j)
+        h = 2 * j - 1 if half_offset else 2 * j
+        factors += [(sign, 1, h, False), (sign, -1, h, False)]
+    series = _binomial_product(Z_RING, n_q, factors, bound=n_z)
     pref = Fraction(1, 8) if kind in ("theta", "theta1") else Fraction(0)
     return ThetaExpansion(kind, pref, trig, series, n_z)
 

@@ -33,6 +33,10 @@ CALLS = [
     (["cancellation", "--k", "1"], 0),
     (["cancellation", "--k", "2"], 0),
     (["cancellation", "--k", "3"], 0),
+    (["elliptic-genera", "--weights", "0,1,2,5", "--order", "10"], 0),
+    (["witten-genus", "--weights", "0,1,2,5", "--order", "12"], 0),
+    (["lefschetz", "--weights", "0,1,2,3,4,5,6,9", "--operator", "dirac", "--twist", "theta",
+      "--order", "6"], 0),
 ]
 
 

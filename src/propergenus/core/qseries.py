@@ -10,7 +10,10 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 
 from ..errors import (
     GradeOutOfRange,
@@ -325,40 +328,100 @@ class QSeries:
     __repr__ = __str__
 
 
+# memoryview formats of the digit widths that one cast can read
+_DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
 def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None = None) -> QSeries:
     """The product of binomial factors over a Laurent ring, built in place.
 
     Each factor ``(s, w, h, divide)`` multiplies the running product by
     1 + s x^w q^(h/2) or, when ``divide``, divides it by 1 - s x^w q^(h/2),
-    with h >= 1.  The product lives in per-grade rows ``{exponent: coeff}``:
-    multiplying is ``row[k] += s x^w row[k-h]`` for k downwards, dividing
-    the same update for k upwards, so each factor costs one pass over the
-    grades.  With ``bound``, every row is clamped to |e| <= bound, the
-    initial 1 included, exactly as if each partial product were clamped.
-    The rows become Laurent polynomials only at the end.
+    with h >= 1.  Row k of the product, the coefficient of q^(k/2), is
+    one Kronecker-packed int R_k = sum_e c_e 2^(B (e/g + m k)): g is the
+    gcd of the weights, m = max|w|/g, and B is the digit width in bits.
+    A grade-k row only reaches |e/g| <= m k, so its digits sit at
+    0..2mk.  Multiplying is ``R_k += s (R_(k-h) << B (w/g + m h))`` for
+    k downwards, dividing the same update for k upwards; the shift is
+    never negative.
+
+    Evaluation at 2^B is a ring map, so the packed update is exact as
+    long as the digits read back satisfy |c| < 2^(B-1).  B comes from a
+    proven bound: the same recurrence on scalars with |s| (x = 1) gives
+    M_k, which bounds the l1 norm of row k of the product, of every
+    partial product and of every halfway state of an update.  So
+    B = bits(max M_k) + 1, rounded up to whole bytes, never overflows.
+
+    With ``bound`` >= 0, every row is clamped to |e| <= bound after each
+    update, the initial 1 included, exactly as if each partial product
+    were clamped: the digits outside the window are masked off in
+    biased form, where every digit is c + 2^(B-1) >= 0.  A bound >=
+    max|w| 2 trunc can never clip and is ignored.
+
+    The rows are unpacked once at the end: flipping the top bit of each
+    biased digit leaves c in two's complement, which one memoryview cast
+    reads when B is 8, 16, 32 or 64 (byte slices otherwise).
     """
     top = 2 * trunc
-    rows: list[dict] = [{} for _ in range(top + 1)]
-    if bound is None or bound >= 0:
-        rows[0][0] = 1
+    factors = [f for f in factors if f[2] <= top]
+    g = 0
+    for f in factors:
+        g = gcd(g, f[1])
+    g = g or 1
+    m = max((abs(f[1]) for f in factors), default=0) // g
+
+    majorant = [1] + [0] * top
+    for s, _, h, divide in factors:
+        a = abs(s)
+        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
+            majorant[k] += a * majorant[k - h]
+    width = max(majorant).bit_length() + 1
+    B = next((b for b in _DIGIT_FORMATS if b >= width), -(-width // 8) * 8)
+    # 2^(B-1) in every digit of the widest row; adding it biases every
+    # digit to c + 2^(B-1) >= 0, so no digit borrows from the next one
+    half = ((1 << (B * (2 * m * top + 1))) - 1) // ((1 << B) - 1) << (B - 1)
+
+    windows = None
+    if bound is not None and bound < g * m * top:
+        b = bound // g
+        windows = []
+        for k in range(top + 1):
+            lo, hi = max(m * k - b, 0), min(m * k + b, 2 * m * k)
+            window = ((1 << (B * (hi - lo + 1))) - 1) << (B * lo)
+            windows.append((window, half & window))
+
+    rows = [1] + [0] * top
     for s, w, h, divide in factors:
-        if h > top:
-            continue
+        shift = B * (w // g + m * h)
         for k in range(h, top + 1) if divide else range(top, h - 1, -1):
             src = rows[k - h]
             if not src:
                 continue
-            dst = rows[k]
-            for e, c in src.items():
-                e += w
-                if bound is not None and not -bound <= e <= bound:
-                    continue
-                c = dst.get(e, 0) + s * c
-                if c:
-                    dst[e] = c
-                else:
-                    del dst[e]
-    return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
+            src <<= shift
+            if s == 1:  # the common s = +-1 needs no multiplication
+                row = rows[k] + src
+            elif s == -1:
+                row = rows[k] - src
+            else:
+                row = rows[k] + s * src
+            if windows:
+                window, window_half = windows[k]
+                row = ((row + half) & window) - window_half
+            rows[k] = row
+
+    fmt = _DIGIT_FORMATS.get(B)
+    nbytes = B // 8
+    out = []
+    for k, row in enumerate(rows):
+        raw = ((row + half) ^ half).to_bytes(nbytes * (2 * m * k + 1), "little")
+        if fmt:
+            coeffs = memoryview(raw).cast(fmt)
+        else:
+            coeffs = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                      for i in range(0, len(raw), nbytes)]
+        exponents = range(-g * m * k, g * m * k + 1, g)
+        out.append(LaurentPoly(dict(filter(itemgetter(1), zip(exponents, coeffs))), ring.var))
+    return QSeries(ring, trunc, out)
 
 
 def complex_eval(series: QSeries, tau: complex) -> tuple[complex, float]:

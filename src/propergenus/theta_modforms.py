@@ -45,12 +45,15 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
 
     z-exponents are clamped to |exponent| <= n_z after each factor;
     with n_z >= n_q no clamping ever happens because grade q^g carries
-    z-exponents bounded by g.
+    z-exponents bounded by g.  n_z defaults to n_q and must not be
+    negative.
     """
     if kind not in _THETA_SHAPE:
         raise ValueError(f"unknown theta kind {kind!r}")
     if n_z is None:
         n_z = n_q
+    if n_z < 0:
+        raise ValueError(f"z-order must be non-negative, got {n_z}")
     trig, sign, half_offset = _THETA_SHAPE[kind]
     factors = []
     for j in range(1, n_q + 1):

@@ -1,10 +1,11 @@
-"""The in-place binomial kernel against the convolution route it replaced.
+"""The packed binomial kernel against two independent references.
 
-The reference builds every factor as a full series (a geometric series
-for S_t of a line, a two-term series for L_t of a line, the three
+The convolution route builds every factor as a full series (a geometric
+series for S_t of a line, a two-term series for L_t of a line, the three
 triple-product factors of a theta function) and multiplies the factors
-with ``QSeries.__mul__``; the kernel must give the same series at every
-grade.
+with ``QSeries.__mul__``.  ``reference_binomial_product`` applies the
+same factors in place on per-grade ``{exponent: coeff}`` rows.  The
+Kronecker-packed kernel must give the same series at every grade.
 """
 
 import random
@@ -26,6 +27,37 @@ from propergenus.lambda_ring import (
     theta_series,
 )
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
+
+# -- the dict-row kernel --------------------------------------------------------
+
+
+def reference_binomial_product(ring, trunc, factors, bound=None):
+    """Binomial factors applied on per-grade ``{exponent: coeff}`` rows.
+
+    Multiplying by 1 + s x^w q^(h/2) is ``row[k] += s x^w row[k-h]`` for
+    k downwards, dividing by 1 - s x^w q^(h/2) the same update for k
+    upwards; with ``bound``, every added term outside |e| <= bound is
+    dropped.
+    """
+    top = 2 * trunc
+    rows = [{} for _ in range(top + 1)]
+    rows[0][0] = 1
+    for s, w, h, divide in factors:
+        if h > top:
+            continue
+        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
+            dst = rows[k]
+            for e, c in rows[k - h].items():
+                e += w
+                if bound is not None and not -bound <= e <= bound:
+                    continue
+                c = dst.get(e, 0) + s * c
+                if c:
+                    dst[e] = c
+                else:
+                    del dst[e]
+    return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
+
 
 # -- the convolution route -------------------------------------------------------
 
@@ -162,9 +194,11 @@ def test_theta_bundle_of_tangent_character_matches_convolution_route():
 @pytest.mark.parametrize("kind", THETA_KINDS)
 def test_theta_qexp_matches_triple_product_loop(kind):
     for n_q in range(1, 9):
-        for n_z in (None, -1, 0, 1, 2):
+        for n_z in (None, 0, 1, 2, n_q, n_q + 3):
             got = theta_qexp(kind, n_q, n_z)
             assert got.series == reference_theta_qexp(kind, n_q, n_z), (n_q, n_z)
+        with pytest.raises(ValueError):
+            theta_qexp(kind, n_q, -1)
 
 
 def test_p_series_one_minus_factor():
@@ -208,3 +242,63 @@ def test_exp_recurrence_matches_power_loop():
         rat_arg = QSeries(RATIONAL, N, [0] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                               for _ in range(2 * N)])
         assert rat_arg.exp() == reference_exp(rat_arg)
+
+
+# -- the packed kernel against the dict-row kernel -----------------------------------
+
+
+def rand_factors(rng, weights, top, count):
+    """Mixed multiply and divide factors with |s| up to 3."""
+    return [(rng.choice([1, -1, 2, -2, 3, -3]), rng.choice(weights), rng.randint(1, top),
+             rng.random() < 0.5) for _ in range(count)]
+
+
+def assert_kernels_agree(ring, trunc, factors, bounds=(None,)):
+    for bound in bounds:
+        got = _binomial_product(ring, trunc, factors, bound)
+        assert got == reference_binomial_product(ring, trunc, factors, bound), (factors, bound)
+
+
+def test_packed_kernel_matches_dict_kernel():
+    rng = random.Random(59)
+    weight_sets = ([-3, -1, 0, 2, 5], [-6, 0, 3, 9], [-4, -2], [0], [1, 7])
+    for i in range(40):
+        weights = weight_sets[i % len(weight_sets)]
+        trunc = rng.randint(1, 4)
+        factors = rand_factors(rng, weights, 2 * trunc, rng.randint(1, 10))
+        wide = max(abs(w) for _, w, _, _ in factors) * 2 * trunc
+        bounds = (None, 0, 1, wide - 1, wide, wide + 5)
+        assert_kernels_agree(LAMBDA_RING, trunc, factors, [b for b in bounds if b != -1])
+
+
+def test_packed_kernel_edge_lists():
+    assert _binomial_product(LAMBDA_RING, 3, []) == QSeries.one(LAMBDA_RING, 3)
+    assert _binomial_product(LAMBDA_RING, 3, [], bound=0) == QSeries.one(LAMBDA_RING, 3)
+    # every factor starts above the truncation
+    late = [(2, 3, 7, False), (-1, -2, 9, True)]
+    assert _binomial_product(Z_RING, 3, late, bound=1) == QSeries.one(Z_RING, 3)
+    # weights sharing the gcd 3, clamped to a bound that is not a multiple of it
+    rng = random.Random(61)
+    factors = rand_factors(rng, [-9, -3, 3, 6], 6, 12)
+    assert_kernels_agree(Z_RING, 3, factors, (None, 0, 2, 4, 7, 53, 54, 80))
+
+
+def test_packed_kernel_wide_digits():
+    # 40 divisions by 1 - 3x q^(1/2): coefficients far above 2^64
+    factors = [(3, 1, 1, True)] * 40 + [(-1, -1, 2, False)] * 3
+    got = _binomial_product(LAMBDA_RING, 8, factors)
+    assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
+    assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
+    assert_kernels_agree(LAMBDA_RING, 8, factors, (0, 3, 15))
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("s", [1, -1])
+def test_packed_kernel_sign_bit(n, s):
+    # 1/(1 - s x q^(1/2))^n reaches its majorant n(n+1)/2 at q^1, which needs
+    # exactly 8 (n = 16) or 16 (n = 256) magnitude bits: a digit of that
+    # width without room for the sign would overflow
+    factors = [(s, 1, 1, True)] * n
+    got = _binomial_product(LAMBDA_RING, 1, factors)
+    assert got.coeffs[2] == LaurentPoly({2: n * (n + 1) // 2})
+    assert got == reference_binomial_product(LAMBDA_RING, 1, factors)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, main
+from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
 
 
 def run(capsys, *argv):
@@ -93,6 +93,49 @@ def test_non_finite_input_is_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == USAGE_ERROR
     assert capsys.readouterr().out == ""
+
+
+def test_negative_z_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "expand", "--kind", "theta", "--order", "2", "--z-order", "-1"])
+    assert exc.value.code == USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+# successes, usage errors (exit 64) and a domain error (exit 2), interleaved
+REUSE_CALLS = [
+    ["theta", "expand", "--kind", "theta2", "--order", "3"],
+    ["bundle", "expand", "--expr", "(theta1 (tilde (rep 2)))", "--order", "3"],
+    ["theta", "expand", "--kind", "theta", "--order", "2", "--z-order", "-1"],
+    ["modforms", "expand", "--name", "eps1", "--order", "4", "--json-indent", "0"],
+    ["witten-genus", "--order", "3"],
+    ["witten-genus", "--weights", "0,1,2,3", "--order", "3"],
+    ["lefschetz", "--weights", "0,2", "--order", "3", "--unsigned"],
+    ["theta", "expand", "--kind", "theta2", "--order", "3", "--z-order", "1"],
+    ["theta", "expand", "--kind", "theta2", "--order", "3"],
+]
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_prints_what_a_fresh_parser_prints(capsys):
+    fresh = []
+    for argv in REUSE_CALLS:
+        build_parser.cache_clear()
+        fresh.append(_call(capsys, argv))
+    build_parser.cache_clear()
+    shared = [_call(capsys, argv) for argv in REUSE_CALLS]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, USAGE_ERROR, 0, USAGE_ERROR, 0,
+                                               DOMAIN_ERROR, 0, 0]
 
 
 def test_theta_check_verb(capsys):

@@ -8,6 +8,7 @@ printed here are exact virtual characters.
 
 from fractions import Fraction
 
+from propergenus.core import LAMBDA_RING, QSeries
 from propergenus.lambda_ring import (
     THETA,
     THETA1,
@@ -42,9 +43,10 @@ for variant in (THETA, THETA1, THETA2):
             print(f"   q^{str(grade):4} -> {coeff.char}")
 
 print()
-print("= Adams-operation route agrees with the product route =")
+print("= Adams operations: S_t(E) = exp(sum_k psi^k(E) t^k / k) =")
 virtual = VirtualChar.rep(3) - VirtualChar.rep(1)
-a = sym_total(virtual, 1, 1, 5, route="adams")
-b = sym_total(virtual, 1, 1, 5, route="product")
+N = 5
+log_sym = QSeries.from_terms(
+    LAMBDA_RING, N, {k: virtual.adams(k).char * Fraction(1, k) for k in range(1, N + 1)})
 print("virtual input      :", virtual)
-print("routes agree       :", a == b)
+print("exp agrees with S_q:", log_sym.exp() == sym_total(virtual, 1, 1, N))

@@ -11,7 +11,6 @@ modular surface, and the elliptic genera vanish identically.
 from propergenus.induction import averaged_elliptic_genera, averaged_witten_genus
 from propergenus.lambda_ring import THETA1, THETA2
 from propergenus.lefschetz import (
-    lefschetz_series_strategy,
     lefschetz_twisted,
     lefschetz_witten,
     p_series,
@@ -28,8 +27,6 @@ print("= The equivariant Witten series (exact Laurent coefficients) =")
 series = lefschetz_witten((0, 1, 2, 5), N=5)
 for grade, coeff in series.nonzero_terms():
     print(f"  q^{grade}: {coeff}")
-print("cross-check by mu-adic expansion:",
-      series == lefschetz_series_strategy((0, 1, 2, 5), N=5))
 
 print()
 print("= Arithmetically special vectors collapse entirely =")

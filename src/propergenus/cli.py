@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .chern import solve_cancellation
-from .core.qseries import QSeries
 from .errors import DomainError
 from .induction import averaged_elliptic_genera, averaged_witten_genus, trace_series
 from .lambda_ring import VirtualChar, eval_bundle_expr
@@ -121,10 +120,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _series_json(series: QSeries) -> dict:
-    return series.to_json()
-
-
 def _run_witten(args) -> dict:
     if args.unsigned:
         series = trace_series(p_series(args.weights, args.order, signed=False))
@@ -134,7 +129,7 @@ def _run_witten(args) -> dict:
         "verb": "witten-genus",
         "weights": sorted(args.weights),
         "order": args.order,
-        "series": _series_json(series),
+        "series": series.to_json(),
         "identically_zero": series.is_zero(),
     }
 
@@ -145,8 +140,8 @@ def _run_elliptic(args) -> dict:
         "verb": "elliptic-genera",
         "weights": sorted(args.weights),
         "order": args.order,
-        "phi1": _series_json(phi1),
-        "phi2": _series_json(phi2),
+        "phi1": phi1.to_json(),
+        "phi2": phi2.to_json(),
         "identically_zero": phi1.is_zero() and phi2.is_zero(),
     }
 
@@ -162,7 +157,7 @@ def _run_lefschetz(args) -> dict:
         "twist": args.twist,
         "order": args.order,
         "signed": not args.unsigned,
-        "series": _series_json(series),
+        "series": series.to_json(),
     }
 
 
@@ -173,7 +168,7 @@ def _run_p_series(args) -> dict:
         "weights": sorted(args.weights),
         "order": args.order,
         "signed": not args.unsigned,
-        "series": _series_json(series),
+        "series": series.to_json(),
     }
 
 
@@ -197,7 +192,7 @@ def _run_theta(args) -> dict:
         "prefactor_exponent": str(exp.prefactor_exponent),
         "trig": exp.trig or "none",
         "z_order": exp.z_order,
-        "series": _series_json(exp.series),
+        "series": exp.series.to_json(),
     }
 
 
@@ -219,7 +214,7 @@ def _run_modforms(args) -> dict:
         "name": mf.name,
         "weight": mf.weight,
         "group": mf.group,
-        "series": _series_json(mf.series),
+        "series": mf.series.to_json(),
     }
 
 
@@ -229,7 +224,7 @@ def _run_bundle(args) -> dict:
         body = {"type": "character", "character": value.char.to_json(),
                 "rank": str(Fraction(value.rank))}
     else:
-        body = {"type": "series", "series": _series_json(value)}
+        body = {"type": "series", "series": value.to_json()}
     return {"verb": "bundle-expand", "expr": args.expr, "order": args.order, **body}
 
 

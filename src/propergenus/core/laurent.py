@@ -175,10 +175,6 @@ class LaurentPoly:
             raise ValueError("substitution power must be >= 1")
         return LaurentPoly({e * k: c for e, c in self.coeffs.items()}, self.var)
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x**k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.var)
-
     def double_exponents(self, var: str = MU) -> "LaurentPoly":
         """View a polynomial in lam as one in mu via lam = mu**2."""
         return LaurentPoly({2 * e: c for e, c in self.coeffs.items()}, var)

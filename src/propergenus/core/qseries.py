@@ -144,10 +144,6 @@ class QSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, ring, trunc: int) -> "QSeries":
-        return cls(ring, trunc)
-
-    @classmethod
     def one(cls, ring, trunc: int) -> "QSeries":
         s = cls(ring, trunc)
         s.coeffs[0] = ring.one()

@@ -165,10 +165,6 @@ class RationalFunc:
         self.den = den
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFunc":
-        return cls(p, Poly.one(), reduced=True)
-
-    @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "RationalFunc":
         """Embed a Laurent polynomial by clearing negative exponents."""
         poly, shift = Poly.from_laurent(p)

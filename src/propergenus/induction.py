@@ -74,17 +74,16 @@ def _adjoint_spinor_series(N: int) -> QSeries:
     return QSeries.from_terms(LAMBDA_RING, N, {0: spinor})
 
 
-def averaged_witten_genus(weights, N: int = 10, check_routes: bool = True) -> QSeries:
+def averaged_witten_genus(weights, N: int = 10) -> QSeries:
     """Trace of the two-variable Witten series of a weighted action.
 
-    With ``check_routes`` the literal product route and the factored
-    route are both evaluated and must agree exactly.
+    The literal product route and the factored route are both evaluated
+    and must agree exactly; a disagreement raises AssertionError.
     """
     traced = trace_series(p_series(weights, N))
-    if check_routes:
-        factored = theta_bundle(_adjoint_char(), THETA, N) * lefschetz_witten(weights, N)
-        if trace_series(factored) != traced:
-            raise AssertionError("the two Witten genus routes disagree")
+    factored = theta_bundle(_adjoint_char(), THETA, N) * lefschetz_witten(weights, N)
+    if trace_series(factored) != traced:
+        raise AssertionError("the two Witten genus routes disagree")
     return traced
 
 

@@ -7,16 +7,15 @@ and L_t of a character with integer multiplicities are products over
 its lines: split E = P - M into positive and negative parts, then
 S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M), so
 every line of weight w contributes one binomial factor 1 +- t x^w or
-its inverse.  The product route applies these factors in place, one
-pass over the grades each (``core.qseries._binomial_product``); a whole
-Witten bundle, the weight-0 part of E~ included, is one such product.
-The Adams-operation exponential
+its inverse.  These factors are applied in place, one pass over the
+grades each (``core.qseries._binomial_product``); a whole Witten bundle,
+the weight-0 part of E~ included, is one such product.  A character
+with a non-integral multiplicity is refused with NonIntegral.  The tests
+hold this route equal to the Adams-operation exponential
 
     S_t(E) = exp( sum_k  psi^k(E) t^k / k ),
-    L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ),
+    L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ).
 
-works for arbitrary virtual inputs: it is taken for non-integral
-characters and on request, and the tests hold the two routes equal.
 On top of these sit the three Witten bundles
 
     Theta  = tensor_n S_{q^n}(E~)
@@ -112,37 +111,25 @@ class VirtualChar:
     __repr__ = __str__
 
 
-def sym_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8,
-              route: str = "auto") -> QSeries:
+def sym_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     """Total symmetric power S_t(E) with t = sign * q^t_grade."""
-    return _total_power(E, t_grade, sign, N, exterior=False, route=route)
+    return _total_power(E, t_grade, sign, N, exterior=False)
 
 
-def ext_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8,
-              route: str = "auto") -> QSeries:
+def ext_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     """Total exterior power L_t(E) with t = sign * q^t_grade."""
-    return _total_power(E, t_grade, sign, N, exterior=True, route=route)
+    return _total_power(E, t_grade, sign, N, exterior=True)
 
 
-def _product_route(E: VirtualChar, route: str) -> bool:
-    """Whether ``route`` resolves to the product formulas for E."""
-    if route == "auto":
-        try:
-            E.split()
-        except NonIntegral:
-            return False
-        return True
-    return route != "adams"
-
-
-def _line_factors(E: VirtualChar, h_t: int, sign: int, exterior: bool):
+def _line_factors(lines, h_t: int, sign: int, exterior: bool):
     """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per line.
 
-    A weight-w line of P contributes 1/(1 - t x^w) to S_t and 1 + t x^w
-    to L_t; by S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
+    ``lines`` is ``E.split()``.  A weight-w line of P contributes
+    1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
+    S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
     a line of M contributes the other one with -t.
     """
-    pos, neg = E.split()
+    pos, neg = lines
     for weights, flip in ((pos, False), (neg, True)):
         s = -sign if flip else sign
         divide = not (exterior ^ flip)
@@ -151,33 +138,17 @@ def _line_factors(E: VirtualChar, h_t: int, sign: int, exterior: bool):
                 yield s, w, h_t, divide
 
 
-def _total_power(E: VirtualChar, t_grade, sign: int, N: int,
-                 exterior: bool, route: str) -> QSeries:
+def _total_power(E: VirtualChar, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     h_t = half_units(t_grade)
     if h_t < 1:
         raise ValueError("t must carry a positive power of q")
-    ring = LaurentRing(E.var)
-    if not _product_route(E, route):
-        return _adams_exponential(E, h_t, sign, N, exterior, ring)
-    return _binomial_product(ring, N, _line_factors(E, h_t, sign, exterior))
+    return _binomial_product(LaurentRing(E.var), N,
+                             _line_factors(E.split(), h_t, sign, exterior))
 
 
-def _adams_exponential(E, h_t, sign, N, exterior, ring) -> QSeries:
-    arg = QSeries(ring, N)
-    k = 1
-    while k * h_t <= 2 * N:
-        c = Fraction(1, k) * (sign ** k)
-        if exterior and k % 2 == 0:
-            c = -c
-        arg.coeffs[k * h_t] = arg.coeffs[k * h_t] + E.adams(k).char * c
-        k += 1
-    return arg.exp()
-
-
-def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8,
-                 route: str = "auto") -> QSeries:
+def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
     """Witten-bundle product over the character E itself (no rank reduction).
 
     Factors with first contribution above the truncation are dropped,
@@ -191,25 +162,18 @@ def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8,
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
-    ring = LaurentRing(E.var)
-    if _product_route(E, route):
-        return _binomial_product(ring, N, (
-            f for h_t, sign, exterior in powers
-            for f in _line_factors(E, h_t, sign, exterior)))
-    out = QSeries.one(ring, N)
-    for h_t, sign, exterior in powers:
-        out = out * _adams_exponential(E, h_t, sign, N, exterior, ring)
-    return out
+    lines = E.split()
+    return _binomial_product(LaurentRing(E.var), N, (
+        f for h_t, sign, exterior in powers
+        for f in _line_factors(lines, h_t, sign, exterior)))
 
 
-def theta_bundle(E: VirtualChar, variant: str = THETA, N: int = 8,
-                 route: str = "auto") -> QSeries:
+def theta_bundle(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
     """Witten bundle of the rank-reduced representation E~ = E - rank(E)."""
-    out = theta_series(E.tilde(), variant, N, route)
-    if E.char.is_integral():
-        for g, c in out.nonzero_terms():
-            if not c.is_integral():
-                raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")
+    out = theta_series(E.tilde(), variant, N)
+    for g, c in out.nonzero_terms():
+        if not c.is_integral():
+            raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")
     return out
 
 

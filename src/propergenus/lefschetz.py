@@ -17,14 +17,14 @@ structured denominator D = prod_{s<t} (mu^(2|a_s - a_t|) - 1).  D is
 monic and D(0) = +-1, so D is coprime to mu: a grade certifies as a
 Laurent polynomial exactly when D divides its numerator shifted into a
 polynomial, and the quotient is exact.  The reduced rational form is
-built only for a failing grade and for lefschetz_grade_ratfunc.  The
+built only for a failing grade, to name the pole in NotLaurent.  The
 sum collapses to a Laurent polynomial exactly when the orientation signs
 sigma_j = (-1)^j (weights sorted ascending) are in place; the unsigned
 literal formula is kept available for comparison and fails the
 certificate already for the two-point case.
 
-A mu-adic series expansion of the same sum provides an independent
-cross-check strategy.
+The tests hold this certificate equal to a mu-adic series expansion of
+the same sum and to the gcd-reduced rational function of each grade.
 """
 
 from __future__ import annotations
@@ -193,23 +193,6 @@ def lefschetz_witten(weights, N: int = 10, signed: bool = True) -> QSeries:
     return lefschetz_twisted(weights, DIRAC, THETA, N, signed)
 
 
-def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
-                            twist: str | None = THETA, N: int | None = None,
-                            signed: bool = True) -> RationalFunc:
-    """One grade of the fixed-point sum as a reduced rational function in mu.
-
-    Exposes the gcd-reduced value the certificate skips; useful for pole
-    and cancellation inspection and for specialising lam -> 1.
-    """
-    data = validate_weights(weights)
-    if N is None:
-        N = max(1, int(Fraction(grade)) + 1)
-    point_series = [_twist_series(d, twist, N) for d in data]
-    prefactors, denominator = _prefactors(data, operator, signed)
-    poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
-    return RationalFunc(poly, denominator * Poly.monomial(shift))
-
-
 def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
     """The literal three-factor two-variable series of the weighted action.
 
@@ -231,66 +214,3 @@ def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
     bare_sum = _assemble(data, point_series, DIRAC, signed)
     return one_minus * middle * bare_sum
 
-
-# -- mu-adic cross-check strategy --------------------------------------------
-
-def _geometric_inverse_mu(w: int, bound: int) -> LaurentPoly:
-    """Expansion of 1/(mu^w - mu^(-w)) = -mu^w (1 + mu^(2w) + ...) at mu = 0,
-    exact for exponents <= bound."""
-    coeffs = {}
-    e = w
-    while e <= bound:
-        coeffs[e] = -1
-        e += 2 * w
-    return LaurentPoly(coeffs, MU)
-
-
-def _truncate_above(p: LaurentPoly, bound: int) -> LaurentPoly:
-    return LaurentPoly({e: c for e, c in p.coeffs.items() if e <= bound}, MU)
-
-
-def lefschetz_series_strategy(weights, operator: str = DIRAC,
-                              twist: str | None = THETA, N: int = 10,
-                              signed: bool = True, degree_margin: int = 4) -> QSeries:
-    """Recompute the Lefschetz series by mu-adic expansion of each local
-    denominator.
-
-    A truncated series cannot certify polynomiality on its own; this is
-    the cross-check partner of the exact rational-function strategy.
-    The expansion window at each grade covers 2 max_j W_j + margin and,
-    beyond that, the numerator degree bound max_j(deg c_j - W_j) past
-    which a true Laurent polynomial must have terminated.
-    """
-    data = validate_weights(weights)
-    point_series = [_twist_series(d, twist, N) for d in data]
-    base = 2 * max(sum(d.tangent_weights) for d in data) + degree_margin
-    out = QSeries(LAMBDA_RING, N)
-    for h in range(2 * N + 1):
-        others: list[LaurentPoly | None] = []
-        for j, datum in enumerate(data):
-            c = point_series[j].coeffs[h]
-            if c.is_zero():
-                others.append(None)
-                continue
-            other = c if (not signed or datum.sign > 0) else -c
-            if operator == SIGNATURE:
-                other = other * _spinor_char_mu(datum)
-            others.append(other)
-        if all(o is None for o in others):
-            continue
-        bound = max(
-            [base]
-            + [o.max_exp() - sum(d.tangent_weights) + degree_margin
-               for o, d in zip(others, data) if o is not None]
-        )
-        total = LaurentPoly.zero(MU)
-        for datum, other in zip(data, others):
-            if other is None:
-                continue
-            need = bound - min(0, other.min_exp())
-            expansion = LaurentPoly.constant(1, MU)
-            for w in datum.tangent_weights:
-                expansion = _truncate_above(expansion * _geometric_inverse_mu(w, need), need)
-            total = total + _truncate_above(expansion * other, bound)
-        out.coeffs[h] = _truncate_above(total, bound).halve_exponents(LAMBDA)
-    return out

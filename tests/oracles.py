@@ -1,0 +1,168 @@
+"""Independent second routes that the tests hold the package against.
+
+Not collected by pytest (no ``test_`` prefix); test modules import it.
+The package computes each of these quantities by one route; each
+function here recomputes one of them by another.
+
+- ``adams_total_power`` and ``adams_theta_series``: total symmetric and
+  exterior powers, and the Witten-bundle products built from them, by
+  the Adams-operation exponential
+
+      S_t(E) = exp( sum_k  psi^k(E) t^k / k ),
+      L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ),
+
+  against the binomial products of ``lambda_ring``.
+- ``lefschetz_series_strategy``: the fixed-point sum by mu-adic
+  expansion of each local denominator, against the exact-division
+  certificate of ``lefschetz``.
+- ``lefschetz_grade_ratfunc``: one grade of the fixed-point sum as a
+  gcd-reduced rational function in mu.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from propergenus.core import (
+    LAMBDA,
+    LAMBDA_RING,
+    MU,
+    LaurentPoly,
+    LaurentRing,
+    Poly,
+    QSeries,
+    RationalFunc,
+    half_units,
+)
+from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar
+from propergenus.lefschetz import (
+    DIRAC,
+    SIGNATURE,
+    _grade_numerator,
+    _prefactors,
+    _spinor_char_mu,
+    _twist_series,
+    validate_weights,
+)
+
+# -- Adams-operation exponential ---------------------------------------------
+
+
+def adams_total_power(E: VirtualChar, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
+    """S_t(E) or L_t(E), t = sign * q^t_grade, as the exponential of its
+    Adams-operation logarithm; E may have rational multiplicities."""
+    h_t = half_units(t_grade)
+    arg = QSeries(LaurentRing(E.var), N)
+    k = 1
+    while k * h_t <= 2 * N:
+        c = Fraction(sign ** k, k)
+        if exterior and k % 2 == 0:
+            c = -c
+        arg.coeffs[k * h_t] = arg.coeffs[k * h_t] + E.adams(k).char * c
+        k += 1
+    return arg.exp()
+
+
+def adams_theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
+    """The Witten-bundle product over E, one Adams exponential per factor."""
+    out = QSeries.one(LaurentRing(E.var), N)
+    for n in range(1, N + 1):
+        out = out * adams_total_power(E, n, 1, N, exterior=False)
+    if variant == THETA1:
+        for m in range(1, N + 1):
+            out = out * adams_total_power(E, m, 1, N, exterior=True)
+    elif variant == THETA2:
+        for h in range(1, 2 * N + 1, 2):
+            out = out * adams_total_power(E, Fraction(h, 2), -1, N, exterior=True)
+    elif variant != THETA:
+        raise ValueError(f"unknown Witten bundle variant {variant!r}")
+    return out
+
+
+# -- mu-adic expansion of the fixed-point sum --------------------------------
+
+
+# expansion window past the largest denominator degree
+DEGREE_MARGIN = 4
+
+
+def _geometric_inverse_mu(w: int, bound: int) -> LaurentPoly:
+    """Expansion of 1/(mu^w - mu^(-w)) = -mu^w (1 + mu^(2w) + ...) at mu = 0,
+    exact for exponents <= bound."""
+    coeffs = {}
+    e = w
+    while e <= bound:
+        coeffs[e] = -1
+        e += 2 * w
+    return LaurentPoly(coeffs, MU)
+
+
+def _truncate_above(p: LaurentPoly, bound: int) -> LaurentPoly:
+    return LaurentPoly({e: c for e, c in p.coeffs.items() if e <= bound}, MU)
+
+
+def lefschetz_series_strategy(weights, operator: str = DIRAC,
+                              twist: str | None = THETA, N: int = 10,
+                              signed: bool = True) -> QSeries:
+    """Recompute the Lefschetz series by mu-adic expansion of each local
+    denominator.
+
+    A truncated series cannot certify polynomiality on its own; it only
+    cross-checks the exact certificate.  The expansion window at each
+    grade covers 2 max_j W_j + DEGREE_MARGIN and, beyond that, the numerator
+    degree bound max_j(deg c_j - W_j) past which a true Laurent
+    polynomial must have terminated.
+    """
+    data = validate_weights(weights)
+    point_series = [_twist_series(d, twist, N) for d in data]
+    base = 2 * max(sum(d.tangent_weights) for d in data) + DEGREE_MARGIN
+    out = QSeries(LAMBDA_RING, N)
+    for h in range(2 * N + 1):
+        others: list[LaurentPoly | None] = []
+        for j, datum in enumerate(data):
+            c = point_series[j].coeffs[h]
+            if c.is_zero():
+                others.append(None)
+                continue
+            other = c if (not signed or datum.sign > 0) else -c
+            if operator == SIGNATURE:
+                other = other * _spinor_char_mu(datum)
+            others.append(other)
+        if all(o is None for o in others):
+            continue
+        bound = max(
+            [base]
+            + [o.max_exp() - sum(d.tangent_weights) + DEGREE_MARGIN
+               for o, d in zip(others, data) if o is not None]
+        )
+        total = LaurentPoly.zero(MU)
+        for datum, other in zip(data, others):
+            if other is None:
+                continue
+            need = bound - min(0, other.min_exp())
+            expansion = LaurentPoly.constant(1, MU)
+            for w in datum.tangent_weights:
+                expansion = _truncate_above(expansion * _geometric_inverse_mu(w, need), need)
+            total = total + _truncate_above(expansion * other, bound)
+        out.coeffs[h] = _truncate_above(total, bound).halve_exponents(LAMBDA)
+    return out
+
+
+# -- gcd-reduced rational function of one grade -----------------------------
+
+
+def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
+                            twist: str | None = THETA, N: int | None = None,
+                            signed: bool = True) -> RationalFunc:
+    """One grade of the fixed-point sum as a reduced rational function in mu.
+
+    The gcd-reduced value the certificate skips; it can be specialised
+    at lam = 1 and converted by ``to_laurent`` when it is Laurent.
+    """
+    data = validate_weights(weights)
+    if N is None:
+        N = max(1, int(Fraction(grade)) + 1)
+    point_series = [_twist_series(d, twist, N) for d in data]
+    prefactors, denominator = _prefactors(data, operator, signed)
+    poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
+    return RationalFunc(poly, denominator * Poly.monomial(shift))

@@ -222,13 +222,21 @@ def test_divide_undoes_multiply():
 
 
 def test_product_route_refuses_non_integral_character():
-    E = VirtualChar(LaurentPoly({2: Fraction(1, 2), 0: 1}))
-    with pytest.raises(NonIntegral):
-        sym_total(E, 1, 1, 3, route="product")
-    with pytest.raises(NonIntegral):
-        theta_series(E, THETA, 3, route="product")
-    # the Adams route handles it, under "auto" too
-    assert theta_series(E, THETA, 3) == theta_series(E, THETA, 3, route="adams")
+    for coeffs in (
+        {2: Fraction(1, 2), 0: 1},                # rank 3/2
+        {0: Fraction(1, 3)},                      # fractional rank, weight 0 only
+        {2: Fraction(1, 2), -2: Fraction(1, 2)},  # integral rank, half multiplicities
+    ):
+        E = VirtualChar(LaurentPoly(coeffs))
+        with pytest.raises(NonIntegral):
+            sym_total(E, 1, 1, 3)
+        with pytest.raises(NonIntegral):
+            ext_total(E, 1, 1, 3)
+        for variant in (THETA, THETA1, THETA2):
+            with pytest.raises(NonIntegral):
+                theta_series(E, variant, 3)
+            with pytest.raises(NonIntegral):
+                theta_bundle(E, variant, 3)
 
 
 def test_exp_recurrence_matches_power_loop():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from propergenus.core import LAMBDA_RING, MU_RING, RATIONAL, LaurentPoly, QSeries
+from propergenus import induction
 from propergenus.errors import DegenerateRootDatum, RingMismatch
 from propergenus.induction import (
     RootDatum,
@@ -15,7 +16,7 @@ from propergenus.induction import (
     trace_series,
 )
 from propergenus.lambda_ring import THETA, VirtualChar, theta_bundle
-from propergenus.lefschetz import lefschetz_witten
+from propergenus.lefschetz import lefschetz_witten, p_series
 
 
 def test_pi_s1_pattern():
@@ -56,12 +57,26 @@ def test_witten_genus_cp3_grade_zero():
 
 
 def test_witten_genus_routes_agree_to_grade_ten():
-    traced = averaged_witten_genus((0, 1, 2, 3), N=10, check_routes=False)
+    ws = (0, 1, 2, 3)
+    traced = trace_series(p_series(ws, 10))
     adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
-    factored = trace_series(theta_bundle(adjoint, THETA, 10) * lefschetz_witten((0, 1, 2, 3), 10))
+    factored = trace_series(theta_bundle(adjoint, THETA, 10) * lefschetz_witten(ws, 10))
     assert traced == factored
-    # the guarded route runs the comparison internally
-    assert averaged_witten_genus((0, 1, 2, 3), N=10) == traced
+    # averaged_witten_genus runs the same comparison internally
+    assert averaged_witten_genus(ws, N=10) == traced
+
+
+def test_witten_genus_route_check_fires(monkeypatch):
+    original = induction.lefschetz_witten
+
+    def perturbed(weights, N):
+        # one extra lam^2 at grade 2, which traces to -1
+        extra = QSeries.from_terms(LAMBDA_RING, N, {2: LaurentPoly({2: 1})})
+        return original(weights, N) + extra
+
+    monkeypatch.setattr(induction, "lefschetz_witten", perturbed)
+    with pytest.raises(AssertionError, match="disagree"):
+        averaged_witten_genus((0, 1, 2, 5), N=4)
 
 
 def test_witten_genus_nonzero_case():

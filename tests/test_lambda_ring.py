@@ -19,6 +19,8 @@ from propergenus.lambda_ring import (
     theta_series,
 )
 
+from oracles import adams_theta_series, adams_total_power
+
 ADJOINT = VirtualChar.rep(2) + VirtualChar.rep(-2)
 
 
@@ -139,8 +141,8 @@ def test_adams_route_matches_product_route():
     for _ in range(20):
         E = rand_genuine(rng)
         n = rng.randint(1, 6)
-        assert sym_total(E, 1, 1, n, route="adams") == sym_total(E, 1, 1, n, route="product")
-        assert ext_total(E, 1, 1, n, route="adams") == ext_total(E, 1, 1, n, route="product")
+        assert adams_total_power(E, 1, 1, n, exterior=False) == sym_total(E, 1, 1, n)
+        assert adams_total_power(E, 1, 1, n, exterior=True) == ext_total(E, 1, 1, n)
 
 
 def test_integrality_through_adams_route():
@@ -149,9 +151,10 @@ def test_integrality_through_adams_route():
         E = rand_genuine(rng)
         n = rng.randint(1, 5)
         for variant in (THETA, THETA1, THETA2):
-            s = theta_bundle(E, variant, n, route="adams")
+            s = adams_theta_series(E.tilde(), variant, n)
             for _, c in s.nonzero_terms():
                 assert c.is_integral()
+            assert s == theta_bundle(E, variant, n)
 
 
 def test_rank_sequence_of_reduced_bundle():

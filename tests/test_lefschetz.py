@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propergenus.core import LAMBDA, LaurentPoly
 from propergenus.errors import DuplicateWeights, NotLaurent, OddWeightSum
@@ -9,13 +11,13 @@ from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bu
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
-    lefschetz_grade_ratfunc,
-    lefschetz_series_strategy,
     lefschetz_twisted,
     lefschetz_witten,
     p_series,
     validate_weights,
 )
+
+from oracles import lefschetz_grade_ratfunc, lefschetz_series_strategy
 
 
 def test_validate_two_point_case():
@@ -224,3 +226,27 @@ def test_numeric_fixed_point_oracle():
         assert g.denominator == 1
         summed += c.evaluate(lam0) * q0 ** int(g)
     assert abs(total - summed) < 1e-8
+
+
+@st.composite
+def weight_vectors(draw):
+    """Distinct weights in [-6, 6], 2l in {2, 4}, even sum."""
+    two_l = draw(st.sampled_from((2, 4)))
+    ws = draw(st.lists(st.integers(-6, 6), min_size=two_l, max_size=two_l, unique=True)
+              .filter(lambda ws: sum(ws) % 2 == 0))
+    return tuple(ws)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ws=weight_vectors(), k=st.integers(-6, 6))
+def test_witten_series_properties(ws, k):
+    N = 2
+    exact = lefschetz_witten(ws, N)
+    assert exact == lefschetz_series_strategy(ws, N=N)
+    assert lefschetz_witten([a + k for a in ws], N) == exact
+    assert lefschetz_witten([-a for a in ws], N) == -exact
+    with pytest.raises(NotLaurent):
+        lefschetz_witten(ws, N, signed=False)
+    for operator, twist in ((SIGNATURE, THETA1), (DIRAC, THETA2)):
+        rigid = lefschetz_twisted(ws, operator, twist, N)
+        assert all(c.is_constant() for _, c in rigid.nonzero_terms())

@@ -85,9 +85,7 @@ def build_parser() -> _Parser:
             "Averaged Witten genus of the weighted action. Without --unsigned the "
             "series is evaluated by two routes, the literal product p_series and "
             "the factored route Theta(adjoint) * Lefschetz, and the two must agree "
-            "exactly at every grade. That check is about a third of the verb's "
-            "time (0.36 of an order-12 call on (0,1,2,5) in perfbench's "
-            "witten-cert workload)."))
+            "exactly at every grade."))
     sub.add_parser("elliptic-genera", parents=[common, weighted])
     lf = sub.add_parser("lefschetz", parents=[common, weighted])
     lf.add_argument("--operator", choices=["dirac", "signature"], default="dirac")

@@ -44,8 +44,9 @@ class LaurentPoly:
         clean: dict[int, Scalar] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = normalize_scalar(c)
-                if c != 0:
+                if type(c) is not int:  # an exact int is already normal
+                    c = normalize_scalar(c)
+                if c:
                     clean[int(e)] = c
         self.coeffs = clean
         self.var = var

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import sys
+from array import array
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -324,8 +325,53 @@ class QSeries:
     __repr__ = __str__
 
 
-# memoryview formats of the digit widths that one cast can read
+# memoryview (and array) formats of the digit widths that one cast can read
 _DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+
+
+def _digit_width(bits: int) -> int:
+    """The narrowest packed digit width of at least ``bits`` bits: 8, 16,
+    32 or 64, which one cast reads, or else a whole number of bytes."""
+    return next((b for b in _DIGIT_FORMATS if b >= bits), -(-bits // 8) * 8)
+
+
+def _half(B: int, n: int) -> int:
+    """2^(B-1) in each of n digits of width B.  Adding it biases every
+    balanced digit c to c + 2^(B-1) >= 0, so no digit borrows from the
+    next one."""
+    return int.from_bytes((bytes(B // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack_digits(digits, B: int, half: int) -> int:
+    """The value at 2^B of ``digits`` (lowest first, every |d| < 2^(B-1)).
+
+    ``half`` is ``_half(B, k)`` for some k >= len(digits).  The digits
+    are laid out in two's complement, and the inverse of the bias step
+    of :func:`_unpack_digits` turns that into the signed value.
+    """
+    fmt = _DIGIT_FORMATS.get(B)
+    if fmt:
+        raw = array(fmt, digits)
+    else:
+        raw = b"".join(d.to_bytes(B // 8, "little", signed=True) for d in digits)
+    return (int.from_bytes(raw, "little") ^ half) - half
+
+
+def _unpack_digits(value: int, B: int, n: int, half: int):
+    """The n balanced base-2^B digits of ``value``, lowest first.
+
+    ``half`` is ``_half(B, k)`` for some k >= n.  Flipping the top bit of
+    each biased digit leaves c in two's complement, which one memoryview
+    cast reads when B is 8, 16, 32 or 64 (byte slices otherwise).
+    Raises OverflowError when ``value`` has no n-digit balanced form.
+    """
+    nbytes = B // 8
+    raw = ((value + half) ^ half).to_bytes(nbytes * n, "little")
+    fmt = _DIGIT_FORMATS.get(B)
+    if fmt:
+        return memoryview(raw).cast(fmt)
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, len(raw), nbytes)]
 
 
 def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None = None) -> QSeries:
@@ -354,9 +400,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
     biased form, where every digit is c + 2^(B-1) >= 0.  A bound >=
     max|w| 2 trunc can never clip and is ignored.
 
-    The rows are unpacked once at the end: flipping the top bit of each
-    biased digit leaves c in two's complement, which one memoryview cast
-    reads when B is 8, 16, 32 or 64 (byte slices otherwise).
+    The rows are unpacked once at the end, by :func:`_unpack_digits`.
     """
     top = 2 * trunc
     factors = [f for f in factors if f[2] <= top]
@@ -371,11 +415,8 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
         a = abs(s)
         for k in range(h, top + 1) if divide else range(top, h - 1, -1):
             majorant[k] += a * majorant[k - h]
-    width = max(majorant).bit_length() + 1
-    B = next((b for b in _DIGIT_FORMATS if b >= width), -(-width // 8) * 8)
-    # 2^(B-1) in every digit of the widest row; adding it biases every
-    # digit to c + 2^(B-1) >= 0, so no digit borrows from the next one
-    half = ((1 << (B * (2 * m * top + 1))) - 1) // ((1 << B) - 1) << (B - 1)
+    B = _digit_width(max(majorant).bit_length() + 1)
+    half = _half(B, 2 * m * top + 1)  # the bias of the widest row
 
     windows = None
     if bound is not None and bound < g * m * top:
@@ -405,16 +446,9 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
                 row = ((row + half) & window) - window_half
             rows[k] = row
 
-    fmt = _DIGIT_FORMATS.get(B)
-    nbytes = B // 8
     out = []
     for k, row in enumerate(rows):
-        raw = ((row + half) ^ half).to_bytes(nbytes * (2 * m * k + 1), "little")
-        if fmt:
-            coeffs = memoryview(raw).cast(fmt)
-        else:
-            coeffs = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-                      for i in range(0, len(raw), nbytes)]
+        coeffs = _unpack_digits(row, B, 2 * m * k + 1, half)
         exponents = range(-g * m * k, g * m * k + 1, g)
         out.append(LaurentPoly(dict(filter(itemgetter(1), zip(exponents, coeffs))), ring.var))
     return QSeries(ring, trunc, out)

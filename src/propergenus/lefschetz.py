@@ -16,24 +16,49 @@ so every q-grade of the sum is a single rational function with the
 structured denominator D = prod_{s<t} (mu^(2|a_s - a_t|) - 1).  D is
 monic and D(0) = +-1, so D is coprime to mu: a grade certifies as a
 Laurent polynomial exactly when D divides its numerator shifted into a
-polynomial, and the quotient is exact.  The reduced rational form is
-built only for a failing grade, to name the pole in NotLaurent.  The
-sum collapses to a Laurent polynomial exactly when the orientation signs
-sigma_j = (-1)^j (weights sorted ascending) are in place; the unsigned
-literal formula is kept available for comparison and fails the
-certificate already for the two-point case.
+polynomial, and the quotient is exact.
 
-The tests hold this certificate equal to a mu-adic series expansion of
-the same sum and to the gcd-reduced rational function of each grade.
+Each grade is certified by one integer division (Kronecker substitution:
+Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
+8.4).  Its numerator, shifted into a polynomial P in lam, and D are
+evaluated at lam = 2^B as big ints.  A zero remainder and a quotient q'
+read as balanced base-2^B digits with
+
+    max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
+
+prove q' D = P: the difference vanishes at 2^B, and N_h bounds every
+coefficient of P, so each of its coefficients is below 2^(B-1).  A grade
+the check cannot prove takes the dense route, Laurent products and
+exact polynomial division, which certifies it or raises NotLaurent; the
+reduced rational form is built only for a failing grade, to name the
+pole.  The sum collapses to a Laurent polynomial exactly when the
+orientation signs sigma_j = (-1)^j (weights sorted ascending) are in
+place; the unsigned literal formula is kept available for comparison
+and fails the certificate already for the two-point case.
+
+The tests hold this certificate equal to the dense route, to a mu-adic
+series expansion of the same sum, to the gcd-reduced rational function
+of each grade and to sympy's cancellation of the literal sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, MU_RING, QSeries, _binomial_product
+from .core.qseries import (
+    LAMBDA_RING,
+    MU_RING,
+    QSeries,
+    _binomial_product,
+    _digit_width,
+    _half,
+    _pack_digits,
+    _unpack_digits,
+)
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle, theta_series
@@ -155,21 +180,178 @@ def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
     return quo.to_laurent(shift, MU)
 
 
+class _PackedFactors(NamedTuple):
+    """D and the prefactors of one call, evaluated at lam = 2^B.
+
+    pre_j = lam^lows[j] P_j with P_j a polynomial in lam: values[j] is
+    P_j(2^B) (orientation sign included), degrees[j] its degree and
+    norms[j] its l1 norm; den, den_degree and den_norm are the same for
+    D, which is a polynomial in lam.
+    """
+
+    B: int
+    den: int
+    den_degree: int
+    den_norm: int
+    values: list[int]
+    lows: list[int]
+    degrees: list[int]
+    norms: list[int]
+
+
+def _l1(p: LaurentPoly):
+    return sum(map(abs, p.coeffs.values()))
+
+
+def _factor_values(pairs, data, operator: str, B: int) -> tuple[int, list[int]]:
+    """D(2^B) and the unsigned P_j(2^B), one shift and one add per factor
+    lam^w -+ 1.  Exact at any width: evaluation is a ring map."""
+    den = 1
+    for _, _, w in pairs:
+        den = (den << B * w) - den
+    values = []
+    for j, datum in enumerate(data):
+        v = 1
+        for i, k, w in pairs:
+            if j != i and j != k:
+                v = (v << B * w) - v
+        if operator == SIGNATURE:
+            # the spinor character is mu^(-W_j) prod_s (lam^(w_s) + 1)
+            for w in datum.tangent_weights:
+                v = (v << B * w) + v
+        values.append(v)
+    return den, values
+
+
+def _assembly_width(n_max: int, den_norm: int) -> int:
+    """The narrowest digit width at which the certificate accepts every
+    quotient whose coefficients are no larger than the numerator bound
+    n_max: then max|q| |D|_1 + n_max <= n_max (|D|_1 + 1) < 2^(B-1)."""
+    return _digit_width((n_max * (den_norm + 1)).bit_length() + 1)
+
+
+def _pack_factors(data, point_series, operator: str, signed: bool) -> _PackedFactors:
+    """The prefactors of :func:`_prefactors` and D, packed at the width
+    that this call's twist coefficients call for.
+
+    In lam, pre_j = sigma_j lam^(W_j / 2) C_j for the Dirac operator and
+    sigma_j C_j prod_s (lam^(w_s) + 1) for the signature operator.
+    """
+    if operator not in (DIRAC, SIGNATURE):
+        raise ValueError(f"unknown operator {operator!r}")
+    npts = len(data)
+    pairs = [(i, k, abs(data[i].weight - data[k].weight))
+             for i in range(npts) for k in range(i + 1, npts)]
+    den_degree = sum(w for _, _, w in pairs)
+    lows, degrees = [], []
+    for datum in data:
+        W = sum(datum.tangent_weights)
+        lows.append(0 if operator == SIGNATURE else W // 2)
+        degrees.append(den_degree if operator == SIGNATURE else den_degree - W)
+    # D and every P_j are products of at most len(pairs) binomials of l1
+    # norm 2, so a width of len(pairs) + 2 bits holds each coefficient
+    B0 = _digit_width(len(pairs) + 2)
+    den, values = _factor_values(pairs, data, operator, B0)
+    half = _half(B0, den_degree + 1)
+    den_norm = sum(map(abs, _unpack_digits(den, B0, den_degree + 1, half)))
+    norms = [sum(map(abs, _unpack_digits(v, B0, d + 1, half)))
+             for v, d in zip(values, degrees)]
+    # the largest numerator bound N_h of any grade; a grade with Fraction
+    # coefficients is never packed, and int() keeps every integral N_h
+    n_max = int(max(sum(_l1(s.coeffs[h]) * norm for s, norm in zip(point_series, norms))
+                    for h in range(len(point_series[0].coeffs))))
+    B = _assembly_width(n_max, den_norm)
+    den, values = _factor_values(pairs, data, operator, B)
+    if signed:
+        values = [v * d.sign for v, d in zip(values, data)]
+    return _PackedFactors(B, den, den_degree, den_norm, values, lows, degrees, norms)
+
+
+def _packed_grade(cs, packed: _PackedFactors) -> LaurentPoly | None:
+    """One grade of the sum, in lam, by one integer division at lam = 2^B.
+
+    cs[j] is the twist coefficient of the j-th point at this grade.  The
+    numerator num = sum_j cs[j] pre_j, aligned on its lowest exponent lo,
+    is the polynomial P = lam^(-lo) num, and P(2^B) is one big int.  One
+    divmod by D(2^B) and a balanced base-2^B reading give q'.  The check
+    is the proof: with a zero remainder and
+
+        max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |cs[j]|_1 |P_j|_1,
+
+    the polynomial q' D - P vanishes at 2^B and has every coefficient
+    below 2^(B-1), so it is zero and num / D = lam^lo q'.  N_h bounds
+    every coefficient of P and of every cs[j].  Returns None whenever the
+    packed route proves nothing: the caller then takes the dense route,
+    which certifies the grade or raises NotLaurent.
+    """
+    B = packed.B
+    limit = 1 << (B - 1)
+    bound = 0
+    terms = []
+    for c, value, low, degree, norm in zip(cs, packed.values, packed.lows,
+                                           packed.degrees, packed.norms):
+        if c.coeffs:
+            bound += _l1(c) * norm
+            terms.append((c.coeffs, value, low, degree))
+    if not terms:
+        return LaurentPoly.zero(LAMBDA)
+    # a Fraction coefficient makes the bound a Fraction: never packed
+    if type(bound) is not int or bound >= limit:
+        return None
+    rows = []
+    for coeffs, value, low, degree in terms:
+        first, last = min(coeffs), max(coeffs)
+        digits = [0] * (last - first + 1)
+        for e, c in coeffs.items():
+            digits[e - first] = c
+        # lam = mu^2 holds only even mu exponents
+        if first & 1 or any(digits[1::2]):
+            return None
+        start = low + (first >> 1)
+        rows.append((digits[::2], value, start, start + (last - first >> 1) + degree))
+    lo = min(row[2] for row in rows)
+    hi = max(row[3] for row in rows)
+    half = _half(B, hi - lo + 1)
+    num = 0
+    for digits, value, start, _ in rows:
+        num += _pack_digits(digits, B, half) * value << B * (start - lo)
+    if not num:
+        return LaurentPoly.zero(LAMBDA)
+    n = hi - lo + 1 - packed.den_degree  # digits of an exact quotient
+    quo, rem = divmod(num, packed.den)
+    if rem or n < 1:
+        return None
+    try:
+        q = _unpack_digits(quo, B, n, half)
+    except OverflowError:
+        return None
+    if max(map(abs, q)) * packed.den_norm + bound >= limit:
+        return None
+    return LaurentPoly(dict(filter(itemgetter(1), zip(range(lo, lo + n), q))), LAMBDA)
+
+
 def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
     over the mu Laurent ring.  The result is converted to an integral
-    Laurent polynomial in lam at every grade.
+    Laurent polynomial in lam at every grade.  Each grade goes through
+    the packed certificate; one that it cannot prove goes through the
+    dense route, built on first use.
     """
     N = point_series[0].trunc
-    prefactors, denominator = _prefactors(data, operator, signed)
+    packed = _pack_factors(data, point_series, operator, signed)
+    prefactors = denominator = None
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):
-        poly, shift = _grade_numerator(point_series, prefactors, h)
-        if poly.is_zero():
-            continue
-        lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
+        lam_poly = _packed_grade([s.coeffs[h] for s in point_series], packed)
+        if lam_poly is None:
+            if prefactors is None:
+                prefactors, denominator = _prefactors(data, operator, signed)
+            poly, shift = _grade_numerator(point_series, prefactors, h)
+            if poly.is_zero():
+                continue
+            lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
         if not lam_poly.is_integral():
             raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
         out.coeffs[h] = lam_poly

@@ -17,6 +17,9 @@ function here recomputes one of them by another.
   certificate of ``lefschetz``.
 - ``lefschetz_grade_ratfunc``: one grade of the fixed-point sum as a
   gcd-reduced rational function in mu.
+- ``dense_assemble``: the fixed-point sum by Laurent products and dense
+  polynomial division, grade by grade, against the packed certificate
+  of ``lefschetz._assemble``.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ from propergenus.core import (
     RationalFunc,
     half_units,
 )
+from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
+    _certify,
     _grade_numerator,
     _prefactors,
     _spinor_char_mu,
@@ -166,3 +171,25 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
     prefactors, denominator = _prefactors(data, operator, signed)
     poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
     return RationalFunc(poly, denominator * Poly.monomial(shift))
+
+
+# -- dense assembly of the fixed-point sum ------------------------------------
+
+
+def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
+    """The fixed-point sum with every grade certified on dense polynomials:
+    the numerator from the Laurent products c_j * pre_j, then exact
+    ``Poly`` division by D.  Raises NotLaurent or NonIntegral at the first
+    grade that fails."""
+    N = point_series[0].trunc
+    prefactors, denominator = _prefactors(data, operator, signed)
+    out = QSeries(LAMBDA_RING, N)
+    for h in range(2 * N + 1):
+        poly, shift = _grade_numerator(point_series, prefactors, h)
+        if poly.is_zero():
+            continue
+        lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
+        if not lam_poly.is_integral():
+            raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
+        out.coeffs[h] = lam_poly
+    return out

@@ -26,6 +26,10 @@ def test_integral_fractions_collapse_to_int():
     assert isinstance(p.coeffs[1], int)
     assert p.is_integral()
     assert not LaurentPoly({0: Fraction(1, 2)}).is_integral()
+    # exact ints pass through; a Fraction among them is still normalised
+    mixed = LaurentPoly({0: 5, 1: Fraction(8, 4), 2: 0, 3: -1, 4: Fraction(0)})
+    assert mixed.coeffs == {0: 5, 1: 2, 3: -1}
+    assert all(type(c) is int for c in mixed.coeffs.values())
 
 
 def test_arithmetic():

@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propergenus.core import LAMBDA, LaurentPoly
+from propergenus import lefschetz
+from propergenus.core import LAMBDA, MU, LaurentPoly
 from propergenus.errors import DuplicateWeights, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
+    _PackedFactors,
+    _pack_factors,
+    _packed_grade,
+    _twist_series,
     lefschetz_twisted,
     lefschetz_witten,
     p_series,
     validate_weights,
 )
 
-from oracles import lefschetz_grade_ratfunc, lefschetz_series_strategy
+from oracles import dense_assemble, lefschetz_grade_ratfunc, lefschetz_series_strategy
 
 
 def test_validate_two_point_case():
@@ -157,6 +162,113 @@ def test_certificate_matches_gcd_reference(operator, twist):
             assert series.coefficient(grade) == reference.halve_exponents(LAMBDA), (ws, grade)
         with pytest.raises(NotLaurent):
             lefschetz_twisted(ws, operator, twist, N, signed=False)
+
+
+def _seeded_weights(rng, two_l, span):
+    ws = rng.sample(range(-span, span + 1), two_l)
+    while sum(ws) % 2 != 0:
+        ws = rng.sample(range(-span, span + 1), two_l)
+    return ws
+
+
+@pytest.mark.parametrize("operator,twist", [
+    (DIRAC, None), (DIRAC, THETA), (DIRAC, THETA2), (SIGNATURE, THETA), (SIGNATURE, THETA1),
+])
+def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
+    # the packed certificate against Laurent products and dense division
+    # on the same point series; signed sums certify without the dense
+    # route, unsigned ones fail with the oracle's message
+    certified = []
+    real_certify = lefschetz._certify
+    monkeypatch.setattr(lefschetz, "_certify",
+                        lambda *args: certified.append(args) or real_certify(*args))
+    rng = random.Random(f"packed-{operator}-{twist}")
+    N = 4
+    for two_l in (2, 4, 6, 8):
+        ws = _seeded_weights(rng, two_l, 6)
+        data = validate_weights(ws)
+        series = [_twist_series(d, twist, N) for d in data]
+        certified.clear()
+        packed = lefschetz._assemble(data, series, operator, True)
+        reference = dense_assemble(data, series, operator, True)
+        for h in range(2 * N + 1):
+            assert packed.coeffs[h] == reference.coeffs[h], (ws, h)
+        assert not certified, ws
+        with pytest.raises(NotLaurent) as expected:
+            dense_assemble(data, series, operator, False)
+        with pytest.raises(NotLaurent) as got:
+            lefschetz._assemble(data, series, operator, False)
+        assert str(got.value) == str(expected.value), ws
+
+
+def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
+    # at B = 8 most grades are beyond what the packed check can prove; the
+    # helper must say so rather than answer, and the sum still comes out
+    # exact through the dense route
+    ws, N = (-3, 0, 1, 2, 4, 6), 4
+    data = validate_weights(ws)
+    series = [_twist_series(d, THETA, N) for d in data]
+    reference = dense_assemble(data, series, DIRAC, True)
+    monkeypatch.setattr(lefschetz, "_assembly_width", lambda n_max, den_norm: 8)
+    packed = _pack_factors(data, series, DIRAC, True)
+    assert packed.B == 8
+    grades = [_packed_grade([s.coeffs[h] for s in series], packed) for h in range(2 * N + 1)]
+    assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
+    for h, g in enumerate(grades):
+        assert g is None or g == reference.coeffs[h], h
+    assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
+
+
+def test_packed_grade_refuses_what_it_cannot_prove():
+    # one point with pre = 1 over D = (lam - 1)^k: every case below lies
+    # outside what the packed check proves, and the helper must return
+    # None (the dense route then decides), never a grade or an error
+    def over(k, B):
+        return _PackedFactors(B, ((1 << B) - 1) ** k, k, 2 ** k, [1], [0], [0], [1])
+
+    # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
+    # coefficient n: with n = 200 the numerator bound is only 4, and only
+    # the quotient check sees that n does not fit a balanced 8-bit digit
+    n = 200
+    grade = LaurentPoly({0: 1, 2 * n: -2, 4 * n: 1}, MU)
+    assert _packed_grade([grade], over(2, 8)) is None
+    assert _packed_grade([grade], over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
+    refused = {
+        "nonzero remainder": ([LaurentPoly({0: 1, 6: 1}, MU)], over(1, 16)),
+        "digit wider than B": ([LaurentPoly({0: 300, 2: -300}, MU)], over(1, 8)),
+        "odd mu exponent": ([LaurentPoly({1: -1, 3: 1}, MU)], over(1, 16)),
+        "Fraction coefficient": ([LaurentPoly({0: Fraction(-1, 2), 2: Fraction(1, 2)}, MU)],
+                                 over(1, 16)),
+    }
+    for case, (grade, packed) in refused.items():
+        assert _packed_grade(grade, packed) is None, case
+
+
+@pytest.mark.parametrize("operator,twist", [(DIRAC, THETA), (SIGNATURE, THETA)])
+def test_certificate_matches_sympy_cancel(operator, twist):
+    # every certified grade against sympy's cancel of the literal sum of
+    # local contributions sigma_j c_j / prod_s (mu^w - mu^-w), times the
+    # spinor character prod_s (mu^w + mu^-w) for the signature operator
+    sympy = pytest.importorskip("sympy")
+    mu = sympy.Symbol("mu")
+    N = 2
+    for ws in ((-1, 3), (0, 1, 2, 5)):
+        data = validate_weights(ws)
+        series = [_twist_series(d, twist, N) for d in data]
+        certified = lefschetz_twisted(ws, operator, twist, N)
+        for h in range(2 * N + 1):
+            total = 0
+            for datum, s in zip(data, series):
+                local = datum.sign * sum(c * mu ** e for e, c in s.coeffs[h].coeffs.items())
+                for w in datum.tangent_weights:
+                    local /= mu ** w - mu ** -w
+                    if operator == SIGNATURE:
+                        local *= mu ** w + mu ** -w
+                total += local
+            num, den = sympy.fraction(sympy.cancel(total))
+            assert sympy.Poly(den, mu).is_monomial, (ws, h, den)
+            expected = sum(c * mu ** (2 * e) for e, c in certified.coeffs[h].coeffs.items())
+            assert sympy.expand(num / den - expected) == 0, (ws, h)
 
 
 def test_translation_invariance():

@@ -10,8 +10,8 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 import cmath
+import struct
 import sys
-from array import array
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -325,7 +325,7 @@ class QSeries:
     __repr__ = __str__
 
 
-# memoryview (and array) formats of the digit widths that one cast can read
+# memoryview (and struct) formats of the digit widths that one cast can read
 _DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
 
 
@@ -351,7 +351,7 @@ def _pack_digits(digits, B: int, half: int) -> int:
     """
     fmt = _DIGIT_FORMATS.get(B)
     if fmt:
-        raw = array(fmt, digits)
+        raw = struct.pack(f"<{len(digits)}{fmt}", *digits)
     else:
         raw = b"".join(d.to_bytes(B // 8, "little", signed=True) for d in digits)
     return (int.from_bytes(raw, "little") ^ half) - half

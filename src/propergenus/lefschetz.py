@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
 from .core.qseries import (
@@ -180,25 +179,6 @@ def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
     return quo.to_laurent(shift, MU)
 
 
-class _PackedFactors(NamedTuple):
-    """D and the prefactors of one call, evaluated at lam = 2^B.
-
-    pre_j = lam^lows[j] P_j with P_j a polynomial in lam: values[j] is
-    P_j(2^B) (orientation sign included), degrees[j] its degree and
-    norms[j] its l1 norm; den, den_degree and den_norm are the same for
-    D, which is a polynomial in lam.
-    """
-
-    B: int
-    den: int
-    den_degree: int
-    den_norm: int
-    values: list[int]
-    lows: list[int]
-    degrees: list[int]
-    norms: list[int]
-
-
 def _l1(p: LaurentPoly):
     return sum(map(abs, p.coeffs.values()))
 
@@ -230,12 +210,15 @@ def _assembly_width(n_max: int, den_norm: int) -> int:
     return _digit_width((n_max * (den_norm + 1)).bit_length() + 1)
 
 
-def _pack_factors(data, point_series, operator: str, signed: bool) -> _PackedFactors:
+def _pack_factors(data, point_series, operator: str, signed: bool):
     """The prefactors of :func:`_prefactors` and D, packed at the width
     that this call's twist coefficients call for.
 
-    In lam, pre_j = sigma_j lam^(W_j / 2) C_j for the Dirac operator and
-    sigma_j C_j prod_s (lam^(w_s) + 1) for the signature operator.
+    In lam, pre_j = sigma_j lam^(low_j) P_j with P_j = C_j for the Dirac
+    operator (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for
+    the signature operator (low_j = 0).  Returns (B, D(2^B), deg D,
+    |D|_1, points), points[j] = (sigma_j P_j(2^B), low_j, deg P_j,
+    |P_j|_1).
     """
     if operator not in (DIRAC, SIGNATURE):
         raise ValueError(f"unknown operator {operator!r}")
@@ -264,13 +247,14 @@ def _pack_factors(data, point_series, operator: str, signed: bool) -> _PackedFac
     den, values = _factor_values(pairs, data, operator, B)
     if signed:
         values = [v * d.sign for v, d in zip(values, data)]
-    return _PackedFactors(B, den, den_degree, den_norm, values, lows, degrees, norms)
+    return B, den, den_degree, den_norm, list(zip(values, lows, degrees, norms))
 
 
-def _packed_grade(cs, packed: _PackedFactors) -> LaurentPoly | None:
+def _packed_grade(cs, packed) -> LaurentPoly | None:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
-    cs[j] is the twist coefficient of the j-th point at this grade.  The
+    cs[j] is the twist coefficient of the j-th point at this grade, and
+    ``packed`` is what :func:`_pack_factors` returns for the call.  The
     numerator num = sum_j cs[j] pre_j, aligned on its lowest exponent lo,
     is the polynomial P = lam^(-lo) num, and P(2^B) is one big int.  One
     divmod by D(2^B) and a balanced base-2^B reading give q'.  The check
@@ -284,12 +268,11 @@ def _packed_grade(cs, packed: _PackedFactors) -> LaurentPoly | None:
     packed route proves nothing: the caller then takes the dense route,
     which certifies the grade or raises NotLaurent.
     """
-    B = packed.B
+    B, den, den_degree, den_norm, points = packed
     limit = 1 << (B - 1)
     bound = 0
     terms = []
-    for c, value, low, degree, norm in zip(cs, packed.values, packed.lows,
-                                           packed.degrees, packed.norms):
+    for c, (value, low, degree, norm) in zip(cs, points):
         if c.coeffs:
             bound += _l1(c) * norm
             terms.append((c.coeffs, value, low, degree))
@@ -308,24 +291,24 @@ def _packed_grade(cs, packed: _PackedFactors) -> LaurentPoly | None:
         if first & 1 or any(digits[1::2]):
             return None
         start = low + (first >> 1)
-        rows.append((digits[::2], value, start, start + (last - first >> 1) + degree))
+        rows.append((digits[::2], value, start, start + ((last - first) >> 1) + degree))
     lo = min(row[2] for row in rows)
     hi = max(row[3] for row in rows)
     half = _half(B, hi - lo + 1)
     num = 0
     for digits, value, start, _ in rows:
         num += _pack_digits(digits, B, half) * value << B * (start - lo)
-    if not num:
+    if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
-    n = hi - lo + 1 - packed.den_degree  # digits of an exact quotient
-    quo, rem = divmod(num, packed.den)
+    n = hi - lo + 1 - den_degree  # digits of an exact quotient
+    quo, rem = divmod(num, den)
     if rem or n < 1:
         return None
     try:
         q = _unpack_digits(quo, B, n, half)
     except OverflowError:
         return None
-    if max(map(abs, q)) * packed.den_norm + bound >= limit:
+    if max(map(abs, q)) * den_norm + bound >= limit:
         return None
     return LaurentPoly(dict(filter(itemgetter(1), zip(range(lo, lo + n), q))), LAMBDA)
 

@@ -12,7 +12,6 @@ from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bu
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
-    _PackedFactors,
     _pack_factors,
     _packed_grade,
     _twist_series,
@@ -211,7 +210,7 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     reference = dense_assemble(data, series, DIRAC, True)
     monkeypatch.setattr(lefschetz, "_assembly_width", lambda n_max, den_norm: 8)
     packed = _pack_factors(data, series, DIRAC, True)
-    assert packed.B == 8
+    assert packed[0] == 8
     grades = [_packed_grade([s.coeffs[h] for s in series], packed) for h in range(2 * N + 1)]
     assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
     for h, g in enumerate(grades):
@@ -224,7 +223,7 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     # outside what the packed check proves, and the helper must return
     # None (the dense route then decides), never a grade or an error
     def over(k, B):
-        return _PackedFactors(B, ((1 << B) - 1) ** k, k, 2 ** k, [1], [0], [0], [1])
+        return B, ((1 << B) - 1) ** k, k, 2 ** k, [(1, 0, 0, 1)]
 
     # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
     # coefficient n: with n = 200 the numerator bound is only 4, and only

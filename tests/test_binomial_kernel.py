@@ -14,7 +14,13 @@ from fractions import Fraction
 import pytest
 
 from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units
-from propergenus.core.qseries import LaurentRing, _binomial_product
+from propergenus.core.qseries import (
+    LaurentRing,
+    _binomial_product,
+    _half,
+    _pack_digits,
+    _unpack_digits,
+)
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import (
     THETA,
@@ -310,3 +316,25 @@ def test_packed_kernel_sign_bit(n, s):
     got = _binomial_product(LAMBDA_RING, 1, factors)
     assert got.coeffs[2] == LaurentPoly({2: n * (n + 1) // 2})
     assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
+
+
+@pytest.mark.parametrize("B", [8, 16, 24, 64, 72])
+def test_digit_pack_round_trip(B):
+    # both layouts (one cast at 8/16/64 bits, byte slices at 24/72): the
+    # packed value is sum_i d_i 2^(B i), unpacking inverts packing, and a
+    # value with no n-digit balanced form raises OverflowError
+    rng = random.Random(B)
+    top = 1 << (B - 1)
+    half = _half(B, 12)
+    for n in (1, 5, 12):
+        digits = [rng.choice((-top, top - 1, 0, rng.randrange(-top, top))) for _ in range(n)]
+        value = _pack_digits(digits, B, half)
+        assert value == sum(d << (B * i) for i, d in enumerate(digits))
+        assert list(_unpack_digits(value, B, n, half)) == digits
+        # n digits hold exactly the values v with 0 <= v + _half(B, n) < 2^(B n)
+        lowest, highest = -_half(B, n), (1 << (B * n)) - _half(B, n) - 1
+        assert list(_unpack_digits(lowest, B, n, half)) == [-top] * n
+        assert list(_unpack_digits(highest, B, n, half)) == [top - 1] * n
+        for outside in (lowest - 1, highest + 1):
+            with pytest.raises(OverflowError):
+                _unpack_digits(outside, B, n, half)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .core.laurent import normalize_scalar
-from .core.qseries import RATIONAL, QSeries
+from .core.qseries import QSeries
 from .errors import InconsistentSystem, SingularSystem
 from .theta_modforms import modform_qexp
 
@@ -186,15 +186,17 @@ class ChernRing:
 # -- the classical multiplicative classes ------------------------------------
 
 def _log_series(coeffs: list[Fraction], k: int) -> list[Fraction]:
-    """log of 1 + sum_{m>=1} coeffs[m] v^m, to degree k (index 0 unused)."""
-    s = QSeries.from_terms(RATIONAL, k, {m: coeffs[m] for m in range(1, min(len(coeffs), k + 1))})
-    out = QSeries(RATIONAL, k)
-    term = QSeries.one(RATIONAL, k)
+    """log of 1 + sum_{m>=1} coeffs[m] v^m, to degree k (index 0 unused).
+
+    With f = 1 + sum c_m v^m and L = log f, f L' = f' gives
+    m L_m = m c_m - sum_{j<m} j L_j c_(m-j).
+    """
+    c = list(coeffs[:k + 1]) + [0] * (k + 1 - len(coeffs))
+    logs = [0] * (k + 1)
     for m in range(1, k + 1):
-        term = term * s
-        sign = Fraction((-1) ** (m + 1), m)
-        out = out + term.scale(sign)
-    return [out.coefficient(m) for m in range(k + 1)]
+        logs[m] = normalize_scalar(
+            Fraction(m * c[m] - sum(j * logs[j] * c[m - j] for j in range(1, m)), m))
+    return logs
 
 
 def a_hat(k: int) -> ChernRootSeries:

@@ -1,10 +1,11 @@
 """Univariate polynomials and rational functions over the rationals.
 
 :class:`Poly` holds the one conversion to and from Laurent polynomials
-(:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`), and its exact
-``divmod`` certifies fixed-point sums.  :class:`RationalFunc`, reduced
-by Euclid's gcd, is the reference reduction, off the hot path: it serves
-diagnostics, failed certificates and the tests' oracle.
+(:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`) and an exact
+``divmod``.  :class:`RationalFunc`, reduced by Euclid's gcd, is the
+reference reduction, off the hot path: it names the pole of a grade that
+fails the Laurent certificate, and serves diagnostics and the tests'
+oracle.
 """
 
 from __future__ import annotations

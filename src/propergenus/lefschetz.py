@@ -27,24 +27,24 @@ read as balanced base-2^B digits with
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
 
 prove q' D = P: the difference vanishes at 2^B, and N_h bounds every
-coefficient of P, so each of its coefficients is below 2^(B-1).  A grade
-the check cannot prove takes the dense route, Laurent products and
-exact polynomial division, which certifies it or raises NotLaurent; the
-reduced rational form is built only for a failing grade, to name the
-pole.  The sum collapses to a Laurent polynomial exactly when the
+coefficient of P, so each of its coefficients is below 2^(B-1).  D is
+monic, so a nonzero remainder proves that D does not divide P: the grade
+raises NotLaurent, which names the pole of the reduced rational form in
+mu.  A grade that B is too narrow to decide is repacked at 2B until it
+is decided.  The sum collapses to a Laurent polynomial exactly when the
 orientation signs sigma_j = (-1)^j (weights sorted ascending) are in
 place; the unsigned literal formula is kept available for comparison
 and fails the certificate already for the two-point case.
 
-The tests hold this certificate equal to the dense route, to a mu-adic
-series expansion of the same sum, to the gcd-reduced rational function
-of each grade and to sympy's cancellation of the literal sum.
+The tests hold this certificate equal to Laurent products with dense
+polynomial division, to a mu-adic series expansion of the same sum, to
+the gcd-reduced rational function of each grade and to sympy's
+cancellation of the literal sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
@@ -105,78 +105,12 @@ def _tangent_char_mu(datum: FixedPointDatum) -> VirtualChar:
     return VirtualChar(char)
 
 
-def _spinor_char_mu(datum: FixedPointDatum) -> LaurentPoly:
-    """Character of the full spinor bundle at a fixed point."""
-    out = LaurentPoly.constant(1, MU)
-    for w in datum.tangent_weights:
-        out = out * (LaurentPoly.monomial(w, 1, MU) + LaurentPoly.monomial(-w, 1, MU))
-    return out
-
-
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
     if twist is None or twist == "none":
         return QSeries.one(MU_RING, N)
     if twist in (THETA, THETA1, THETA2):
         return theta_bundle(_tangent_char_mu(datum), twist, N)
     raise ValueError(f"unknown twist {twist!r}")
-
-
-def _pair_factor(w: int) -> Poly:
-    """mu^(2w) - 1 as a dense polynomial."""
-    return Poly([-1] + [0] * (2 * w - 1) + [1])
-
-
-def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], Poly]:
-    """Per-point numerator prefactors over the common denominator D.
-
-    The j-th contribution is sigma_j char_j mu^(W_j) C_j / D, where C_j
-    collects the pair factors not containing j.  For the signature
-    operator the spinor character supplies the mu^(-W_j) that turns the
-    shifted cofactor into prod_s (mu^(2w)+1)/(mu^(2w)-1).
-    """
-    pairs: dict[tuple[int, int], Poly] = {}
-    npts = len(data)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            pairs[(i, j)] = _pair_factor(abs(data[i].weight - data[j].weight))
-    denominator = Poly.one()
-    for f in pairs.values():
-        denominator = denominator * f
-    prefactors = []
-    for j, datum in enumerate(data):
-        cofactor = Poly.one()
-        for (i, k), f in pairs.items():
-            if j not in (i, k):
-                cofactor = cofactor * f
-        pre = cofactor.to_laurent(-sum(datum.tangent_weights), MU)
-        if signed and datum.sign < 0:
-            pre = -pre
-        if operator == SIGNATURE:
-            pre = pre * _spinor_char_mu(datum)
-        elif operator != DIRAC:
-            raise ValueError(f"unknown operator {operator!r}")
-        prefactors.append(pre)
-    return prefactors, denominator
-
-
-def _grade_numerator(point_series, prefactors, h: int) -> tuple[Poly, int]:
-    """The numerator over D of grade h/2, embedded as (poly, shift)."""
-    num = LaurentPoly.zero(MU)
-    for series, pre in zip(point_series, prefactors):
-        c = series.coeffs[h]
-        if not c.is_zero():
-            num = num + c * pre
-    return Poly.from_laurent(num)
-
-
-def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
-    """poly * mu^(-shift) / D as a Laurent polynomial in mu, by exact division."""
-    quo, rem = divmod(poly, denominator)
-    if not rem.is_zero():
-        # D is coprime to mu, so the reduced form keeps a non-monomial
-        # denominator and to_laurent raises NotLaurent naming it
-        return RationalFunc(poly, denominator * Poly.monomial(shift)).to_laurent(MU)
-    return quo.to_laurent(shift, MU)
 
 
 def _l1(p: LaurentPoly):
@@ -210,15 +144,16 @@ def _assembly_width(n_max: int, den_norm: int) -> int:
     return _digit_width((n_max * (den_norm + 1)).bit_length() + 1)
 
 
-def _pack_factors(data, point_series, operator: str, signed: bool):
-    """The prefactors of :func:`_prefactors` and D, packed at the width
-    that this call's twist coefficients call for.
+def _pack_factors(data, point_series, operator: str, signed: bool, B: int | None = None):
+    """The prefactors pre_j of the sum over D, and D itself, packed at
+    width B, by default the width that this call's twist coefficients
+    call for.
 
-    In lam, pre_j = sigma_j lam^(low_j) P_j with P_j = C_j for the Dirac
-    operator (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for
-    the signature operator (low_j = 0).  Returns (B, D(2^B), deg D,
-    |D|_1, points), points[j] = (sigma_j P_j(2^B), low_j, deg P_j,
-    |P_j|_1).
+    In lam, pre_j = sigma_j lam^(low_j) P_j.  With C_j the product of the
+    pair factors not containing j, P_j = C_j for the Dirac operator
+    (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for the
+    signature operator (low_j = 0).  Returns (B, D(2^B), deg D, |D|_1,
+    points), points[j] = (sigma_j P_j(2^B), low_j, deg P_j, |P_j|_1).
     """
     if operator not in (DIRAC, SIGNATURE):
         raise ValueError(f"unknown operator {operator!r}")
@@ -239,15 +174,42 @@ def _pack_factors(data, point_series, operator: str, signed: bool):
     den_norm = sum(map(abs, _unpack_digits(den, B0, den_degree + 1, half)))
     norms = [sum(map(abs, _unpack_digits(v, B0, d + 1, half)))
              for v, d in zip(values, degrees)]
-    # the largest numerator bound N_h of any grade; a grade with Fraction
-    # coefficients is never packed, and int() keeps every integral N_h
-    n_max = int(max(sum(_l1(s.coeffs[h]) * norm for s, norm in zip(point_series, norms))
-                    for h in range(len(point_series[0].coeffs))))
-    B = _assembly_width(n_max, den_norm)
+    if B is None:
+        # the largest numerator bound N_h of any grade; a grade with
+        # Fraction coefficients raises NonIntegral before its bound is
+        # compared, and int() keeps every integral N_h
+        n_max = int(max(sum(_l1(s.coeffs[h]) * norm for s, norm in zip(point_series, norms))
+                        for h in range(len(point_series[0].coeffs))))
+        B = _assembly_width(n_max, den_norm)
     den, values = _factor_values(pairs, data, operator, B)
     if signed:
         values = [v * d.sign for v, d in zip(values, data)]
     return B, den, den_degree, den_norm, list(zip(values, lows, degrees, norms))
+
+
+def _raise_not_laurent(num: int, lo: int, hi: int, packed):
+    """Raise NotLaurent for lam^lo P / D, given P(2^B) = num with deg P <=
+    hi - lo, once D is known not to divide P.
+
+    N_h and |D|_1 are below 2^(B-1), so P and D unpack exactly from their
+    values.  Spread onto even mu exponents, they give the same rational
+    function in mu as the Laurent sum, and its reduced form is unique
+    (monic denominator, coprime to the numerator): the message names the
+    same denominator whichever way the sum was formed.
+    """
+    B, den, den_degree, _, _ = packed
+    half = _half(B, max(hi - lo, den_degree) + 1)
+    top, bottom = (
+        Poly([c for d in _unpack_digits(value, B, n, half) for c in (d, 0)])
+        for value, n in ((num, hi - lo + 1), (den, den_degree + 1))
+    )
+    if lo > 0:
+        top = top * Poly.monomial(2 * lo)
+    else:
+        bottom = bottom * Poly.monomial(-2 * lo)
+    # D is coprime to mu, so the reduced denominator keeps a factor of D
+    RationalFunc(top, bottom).to_laurent(MU)
+    raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
 def _packed_grade(cs, packed) -> LaurentPoly | None:
@@ -264,9 +226,14 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
 
     the polynomial q' D - P vanishes at 2^B and has every coefficient
     below 2^(B-1), so it is zero and num / D = lam^lo q'.  N_h bounds
-    every coefficient of P and of every cs[j].  Returns None whenever the
-    packed route proves nothing: the caller then takes the dense route,
-    which certifies the grade or raises NotLaurent.
+    every coefficient of P and of every cs[j].
+
+    D is monic, so D | P gives D(2^B) | P(2^B): a nonzero remainder, or
+    a nonzero P of lower degree than D, proves that the grade is not
+    Laurent and raises NotLaurent.  A coefficient that is not an int,
+    or an odd mu exponent, raises NonIntegral.  Returns None when B is
+    too narrow to decide: N_h or |D|_1 reaches 2^(B-1), or the remainder
+    is zero but q' fails the check.
     """
     B, den, den_degree, den_norm, points = packed
     limit = 1 << (B - 1)
@@ -278,8 +245,10 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
             terms.append((c.coeffs, value, low, degree))
     if not terms:
         return LaurentPoly.zero(LAMBDA)
-    # a Fraction coefficient makes the bound a Fraction: never packed
-    if type(bound) is not int or bound >= limit:
+    # a Fraction coefficient makes the bound a Fraction
+    if type(bound) is not int:
+        raise NonIntegral("a twist coefficient is not integral")
+    if bound >= limit or den_norm >= limit:
         return None
     rows = []
     for coeffs, value, low, degree in terms:
@@ -289,7 +258,7 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
             digits[e - first] = c
         # lam = mu^2 holds only even mu exponents
         if first & 1 or any(digits[1::2]):
-            return None
+            raise NonIntegral("a twist coefficient has an odd mu exponent")
         start = low + (first >> 1)
         rows.append((digits[::2], value, start, start + ((last - first) >> 1) + degree))
     lo = min(row[2] for row in rows)
@@ -301,9 +270,11 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
+    if n < 1:
+        _raise_not_laurent(num, lo, hi, packed)
     quo, rem = divmod(num, den)
-    if rem or n < 1:
-        return None
+    if rem:
+        _raise_not_laurent(num, lo, hi, packed)
     try:
         q = _unpack_digits(quo, B, n, half)
     except OverflowError:
@@ -317,26 +288,21 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
-    over the mu Laurent ring.  The result is converted to an integral
-    Laurent polynomial in lam at every grade.  Each grade goes through
-    the packed certificate; one that it cannot prove goes through the
-    dense route, built on first use.
+    over the mu Laurent ring.  Every grade goes through the packed
+    certificate, which proves it an integral Laurent polynomial in lam
+    or raises.  A grade that the call's width B is too narrow to decide
+    is repacked at 2B, then 4B, until it is decided: if D divides P the
+    quotient fits at some width, and if not, the remainder of P(2^B) by
+    D(2^B) is r(2^B) for r = P mod D, nonzero for large B.
     """
     N = point_series[0].trunc
     packed = _pack_factors(data, point_series, operator, signed)
-    prefactors = denominator = None
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):
-        lam_poly = _packed_grade([s.coeffs[h] for s in point_series], packed)
-        if lam_poly is None:
-            if prefactors is None:
-                prefactors, denominator = _prefactors(data, operator, signed)
-            poly, shift = _grade_numerator(point_series, prefactors, h)
-            if poly.is_zero():
-                continue
-            lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
-        if not lam_poly.is_integral():
-            raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
+        cs = [s.coeffs[h] for s in point_series]
+        wide = packed
+        while (lam_poly := _packed_grade(cs, wide)) is None:
+            wide = _pack_factors(data, point_series, operator, signed, 2 * wide[0])
         out.coeffs[h] = lam_poly
     return out
 

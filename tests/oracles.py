@@ -20,6 +20,11 @@ function here recomputes one of them by another.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
+
+The prefactors, numerators and divisions of these routes are built here
+from the weights alone, so no oracle shares assembly code with the
+package route it checks; of ``lefschetz``'s private names only the
+twist series, the common input of every route, is imported.
 """
 
 from __future__ import annotations
@@ -39,16 +44,7 @@ from propergenus.core import (
 )
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar
-from propergenus.lefschetz import (
-    DIRAC,
-    SIGNATURE,
-    _certify,
-    _grade_numerator,
-    _prefactors,
-    _spinor_char_mu,
-    _twist_series,
-    validate_weights,
-)
+from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
 
 # -- Adams-operation exponential ---------------------------------------------
 
@@ -82,6 +78,75 @@ def adams_theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSer
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
     return out
+
+
+# -- dense prefactors over the common denominator ---------------------------
+
+
+def _spinor_char_mu(datum) -> LaurentPoly:
+    """Character of the full spinor bundle at a fixed point."""
+    out = LaurentPoly.constant(1, MU)
+    for w in datum.tangent_weights:
+        out = out * (LaurentPoly.monomial(w, 1, MU) + LaurentPoly.monomial(-w, 1, MU))
+    return out
+
+
+def _pair_factor(w: int) -> Poly:
+    """mu^(2w) - 1 as a dense polynomial."""
+    return Poly([-1] + [0] * (2 * w - 1) + [1])
+
+
+def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], Poly]:
+    """Per-point numerator prefactors over the common denominator D.
+
+    The j-th contribution is sigma_j char_j mu^(W_j) C_j / D, where C_j
+    collects the pair factors not containing j.  For the signature
+    operator the spinor character supplies the mu^(-W_j) that turns the
+    shifted cofactor into prod_s (mu^(2w)+1)/(mu^(2w)-1).
+    """
+    pairs: dict[tuple[int, int], Poly] = {}
+    npts = len(data)
+    for i in range(npts):
+        for j in range(i + 1, npts):
+            pairs[(i, j)] = _pair_factor(abs(data[i].weight - data[j].weight))
+    denominator = Poly.one()
+    for f in pairs.values():
+        denominator = denominator * f
+    prefactors = []
+    for j, datum in enumerate(data):
+        cofactor = Poly.one()
+        for (i, k), f in pairs.items():
+            if j not in (i, k):
+                cofactor = cofactor * f
+        pre = cofactor.to_laurent(-sum(datum.tangent_weights), MU)
+        if signed and datum.sign < 0:
+            pre = -pre
+        if operator == SIGNATURE:
+            pre = pre * _spinor_char_mu(datum)
+        elif operator != DIRAC:
+            raise ValueError(f"unknown operator {operator!r}")
+        prefactors.append(pre)
+    return prefactors, denominator
+
+
+def _grade_numerator(point_series, prefactors, h: int) -> tuple[Poly, int]:
+    """The numerator over D of grade h/2, embedded as (poly, shift)."""
+    num = LaurentPoly.zero(MU)
+    for series, pre in zip(point_series, prefactors):
+        c = series.coeffs[h]
+        if not c.is_zero():
+            num = num + c * pre
+    return Poly.from_laurent(num)
+
+
+def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
+    """poly * mu^(-shift) / D as a Laurent polynomial in mu, by exact division."""
+    quo, rem = divmod(poly, denominator)
+    if not rem.is_zero():
+        # D is coprime to mu, so the reduced form keeps a non-monomial
+        # denominator and to_laurent raises NotLaurent naming it
+        return RationalFunc(poly, denominator * Poly.monomial(shift)).to_laurent(MU)
+    return quo.to_laurent(shift, MU)
 
 
 # -- mu-adic expansion of the fixed-point sum --------------------------------

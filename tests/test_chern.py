@@ -128,6 +128,14 @@ def test_cancellation_k3():
     assert rep.schedule == "2^(3k-6j)"
 
 
+@pytest.mark.parametrize("k", range(4, 9))
+def test_cancellation_past_k3(k):
+    rep = solve_cancellation(k)
+    assert rep.residual_is_zero
+    assert rep.exponents == [3 * k - 6 * j for j in range(k // 2 + 1)]
+    assert rep.schedule == "2^(3k-6j)"
+
+
 def test_dimension_twelve_classical_form():
     # L^(12) = 8 {A-hat ch(T_C)}^(12) - 32 {A-hat}^(12), the classical
     # dimension-12 statement, as a direct power-sum identity

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from propergenus import lefschetz
 from propergenus.core import LAMBDA, MU, LaurentPoly
-from propergenus.errors import DuplicateWeights, NotLaurent, OddWeightSum
+from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
 from propergenus.lefschetz import (
     DIRAC,
@@ -170,29 +172,39 @@ def _seeded_weights(rng, two_l, span):
     return ws
 
 
+def _count_packs(monkeypatch):
+    widths = []
+    real_pack = lefschetz._pack_factors
+
+    def pack(*args):
+        packed = real_pack(*args)
+        widths.append(packed[0])
+        return packed
+
+    monkeypatch.setattr(lefschetz, "_pack_factors", pack)
+    return widths
+
+
 @pytest.mark.parametrize("operator,twist", [
     (DIRAC, None), (DIRAC, THETA), (DIRAC, THETA2), (SIGNATURE, THETA), (SIGNATURE, THETA1),
 ])
 def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
     # the packed certificate against Laurent products and dense division
-    # on the same point series; signed sums certify without the dense
-    # route, unsigned ones fail with the oracle's message
-    certified = []
-    real_certify = lefschetz._certify
-    monkeypatch.setattr(lefschetz, "_certify",
-                        lambda *args: certified.append(args) or real_certify(*args))
+    # on the same point series; signed sums certify at the call's width
+    # without widening, unsigned ones fail with the oracle's message
+    widths = _count_packs(monkeypatch)
     rng = random.Random(f"packed-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
         ws = _seeded_weights(rng, two_l, 6)
         data = validate_weights(ws)
         series = [_twist_series(d, twist, N) for d in data]
-        certified.clear()
+        widths.clear()
         packed = lefschetz._assemble(data, series, operator, True)
         reference = dense_assemble(data, series, operator, True)
         for h in range(2 * N + 1):
             assert packed.coeffs[h] == reference.coeffs[h], (ws, h)
-        assert not certified, ws
+        assert len(widths) == 1, (ws, widths)
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
         with pytest.raises(NotLaurent) as got:
@@ -203,7 +215,7 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
 def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     # at B = 8 most grades are beyond what the packed check can prove; the
     # helper must say so rather than answer, and the sum still comes out
-    # exact through the dense route
+    # exact by repacking those grades wider
     ws, N = (-3, 0, 1, 2, 4, 6), 4
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
@@ -215,13 +227,15 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
     for h, g in enumerate(grades):
         assert g is None or g == reference.coeffs[h], h
+    widths = _count_packs(monkeypatch)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
+    assert widths[0] == 8 and max(widths) > 8, widths
 
 
 def test_packed_grade_refuses_what_it_cannot_prove():
-    # one point with pre = 1 over D = (lam - 1)^k: every case below lies
-    # outside what the packed check proves, and the helper must return
-    # None (the dense route then decides), never a grade or an error
+    # one point with pre = 1 over D = (lam - 1)^k: a grade the packed check
+    # cannot prove at width B returns None (the caller repacks wider); a
+    # grade shown not to be Laurent, or not integral, raises
     def over(k, B):
         return B, ((1 << B) - 1) ** k, k, 2 ** k, [(1, 0, 0, 1)]
 
@@ -232,15 +246,45 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     grade = LaurentPoly({0: 1, 2 * n: -2, 4 * n: 1}, MU)
     assert _packed_grade([grade], over(2, 8)) is None
     assert _packed_grade([grade], over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
-    refused = {
-        "nonzero remainder": ([LaurentPoly({0: 1, 6: 1}, MU)], over(1, 16)),
-        "digit wider than B": ([LaurentPoly({0: 300, 2: -300}, MU)], over(1, 8)),
-        "odd mu exponent": ([LaurentPoly({1: -1, 3: 1}, MU)], over(1, 16)),
+    # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
+    # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
+    # the check; at B = 16 the remainder is nonzero, and the message names
+    # the reduced denominator in mu
+    grade = LaurentPoly({0: -1, 510: 1}, MU)
+    assert _packed_grade([grade], over(2, 8)) is None
+    with pytest.raises(NotLaurent) as got:
+        _packed_grade([grade], over(2, 16))
+    assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
+    outcomes = {
+        "digit wider than B": ([LaurentPoly({0: 300, 2: -300}, MU)], over(1, 8), None),
+        "nonzero remainder": ([LaurentPoly({0: 1, 6: 1}, MU)], over(1, 16), NotLaurent),
+        "fewer degrees than D": ([LaurentPoly({0: 2, 2: 1}, MU)], over(2, 16), NotLaurent),
+        "odd mu exponent": ([LaurentPoly({1: -1, 3: 1}, MU)], over(1, 16), NonIntegral),
         "Fraction coefficient": ([LaurentPoly({0: Fraction(-1, 2), 2: Fraction(1, 2)}, MU)],
-                                 over(1, 16)),
+                                 over(1, 16), NonIntegral),
     }
-    for case, (grade, packed) in refused.items():
-        assert _packed_grade(grade, packed) is None, case
+    for case, (grade, packed, outcome) in outcomes.items():
+        if outcome is None:
+            assert _packed_grade(grade, packed) is None, case
+        else:
+            with pytest.raises(outcome):
+                _packed_grade(grade, packed)
+
+
+def test_oracles_share_no_assembly_code():
+    # the dense oracle builds its own prefactors and divisions; of the
+    # package's private lefschetz names it may import only the twist
+    # series that every route starts from
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "propergenus":
+            assert "lefschetz" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert "propergenus.lefschetz" not in {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "propergenus.lefschetz":
+            private |= {a.name for a in node.names if a.name.startswith("_")}
+    assert private == {"_twist_series"}
 
 
 @pytest.mark.parametrize("operator,twist", [(DIRAC, THETA), (SIGNATURE, THETA)])

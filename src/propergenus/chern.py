@@ -349,6 +349,8 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     The number of modular unknowns is [k/2]+1, so q_order must be at
     least [k/2]+1; all further grades are consistency equations.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     nb = k // 2 + 1
     if q_order is None:
         q_order = nb + 1

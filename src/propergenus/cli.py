@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,11 @@ DOMAIN_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values such as the weights -3,0,1,2 are arguments, not options
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -44,6 +50,16 @@ def _parse_weights(text: str) -> list[int]:
         return [int(w) for w in text.split(",") if w != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}") from exc
+
+
+def _parse_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if order < 1:
+        raise argparse.ArgumentTypeError(f"order must be at least 1, got {order}")
+    return order
 
 
 def _parse_finite(text: str) -> float:
@@ -69,7 +85,7 @@ def build_parser() -> _Parser:
     parsing reads it and never changes it."""
     parser = _Parser(prog="propergenus")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=10, help="truncation order N")
+    common.add_argument("--order", type=_parse_order, default=10, help="truncation order N >= 1")
     common.add_argument("--tol", type=_parse_finite, default=1e-9, help="numeric tolerance")
     common.add_argument("--json-indent", type=int, default=2)
     common.add_argument("--output", default=None, help="write JSON here instead of stdout")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core.laurent import LaurentPoly
-from .core.qseries import LAMBDA_RING, RATIONAL, LaurentRing, QSeries
+from .core.qseries import RATIONAL, LaurentRing, QSeries
 from .errors import DegenerateRootDatum, RingMismatch
 from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
 from .lefschetz import (
@@ -68,12 +68,6 @@ def _adjoint_char() -> VirtualChar:
     return VirtualChar.rep(2) + VirtualChar.rep(-2)
 
 
-def _adjoint_spinor_series(N: int) -> QSeries:
-    """Constant series carrying the spinor character lam + lam^-1."""
-    spinor = LaurentPoly({1: 1, -1: 1})
-    return QSeries.from_terms(LAMBDA_RING, N, {0: spinor})
-
-
 def averaged_witten_genus(weights, N: int = 10) -> QSeries:
     """Trace of the two-variable Witten series of a weighted action.
 
@@ -93,7 +87,7 @@ def averaged_elliptic_genera(weights, N: int = 8) -> tuple[QSeries, QSeries]:
     validate_weights(weights)
     phi1 = trace_series(
         theta_bundle(_adjoint_char(), THETA1, N)
-        * _adjoint_spinor_series(N)
+        * LaurentPoly({1: 1, -1: 1})  # the spinor character lam + lam^-1
         * lefschetz_twisted(weights, SIGNATURE, THETA1, N)
     )
     phi2 = trace_series(

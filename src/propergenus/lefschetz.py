@@ -6,15 +6,16 @@ defines a circle action on CP^(2l-1) with 2l isolated fixed points.  At
 the j-th fixed point the tangent weights are w_s = |a_s - a_j|, and the
 even per-point weight sums mean the action lifts to the spin structure.
 
-Local contributions are assembled exactly.  Working in mu with
-lam = mu^2, the Dirac denominator of a point is
+Local contributions are assembled exactly.  With lam = mu^2, a point's
+twist is a Witten bundle of T_j = sum_s (lam^(w_s) + lam^(-w_s)), and
+its Dirac denominator is
 
-    prod_s (mu^(w_s) - mu^(-w_s)) = mu^(-W_j) prod_s (mu^(2 w_s) - 1),
+    prod_s (mu^(w_s) - mu^(-w_s)) = lam^(-W_j / 2) prod_s (lam^(w_s) - 1),
     W_j = sum_s w_s,
 
 so every q-grade of the sum is a single rational function with the
-structured denominator D = prod_{s<t} (mu^(2|a_s - a_t|) - 1).  D is
-monic and D(0) = +-1, so D is coprime to mu: a grade certifies as a
+structured denominator D = prod_{s<t} (lam^|a_s - a_t| - 1).  D is
+monic and D(0) = +-1, so D is coprime to lam: a grade certifies as a
 Laurent polynomial exactly when D divides its numerator shifted into a
 polynomial, and the quotient is exact.
 
@@ -36,10 +37,13 @@ orientation signs sigma_j = (-1)^j (weights sorted ascending) are in
 place; the unsigned literal formula is kept available for comparison
 and fails the certificate already for the two-point case.
 
-The tests hold this certificate equal to Laurent products with dense
-polynomial division, to a mu-adic series expansion of the same sum, to
-the gcd-reduced rational function of each grade and to sympy's
-cancellation of the literal sum.
+Witten-bundle factors outside the sum fold into every twist, since the
+sum is linear in its twists and Theta multiplies: the literal series is
+the sum over Theta(T_j + adjoint - 4l) (:func:`p_series`).  The tests
+hold the certificate equal to Laurent products with dense polynomial
+division, to a mu-adic series expansion of the same sum, to the
+gcd-reduced rational function of each grade and to sympy's cancellation
+of the literal sum.
 """
 
 from __future__ import annotations
@@ -50,9 +54,7 @@ from operator import itemgetter
 from .core.laurent import LAMBDA, MU, LaurentPoly
 from .core.qseries import (
     LAMBDA_RING,
-    MU_RING,
     QSeries,
-    _binomial_product,
     _digit_width,
     _half,
     _pack_digits,
@@ -97,19 +99,17 @@ def validate_weights(weights) -> list[FixedPointDatum]:
     return data
 
 
-def _tangent_char_mu(datum: FixedPointDatum) -> VirtualChar:
-    """Complexified tangent character at a fixed point, in mu (lam = mu^2)."""
-    char = LaurentPoly.zero(MU)
-    for w in datum.tangent_weights:
-        char = char + LaurentPoly.monomial(2 * w, 1, MU) + LaurentPoly.monomial(-2 * w, 1, MU)
-    return VirtualChar(char)
+def _tangent_char(datum: FixedPointDatum) -> VirtualChar:
+    """Complexified tangent character at a fixed point."""
+    lines = [VirtualChar.rep(sign * w) for w in datum.tangent_weights for sign in (1, -1)]
+    return sum(lines, VirtualChar.zero())
 
 
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
     if twist is None or twist == "none":
-        return QSeries.one(MU_RING, N)
+        return QSeries.one(LAMBDA_RING, N)
     if twist in (THETA, THETA1, THETA2):
-        return theta_bundle(_tangent_char_mu(datum), twist, N)
+        return theta_bundle(_tangent_char(datum), twist, N)
     raise ValueError(f"unknown twist {twist!r}")
 
 
@@ -230,37 +230,30 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
 
     D is monic, so D | P gives D(2^B) | P(2^B): a nonzero remainder, or
     a nonzero P of lower degree than D, proves that the grade is not
-    Laurent and raises NotLaurent.  A coefficient that is not an int,
-    or an odd mu exponent, raises NonIntegral.  Returns None when B is
-    too narrow to decide: N_h or |D|_1 reaches 2^(B-1), or the remainder
-    is zero but q' fails the check.
+    Laurent and raises NotLaurent.  A coefficient that is not an int
+    raises NonIntegral.  Returns None when B is too narrow to decide:
+    N_h or |D|_1 reaches 2^(B-1), or the remainder is zero but q' fails
+    the check.
     """
     B, den, den_degree, den_norm, points = packed
     limit = 1 << (B - 1)
     bound = 0
-    terms = []
+    rows = []
     for c, (value, low, degree, norm) in zip(cs, points):
         if c.coeffs:
             bound += _l1(c) * norm
-            terms.append((c.coeffs, value, low, degree))
-    if not terms:
+            first, last = min(c.coeffs), max(c.coeffs)
+            digits = [0] * (last - first + 1)
+            for e, x in c.coeffs.items():
+                digits[e - first] = x
+            rows.append((digits, value, low + first, low + last + degree))
+    if not rows:
         return LaurentPoly.zero(LAMBDA)
     # a Fraction coefficient makes the bound a Fraction
     if type(bound) is not int:
         raise NonIntegral("a twist coefficient is not integral")
     if bound >= limit or den_norm >= limit:
         return None
-    rows = []
-    for coeffs, value, low, degree in terms:
-        first, last = min(coeffs), max(coeffs)
-        digits = [0] * (last - first + 1)
-        for e, c in coeffs.items():
-            digits[e - first] = c
-        # lam = mu^2 holds only even mu exponents
-        if first & 1 or any(digits[1::2]):
-            raise NonIntegral("a twist coefficient has an odd mu exponent")
-        start = low + (first >> 1)
-        rows.append((digits[::2], value, start, start + ((last - first) >> 1) + degree))
     lo = min(row[2] for row in rows)
     hi = max(row[3] for row in rows)
     half = _half(B, hi - lo + 1)
@@ -288,7 +281,7 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
-    over the mu Laurent ring.  Every grade goes through the packed
+    over the lam Laurent ring.  Every grade goes through the packed
     certificate, which proves it an integral Laurent polynomial in lam
     or raises.  A grade that the call's width B is too narrow to decide
     is repacked at 2B, then 4B, until it is decided: if D divides P the
@@ -325,23 +318,17 @@ def lefschetz_witten(weights, N: int = 10, signed: bool = True) -> QSeries:
 
 
 def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
-    """The literal three-factor two-variable series of the weighted action.
+    """The literal three-factor two-variable series of the weighted action:
+    prod_n (1 - q^n)^(4l), times Theta(adjoint) = prod_n of the geometric
+    series in lam^2 q^n and lam^-2 q^n, times the bare fixed-point sum of
+    Theta(T_j), no rank normalisation.
 
-    factor 1: prod_n (1 - q^n)^(4l)
-    factor 2: prod_n of the geometric series in lam^2 q^n and lam^-2 q^n
-    factor 3: the bare fixed-point sum, no rank normalisation
-
-    Tensoring the rank-reduced Witten bundle of the weight-(+-2) adjoint
-    character with the Witten Lefschetz series regroups the same factors,
-    which is the factorisation identity checked in the tests.
+    The two outer factors are Theta(adjoint - 4l), folded into every
+    point's twist: one fixed-point sum over Theta(T_j + adjoint - 4l).
+    Regrouped as Theta(adjoint~) times the Witten Lefschetz series, it is
+    the second route of the Witten genus, which ``induction`` compares.
     """
     data = validate_weights(weights)
-    l2 = len(data)  # 2l
-    one_minus = _binomial_product(
-        LAMBDA_RING, N, [(-1, 0, 2 * n, False) for n in range(1, N + 1) for _ in range(2 * l2)])
-    adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
-    middle = theta_series(adjoint, THETA, N)
-    point_series = [theta_series(_tangent_char_mu(d), THETA, N) for d in data]
-    bare_sum = _assemble(data, point_series, DIRAC, signed)
-    return one_minus * middle * bare_sum
-
+    outer = VirtualChar.rep(2) + VirtualChar.rep(-2) - VirtualChar.trivial(2 * len(data))
+    point_series = [theta_series(_tangent_char(d) + outer, THETA, N) for d in data]
+    return _assemble(data, point_series, DIRAC, signed)

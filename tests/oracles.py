@@ -24,7 +24,9 @@ function here recomputes one of them by another.
 The prefactors, numerators and divisions of these routes are built here
 from the weights alone, so no oracle shares assembly code with the
 package route it checks; of ``lefschetz``'s private names only the
-twist series, the common input of every route, is imported.
+twist series, the common input of every route, is imported.  The
+package builds the twists in lam; the oracles read them in mu, with
+lam = mu^2 (``LaurentPoly.double_exponents``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from propergenus.core import (
     LAMBDA,
     LAMBDA_RING,
     MU,
+    MU_RING,
     LaurentPoly,
     LaurentRing,
     Poly,
@@ -81,6 +84,11 @@ def adams_theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSer
 
 
 # -- dense prefactors over the common denominator ---------------------------
+
+
+def _in_mu(series: QSeries) -> QSeries:
+    """A twist series in lam as a series in mu, lam = mu^2."""
+    return series.map_coefficients(LaurentPoly.double_exponents, MU_RING)
 
 
 def _spinor_char_mu(datum) -> LaurentPoly:
@@ -184,7 +192,7 @@ def lefschetz_series_strategy(weights, operator: str = DIRAC,
     polynomial must have terminated.
     """
     data = validate_weights(weights)
-    point_series = [_twist_series(d, twist, N) for d in data]
+    point_series = [_in_mu(_twist_series(d, twist, N)) for d in data]
     base = 2 * max(sum(d.tangent_weights) for d in data) + DEGREE_MARGIN
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):
@@ -232,7 +240,7 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
     data = validate_weights(weights)
     if N is None:
         N = max(1, int(Fraction(grade)) + 1)
-    point_series = [_twist_series(d, twist, N) for d in data]
+    point_series = [_in_mu(_twist_series(d, twist, N)) for d in data]
     prefactors, denominator = _prefactors(data, operator, signed)
     poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
     return RationalFunc(poly, denominator * Poly.monomial(shift))
@@ -247,6 +255,7 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     ``Poly`` division by D.  Raises NotLaurent or NonIntegral at the first
     grade that fails."""
     N = point_series[0].trunc
+    point_series = [_in_mu(s) for s in point_series]
     prefactors, denominator = _prefactors(data, operator, signed)
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):

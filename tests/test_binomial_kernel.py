@@ -208,7 +208,8 @@ def test_theta_qexp_matches_triple_product_loop(kind):
 
 
 def test_p_series_one_minus_factor():
-    # prod (1 - q^n)^(4l) by the kernel equals repeated series multiplication
+    # prod (1 - q^n)^(4l), the factors of the -4l lines that p_series folds
+    # into every twist, by the kernel equals repeated series multiplication
     N = 5
     ref = QSeries.one(LAMBDA_RING, N)
     for n in range(1, N + 1):

@@ -153,6 +153,12 @@ def test_cancellation_insufficient_order():
         solve_cancellation(2, q_order=1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_cancellation_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        solve_cancellation(k)
+
+
 def test_p2_decompose_basis_element():
     d2 = modform_qexp("delta2", 6).series.scale(8)
     assert p2_decompose(d2 * d2, 2) == [1, 0]

@@ -95,6 +95,63 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+# one call of every verb, each with what it requires; --order is appended
+VERB_CALLS = [
+    ["witten-genus", "--weights", "0,1,2,5"],
+    ["elliptic-genera", "--weights", "0,1,2,5"],
+    ["lefschetz", "--weights", "0,1,2,5"],
+    ["p-series", "--weights", "0,1,2,5"],
+    ["theta", "check", "--v", "0.1,0.2", "--tau", "0,1"],
+    ["theta", "expand", "--kind", "theta1"],
+    ["modforms", "expand", "--name", "eps2"],
+    ["modforms", "check", "--tau", "0.1,1"],
+    ["bundle", "expand", "--expr", "(theta (rep 2))"],
+    ["cancellation", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("order", ["0", "-5"])
+@pytest.mark.parametrize("argv", VERB_CALLS, ids=lambda argv: "-".join(argv[:2]))
+def test_order_below_one_is_usage_error(capsys, argv, order):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", order])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"order must be at least 1, got {order}" in captured.err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cancellation_k_below_one_is_usage_error(capsys, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["cancellation", "--k", k, "--order", "3"])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"k must be at least 1, got {k}" in captured.err
+
+
+@pytest.mark.parametrize("verb", ["witten-genus", "elliptic-genera", "lefschetz", "p-series"])
+def test_negative_leading_weight_parses_either_way(capsys, verb):
+    # a weight list that starts with a negative weight is the value of
+    # --weights whether it is the next argument or follows "="
+    for rest in (["--order", "2"], ["--unsigned", "--order", "2", "--json-indent", "0"]):
+        joined = _call(capsys, [verb, "--weights=-3,0,1,2", *rest])
+        assert _call(capsys, [verb, "--weights", "-3,0,1,2", *rest]) == joined
+        assert _call(capsys, [verb, *rest, "--weights", "-3,0,1,2"]) == joined
+        assert joined[0] in (0, DOMAIN_ERROR)
+        doc = json.loads(joined[1])
+        assert doc.get("weights", [-3, 0, 1, 2]) == [-3, 0, 1, 2]
+    assert joined[0] == (0 if verb == "elliptic-genera" else DOMAIN_ERROR)
+
+
+def test_negative_complex_argument_parses(capsys):
+    split = _call(capsys, ["theta", "check", "--v", "-0.1,0.2", "--tau", "0,1", "--order", "30"])
+    joined = _call(capsys, ["theta", "check", "--v=-0.1,0.2", "--tau=0,1", "--order", "30"])
+    assert split == joined
+    assert json.loads(split[1])["v"] == [-0.1, 0.2]
+
+
 def test_negative_z_order_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theta", "expand", "--kind", "theta", "--order", "2", "--z-order", "-1"])

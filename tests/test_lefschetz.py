@@ -8,9 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propergenus import lefschetz
-from propergenus.core import LAMBDA, MU, LaurentPoly
+from propergenus.core import LAMBDA, LaurentPoly, QSeries
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
-from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
+from propergenus.lambda_ring import (
+    THETA,
+    THETA1,
+    THETA2,
+    VirtualChar,
+    theta_bundle,
+    theta_series,
+)
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
@@ -135,6 +142,46 @@ def test_p_series_factorization_identity():
         assert lhs == rhs, ws
 
 
+def test_p_series_multiplies_no_series(monkeypatch):
+    # the outer Witten factors are folded into every point's twist, so the
+    # literal series is one fixed-point sum and no QSeries product
+    def refuse(self, other):
+        raise AssertionError("p_series multiplied two series")
+
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    monkeypatch.setattr(QSeries, "__rmul__", refuse)
+    for ws in [(0, 2), (0, 1, 2, 5), (-3, 0, 1, 2, 4, 6)]:
+        p_series(ws, N=4)
+        with pytest.raises(NotLaurent):
+            p_series(ws, N=4, signed=False)
+
+
+def _bare_twist(datum, N):
+    """Theta(T_j) of the tangent character sum_s (lam^w_s + lam^-w_s)."""
+    tangent = sum((LaurentPoly({w: 1, -w: 1}) for w in datum.tangent_weights), LaurentPoly.zero())
+    return theta_series(VirtualChar(tangent), THETA, N)
+
+
+def test_p_series_fold_matches_outer_product():
+    # the fold against the three literal factors: prod (1 - q^n)^(4l) and
+    # Theta(adjoint) as one series, times the dense sum of the bare twists
+    # Theta(T_j); unsigned, both fail with the same message
+    rng = random.Random("p-series-fold")
+    adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
+    for two_l in (2, 4, 6):
+        for N in range(1, 6):
+            ws = _seeded_weights(rng, two_l, 6)
+            data = validate_weights(ws)
+            bare = [_bare_twist(d, N) for d in data]
+            outer = theta_series(adjoint - VirtualChar.trivial(2 * two_l), THETA, N)
+            assert p_series(ws, N) == outer * dense_assemble(data, bare, DIRAC, True), (ws, N)
+            with pytest.raises(NotLaurent) as expected:
+                dense_assemble(data, bare, DIRAC, False)
+            with pytest.raises(NotLaurent) as got:
+                p_series(ws, N, signed=False)
+            assert str(got.value) == str(expected.value), (ws, N)
+
+
 def test_grade_ratfunc_specializes_at_one():
     # the reduced rational function has no pole at mu = 1, and its value
     # there matches the Laurent coefficient evaluated at lam = 1
@@ -243,24 +290,23 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     # coefficient n: with n = 200 the numerator bound is only 4, and only
     # the quotient check sees that n does not fit a balanced 8-bit digit
     n = 200
-    grade = LaurentPoly({0: 1, 2 * n: -2, 4 * n: 1}, MU)
+    grade = LaurentPoly({0: 1, n: -2, 2 * n: 1})
     assert _packed_grade([grade], over(2, 8)) is None
     assert _packed_grade([grade], over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
     # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
     # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
     # the check; at B = 16 the remainder is nonzero, and the message names
     # the reduced denominator in mu
-    grade = LaurentPoly({0: -1, 510: 1}, MU)
+    grade = LaurentPoly({0: -1, 255: 1})
     assert _packed_grade([grade], over(2, 8)) is None
     with pytest.raises(NotLaurent) as got:
         _packed_grade([grade], over(2, 16))
     assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
     outcomes = {
-        "digit wider than B": ([LaurentPoly({0: 300, 2: -300}, MU)], over(1, 8), None),
-        "nonzero remainder": ([LaurentPoly({0: 1, 6: 1}, MU)], over(1, 16), NotLaurent),
-        "fewer degrees than D": ([LaurentPoly({0: 2, 2: 1}, MU)], over(2, 16), NotLaurent),
-        "odd mu exponent": ([LaurentPoly({1: -1, 3: 1}, MU)], over(1, 16), NonIntegral),
-        "Fraction coefficient": ([LaurentPoly({0: Fraction(-1, 2), 2: Fraction(1, 2)}, MU)],
+        "digit wider than B": ([LaurentPoly({0: 300, 1: -300})], over(1, 8), None),
+        "nonzero remainder": ([LaurentPoly({0: 1, 3: 1})], over(1, 16), NotLaurent),
+        "fewer degrees than D": ([LaurentPoly({0: 2, 1: 1})], over(2, 16), NotLaurent),
+        "Fraction coefficient": ([LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 2)})],
                                  over(1, 16), NonIntegral),
     }
     for case, (grade, packed, outcome) in outcomes.items():
@@ -290,8 +336,9 @@ def test_oracles_share_no_assembly_code():
 @pytest.mark.parametrize("operator,twist", [(DIRAC, THETA), (SIGNATURE, THETA)])
 def test_certificate_matches_sympy_cancel(operator, twist):
     # every certified grade against sympy's cancel of the literal sum of
-    # local contributions sigma_j c_j / prod_s (mu^w - mu^-w), times the
-    # spinor character prod_s (mu^w + mu^-w) for the signature operator
+    # local contributions sigma_j c_j(mu^2) / prod_s (mu^w - mu^-w), with
+    # c_j the point's twist coefficient in lam, times the spinor
+    # character prod_s (mu^w + mu^-w) for the signature operator
     sympy = pytest.importorskip("sympy")
     mu = sympy.Symbol("mu")
     N = 2
@@ -302,7 +349,7 @@ def test_certificate_matches_sympy_cancel(operator, twist):
         for h in range(2 * N + 1):
             total = 0
             for datum, s in zip(data, series):
-                local = datum.sign * sum(c * mu ** e for e, c in s.coeffs[h].coeffs.items())
+                local = datum.sign * sum(c * mu ** (2 * e) for e, c in s.coeffs[h].coeffs.items())
                 for w in datum.tangent_weights:
                     local /= mu ** w - mu ** -w
                     if operator == SIGNATURE:

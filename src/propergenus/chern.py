@@ -229,11 +229,9 @@ def _psi_chern_char(k: int, r: int) -> ChernRootSeries:
     )
 
 
-def witten_chern_series(k: int, variant: str = "theta2", N: int = 4) -> QSeries:
+def witten_chern_series(k: int, N: int = 4) -> QSeries:
     """Chern-character q-series of the half-twisted Witten bundle over the
     rank-reduced tangent class, as a series over the Chern-root ring."""
-    if variant != "theta2":
-        raise ValueError("only the half-integer-twist variant is implemented")
     ring = ChernRing(k)
     arg = QSeries(ring, N)
     for r in range(1, 2 * N + 1):
@@ -251,11 +249,11 @@ def witten_chern_series(k: int, variant: str = "theta2", N: int = 4) -> QSeries:
     return arg.exp()
 
 
-def ch_witten(k: int, grade, variant: str = "theta2", N: int | None = None) -> ChernRootSeries:
+def ch_witten(k: int, grade, N: int | None = None) -> ChernRootSeries:
     """ch of the grade coefficient bundle of the half-twisted Witten bundle."""
     if N is None:
         N = max(1, int(Fraction(grade)) + 1)
-    return witten_chern_series(k, variant, N).coefficient(grade)
+    return witten_chern_series(k, N).coefficient(grade)
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -300,12 +298,13 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[l
     return solution
 
 
-def _basis_series(weight_half: int, b: int, N: int) -> QSeries:
-    """(8 delta_2)^(weight_half - 2b) * eps_2^b as a rational q-series."""
-    a = weight_half - 2 * b
+def _basis_rows(weight_half: int, N: int) -> list[list[Fraction]]:
+    """The basis (8 delta_2)^(weight_half - 2b) * eps_2^b, b = 0..[weight_half/2],
+    of weight 2 weight_half, as rows: row h holds the q^(h/2) coefficients."""
     d2 = modform_qexp("delta2", N).series.scale(8)
     e2 = modform_qexp("eps2", N).series
-    return (d2 ** a) * (e2 ** b)
+    basis = [(d2 ** (weight_half - 2 * b)) * (e2 ** b) for b in range(weight_half // 2 + 1)]
+    return [[Fraction(s.coeffs[h]) for s in basis] for h in range(2 * N + 1)]
 
 
 def p2_decompose(genus: QSeries, m: int, N: int | None = None) -> list[Fraction]:
@@ -316,15 +315,9 @@ def p2_decompose(genus: QSeries, m: int, N: int | None = None) -> list[Fraction]
     """
     if N is None:
         N = genus.trunc
-    nb = m // 2 + 1
-    basis = [_basis_series(m, b, N) for b in range(nb)]
-    rows = []
-    rhs = []
-    for h in range(2 * N + 1):
-        rows.append([Fraction(basis[b].coeffs[h]) for b in range(nb)])
-        rhs.append([Fraction(genus.coeffs[h]) if h <= 2 * genus.trunc else Fraction(0)])
-    solution = solve_exact(rows, rhs)
-    return [solution[b][0] for b in range(nb)]
+    rhs = [[Fraction(genus.coeffs[h]) if h <= 2 * genus.trunc else Fraction(0)]
+           for h in range(2 * N + 1)]
+    return [x[0] for x in solve_exact(_basis_rows(m, N), rhs)]
 
 
 @dataclass
@@ -357,16 +350,10 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     if q_order < nb:
         raise SingularSystem(f"q_order {q_order} < {nb} unknowns")
     ahat = a_hat(k)
-    ch_series = witten_chern_series(k, "theta2", q_order)
+    ch_series = witten_chern_series(k, q_order)
     dim = len(list(partitions_of(k)))
-    rows = []
-    rhs = []
-    basis = [_basis_series(k, b, q_order) for b in range(nb)]
-    for h in range(2 * q_order + 1):
-        rows.append([Fraction(basis[b].coeffs[h]) for b in range(nb)])
-        top = (ahat * ch_series.coeffs[h]).weight_part(4 * k).top_vector()
-        rhs.append(top)
-    solution = solve_exact(rows, rhs)  # nb x dim
+    rhs = [(ahat * c).weight_part(4 * k).top_vector() for c in ch_series.coeffs]
+    solution = solve_exact(_basis_rows(k, q_order), rhs)  # nb x dim
     combos = []
     part_basis = sorted(partitions_of(k))
     for b in range(nb):

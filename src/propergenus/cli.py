@@ -86,31 +86,33 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="propergenus")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=_parse_order, default=10, help="truncation order N >= 1")
-    common.add_argument("--tol", type=_parse_finite, default=1e-9, help="numeric tolerance")
     common.add_argument("--json-indent", type=int, default=2)
     common.add_argument("--output", default=None, help="write JSON here instead of stdout")
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
-    weighted.add_argument("--unsigned", action="store_true",
+    unsigned = argparse.ArgumentParser(add_help=False)
+    unsigned.add_argument("--unsigned", action="store_true",
                           help="use the literal unsigned fixed-point formula")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=_parse_finite, default=1e-9, help="numeric tolerance")
 
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser(
-        "witten-genus", parents=[common, weighted],
+        "witten-genus", parents=[common, weighted, unsigned],
         description=(
             "Averaged Witten genus of the weighted action. Without --unsigned the "
             "series is evaluated by two routes, the literal product p_series and "
             "the factored route Theta(adjoint) * Lefschetz, and the two must agree "
             "exactly at every grade."))
     sub.add_parser("elliptic-genera", parents=[common, weighted])
-    lf = sub.add_parser("lefschetz", parents=[common, weighted])
+    lf = sub.add_parser("lefschetz", parents=[common, weighted, unsigned])
     lf.add_argument("--operator", choices=["dirac", "signature"], default="dirac")
     lf.add_argument("--twist", choices=["none", "theta", "theta1", "theta2"], default="theta")
-    sub.add_parser("p-series", parents=[common, weighted])
+    sub.add_parser("p-series", parents=[common, weighted, unsigned])
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
-    tcheck = tsub.add_parser("check", parents=[common])
+    tcheck = tsub.add_parser("check", parents=[common, tolerance])
     tcheck.add_argument("--v", type=_parse_complex, required=True)
     tcheck.add_argument("--tau", type=_parse_complex, required=True)
     texp = tsub.add_parser("expand", parents=[common])
@@ -121,7 +123,7 @@ def build_parser() -> _Parser:
     msub = mf.add_subparsers(dest="action", required=True)
     mexp = msub.add_parser("expand", parents=[common])
     mexp.add_argument("--name", choices=list(MODFORM_NAMES), required=True)
-    mcheck = msub.add_parser("check", parents=[common])
+    mcheck = msub.add_parser("check", parents=[common, tolerance])
     mcheck.add_argument("--tau", type=_parse_complex, required=True)
 
     bundle = sub.add_parser("bundle")

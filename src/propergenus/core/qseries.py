@@ -374,7 +374,7 @@ def _unpack_digits(value: int, B: int, n: int, half: int):
             for i in range(0, len(raw), nbytes)]
 
 
-def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None = None) -> QSeries:
+def _binomial_product(ring: LaurentRing, trunc: int, factors) -> QSeries:
     """The product of binomial factors over a Laurent ring, built in place.
 
     Each factor ``(s, w, h, divide)`` multiplies the running product by
@@ -394,13 +394,8 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
     partial product and of every halfway state of an update.  So
     B = bits(max M_k) + 1, rounded up to whole bytes, never overflows.
 
-    With ``bound`` >= 0, every row is clamped to |e| <= bound after each
-    update, the initial 1 included, exactly as if each partial product
-    were clamped: the digits outside the window are masked off in
-    biased form, where every digit is c + 2^(B-1) >= 0.  A bound >=
-    max|w| 2 trunc can never clip and is ignored.
-
-    The rows are unpacked once at the end, by :func:`_unpack_digits`.
+    The product is exact to q^trunc: no exponent of x is dropped.  The
+    rows are unpacked once at the end, by :func:`_unpack_digits`.
     """
     top = 2 * trunc
     factors = [f for f in factors if f[2] <= top]
@@ -418,15 +413,6 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
     B = _digit_width(max(majorant).bit_length() + 1)
     half = _half(B, 2 * m * top + 1)  # the bias of the widest row
 
-    windows = None
-    if bound is not None and bound < g * m * top:
-        b = bound // g
-        windows = []
-        for k in range(top + 1):
-            lo, hi = max(m * k - b, 0), min(m * k + b, 2 * m * k)
-            window = ((1 << (B * (hi - lo + 1))) - 1) << (B * lo)
-            windows.append((window, half & window))
-
     rows = [1] + [0] * top
     for s, w, h, divide in factors:
         shift = B * (w // g + m * h)
@@ -436,15 +422,11 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, bound: int | None 
                 continue
             src <<= shift
             if s == 1:  # the common s = +-1 needs no multiplication
-                row = rows[k] + src
+                rows[k] += src
             elif s == -1:
-                row = rows[k] - src
+                rows[k] -= src
             else:
-                row = rows[k] + s * src
-            if windows:
-                window, window_half = windows[k]
-                row = ((row + half) & window) - window_half
-            rows[k] = row
+                rows[k] += s * src
 
     out = []
     for k, row in enumerate(rows):

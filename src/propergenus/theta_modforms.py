@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .core.laurent import LaurentPoly
 from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, complex_eval
 from .errors import NotUpperHalfPlane
 
@@ -41,11 +42,11 @@ class ThetaExpansion:
 
 
 def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
-    """Truncated triple-product expansion of a theta function.
+    """Triple-product expansion of a theta function, truncated in q and z.
 
-    z-exponents are clamped to |exponent| <= n_z after each factor;
-    with n_z >= n_q no clamping ever happens because grade q^g carries
-    z-exponents bounded by g.  n_z defaults to n_q and must not be
+    The product is exact to q^n_q; then every term z^e with |e| > n_z is
+    dropped from each grade.  That exact product never carries |e| > n_q,
+    so n_z >= n_q drops nothing.  n_z defaults to n_q and must not be
     negative.
     """
     if kind not in _THETA_SHAPE:
@@ -60,7 +61,10 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
         factors.append((-1, 0, 2 * j, False))  # scalar factor (1 - q^j)
         h = 2 * j - 1 if half_offset else 2 * j
         factors += [(sign, 1, h, False), (sign, -1, h, False)]
-    series = _binomial_product(Z_RING, n_q, factors, bound=n_z)
+    series = _binomial_product(Z_RING, n_q, factors)
+    if n_z < n_q:
+        series = series.map_coefficients(
+            lambda c: LaurentPoly({e: v for e, v in c.coeffs.items() if abs(e) <= n_z}, "z"))
     pref = Fraction(1, 8) if kind in ("theta", "theta1") else Fraction(0)
     return ThetaExpansion(kind, pref, trig, series, n_z)
 

@@ -37,13 +37,12 @@ from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 # -- the dict-row kernel --------------------------------------------------------
 
 
-def reference_binomial_product(ring, trunc, factors, bound=None):
+def reference_binomial_product(ring, trunc, factors):
     """Binomial factors applied on per-grade ``{exponent: coeff}`` rows.
 
     Multiplying by 1 + s x^w q^(h/2) is ``row[k] += s x^w row[k-h]`` for
     k downwards, dividing by 1 - s x^w q^(h/2) the same update for k
-    upwards; with ``bound``, every added term outside |e| <= bound is
-    dropped.
+    upwards.
     """
     top = 2 * trunc
     rows = [{} for _ in range(top + 1)]
@@ -55,8 +54,6 @@ def reference_binomial_product(ring, trunc, factors, bound=None):
             dst = rows[k]
             for e, c in rows[k - h].items():
                 e += w
-                if bound is not None and not -bound <= e <= bound:
-                    continue
                 c = dst.get(e, 0) + s * c
                 if c:
                     dst[e] = c
@@ -121,8 +118,8 @@ def _clamp(poly, n_z):
 
 
 def reference_theta_qexp(kind, n_q, n_z=None):
-    if n_z is None:
-        n_z = n_q
+    """The triple product by series multiplication, exact to q^n_q; with
+    ``n_z``, every term z^e with |e| > n_z is dropped once, at the end."""
     _, sign, half_offset = _THETA_SHAPE[kind]
     series = QSeries.one(Z_RING, n_q)
     for j in range(1, n_q + 1):
@@ -134,7 +131,8 @@ def reference_theta_qexp(kind, n_q, n_z=None):
             factor = QSeries.from_terms(
                 Z_RING, n_q, {0: 1, g: LaurentPoly.monomial(e, sign, "z")})
             series = series * factor
-            series = series.map_coefficients(lambda c: _clamp(c, n_z))
+    if n_z is not None:
+        series = series.map_coefficients(lambda c: _clamp(c, n_z))
     return series
 
 
@@ -207,6 +205,18 @@ def test_theta_qexp_matches_triple_product_loop(kind):
             theta_qexp(kind, n_q, -1)
 
 
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_z_order_truncates_the_exact_expansion(kind):
+    # n_z truncates the exact product: at every grade, theta_qexp keeps the
+    # terms z^e of the unclamped expansion with |e| <= n_z, and only those
+    for n_q in range(1, 9):
+        exact = reference_theta_qexp(kind, n_q)
+        for n_z in range(n_q + 4):
+            got = theta_qexp(kind, n_q, n_z).series
+            for h, c in enumerate(exact.coeffs):
+                assert got.coeffs[h] == _clamp(c, n_z), (n_q, n_z, h)
+
+
 def test_p_series_one_minus_factor():
     # prod (1 - q^n)^(4l), the factors of the -4l lines that p_series folds
     # into every twist, by the kernel equals repeated series multiplication
@@ -268,10 +278,9 @@ def rand_factors(rng, weights, top, count):
              rng.random() < 0.5) for _ in range(count)]
 
 
-def assert_kernels_agree(ring, trunc, factors, bounds=(None,)):
-    for bound in bounds:
-        got = _binomial_product(ring, trunc, factors, bound)
-        assert got == reference_binomial_product(ring, trunc, factors, bound), (factors, bound)
+def assert_kernels_agree(ring, trunc, factors):
+    got = _binomial_product(ring, trunc, factors)
+    assert got == reference_binomial_product(ring, trunc, factors), factors
 
 
 def test_packed_kernel_matches_dict_kernel():
@@ -281,21 +290,18 @@ def test_packed_kernel_matches_dict_kernel():
         weights = weight_sets[i % len(weight_sets)]
         trunc = rng.randint(1, 4)
         factors = rand_factors(rng, weights, 2 * trunc, rng.randint(1, 10))
-        wide = max(abs(w) for _, w, _, _ in factors) * 2 * trunc
-        bounds = (None, 0, 1, wide - 1, wide, wide + 5)
-        assert_kernels_agree(LAMBDA_RING, trunc, factors, [b for b in bounds if b != -1])
+        assert_kernels_agree(LAMBDA_RING, trunc, factors)
 
 
 def test_packed_kernel_edge_lists():
     assert _binomial_product(LAMBDA_RING, 3, []) == QSeries.one(LAMBDA_RING, 3)
-    assert _binomial_product(LAMBDA_RING, 3, [], bound=0) == QSeries.one(LAMBDA_RING, 3)
     # every factor starts above the truncation
     late = [(2, 3, 7, False), (-1, -2, 9, True)]
-    assert _binomial_product(Z_RING, 3, late, bound=1) == QSeries.one(Z_RING, 3)
-    # weights sharing the gcd 3, clamped to a bound that is not a multiple of it
+    assert _binomial_product(Z_RING, 3, late) == QSeries.one(Z_RING, 3)
+    # weights sharing the gcd 3
     rng = random.Random(61)
     factors = rand_factors(rng, [-9, -3, 3, 6], 6, 12)
-    assert_kernels_agree(Z_RING, 3, factors, (None, 0, 2, 4, 7, 53, 54, 80))
+    assert_kernels_agree(Z_RING, 3, factors)
 
 
 def test_packed_kernel_wide_digits():
@@ -304,7 +310,6 @@ def test_packed_kernel_wide_digits():
     got = _binomial_product(LAMBDA_RING, 8, factors)
     assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
     assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
-    assert_kernels_agree(LAMBDA_RING, 8, factors, (0, 3, 15))
 
 
 @pytest.mark.parametrize("n", [16, 256])

@@ -110,6 +110,26 @@ VERB_CALLS = [
 ]
 
 
+TOL_VERBS = (["theta", "check"], ["modforms", "check"])
+UNSIGNED_VERBS = ("witten-genus", "lefschetz", "p-series")
+
+
+@pytest.mark.parametrize("argv", VERB_CALLS, ids=lambda argv: "-".join(argv[:2]))
+def test_tol_and_unsigned_only_where_read(capsys, argv):
+    # --tol belongs to the two checks and --unsigned to the verbs that read
+    # it; anywhere else either one is a usage error with empty stdout
+    for flag, takes in ((["--tol", "1e-3"], argv[:2] in TOL_VERBS),
+                        (["--unsigned"], argv[0] in UNSIGNED_VERBS)):
+        code, out, err = _call(capsys, argv + ["--order", "2", *flag])
+        if takes:
+            assert code in (0, DOMAIN_ERROR)
+            json.loads(out)
+        else:
+            assert code == USAGE_ERROR
+            assert out == ""
+            assert f"unrecognized arguments: {flag[0]}" in err
+
+
 @pytest.mark.parametrize("order", ["0", "-5"])
 @pytest.mark.parametrize("argv", VERB_CALLS, ids=lambda argv: "-".join(argv[:2]))
 def test_order_below_one_is_usage_error(capsys, argv, order):
@@ -139,10 +159,13 @@ def test_negative_leading_weight_parses_either_way(capsys, verb):
         joined = _call(capsys, [verb, "--weights=-3,0,1,2", *rest])
         assert _call(capsys, [verb, "--weights", "-3,0,1,2", *rest]) == joined
         assert _call(capsys, [verb, *rest, "--weights", "-3,0,1,2"]) == joined
+        if joined[0] == USAGE_ERROR:
+            break
         assert joined[0] in (0, DOMAIN_ERROR)
         doc = json.loads(joined[1])
         assert doc.get("weights", [-3, 0, 1, 2]) == [-3, 0, 1, 2]
-    assert joined[0] == (0 if verb == "elliptic-genera" else DOMAIN_ERROR)
+    # elliptic-genera takes no --unsigned
+    assert joined[0] == (USAGE_ERROR if verb == "elliptic-genera" else DOMAIN_ERROR)
 
 
 def test_negative_complex_argument_parses(capsys):

@@ -45,8 +45,10 @@ def test_z_clamp():
     narrow = theta_qexp("theta3", 6, 1)
     for g, c in narrow.series.nonzero_terms():
         assert max(abs(e) for e in c.coeffs) <= 1
-    # inside the clamp window at early grades the two agree
-    assert narrow.series.coefficient(Fraction(1, 2)) == wide.series.coefficient(Fraction(1, 2))
+    # at every grade the clamp keeps exactly the |e| <= 1 terms of the full expansion
+    kept = wide.series.map_coefficients(
+        lambda c: LaurentPoly({e: v for e, v in c.coeffs.items() if abs(e) <= 1}, "z"))
+    assert narrow.series == kept
 
 
 def test_formal_expansion_even_odd_in_z():

@@ -8,22 +8,21 @@ printed here are exact virtual characters.
 
 from fractions import Fraction
 
-from propergenus.core import LAMBDA_RING, QSeries
+from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
 from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
-    VirtualChar,
     ext_total,
-    fourier_coefficient,
     sym_total,
     theta_bundle,
+    tilde,
 )
 
-adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
+adjoint = LaurentPoly({2: 1, -2: 1})
 print("adjoint character  :", adjoint)
-print("rank               :", adjoint.rank)
-print("rank-reduced       :", adjoint.tilde())
+print("rank               :", adjoint.eval_one())
+print("rank-reduced       :", tilde(adjoint))
 
 print()
 print("= Total symmetric and exterior powers =")
@@ -38,15 +37,15 @@ for variant in (THETA, THETA1, THETA2):
     series = theta_bundle(adjoint, variant, N=3)
     print(f"{variant:7}:")
     for grade in (0, Fraction(1, 2), 1, Fraction(3, 2), 2):
-        coeff = fourier_coefficient(series, grade)
-        if not coeff.char.is_zero() or grade <= 1:
-            print(f"   q^{str(grade):4} -> {coeff.char}")
+        coeff = series.coefficient(grade)
+        if not coeff.is_zero() or grade <= 1:
+            print(f"   q^{str(grade):4} -> {coeff}")
 
 print()
 print("= Adams operations: S_t(E) = exp(sum_k psi^k(E) t^k / k) =")
-virtual = VirtualChar.rep(3) - VirtualChar.rep(1)
+virtual = LaurentPoly({3: 1, 1: -1})
 N = 5
 log_sym = QSeries.from_terms(
-    LAMBDA_RING, N, {k: virtual.adams(k).char * Fraction(1, k) for k in range(1, N + 1)})
+    LAMBDA_RING, N, {k: virtual.substitute_power(k) * Fraction(1, k) for k in range(1, N + 1)})
 print("virtual input      :", virtual)
 print("exp agrees with S_q:", log_sym.exp() == sym_total(virtual, 1, 1, N))

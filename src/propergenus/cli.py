@@ -17,9 +17,10 @@ import sys
 from fractions import Fraction
 
 from .chern import solve_cancellation
+from .core.laurent import LaurentPoly
 from .errors import DomainError
 from .induction import averaged_elliptic_genera, averaged_witten_genus, trace_series
-from .lambda_ring import VirtualChar, eval_bundle_expr
+from .lambda_ring import eval_bundle_expr
 from .lefschetz import lefschetz_twisted, p_series
 from .theta_modforms import (
     MODFORM_NAMES,
@@ -236,9 +237,9 @@ def _run_modforms(args) -> dict:
 
 def _run_bundle(args) -> dict:
     value = eval_bundle_expr(args.expr, args.order)
-    if isinstance(value, VirtualChar):
-        body = {"type": "character", "character": value.char.to_json(),
-                "rank": str(Fraction(value.rank))}
+    if isinstance(value, LaurentPoly):
+        body = {"type": "character", "character": value.to_json(),
+                "rank": str(Fraction(value.eval_one()))}
     else:
         body = {"type": "series", "series": value.to_json()}
     return {"verb": "bundle-expand", "expr": args.expr, "order": args.order, **body}

@@ -10,6 +10,7 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 import cmath
+import math
 import struct
 import sys
 from fractions import Fraction
@@ -436,6 +437,17 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors) -> QSeries:
     return QSeries(ring, trunc, out)
 
 
+def _check_tau(tau: complex):
+    """Refuse tau outside the upper half-plane, and tau so close to the
+    real axis that |q|^(1/2) = exp(-pi Im tau) rounds to 1."""
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise NotUpperHalfPlane(f"tau = {tau} is not in the upper half-plane")
+    if math.exp(-math.pi * tau.imag) == 1.0:
+        raise NotUpperHalfPlane(f"tau = {tau} is so close to the real axis "
+                                "that |q|^(1/2) rounds to 1")
+
+
 def complex_eval(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Evaluate a rational-coefficient series at q = exp(2 pi i tau).
 
@@ -443,8 +455,7 @@ def complex_eval(series: QSeries, tau: complex) -> tuple[complex, float]:
     |q|^(N + 1/2) / (1 - |q|^(1/2)) scaled by the magnitude of the
     largest recent coefficient (a heuristic for the dropped tail).
     """
-    if tau.imag <= 0:
-        raise NotUpperHalfPlane(f"tau = {tau} is not in the upper half-plane")
+    _check_tau(tau)
     if not isinstance(series.ring, RationalRing):
         raise RingMismatch("complex_eval needs a rational-coefficient series")
     value = 0j

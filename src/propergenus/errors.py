@@ -47,7 +47,14 @@ class OddWeightSum(DomainError):
 
 
 class NotUpperHalfPlane(DomainError):
+    """tau is not in the upper half-plane, or so close to the real axis
+    that |q|^(1/2) rounds to 1 and no q-series converges numerically."""
     code = "NotUpperHalfPlane"
+
+
+class NumericOverflow(DomainError):
+    """A numeric evaluation left the floating-point range."""
+    code = "NumericOverflow"
 
 
 class SingularSystem(DomainError):

@@ -9,7 +9,8 @@ averaged Witten genus of the induced bundle construction
 
 whose two computation routes (literal three-factor series, or the
 rank-reduced Witten bundle of the weight-(+-2) adjoint character times
-the Witten Lefschetz series) must agree bit for bit.
+the Witten Lefschetz series) must agree exactly as series in lam and q,
+before the trace.
 
 The generic formal-degree functional on a root datum,
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from .core.laurent import LaurentPoly
 from .core.qseries import RATIONAL, LaurentRing, QSeries
 from .errors import DegenerateRootDatum, RingMismatch
-from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle
+from .lambda_ring import THETA, THETA1, THETA2, theta_bundle
 from .lefschetz import (
     DIRAC,
     SIGNATURE,
@@ -64,21 +65,21 @@ def trace_series(s: QSeries) -> QSeries:
     return s.map_coefficients(trace_char, RATIONAL)
 
 
-def _adjoint_char() -> VirtualChar:
-    return VirtualChar.rep(2) + VirtualChar.rep(-2)
+# the weight-(+-2) character of the two-dimensional slice of SL(2,R)
+ADJOINT = LaurentPoly({2: 1, -2: 1})
 
 
 def averaged_witten_genus(weights, N: int = 10) -> QSeries:
     """Trace of the two-variable Witten series of a weighted action.
 
     The literal product route and the factored route are both evaluated
-    and must agree exactly; a disagreement raises AssertionError.
+    and must agree exactly as two-variable series, before the trace; a
+    disagreement raises AssertionError.
     """
-    traced = trace_series(p_series(weights, N))
-    factored = theta_bundle(_adjoint_char(), THETA, N) * lefschetz_witten(weights, N)
-    if trace_series(factored) != traced:
+    literal = p_series(weights, N)
+    if theta_bundle(ADJOINT, THETA, N) * lefschetz_witten(weights, N) != literal:
         raise AssertionError("the two Witten genus routes disagree")
-    return traced
+    return trace_series(literal)
 
 
 def averaged_elliptic_genera(weights, N: int = 8) -> tuple[QSeries, QSeries]:
@@ -86,12 +87,12 @@ def averaged_elliptic_genera(weights, N: int = 8) -> tuple[QSeries, QSeries]:
     every valid weight vector, since the twisted Lefschetz series vanish."""
     validate_weights(weights)
     phi1 = trace_series(
-        theta_bundle(_adjoint_char(), THETA1, N)
+        theta_bundle(ADJOINT, THETA1, N)
         * LaurentPoly({1: 1, -1: 1})  # the spinor character lam + lam^-1
         * lefschetz_twisted(weights, SIGNATURE, THETA1, N)
     )
     phi2 = trace_series(
-        theta_bundle(_adjoint_char(), THETA2, N)
+        theta_bundle(ADJOINT, THETA2, N)
         * lefschetz_twisted(weights, DIRAC, THETA2, N)
     )
     return phi1, phi2

@@ -27,9 +27,11 @@ where E~ = E - rank(E) is the rank-reduced bundle.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 
-from .core.laurent import LAMBDA, LaurentPoly
+from .core.laurent import LaurentPoly
 from .core.qseries import LaurentRing, QSeries, _binomial_product, half_units
 from .errors import NonIntegral
 
@@ -38,85 +40,34 @@ THETA1 = "theta1"
 THETA2 = "theta2"
 
 
-class VirtualChar:
-    """A virtual representation, held as its character."""
-
-    __slots__ = ("char",)
-
-    def __init__(self, char: LaurentPoly):
-        self.char = char
-
-    @classmethod
-    def rep(cls, n: int, var: str = LAMBDA) -> "VirtualChar":
-        """The weight-n one-dimensional representation."""
-        return cls(LaurentPoly.monomial(n, 1, var))
-
-    @classmethod
-    def trivial(cls, d: int, var: str = LAMBDA) -> "VirtualChar":
-        return cls(LaurentPoly.constant(d, var))
-
-    @classmethod
-    def zero(cls, var: str = LAMBDA) -> "VirtualChar":
-        return cls(LaurentPoly.zero(var))
-
-    @property
-    def var(self) -> str:
-        return self.char.var
-
-    @property
-    def rank(self):
-        return self.char.eval_one()
-
-    def __add__(self, other: "VirtualChar") -> "VirtualChar":
-        return VirtualChar(self.char + other.char)
-
-    def __sub__(self, other: "VirtualChar") -> "VirtualChar":
-        return VirtualChar(self.char - other.char)
-
-    def tensor(self, other: "VirtualChar") -> "VirtualChar":
-        return VirtualChar(self.char * other.char)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VirtualChar) and self.char == other.char
-
-    def tilde(self) -> "VirtualChar":
-        """Subtract the trivial bundle of the same rank."""
-        rk = self.rank
-        if not isinstance(rk, int):
-            raise NonIntegral(f"rank {rk} is not an integer")
-        return VirtualChar(self.char - LaurentPoly.constant(rk, self.var))
-
-    def adams(self, k: int) -> "VirtualChar":
-        return VirtualChar(self.char.substitute_power(k))
-
-    def is_genuine(self) -> bool:
-        return all(isinstance(c, int) and c > 0 for c in self.char.coeffs.values())
-
-    def split(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Split into positive and negative weight multiplicities."""
-        pos: dict[int, int] = {}
-        neg: dict[int, int] = {}
-        for e, c in self.char.coeffs.items():
-            if not isinstance(c, int):
-                raise NonIntegral(f"multiplicity {c} at weight {e} is not an integer")
-            if c > 0:
-                pos[e] = c
-            else:
-                neg[e] = -c
-        return pos, neg
-
-    def __str__(self) -> str:
-        return str(self.char)
-
-    __repr__ = __str__
+def tilde(E: LaurentPoly) -> LaurentPoly:
+    """The rank-reduced character E~ = E - rank(E)."""
+    rk = E.eval_one()
+    if not isinstance(rk, int):
+        raise NonIntegral(f"rank {rk} is not an integer")
+    return E - rk
 
 
-def sym_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8) -> QSeries:
+def _split(E: LaurentPoly) -> tuple[dict[int, int], dict[int, int]]:
+    """Split E = P - M into positive and negative weight multiplicities."""
+    pos: dict[int, int] = {}
+    neg: dict[int, int] = {}
+    for e, c in E.coeffs.items():
+        if not isinstance(c, int):
+            raise NonIntegral(f"multiplicity {c} at weight {e} is not an integer")
+        if c > 0:
+            pos[e] = c
+        else:
+            neg[e] = -c
+    return pos, neg
+
+
+def sym_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     """Total symmetric power S_t(E) with t = sign * q^t_grade."""
     return _total_power(E, t_grade, sign, N, exterior=False)
 
 
-def ext_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8) -> QSeries:
+def ext_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     """Total exterior power L_t(E) with t = sign * q^t_grade."""
     return _total_power(E, t_grade, sign, N, exterior=True)
 
@@ -124,7 +75,7 @@ def ext_total(E: VirtualChar, t_grade, sign: int = 1, N: int = 8) -> QSeries:
 def _line_factors(lines, h_t: int, sign: int, exterior: bool):
     """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per line.
 
-    ``lines`` is ``E.split()``.  A weight-w line of P contributes
+    ``lines`` is ``_split(E)``.  A weight-w line of P contributes
     1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
     S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
     a line of M contributes the other one with -t.
@@ -138,17 +89,17 @@ def _line_factors(lines, h_t: int, sign: int, exterior: bool):
                 yield s, w, h_t, divide
 
 
-def _total_power(E: VirtualChar, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
+def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     h_t = half_units(t_grade)
     if h_t < 1:
         raise ValueError("t must carry a positive power of q")
     return _binomial_product(LaurentRing(E.var), N,
-                             _line_factors(E.split(), h_t, sign, exterior))
+                             _line_factors(_split(E), h_t, sign, exterior))
 
 
-def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
+def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
     """Witten-bundle product over the character E itself (no rank reduction).
 
     Factors with first contribution above the truncation are dropped,
@@ -162,24 +113,19 @@ def theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
-    lines = E.split()
+    lines = _split(E)
     return _binomial_product(LaurentRing(E.var), N, (
         f for h_t, sign, exterior in powers
         for f in _line_factors(lines, h_t, sign, exterior)))
 
 
-def theta_bundle(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
+def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
     """Witten bundle of the rank-reduced representation E~ = E - rank(E)."""
-    out = theta_series(E.tilde(), variant, N)
+    out = theta_series(tilde(E), variant, N)
     for g, c in out.nonzero_terms():
         if not c.is_integral():
             raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")
     return out
-
-
-def fourier_coefficient(s: QSeries, grade) -> VirtualChar:
-    """The exact coefficient bundle of q^grade."""
-    return VirtualChar(s.coefficient(grade))
 
 
 # -- textual bundle expressions ---------------------------------------------
@@ -203,7 +149,8 @@ def parse_sexpr(text: str):
         pos += 1
         if tok == "(":
             node = []
-            while tokens[pos] != ")":
+            # read() refuses to run past the end, so an unclosed node raises
+            while pos == len(tokens) or tokens[pos] != ")":
                 node.append(read())
             pos += 1
             return node
@@ -229,65 +176,72 @@ def _parse_t_token(tok: str):
         return Fraction(1), sign
     if not rest.startswith("^"):
         raise ValueError(f"bad q-power token {tok!r}")
-    return Fraction(rest[1:]), sign
+    try:
+        return Fraction(rest[1:]), sign
+    except ZeroDivisionError:
+        raise ValueError(f"bad q-power token {tok!r}") from None
 
 
 def eval_bundle_expr(expr, N: int = 8):
     """Evaluate a parsed (or textual) bundle expression.
 
-    Character nodes yield VirtualChar; series nodes yield QSeries.
-    Mixed sums and tensors lift characters to constant series.
+    Character nodes yield a LaurentPoly in lam; series nodes yield a
+    QSeries.  Mixed sums and tensors lift characters to constant series.
     """
-    if isinstance(expr, str):
-        expr = parse_sexpr(expr)
-    return _eval(expr, N)
+    try:
+        return _eval(parse_sexpr(expr) if isinstance(expr, str) else expr, N)
+    except RecursionError:
+        raise ValueError("bundle expression nested too deeply") from None
 
 
-def _lift(x, N):
-    if isinstance(x, VirtualChar):
-        return QSeries.from_terms(LaurentRing(x.var), N, {0: x.char})
-    return x
+# node -> (number of arguments, whether more may follow), and the folds
+_ARITY = {"rep": (1, False), "trivial": (1, False), "sum": (1, True),
+          "difference": (2, False), "tensor": (1, True), "tilde": (1, False),
+          THETA: (1, False), THETA1: (1, False), THETA2: (1, False),
+          "sym": (2, False), "ext": (2, False)}
+_FOLDS = {"sum": operator.add, "difference": operator.sub, "tensor": operator.mul}
+
+
+def _token(arg) -> str:
+    if not isinstance(arg, str):
+        raise ValueError(f"expected a token, got the node {arg!r}")
+    return arg
+
+
+def _char(head: str, node, N) -> LaurentPoly:
+    val = _eval(node, N)
+    if not isinstance(val, LaurentPoly):
+        raise ValueError(f"{head} applies to characters, not series")
+    return val
 
 
 def _eval(node, N):
     if isinstance(node, str):
         raise ValueError(f"bare token {node!r}; expected a parenthesised node")
+    if not node:
+        raise ValueError("empty bundle node ()")
     head, *args = node
+    if not isinstance(head, str) or head not in _ARITY:
+        raise ValueError(f"unknown bundle node {head!r}")
+    n, more = _ARITY[head]
+    if len(args) < n or (len(args) > n and not more):
+        want = f"at least {n}" if more else str(n)
+        raise ValueError(f"{head} takes {want} argument(s), got {len(args)}")
     if head == "rep":
-        return VirtualChar.rep(int(args[0]))
+        return LaurentPoly.monomial(int(_token(args[0])))
     if head == "trivial":
-        return VirtualChar.trivial(int(args[0]))
-    if head in ("sum", "difference", "tensor"):
+        return LaurentPoly.constant(int(_token(args[0])))
+    if head in _FOLDS:
         vals = [_eval(a, N) for a in args]
-        if head == "difference" and len(vals) != 2:
-            raise ValueError("difference takes exactly two arguments")
-        if all(isinstance(v, VirtualChar) for v in vals):
-            out = vals[0]
-            for v in vals[1:]:
-                out = out - v if head == "difference" else (
-                    out + v if head == "sum" else out.tensor(v))
-            return out
-        vals = [_lift(v, N) for v in vals]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out - v if head == "difference" else (
-                out + v if head == "sum" else out * v)
-        return out
+        if not all(isinstance(v, LaurentPoly) for v in vals):
+            # characters lift to constant series
+            vals = [QSeries.from_terms(LaurentRing(v.var), N, {0: v})
+                    if isinstance(v, LaurentPoly) else v for v in vals]
+        return functools.reduce(_FOLDS[head], vals)
     if head == "tilde":
-        val = _eval(args[0], N)
-        if not isinstance(val, VirtualChar):
-            raise ValueError("tilde applies to characters, not series")
-        return val.tilde()
+        return tilde(_char(head, args[0], N))
     if head in (THETA, THETA1, THETA2):
-        val = _eval(args[0], N)
-        if not isinstance(val, VirtualChar):
-            raise ValueError(f"{head} applies to characters, not series")
-        return theta_series(val, head, N)
-    if head in ("sym", "ext"):
-        grade, sign = _parse_t_token(args[0])
-        val = _eval(args[1], N)
-        if not isinstance(val, VirtualChar):
-            raise ValueError(f"{head} applies to characters, not series")
-        fn = sym_total if head == "sym" else ext_total
-        return fn(val, grade, sign, N)
-    raise ValueError(f"unknown bundle node {head!r}")
+        return theta_series(_char(head, args[0], N), head, N)
+    grade, sign = _parse_t_token(_token(args[0]))
+    fn = sym_total if head == "sym" else ext_total
+    return fn(_char(head, args[1], N), grade, sign, N)

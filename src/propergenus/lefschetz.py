@@ -48,6 +48,7 @@ of the literal sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -62,7 +63,7 @@ from .core.qseries import (
 )
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
-from .lambda_ring import THETA, THETA1, THETA2, VirtualChar, theta_bundle, theta_series
+from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
 
 DIRAC = "dirac"
 SIGNATURE = "signature"
@@ -99,10 +100,9 @@ def validate_weights(weights) -> list[FixedPointDatum]:
     return data
 
 
-def _tangent_char(datum: FixedPointDatum) -> VirtualChar:
+def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
     """Complexified tangent character at a fixed point."""
-    lines = [VirtualChar.rep(sign * w) for w in datum.tangent_weights for sign in (1, -1)]
-    return sum(lines, VirtualChar.zero())
+    return LaurentPoly(Counter(sign * w for w in datum.tangent_weights for sign in (1, -1)))
 
 
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
@@ -329,6 +329,6 @@ def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
     the second route of the Witten genus, which ``induction`` compares.
     """
     data = validate_weights(weights)
-    outer = VirtualChar.rep(2) + VirtualChar.rep(-2) - VirtualChar.trivial(2 * len(data))
+    outer = LaurentPoly({2: 1, -2: 1, 0: -2 * len(data)})
     point_series = [theta_series(_tangent_char(d) + outer, THETA, N) for d in data]
     return _assemble(data, point_series, DIRAC, signed)

@@ -11,13 +11,14 @@ numerically to a requested tolerance.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .core.laurent import LaurentPoly
-from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, complex_eval
-from .errors import NotUpperHalfPlane
+from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, _check_tau, complex_eval
+from .errors import NumericOverflow
 
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
 
@@ -72,11 +73,6 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
 class EvalResult(NamedTuple):
     value: complex
     tail: float
-
-
-def _check_tau(tau: complex):
-    if complex(tau).imag <= 0:
-        raise NotUpperHalfPlane(f"tau = {tau} is not in the upper half-plane")
 
 
 def theta_eval(kind: str, v: complex, tau: complex, N: int = 40) -> EvalResult:
@@ -146,15 +142,35 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = 40,
                "theta2": 1.0, "theta3": 1.0}
     s_partner = {"theta": "theta", "theta1": "theta2",
                  "theta2": "theta1", "theta3": "theta3"}
-    residuals: dict[str, float] = {}
-    for kind in THETA_KINDS:
-        lhs = theta_eval(kind, v, tau + 1, N).value
-        rhs = t_phase[kind] * theta_eval(t_partner[kind], v, tau, N).value
-        residuals[f"{kind}_T"] = abs(lhs - rhs)
-        lhs = theta_eval(kind, v, -1 / tau, N).value
-        extra = 1 / 1j if kind == "theta" else 1.0
-        rhs = extra * _s_factor(tau, v) * theta_eval(s_partner[kind], tau * v, tau, N).value
-        residuals[f"{kind}_S"] = abs(lhs - rhs)
+
+    def residuals():
+        out: dict[str, float] = {}
+        for kind in THETA_KINDS:
+            lhs = theta_eval(kind, v, tau + 1, N).value
+            rhs = t_phase[kind] * theta_eval(t_partner[kind], v, tau, N).value
+            out[f"{kind}_T"] = abs(lhs - rhs)
+            lhs = theta_eval(kind, v, -1 / tau, N).value
+            extra = 1 / 1j if kind == "theta" else 1.0
+            rhs = extra * _s_factor(tau, v) * theta_eval(s_partner[kind], tau * v, tau, N).value
+            out[f"{kind}_S"] = abs(lhs - rhs)
+        return out
+
+    return _report(residuals, tol)
+
+
+def _report(residuals_of, tol: float) -> dict:
+    """Judge the residuals that residuals_of() computes against tol.
+
+    An evaluation that leaves the floating-point range, by overflow or by
+    dividing by an underflowed zero, raises NumericOverflow, and so does a
+    residual that is not finite: it decides nothing, and JSON cannot hold it.
+    """
+    try:
+        residuals = residuals_of()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericOverflow(f"the evaluation left the floating-point range: {exc}") from None
+    if not all(map(math.isfinite, residuals.values())):
+        raise NumericOverflow("a residual is not a finite number")
     failed = sorted(name for name, r in residuals.items() if not r < tol)
     return {
         "residuals": residuals,
@@ -234,14 +250,7 @@ def verify_modform_transforms(tau: complex, N: int = 60, tol: float = 1e-8) -> d
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
     _check_tau(tau)
     inv = -1 / tau
-    residuals = {
+    return _report(lambda: {
         "delta2_S": abs(modform_eval("delta2", inv, N) - tau ** 2 * modform_eval("delta1", tau, N)),
         "eps2_S": abs(modform_eval("eps2", inv, N) - tau ** 4 * modform_eval("eps1", tau, N)),
-    }
-    failed = sorted(name for name, r in residuals.items() if not r < tol)
-    return {
-        "residuals": residuals,
-        "tolerance": tol,
-        "failed": failed,
-        "all_passed": not failed,
-    }
+    }, tol)

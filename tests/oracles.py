@@ -46,13 +46,13 @@ from propergenus.core import (
     half_units,
 )
 from propergenus.errors import NonIntegral
-from propergenus.lambda_ring import THETA, THETA1, THETA2, VirtualChar
+from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
 
 # -- Adams-operation exponential ---------------------------------------------
 
 
-def adams_total_power(E: VirtualChar, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
+def adams_total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
     """S_t(E) or L_t(E), t = sign * q^t_grade, as the exponential of its
     Adams-operation logarithm; E may have rational multiplicities."""
     h_t = half_units(t_grade)
@@ -62,12 +62,12 @@ def adams_total_power(E: VirtualChar, t_grade, sign: int, N: int, exterior: bool
         c = Fraction(sign ** k, k)
         if exterior and k % 2 == 0:
             c = -c
-        arg.coeffs[k * h_t] = arg.coeffs[k * h_t] + E.adams(k).char * c
+        arg.coeffs[k * h_t] = arg.coeffs[k * h_t] + E.substitute_power(k) * c
         k += 1
     return arg.exp()
 
 
-def adams_theta_series(E: VirtualChar, variant: str = THETA, N: int = 8) -> QSeries:
+def adams_theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
     """The Witten-bundle product over E, one Adams exponential per factor."""
     out = QSeries.one(LaurentRing(E.var), N)
     for n in range(1, N + 1):

@@ -26,11 +26,12 @@ from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
-    VirtualChar,
+    _split,
     ext_total,
     sym_total,
     theta_bundle,
     theta_series,
+    tilde,
 )
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 
@@ -87,7 +88,7 @@ def _two_term_factor(ring, w: int, h_t: int, sign: int, trunc: int) -> QSeries:
 def reference_total_power(E, t_grade, sign, N, exterior):
     h_t = half_units(t_grade)
     ring = LaurentRing(E.var)
-    pos, neg = E.split()
+    pos, neg = _split(E)
     out = QSeries.one(ring, N)
     # S_t(P - M) = S_t(P) L_{-t}(M);  L_t(P - M) = L_t(P) S_{-t}(M)
     for weights, flip in ((pos, False), (neg, True)):
@@ -154,7 +155,7 @@ def rand_char(rng, var="lam"):
     coeffs = {0: rng.choice([-3, -2, -1, 1, 2, 3])}
     for _ in range(rng.randint(1, 3)):
         coeffs[rng.choice([w for w in range(-5, 6) if w])] = rng.choice([-2, -1, 1, 2])
-    return VirtualChar(LaurentPoly(coeffs, var))
+    return LaurentPoly(coeffs, var)
 
 
 GRADES = (Fraction(1, 2), 1, Fraction(3, 2))
@@ -169,7 +170,7 @@ def test_total_powers_match_convolution_route():
         grade = rng.choice(GRADES)
         sign = rng.choice([1, -1])
         signs_seen.add(sign)
-        mults_seen.update(c > 0 for c in E.char.coeffs.values())
+        mults_seen.update(c > 0 for c in E.coeffs.values())
         assert sym_total(E, grade, sign, N) == reference_total_power(E, grade, sign, N, False)
         assert ext_total(E, grade, sign, N) == reference_total_power(E, grade, sign, N, True)
     assert signs_seen == {1, -1} and mults_seen == {True, False}
@@ -180,7 +181,7 @@ def test_theta_series_matches_convolution_route():
     for i in range(30):
         E = rand_char(rng, var="mu" if i % 2 else "lam")
         if i % 3 == 0:
-            E = VirtualChar(E.char - LaurentPoly.constant(E.rank, E.var))
+            E = tilde(E)
         N = rng.randint(1, 5)
         for variant in (THETA, THETA1, THETA2):
             assert theta_series(E, variant, N) == reference_theta_series(E, variant, N)
@@ -188,11 +189,11 @@ def test_theta_series_matches_convolution_route():
 
 def test_theta_bundle_of_tangent_character_matches_convolution_route():
     # a fixed-point tangent character of CP^3, as lefschetz builds it
-    E = VirtualChar.zero("mu")
+    E = LaurentPoly.zero("mu")
     for w in (1, 2, 5):
-        E = E + VirtualChar(LaurentPoly({2 * w: 1, -2 * w: 1}, "mu"))
+        E = E + LaurentPoly({2 * w: 1, -2 * w: 1}, "mu")
     for variant in (THETA, THETA1, THETA2):
-        assert theta_bundle(E, variant, 6) == reference_theta_series(E.tilde(), variant, 6)
+        assert theta_bundle(E, variant, 6) == reference_theta_series(tilde(E), variant, 6)
 
 
 @pytest.mark.parametrize("kind", THETA_KINDS)
@@ -227,20 +228,23 @@ def test_divide_undoes_multiply():
 
 
 def test_product_route_refuses_non_integral_character():
-    for coeffs in (
-        {2: Fraction(1, 2), 0: 1},                # rank 3/2
-        {0: Fraction(1, 3)},                      # fractional rank, weight 0 only
-        {2: Fraction(1, 2), -2: Fraction(1, 2)},  # integral rank, half multiplicities
+    # theta_bundle checks the rank of E before the multiplicities of E~
+    for coeffs, lines, rank in (
+        ({2: Fraction(1, 2), 0: 1}, "multiplicity 1/2 at weight 2", "rank 3/2"),
+        ({0: Fraction(1, 3)}, "multiplicity 1/3 at weight 0", "rank 1/3"),
+        ({2: Fraction(1, 2), -2: Fraction(1, 2)}, "multiplicity 1/2 at weight 2",
+         "multiplicity 1/2 at weight 2"),  # integral rank
     ):
-        E = VirtualChar(LaurentPoly(coeffs))
-        with pytest.raises(NonIntegral):
+        E = LaurentPoly(coeffs)
+        lines, rank = f"^{lines} is not an integer$", f"^{rank} is not an integer$"
+        with pytest.raises(NonIntegral, match=lines):
             sym_total(E, 1, 1, 3)
-        with pytest.raises(NonIntegral):
+        with pytest.raises(NonIntegral, match=lines):
             ext_total(E, 1, 1, 3)
         for variant in (THETA, THETA1, THETA2):
-            with pytest.raises(NonIntegral):
+            with pytest.raises(NonIntegral, match=lines):
                 theta_series(E, variant, 3)
-            with pytest.raises(NonIntegral):
+            with pytest.raises(NonIntegral, match=rank):
                 theta_bundle(E, variant, 3)
 
 

@@ -15,9 +15,9 @@ from propergenus.chern import (
     solve_exact,
     witten_chern_series,
 )
-from propergenus.core import RATIONAL, QSeries
+from propergenus.core import RATIONAL, LaurentPoly, QSeries
 from propergenus.errors import InconsistentSystem, SingularSystem
-from propergenus.lambda_ring import THETA2, VirtualChar, theta_bundle
+from propergenus.lambda_ring import THETA2, theta_bundle
 from propergenus.theta_modforms import modform_qexp
 
 
@@ -81,7 +81,7 @@ def test_ch_witten_grade_zero_and_half():
 
 def test_ch_witten_rank_sequence_matches_lambda_ring():
     # rank-4 genuine character at a fixed point (k = 1)
-    E = VirtualChar.rep(1) + VirtualChar.rep(-1) + VirtualChar.rep(2) + VirtualChar.rep(-2)
+    E = LaurentPoly({1: 1, -1: 1, 2: 1, -2: 1})
     lam_side = theta_bundle(E, THETA2, N=3)
     chern_side = witten_chern_series(1, 3)
     for h in range(7):

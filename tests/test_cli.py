@@ -95,6 +95,34 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("expr", [
+    "(rep)", "(sum)", "(tensor)", "(tilde)", "(theta)", "(sym q)", "(rep 1",
+    "(rep 1 2)", "(tilde (rep 1) (rep 2))", "(rep (rep 1))", "(sym (rep 1) (rep 0))",
+    "(sym q^1/0 (rep 1))",
+    pytest.param("(tilde " * 2000 + "(rep 1)" + ")" * 2000, id="nested-2000"),
+    pytest.param("(" * 2000, id="open-2000"),
+])
+def test_malformed_bundle_expression_is_usage_error(capsys, expr):
+    with pytest.raises(SystemExit) as exc:
+        main(["bundle", "expand", "--expr", expr, "--order", "2"])
+    assert exc.value.code == USAGE_ERROR
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["theta", "check", "--v", "0,300", "--tau", "0,1"], "NumericOverflow"),
+    (["theta", "check", "--v", "0,120", "--tau", "0,1"], "NumericOverflow"),
+    (["theta", "check", "--v", "0.1,0", "--tau", "0,1e-300"], "NotUpperHalfPlane"),
+    (["theta", "check", "--v", "0.1,0", "--tau", "0,1e300"], "NotUpperHalfPlane"),
+    (["modforms", "check", "--tau", "0,1e-300"], "NotUpperHalfPlane"),
+])
+def test_numeric_check_out_of_range_is_domain_error(capsys, argv, code):
+    # finite input whose evaluation cannot be done in floating point
+    exit_code, out = run(capsys, *argv, "--order", "20")
+    assert exit_code == DOMAIN_ERROR
+    assert json.loads(out)["error"]["code"] == code
+
+
 # one call of every verb, each with what it requires; --order is appended
 VERB_CALLS = [
     ["witten-genus", "--weights", "0,1,2,5"],

@@ -15,7 +15,7 @@ from propergenus.induction import (
     trace_char,
     trace_series,
 )
-from propergenus.lambda_ring import THETA, VirtualChar, theta_bundle
+from propergenus.lambda_ring import THETA, theta_bundle
 from propergenus.lefschetz import lefschetz_witten, p_series
 
 
@@ -59,7 +59,7 @@ def test_witten_genus_cp3_grade_zero():
 def test_witten_genus_routes_agree_to_grade_ten():
     ws = (0, 1, 2, 3)
     traced = trace_series(p_series(ws, 10))
-    adjoint = VirtualChar.rep(2) + VirtualChar.rep(-2)
+    adjoint = LaurentPoly({2: 1, -2: 1})
     factored = trace_series(theta_bundle(adjoint, THETA, 10) * lefschetz_witten(ws, 10))
     assert traced == factored
     # averaged_witten_genus runs the same comparison internally
@@ -78,6 +78,22 @@ def test_witten_genus_route_check_fires(monkeypatch):
     with pytest.raises(AssertionError, match="disagree"):
         averaged_witten_genus((0, 1, 2, 5), N=4)
 
+
+
+def test_witten_genus_route_check_compares_before_the_trace(monkeypatch):
+    original = induction.p_series
+
+    def perturbed(weights, N):
+        # lam^2 - 1 at the top grade: the trace sends lam^2 and 1 both to
+        # -1, so the traced routes still agree
+        out = original(weights, N)
+        extra = QSeries.from_terms(LAMBDA_RING, N, {N: LaurentPoly({2: 1, 0: -1})})
+        assert trace_series(extra).is_zero()
+        return out + extra
+
+    monkeypatch.setattr(induction, "p_series", perturbed)
+    with pytest.raises(AssertionError, match="disagree"):
+        averaged_witten_genus((0, 1, 2, 5), N=4)
 
 def test_witten_genus_nonzero_case():
     g = averaged_witten_genus((0, 1, 2, 5), N=8)

@@ -4,24 +4,24 @@ from fractions import Fraction
 import pytest
 
 from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
-from propergenus.errors import GradeOutOfRange
+from propergenus.errors import GradeOutOfRange, NonIntegral
 from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
-    VirtualChar,
+    _split,
     eval_bundle_expr,
     ext_total,
-    fourier_coefficient,
     parse_sexpr,
     sym_total,
     theta_bundle,
     theta_series,
+    tilde,
 )
 
 from oracles import adams_theta_series, adams_total_power
 
-ADJOINT = VirtualChar.rep(2) + VirtualChar.rep(-2)
+ADJOINT = LaurentPoly({2: 1, -2: 1})
 
 
 def lam(d):
@@ -29,18 +29,18 @@ def lam(d):
 
 
 def test_sym_trivial_line():
-    s = sym_total(VirtualChar.rep(0), 1, 1, 4)
+    s = sym_total(LaurentPoly.monomial(0), 1, 1, 4)
     assert s == QSeries.from_terms(LAMBDA_RING, 4, {i: 1 for i in range(5)})
 
 
 def test_sym_weight_two_line():
-    s = sym_total(VirtualChar.rep(2), 1, 1, 4)
+    s = sym_total(LaurentPoly.monomial(2), 1, 1, 4)
     assert s == QSeries.from_terms(LAMBDA_RING, 4, {i: lam({2 * i: 1}) for i in range(5)})
 
 
 def test_sym_virtual_difference_is_quotient_of_geometrics():
     # oracle: divide the two geometric series with plain series arithmetic
-    E = VirtualChar.rep(2) - VirtualChar.rep(0)
+    E = LaurentPoly.monomial(2) - LaurentPoly.monomial(0)
     got = sym_total(E, 1, 1, 6)
     numer = QSeries.from_terms(LAMBDA_RING, 6, {0: 1, 1: -1})          # 1 - q
     denom = QSeries.from_terms(LAMBDA_RING, 6, {0: 1, 1: lam({2: -1})})  # 1 - lam^2 q
@@ -50,13 +50,13 @@ def test_sym_virtual_difference_is_quotient_of_geometrics():
 
 
 def test_ext_line_at_half_grade():
-    s = ext_total(VirtualChar.rep(0), Fraction(1, 2), -1, 3)
+    s = ext_total(LaurentPoly.monomial(0), Fraction(1, 2), -1, 3)
     assert s == QSeries.from_terms(LAMBDA_RING, 3, {0: 1, Fraction(1, 2): -1})
 
 
 def test_ext_difference_identity():
     E = ADJOINT
-    F = VirtualChar.trivial(2)
+    F = LaurentPoly.constant(2)
     lhs = ext_total(E - F, 1, 1, 6)
     rhs = ext_total(E, 1, 1, 6) * ext_total(F, 1, 1, 6).inverse()
     assert lhs == rhs
@@ -83,30 +83,30 @@ def test_theta2_adjoint_coefficients():
     assert t2.coefficient(1) == lam({0: 2, 2: -1, -2: -1})
 
 
-def test_fourier_coefficient_grade_zero_is_trivial():
+def test_series_coefficient_grade_zero_is_trivial():
     for variant in (THETA, THETA1, THETA2):
         s = theta_bundle(ADJOINT, variant, N=3)
-        assert fourier_coefficient(s, 0).char == lam({0: 1})
+        assert s.coefficient(0) == lam({0: 1})
 
 
-def test_fourier_coefficient_theta1_grade_two():
+def test_series_coefficient_theta1_grade_two():
     s = theta_bundle(ADJOINT, THETA1, N=3)
     p = lam({2: 1, -2: 1})
     expected = (p * p - 3 * p + LaurentPoly.constant(2)) * 2
-    assert fourier_coefficient(s, 2).char == expected
+    assert s.coefficient(2) == expected
 
 
-def test_fourier_coefficient_beyond_truncation():
+def test_series_coefficient_beyond_truncation():
     s = theta_bundle(ADJOINT, THETA, N=2)
     with pytest.raises(GradeOutOfRange):
-        fourier_coefficient(s, 3)
+        s.coefficient(3)
 
 
 def rand_genuine(rng, max_summands=4, max_weight=5):
     char = LaurentPoly.zero()
     for _ in range(rng.randint(1, max_summands)):
         char = char + LaurentPoly.monomial(rng.randint(-max_weight, max_weight), 1)
-    return VirtualChar(char)
+    return char
 
 
 def test_sym_ext_inverse_pairs_random():
@@ -151,7 +151,7 @@ def test_integrality_through_adams_route():
         E = rand_genuine(rng)
         n = rng.randint(1, 5)
         for variant in (THETA, THETA1, THETA2):
-            s = adams_theta_series(E.tilde(), variant, n)
+            s = adams_theta_series(tilde(E), variant, n)
             for _, c in s.nonzero_terms():
                 assert c.is_integral()
             assert s == theta_bundle(E, variant, n)
@@ -159,9 +159,9 @@ def test_integrality_through_adams_route():
 
 def test_rank_sequence_of_reduced_bundle():
     # tangent character of CP^3 at a fixed point of the (0,1,2,3) action
-    E = VirtualChar.zero()
+    E = LaurentPoly.zero()
     for w in (1, 2, 3):
-        E = E + VirtualChar.rep(w) + VirtualChar.rep(-w)
+        E = E + LaurentPoly.monomial(w) + LaurentPoly.monomial(-w)
     s = theta_bundle(E, THETA, N=5)
     ranks = [s.coefficient(g).eval_one() for g in range(6)]
     assert ranks == [1, 0, 0, 0, 0, 0]
@@ -174,25 +174,27 @@ def test_parse_and_eval_bundle_expr():
     assert series == theta_bundle(ADJOINT, THETA1, N=3)
 
     char = eval_bundle_expr("(difference (rep 2) (trivial 1))", N=3)
-    assert char.char == lam({2: 1, 0: -1})
+    assert char == lam({2: 1, 0: -1})
 
     series2 = eval_bundle_expr("(sym q^2 (rep 0))", N=4)
-    assert series2 == sym_total(VirtualChar.rep(0), 2, 1, 4)
+    assert series2 == sym_total(LaurentPoly.monomial(0), 2, 1, 4)
 
     series3 = eval_bundle_expr("(ext -q^1/2 (rep 0))", N=2)
-    assert series3 == ext_total(VirtualChar.rep(0), Fraction(1, 2), -1, 2)
+    assert series3 == ext_total(LaurentPoly.monomial(0), Fraction(1, 2), -1, 2)
 
     # characters lift to constant series inside mixed nodes
     mixed = eval_bundle_expr("(tensor (theta (tilde (rep 2))) (trivial 3))", N=2)
-    assert mixed == theta_bundle(VirtualChar.rep(2), THETA, N=2).scale(3)
+    assert mixed == theta_bundle(LaurentPoly.monomial(2), THETA, N=2).scale(3)
 
 
 def test_tilde_is_rank_zero():
-    assert ADJOINT.tilde().rank == 0
-    assert ADJOINT.tilde().char == lam({2: 1, -2: 1, 0: -2})
+    assert tilde(ADJOINT).eval_one() == 0
+    assert tilde(ADJOINT) == lam({2: 1, -2: 1, 0: -2})
 
 
 def test_genuine_detection():
-    assert ADJOINT.is_genuine()
-    assert not ADJOINT.tilde().is_genuine()
-    assert not VirtualChar(lam({0: Fraction(1, 2)})).is_genuine()
+    # a genuine character splits with no negative part
+    assert _split(ADJOINT) == ({2: 1, -2: 1}, {})
+    assert _split(tilde(ADJOINT)) == ({2: 1, -2: 1}, {0: 2})
+    with pytest.raises(NonIntegral, match=r"^multiplicity 1/2 at weight 0 is not an integer$"):
+        _split(lam({0: Fraction(1, 2)}))

@@ -45,8 +45,8 @@ except Exception as exc:
     print("1/(mu-1)           : rejected,", type(exc).__name__)
 
 print()
-print("= Numeric evaluation with a tail bound =")
-q_series = QSeries.from_terms(RATIONAL, 20, {1: 1})
-value, tail = complex_eval(q_series, 1j)
-print(f"q at tau=i         : {value.real:.8f}  (exp(-2 pi) = 0.00186744...),"
-      f" tail < {tail:.1e}")
+print("= Numeric evaluation and its scale =")
+series = QSeries.from_terms(RATIONAL, 20, {0: 1, 1: -1})
+value, scale = complex_eval(series, 1j)
+print(f"1 - q at tau=i     : {value.real:.8f}  (1 - exp(-2 pi) = 0.998132557...),"
+      f" scale sum |c_h| |q|^(h/2) = {scale:.8f}")

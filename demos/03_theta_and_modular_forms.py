@@ -27,9 +27,9 @@ for kind in THETA_KINDS:
 
 print()
 print("= Numeric values on the imaginary axis =")
-print("theta (0, i) :", theta_eval("theta", 0, 1j).value)
-print("theta1(0, i) :", f"{theta_eval('theta1', 0, 1j).value.real:.12f}")
-print("theta2(0, i) :", f"{theta_eval('theta2', 0, 1j).value.real:.12f}   (equal by the S-law)")
+print("theta (0, i) :", theta_eval("theta", 0, 1j)[0])
+print("theta1(0, i) :", f"{theta_eval('theta1', 0, 1j)[0].real:.12f}")
+print("theta2(0, i) :", f"{theta_eval('theta2', 0, 1j)[0].real:.12f}   (equal by the S-law)")
 
 print()
 print("= The eight transformation laws =")

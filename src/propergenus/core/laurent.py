@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import NonIntegral, NonUnitConstantTerm
+from ..errors import NonUnitConstantTerm
 
 Scalar = int | Fraction
 
@@ -29,10 +29,6 @@ def normalize_scalar(c: Scalar) -> Scalar:
 
 def scalar_to_str(c: Scalar) -> str:
     return str(Fraction(c)) if not isinstance(c, int) else str(c)
-
-
-def scalar_from_str(s: str) -> Scalar:
-    return normalize_scalar(Fraction(s))
 
 
 class LaurentPoly:
@@ -72,9 +68,6 @@ class LaurentPoly:
 
     def is_constant(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {0}
-
-    def constant_value(self) -> Scalar:
-        return self.coeffs.get(0, 0)
 
     def min_exp(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
@@ -176,17 +169,6 @@ class LaurentPoly:
             raise ValueError("substitution power must be >= 1")
         return LaurentPoly({e * k: c for e, c in self.coeffs.items()}, self.var)
 
-    def double_exponents(self, var: str = MU) -> "LaurentPoly":
-        """View a polynomial in lam as one in mu via lam = mu**2."""
-        return LaurentPoly({2 * e: c for e, c in self.coeffs.items()}, var)
-
-    def halve_exponents(self, var: str = LAMBDA) -> "LaurentPoly":
-        """Inverse of :meth:`double_exponents`; all exponents must be even."""
-        for e in self.coeffs:
-            if e % 2 != 0:
-                raise NonIntegral(f"odd exponent {e} cannot be halved into {var}")
-        return LaurentPoly({e // 2: c for e, c in self.coeffs.items()}, var)
-
     def evaluate(self, x):
         """Evaluate at a nonzero scalar (Fraction or complex)."""
         total = 0
@@ -205,10 +187,6 @@ class LaurentPoly:
 
     def to_json(self) -> dict[str, str]:
         return {str(e): scalar_to_str(c) for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, obj: dict[str, str], var: str = LAMBDA) -> "LaurentPoly":
-        return cls({int(e): scalar_from_str(c) for e, c in obj.items()}, var)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -23,7 +23,7 @@ from ..errors import (
     NotUpperHalfPlane,
     RingMismatch,
 )
-from .laurent import LaurentPoly, normalize_scalar, scalar_from_str, scalar_to_str
+from .laurent import LaurentPoly, normalize_scalar, scalar_to_str
 
 
 class RationalRing:
@@ -52,9 +52,6 @@ class RationalRing:
 
     def to_json(self, x) -> str:
         return scalar_to_str(x)
-
-    def from_json(self, s):
-        return scalar_from_str(s)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalRing)
@@ -96,9 +93,6 @@ class LaurentRing:
 
     def to_json(self, x):
         return x.to_json()
-
-    def from_json(self, obj):
-        return LaurentPoly.from_json(obj, self.var)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentRing) and self.var == other.var
@@ -286,11 +280,6 @@ class QSeries:
         ring = ring or self.ring
         return QSeries(ring, self.trunc, [fn(c) for c in self.coeffs])
 
-    def truncate(self, n: int) -> "QSeries":
-        if n > self.trunc:
-            raise GradeOutOfRange(f"cannot extend truncation {self.trunc} to {n}")
-        return QSeries(self.ring, n, self.coeffs[: 2 * n + 1])
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -301,14 +290,6 @@ class QSeries:
                 for h, c in enumerate(self.coeffs)
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict, ring) -> "QSeries":
-        s = cls(ring, int(obj["truncation"]))
-        for term in obj["terms"]:
-            h = half_units(Fraction(term["grade"]))
-            s.coeffs[h] = ring.from_json(term["coeff"])
-        return s
 
     def __str__(self) -> str:
         parts = []
@@ -451,19 +432,17 @@ def _check_tau(tau: complex):
 def complex_eval(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Evaluate a rational-coefficient series at q = exp(2 pi i tau).
 
-    Returns the value and a tail-bound estimate
-    |q|^(N + 1/2) / (1 - |q|^(1/2)) scaled by the magnitude of the
-    largest recent coefficient (a heuristic for the dropped tail).
+    Returns the value and its scale sum_h |c_h| |q|^(h/2), the size of
+    the terms summed, which sets the size of the rounding error.
     """
     _check_tau(tau)
     if not isinstance(series.ring, RationalRing):
         raise RingMismatch("complex_eval needs a rational-coefficient series")
     value = 0j
+    scale = 0.0
     for h, c in enumerate(series.coeffs):
         if c != 0:
-            value += float(c) * cmath.exp(2j * cmath.pi * tau * (h / 2.0))
-    absq_half = abs(cmath.exp(1j * cmath.pi * tau))
-    top = [abs(float(c)) for c in series.coeffs[-(series.trunc + 1):]]
-    scale = max(top) if top and max(top) > 0 else 1.0
-    tail = scale * absq_half ** (2 * series.trunc + 1) / (1.0 - absq_half)
-    return value, tail
+            term = float(c) * cmath.exp(2j * cmath.pi * tau * (h / 2.0))
+            value += term
+            scale += abs(term)
+    return value, scale

@@ -5,7 +5,8 @@ with Laurent coefficients in z = e^(2 pi i v), and as numeric products
 for complex arguments.  The modular forms delta_1, eps_1, delta_2,
 eps_2 are exact divisor-sum q-series; their transformation laws under
 tau -> -1/tau and the eight theta transformation laws are verified
-numerically to a requested tolerance.
+numerically to a requested tolerance, relative to the size of the terms
+each evaluation sums or multiplies.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core.laurent import LaurentPoly
 from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, _check_tau, complex_eval
@@ -70,13 +70,14 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     return ThetaExpansion(kind, pref, trig, series, n_z)
 
 
-class EvalResult(NamedTuple):
-    value: complex
-    tail: float
+def theta_eval(kind: str, v: complex, tau: complex, N: int = 40) -> tuple[complex, float]:
+    """Numeric theta value from the infinite product, truncated at j <= N,
+    and its scale: the same product over absolute values,
+    |pref| prod_j |1 - q^j| (1 + |z q_h|) (1 + |q_h / z|).
 
-
-def theta_eval(kind: str, v: complex, tau: complex, N: int = 40) -> EvalResult:
-    """Numeric theta value from the infinite product, truncated at j <= N."""
+    The scale bounds every partial product, so it sets the size of the
+    rounding error even where the value itself cancels to zero.
+    """
     if kind not in _THETA_SHAPE:
         raise ValueError(f"unknown theta kind {kind!r}")
     _check_tau(tau)
@@ -90,33 +91,20 @@ def theta_eval(kind: str, v: complex, tau: complex, N: int = 40) -> EvalResult:
     else:
         pref = 1.0
     value = complex(pref)
-    for j in range(1, N + 1):
-        qj = q ** j
-        # fractional q-powers must come from tau itself, not a branch cut
-        qh = cmath.exp(2j * cmath.pi * tau * (j - 0.5)) if half_offset else qj
-        value *= (1 - qj) * (1 + sign * z * qh) * (1 + sign * qh / z)
-    growth = 2.0 + abs(z) + 1.0 / abs(z)
-    absq = abs(q)
-    log_tail = growth * absq ** (N + 0.5) / (1.0 - absq)
-    tail = abs(value) * (cmath.exp(log_tail).real - 1.0) if absq < 1 else float("inf")
-    return EvalResult(value, tail)
-
-
-def theta_expansion_eval(exp: ThetaExpansion, v: complex, tau: complex) -> complex:
-    """Numeric value of a formal expansion at z = e^(2 pi i v)."""
-    _check_tau(tau)
-    z = cmath.exp(2j * cmath.pi * v)
-    q_pow = cmath.exp(2j * cmath.pi * tau * float(exp.prefactor_exponent))
-    if exp.trig == "sin":
-        pref = 2 * q_pow * cmath.sin(cmath.pi * v)
-    elif exp.trig == "cos":
-        pref = 2 * q_pow * cmath.cos(cmath.pi * v)
-    else:
-        pref = q_pow
-    total = 0j
-    for g, c in exp.series.nonzero_terms():
-        total += c.evaluate(z) * cmath.exp(2j * cmath.pi * tau * float(g))
-    return pref * total
+    scale = abs(pref)
+    absz = abs(z)
+    qj = 1.0
+    # q_h = q^j or q^(j - 1/2); the half power must come from tau itself,
+    # not a branch cut
+    qh = cmath.exp(1j * cmath.pi * tau) if half_offset else q
+    for _ in range(N):
+        qj *= q
+        a = 1 - qj
+        value *= a * (1 + sign * z * qh) * (1 + sign * qh / z)
+        absqh = abs(qh)
+        scale *= abs(a) * (1 + absz * absqh) * (1 + absqh / absz)
+        qh *= q
+    return value, scale
 
 
 def _s_factor(tau: complex, v: complex) -> complex:
@@ -143,34 +131,46 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = 40,
     s_partner = {"theta": "theta", "theta1": "theta2",
                  "theta2": "theta1", "theta3": "theta3"}
 
-    def residuals():
-        out: dict[str, float] = {}
+    def sides():
+        out = {}
         for kind in THETA_KINDS:
-            lhs = theta_eval(kind, v, tau + 1, N).value
-            rhs = t_phase[kind] * theta_eval(t_partner[kind], v, tau, N).value
-            out[f"{kind}_T"] = abs(lhs - rhs)
-            lhs = theta_eval(kind, v, -1 / tau, N).value
+            out[f"{kind}_T"] = (theta_eval(kind, v, tau + 1, N),
+                                _times(t_phase[kind], theta_eval(t_partner[kind], v, tau, N)))
             extra = 1 / 1j if kind == "theta" else 1.0
-            rhs = extra * _s_factor(tau, v) * theta_eval(s_partner[kind], tau * v, tau, N).value
-            out[f"{kind}_S"] = abs(lhs - rhs)
+            out[f"{kind}_S"] = (theta_eval(kind, v, -1 / tau, N),
+                                _times(extra * _s_factor(tau, v),
+                                       theta_eval(s_partner[kind], tau * v, tau, N)))
         return out
 
-    return _report(residuals, tol)
+    return _report(sides, tol)
 
 
-def _report(residuals_of, tol: float) -> dict:
-    """Judge the residuals that residuals_of() computes against tol.
+def _times(c: complex, side: tuple[complex, float]) -> tuple[complex, float]:
+    value, scale = side
+    return c * value, abs(c) * scale
 
-    An evaluation that leaves the floating-point range, by overflow or by
+
+def _report(sides_of, tol: float) -> dict:
+    """Judge each law lhs = rhs that sides_of() returns against tol.
+
+    sides_of() maps a law's name to its two sides, each a (value, scale)
+    pair.  Rounding error grows with the scale, the size of the terms
+    that made a value, not with the value, which may cancel to zero; so
+    the residual is |lhs - rhs| / max(1, scale_lhs, scale_rhs).  An
+    evaluation that leaves the floating-point range, by overflow or by
     dividing by an underflowed zero, raises NumericOverflow, and so does a
-    residual that is not finite: it decides nothing, and JSON cannot hold it.
+    residual or a scale that is not finite: it decides nothing, and JSON
+    cannot hold it.
     """
     try:
-        residuals = residuals_of()
+        residuals: dict[str, float] = {}
+        for name, ((lhs, lhs_scale), (rhs, rhs_scale)) in sides_of().items():
+            diff = abs(lhs - rhs)
+            if not all(map(math.isfinite, (diff, lhs_scale, rhs_scale))):
+                raise NumericOverflow("a residual or its scale is not a finite number")
+            residuals[name] = diff / max(1.0, lhs_scale, rhs_scale)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericOverflow(f"the evaluation left the floating-point range: {exc}") from None
-    if not all(map(math.isfinite, residuals.values())):
-        raise NumericOverflow("a residual is not a finite number")
     failed = sorted(name for name, r in residuals.items() if not r < tol)
     return {
         "residuals": residuals,
@@ -241,7 +241,6 @@ def modform_qexp(name: str, N: int = 10) -> ModFormSeries:
 
 
 def modform_eval(name: str, tau: complex, N: int = 60) -> complex:
-    _check_tau(tau)
     return complex_eval(modform_qexp(name, N).series, tau)[0]
 
 
@@ -250,7 +249,11 @@ def verify_modform_transforms(tau: complex, N: int = 60, tol: float = 1e-8) -> d
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
     _check_tau(tau)
     inv = -1 / tau
+
+    def side(name, t):
+        return complex_eval(modform_qexp(name, N).series, t)
+
     return _report(lambda: {
-        "delta2_S": abs(modform_eval("delta2", inv, N) - tau ** 2 * modform_eval("delta1", tau, N)),
-        "eps2_S": abs(modform_eval("eps2", inv, N) - tau ** 4 * modform_eval("eps1", tau, N)),
+        "delta2_S": (side("delta2", inv), _times(tau ** 2, side("delta1", tau))),
+        "eps2_S": (side("eps2", inv), _times(tau ** 4, side("eps1", tau))),
     }, tol)

@@ -26,11 +26,18 @@ from the weights alone, so no oracle shares assembly code with the
 package route it checks; of ``lefschetz``'s private names only the
 twist series, the common input of every route, is imported.  The
 package builds the twists in lam; the oracles read them in mu, with
-lam = mu^2 (``LaurentPoly.double_exponents``).
+lam = mu^2 (``double_exponents``).
+
+Below the routes sit helpers that only the tests need: the lam <-> mu
+exponent maps, the value of a formal theta expansion at a point, and
+heuristic estimates of the tail that a numeric evaluation truncated at
+q^N drops.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 from propergenus.core import (
@@ -48,6 +55,7 @@ from propergenus.core import (
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
+from propergenus.theta_modforms import ThetaExpansion, theta_eval
 
 # -- Adams-operation exponential ---------------------------------------------
 
@@ -88,7 +96,7 @@ def adams_theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSer
 
 def _in_mu(series: QSeries) -> QSeries:
     """A twist series in lam as a series in mu, lam = mu^2."""
-    return series.map_coefficients(LaurentPoly.double_exponents, MU_RING)
+    return series.map_coefficients(double_exponents, MU_RING)
 
 
 def _spinor_char_mu(datum) -> LaurentPoly:
@@ -222,7 +230,7 @@ def lefschetz_series_strategy(weights, operator: str = DIRAC,
             for w in datum.tangent_weights:
                 expansion = _truncate_above(expansion * _geometric_inverse_mu(w, need), need)
             total = total + _truncate_above(expansion * other, bound)
-        out.coeffs[h] = _truncate_above(total, bound).halve_exponents(LAMBDA)
+        out.coeffs[h] = halve_exponents(_truncate_above(total, bound))
     return out
 
 
@@ -262,8 +270,61 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
         poly, shift = _grade_numerator(point_series, prefactors, h)
         if poly.is_zero():
             continue
-        lam_poly = _certify(poly, shift, denominator).halve_exponents(LAMBDA)
+        lam_poly = halve_exponents(_certify(poly, shift, denominator))
         if not lam_poly.is_integral():
             raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
         out.coeffs[h] = lam_poly
     return out
+
+
+# -- test-only helpers -------------------------------------------------------
+
+
+def double_exponents(p: LaurentPoly, var: str = MU) -> LaurentPoly:
+    """View a polynomial in lam as one in mu via lam = mu**2."""
+    return LaurentPoly({2 * e: c for e, c in p.coeffs.items()}, var)
+
+
+def halve_exponents(p: LaurentPoly, var: str = LAMBDA) -> LaurentPoly:
+    """Inverse of :func:`double_exponents`; all exponents must be even."""
+    for e in p.coeffs:
+        if e % 2 != 0:
+            raise NonIntegral(f"odd exponent {e} cannot be halved into {var}")
+    return LaurentPoly({e // 2: c for e, c in p.coeffs.items()}, var)
+
+
+def theta_expansion_eval(exp: ThetaExpansion, v: complex, tau: complex) -> complex:
+    """Numeric value of a formal expansion at z = e^(2 pi i v)."""
+    z = cmath.exp(2j * cmath.pi * v)
+    q_pow = cmath.exp(2j * cmath.pi * tau * float(exp.prefactor_exponent))
+    if exp.trig == "sin":
+        pref = 2 * q_pow * cmath.sin(cmath.pi * v)
+    elif exp.trig == "cos":
+        pref = 2 * q_pow * cmath.cos(cmath.pi * v)
+    else:
+        pref = q_pow
+    total = 0j
+    for g, c in exp.series.nonzero_terms():
+        total += c.evaluate(z) * cmath.exp(2j * cmath.pi * tau * float(g))
+    return pref * total
+
+
+def theta_tail(kind: str, v: complex, tau: complex, N: int) -> float:
+    """Estimate of what ``theta_eval`` drops by stopping the product at
+    j = N: |value| (exp(g |q|^(N+1/2) / (1 - |q|)) - 1), where
+    g = 2 + |z| + 1/|z| bounds the log of each dropped factor over |q|^j."""
+    value, _ = theta_eval(kind, v, tau, N)
+    absz = abs(cmath.exp(2j * cmath.pi * v))
+    absq = abs(cmath.exp(2j * cmath.pi * tau))
+    growth = 2.0 + absz + 1.0 / absz
+    return abs(value) * (math.exp(growth * absq ** (N + 0.5) / (1.0 - absq)) - 1.0)
+
+
+def complex_eval_tail(series: QSeries, tau: complex) -> float:
+    """Estimate of what ``complex_eval`` drops past q^N:
+    |q|^(N + 1/2) / (1 - |q|^(1/2)) scaled by the largest coefficient of
+    the top half of the series."""
+    absq_half = abs(cmath.exp(1j * cmath.pi * tau))
+    top = [abs(float(c)) for c in series.coeffs[-(series.trunc + 1):]]
+    scale = max(top) if top and max(top) > 0 else 1.0
+    return scale * absq_half ** (2 * series.trunc + 1) / (1.0 - absq_half)

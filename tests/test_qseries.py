@@ -20,6 +20,8 @@ from propergenus.errors import (
 )
 from propergenus.theta_modforms import modform_qexp
 
+from oracles import complex_eval_tail
+
 
 def geom(ring, trunc, step, coeff_fn):
     s = QSeries(ring, trunc)
@@ -128,15 +130,6 @@ def test_grade_out_of_range():
         s.coefficient(Fraction(5, 2))
 
 
-def test_truncate_down_only():
-    s = QSeries.from_terms(RATIONAL, 5, {i: i for i in range(6)})
-    t = s.truncate(3)
-    assert t.trunc == 3
-    assert t.coefficient(3) == 3
-    with pytest.raises(GradeOutOfRange):
-        t.truncate(4)
-
-
 def test_exp_matches_geometric():
     # exp(sum_k q^k / k) = 1/(1-q)
     n = 8
@@ -154,6 +147,14 @@ def test_complex_eval_constant_and_q():
     assert abs(v - 0.00186744) < 1e-8
 
 
+def test_complex_eval_scale_sums_absolute_terms():
+    # 1 - q^(1/2) at tau = i: the value cancels, the scale does not
+    s = QSeries.from_terms(RATIONAL, 4, {0: 1, Fraction(1, 2): -1})
+    v, scale = complex_eval(s, 1j)
+    assert abs(v - (1 - cmath.exp(-cmath.pi))) < 1e-15
+    assert abs(scale - (1 + cmath.exp(-cmath.pi))) < 1e-15
+
+
 def test_complex_eval_requires_upper_half_plane():
     with pytest.raises(NotUpperHalfPlane):
         complex_eval(QSeries.one(RATIONAL, 2), 0.5 - 0.1j)
@@ -169,26 +170,26 @@ def test_complex_eval_linear_and_multiplicative_within_tails():
     tau = 0.1 + 1.0j
     a = modform_qexp("delta1", 30).series
     b = modform_qexp("eps1", 30).series
-    va, ta = complex_eval(a, tau)
-    vb, tb = complex_eval(b, tau)
+    va, vb = complex_eval(a, tau)[0], complex_eval(b, tau)[0]
+    ta, tb = complex_eval_tail(a, tau), complex_eval_tail(b, tau)
     vsum, _ = complex_eval(a + b, tau)
     assert abs(vsum - (va + vb)) < 1e-14
-    vab, tab = complex_eval(a * b, tau)
+    vab, tab = complex_eval(a * b, tau)[0], complex_eval_tail(a * b, tau)
     bound = tab + ta * (abs(vb) + tb) + tb * abs(va) + 1e-12
     assert abs(vab - va * vb) <= bound
 
 
-def test_json_round_trip_dense_and_bit_exact():
+def test_to_json_dense_and_bit_exact():
     rng = random.Random(9)
     s = rand_series(rng, RATIONAL, 5)
     doc = s.to_json()
     assert doc["truncation"] == 5
     assert len(doc["terms"]) == 11
     assert doc["terms"][1]["grade"] == "1/2"
-    assert QSeries.from_json(doc, RATIONAL) == s
+    assert [Fraction(t["coeff"]) for t in doc["terms"]] == s.coeffs
 
     t = QSeries.from_terms(LAMBDA_RING, 3, {Fraction(3, 2): LaurentPoly({-1: Fraction(1, 3)})})
-    assert QSeries.from_json(t.to_json(), LAMBDA_RING) == t
+    assert t.to_json()["terms"][3] == {"grade": "3/2", "coeff": {"-1": "1/3"}}
 
 
 def test_laurent_ring_equality_by_variable():

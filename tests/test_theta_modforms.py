@@ -10,11 +10,12 @@ from propergenus.theta_modforms import (
     modform_eval,
     modform_qexp,
     theta_eval,
-    theta_expansion_eval,
     theta_qexp,
     verify_modform_transforms,
     verify_theta_transforms,
 )
+
+from oracles import theta_expansion_eval, theta_tail
 
 
 def z_poly(d):
@@ -62,26 +63,26 @@ def test_formal_expansion_even_odd_in_z():
 
 def test_theta_vanishes_at_v_zero():
     for tau in (1j, 0.3 + 0.8j):
-        assert abs(theta_eval("theta", 0, tau).value) == 0
+        assert abs(theta_eval("theta", 0, tau)[0]) == 0
 
 
 def test_theta1_positive_real_at_origin():
-    val = theta_eval("theta1", 0, 1j).value
+    val = theta_eval("theta1", 0, 1j)[0]
     assert abs(val.imag) < 1e-15
     assert val.real > 0
 
 
 def test_theta2_equals_theta1_at_tau_i():
-    a = theta_eval("theta2", 0, 1j).value
-    b = theta_eval("theta1", 0, 1j).value
+    a = theta_eval("theta2", 0, 1j)[0]
+    b = theta_eval("theta1", 0, 1j)[0]
     assert abs(a - b) < 1e-12
 
 
 def test_parity_numeric():
     v, tau = 0.13 + 0.07j, 0.2 + 1.1j
-    assert abs(theta_eval("theta", -v, tau).value + theta_eval("theta", v, tau).value) < 1e-12
+    assert abs(theta_eval("theta", -v, tau)[0] + theta_eval("theta", v, tau)[0]) < 1e-12
     for kind in ("theta1", "theta2", "theta3"):
-        assert abs(theta_eval(kind, -v, tau).value - theta_eval(kind, v, tau).value) < 1e-12
+        assert abs(theta_eval(kind, -v, tau)[0] - theta_eval(kind, v, tau)[0]) < 1e-12
 
 
 def test_transforms_at_reference_point():
@@ -98,8 +99,8 @@ def test_transform_exact_zero_case():
 
 def test_theta2_T_swaps_to_theta3():
     v, tau = 0.07 + 0.02j, 0.15 + 0.95j
-    lhs = theta_eval("theta2", v, tau + 1, 40).value
-    rhs = theta_eval("theta3", v, tau, 40).value
+    lhs = theta_eval("theta2", v, tau + 1, 40)[0]
+    rhs = theta_eval("theta3", v, tau, 40)[0]
     assert abs(lhs - rhs) < 1e-9
 
 
@@ -118,8 +119,89 @@ def test_formal_vs_numeric_grid():
         for tau in taus:
             for v in vs:
                 formal = theta_expansion_eval(exp, v, tau)
-                direct = theta_eval(kind, v, tau, 60)
-                assert abs(formal - direct.value) < 1e-9 + 10 * direct.tail
+                direct = theta_eval(kind, v, tau, 60)[0]
+                assert abs(formal - direct) < 1e-9 + 10 * theta_tail(kind, v, tau, 60)
+
+
+def test_eval_scale_bounds_the_value():
+    # the scale is the product over absolute values, so it bounds |value|;
+    # at the lattice zero v = 5 tau the value cancels far below it
+    for kind in THETA_KINDS:
+        for v, tau in ((0.1 + 0.05j, 0.2 + 1.1j), (0.3, 0.9j)):
+            value, scale = theta_eval(kind, v, tau, 40)
+            assert 0 < abs(value) <= scale
+    value, scale = theta_eval("theta", 5j, 1j, 20)
+    assert scale > 1e33 and abs(value) < 1e-12 * scale
+
+
+# -- exact cross-checks of the q-expansions against sympy ---------------------
+
+
+def _truncated_product(sympy, factors, gens, top):
+    """prod factors as a sympy Poly in gens, dropping every term whose
+    degree in gens[0] exceeds top after each factor."""
+    out = sympy.Poly(1, *gens)
+    for f in factors:
+        out = out * sympy.Poly(f, *gens)
+        out = sympy.Poly.from_dict(
+            {m: c for m, c in out.as_dict().items() if m[0] <= top}, *gens)
+    return out
+
+
+# z-sign of the paired factors, and whether their q-powers are j - 1/2
+_TRIPLE_PRODUCT = {"theta": (-1, False), "theta1": (1, False),
+                   "theta2": (-1, True), "theta3": (1, True)}
+
+
+@pytest.mark.parametrize("kind", THETA_KINDS)
+def test_theta_qexp_matches_sympy_triple_product(kind):
+    # prod_j (1 - q^j)(1 + s z q^h)(1 + s q^h / z) in r = q^(1/2), each
+    # paired factor times z so that sympy sees a polynomial in z:
+    # z (1 + s z r^h)(1 + s r^h / z) = z + s r^h (z^2 + 1) + r^(2h) z
+    sympy = pytest.importorskip("sympy")
+    r, z = sympy.symbols("r z")
+    N = 6
+    sign, half = _TRIPLE_PRODUCT[kind]
+    factors = []
+    for j in range(1, N + 1):
+        h = 2 * j - 1 if half else 2 * j
+        factors += [1 - r ** (2 * j), z + sign * r ** h * (z ** 2 + 1) + r ** (2 * h) * z]
+    expected = [{} for _ in range(2 * N + 1)]
+    for (a, b), c in _truncated_product(sympy, factors, (r, z), 2 * N).terms():
+        expected[a][b - N] = int(c)
+    exp = theta_qexp(kind, N)
+    assert exp.prefactor_exponent == (Fraction(1, 8) if kind in ("theta", "theta1") else 0)
+    assert exp.series.coeffs == [z_poly(c) for c in expected]
+
+
+def test_modform_qexp_matches_sympy_theta_nullwert_products():
+    # the identities of test_modforms_against_theta_nullwert_products,
+    # expanded exactly in r = q^(1/2) to q^N: with T_k = theta_k(0, tau)^4,
+    # delta1 = (T2 + T3)/8, eps1 = T2 T3/16, delta2 = -(T1 + T3)/8 and
+    # eps2 = T1 T3/16, where T1 = 16 q^(1/2) prod (1 - q^j)^4 (1 + q^j)^8
+    # and T2, T3 = prod (1 - q^j)^4 (1 -+ q^(j-1/2))^8
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    N = 8
+    top = 2 * N
+
+    def nullwert(pairs):
+        return _truncated_product(
+            sympy, [(1 - r ** (2 * j)) ** 4 * pairs(j) ** 8 for j in range(1, N + 1)], (r,), top)
+
+    t1 = sympy.Poly(16 * r, r) * nullwert(lambda j: 1 + r ** (2 * j))
+    t2 = nullwert(lambda j: 1 - r ** (2 * j - 1))
+    t3 = nullwert(lambda j: 1 + r ** (2 * j - 1))
+    identities = {"delta1": (t2 + t3) * sympy.Rational(1, 8),
+                  "eps1": t2 * t3 * sympy.Rational(1, 16),
+                  "delta2": -(t1 + t3) * sympy.Rational(1, 8),
+                  "eps2": t1 * t3 * sympy.Rational(1, 16)}
+    for name, poly in identities.items():
+        expected = [Fraction(0)] * (top + 1)
+        for (a,), c in poly.terms():
+            if a <= top:
+                expected[a] = Fraction(int(c.p), int(c.q))
+        assert modform_qexp(name, N).series.coeffs == expected, name
 
 
 def test_modform_leading_terms():
@@ -182,9 +264,9 @@ def test_modforms_against_theta_nullwert_products():
     # the four forms are polynomial in the theta values at v = 0; the
     # divisor-sum expansions and the infinite products share no code
     for tau in (0.2 + 1.1j, 1j):
-        t1 = theta_eval("theta1", 0, tau, 60).value ** 4
-        t2 = theta_eval("theta2", 0, tau, 60).value ** 4
-        t3 = theta_eval("theta3", 0, tau, 60).value ** 4
+        t1 = theta_eval("theta1", 0, tau, 60)[0] ** 4
+        t2 = theta_eval("theta2", 0, tau, 60)[0] ** 4
+        t3 = theta_eval("theta3", 0, tau, 60)[0] ** 4
         assert abs(modform_eval("delta1", tau, 80) - (t2 + t3) / 8) < 1e-12
         assert abs(modform_eval("eps1", tau, 80) - t2 * t3 / 16) < 1e-12
         assert abs(modform_eval("delta2", tau, 80) + (t1 + t3) / 8) < 1e-12

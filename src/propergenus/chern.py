@@ -9,7 +9,14 @@ rank-reduced Chern characters
     ch(psi^r T~) = sum_s 2 r^(2s) p_s / (2s)!,
 
 whose exponential q-series reproduces the Witten bundle coefficients on
-the Chern character level.  The headline computation decomposes the
+the Chern character level.  A-hat, L and that q-series are each the
+exponential of a linear form sum_s c_s p_s, so each is written down in
+closed form,
+
+    exp(sum_s c_s p_s) = sum_lambda p_lambda prod_s c_s^(m_s) / m_s!,
+
+over the partitions lambda of weight at most k, m_s being the number of
+parts of lambda equal to s.  The headline computation decomposes the
 top-weight part of the twisted A-hat q-series in the monomial basis
 (8 delta_2)^a eps_2^b by exact linear algebra, then recovers the
 power-of-two schedule relating it to the top L-class.
@@ -19,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 
 from .core.laurent import normalize_scalar
-from .core.qseries import QSeries
+from .core.qseries import RATIONAL, QSeries
 from .errors import InconsistentSystem, SingularSystem
-from .theta_modforms import modform_qexp
+from .theta_modforms import _divisors, modform_qexp
 
 Partition = tuple[int, ...]
 
@@ -120,18 +129,6 @@ class ChernRootSeries:
     def constant_term(self):
         return self.terms.get((), 0)
 
-    def exp(self) -> "ChernRootSeries":
-        if self.constant_term() != 0:
-            raise ValueError("exp requires vanishing constant term")
-        out = ChernRootSeries.constant(self.k, 1)
-        term = ChernRootSeries.constant(self.k, 1)
-        for m in range(1, self.k + 1):
-            term = term * self * Fraction(1, m)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -143,44 +140,6 @@ class ChernRootSeries:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-class ChernRing:
-    """Coefficient-ring adapter so QSeries can carry Chern-root values."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.name = f"chern[{k}]"
-
-    def zero(self):
-        return ChernRootSeries(self.k)
-
-    def one(self):
-        return ChernRootSeries.constant(self.k, 1)
-
-    def coerce(self, x):
-        if isinstance(x, ChernRootSeries):
-            if x.k != self.k:
-                raise ValueError(f"weight cutoff {x.k} != {self.k}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ChernRootSeries.constant(self.k, x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
-
-    def invert(self, x):
-        raise NotImplementedError("no division in the Chern-root ring")
-
-    def to_json(self, x):
-        return {"*".join(map(str, p)) or "1": str(Fraction(c)) for p, c in sorted(x.terms.items())}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChernRing) and self.k == other.k
-
-    def __hash__(self):
-        return hash(self.name)
 
 
 # -- the classical multiplicative classes ------------------------------------
@@ -199,13 +158,34 @@ def _log_series(coeffs: list[Fraction], k: int) -> list[Fraction]:
     return logs
 
 
+def _exp_power_sums(coeffs: dict, k: int, one) -> dict[Partition, object]:
+    """exp(sum_s coeffs[s] p_s) to weight k, in closed form.
+
+    The coefficient of p_lambda is prod_s coeffs[s]^(m_s) / m_s!, with
+    m_s the number of parts of lambda equal to s, so each power
+    c_s^m / m! is built once and no series in the p_s is multiplied
+    out.  The coefficients may be rationals or rational q-series;
+    ``one``, the unit of their ring, is the constant term.
+    """
+    powers = {}
+    for s, c in coeffs.items():
+        row = [c]
+        for m in range(2, k // s + 1):
+            row.append(row[-1] * c * Fraction(1, m))
+        powers[s] = row
+    out = {(): one}
+    for n in range(1, k + 1):
+        for lam in partitions_of(n):
+            out[lam] = reduce(mul, [powers[s][lam.count(s) - 1] for s in set(lam)])
+    return out
+
+
 def a_hat(k: int) -> ChernRootSeries:
     """prod_j (x_j/2)/sinh(x_j/2), truncated at weight 4k."""
     # sinh(u/2)/(u/2) = sum_m v^m / (4^m (2m+1)!),  v = u^2
     core = [Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(k + 1)]
     logs = _log_series(core, k)
-    arg = ChernRootSeries(k, {(r,): -logs[r] for r in range(1, k + 1)})
-    return arg.exp()
+    return ChernRootSeries(k, _exp_power_sums({r: -logs[r] for r in range(1, k + 1)}, k, 1))
 
 
 def l_hat(k: int) -> ChernRootSeries:
@@ -218,42 +198,34 @@ def l_hat(k: int) -> ChernRootSeries:
     sinh = [Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)]
     logs_cosh = _log_series(cosh, k)
     logs_sinh = _log_series(sinh, k)
-    arg = ChernRootSeries(k, {(r,): logs_cosh[r] - logs_sinh[r] for r in range(1, k + 1)})
-    return arg.exp()
+    arg = {r: logs_cosh[r] - logs_sinh[r] for r in range(1, k + 1)}
+    return ChernRootSeries(k, _exp_power_sums(arg, k, 1))
 
 
-def _psi_chern_char(k: int, r: int) -> ChernRootSeries:
-    """ch of the r-th Adams operation on the rank-4k reduced tangent class."""
-    return ChernRootSeries(
-        k, {(s,): Fraction(2 * r ** (2 * s), factorial(2 * s)) for s in range(1, k + 1)}
-    )
-
-
-def witten_chern_series(k: int, N: int = 4) -> QSeries:
+def witten_chern_series(k: int, N: int = 4) -> dict[Partition, QSeries]:
     """Chern-character q-series of the half-twisted Witten bundle over the
-    rank-reduced tangent class, as a series over the Chern-root ring."""
-    ring = ChernRing(k)
-    arg = QSeries(ring, N)
-    for r in range(1, 2 * N + 1):
-        c_r = _psi_chern_char(k, r) * Fraction(1, r)
-        n = 1
-        while n * r <= N:
-            h = 2 * n * r
-            arg.coeffs[h] = arg.coeffs[h] + c_r
-            n += 1
-        m = 1
-        while r * (2 * m - 1) <= 2 * N:
-            h = r * (2 * m - 1)
-            arg.coeffs[h] = arg.coeffs[h] - c_r
-            m += 1
-    return arg.exp()
+    rank-reduced tangent class, as {partition: rational q-series}: the
+    coefficient of p_lambda at every half-grade, to weight 4k.
+
+    With ch(psi^r T~) = sum_s 2 r^(2s) p_s / (2s)!, the bundle's
+    Adams-operation logarithm sum_r ch(psi^r T~)/r (sum_n q^(nr) -
+    sum_m q^(r(m - 1/2))) is sum_s c_s p_s with c_s = 2 G_s / (2s)! and
+    G_s = sum_h q^(h/2) sum_{d | h} (-1)^(h/d) d^(2s-1).
+    """
+    divisors = [(h, _divisors(h)) for h in range(1, 2 * N + 1)]
+    coeffs = {}
+    for s in range(1, k + 1):
+        g = [0] + [sum((-1) ** (h // d) * d ** (2 * s - 1) for d in ds) for h, ds in divisors]
+        coeffs[s] = QSeries(RATIONAL, N, g).scale(Fraction(2, factorial(2 * s)))
+    return _exp_power_sums(coeffs, k, QSeries.one(RATIONAL, N))
 
 
 def ch_witten(k: int, grade, N: int | None = None) -> ChernRootSeries:
     """ch of the grade coefficient bundle of the half-twisted Witten bundle."""
     if N is None:
         N = max(1, int(Fraction(grade)) + 1)
-    return witten_chern_series(k, N).coefficient(grade)
+    return ChernRootSeries(
+        k, {p: f.coefficient(grade) for p, f in witten_chern_series(k, N).items()})
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -303,7 +275,10 @@ def _basis_rows(weight_half: int, N: int) -> list[list[Fraction]]:
     of weight 2 weight_half, as rows: row h holds the q^(h/2) coefficients."""
     d2 = modform_qexp("delta2", N).series.scale(8)
     e2 = modform_qexp("eps2", N).series
-    basis = [(d2 ** (weight_half - 2 * b)) * (e2 ** b) for b in range(weight_half // 2 + 1)]
+    basis = []
+    for b in range(weight_half // 2 + 1):
+        a = weight_half - 2 * b
+        basis.append(d2 ** a * e2 ** b if a and b else d2 ** a if a else e2 ** b)
     return [[Fraction(s.coeffs[h]) for s in basis] for h in range(2 * N + 1)]
 
 
@@ -352,7 +327,8 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     ahat = a_hat(k)
     ch_series = witten_chern_series(k, q_order)
     dim = len(list(partitions_of(k)))
-    rhs = [(ahat * c).weight_part(4 * k).top_vector() for c in ch_series.coeffs]
+    rhs = [(ahat * ChernRootSeries(k, {p: f.coeffs[h] for p, f in ch_series.items()}))
+           .weight_part(4 * k).top_vector() for h in range(2 * q_order + 1)]
     solution = solve_exact(_basis_rows(k, q_order), rhs)  # nb x dim
     combos = []
     part_basis = sorted(partitions_of(k))

@@ -230,14 +230,13 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.one(self.ring, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return QSeries.one(self.ring, self.trunc)
+        if n == 1:
+            return self
+        half = self ** (n // 2)
+        square = half * half
+        return square * self if n & 1 else square
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit."""

@@ -20,6 +20,11 @@ function here recomputes one of them by another.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
+- ``chern_witten_series``, ``chern_a_hat`` and ``chern_l_hat``: the
+  exponentials of ``chern`` by multiplying series in the power sums out,
+  the Witten series over the Chern-root ring ``ChernRing`` from its
+  Adams-operation logarithm and the classical classes by the power loop
+  ``chern_power_exp``, against the closed form of ``chern``.
 
 The prefactors, numerators and divisions of these routes are built here
 from the weights alone, so no oracle shares assembly code with the
@@ -39,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from math import factorial
 
 from propergenus.core import (
     LAMBDA,
@@ -52,6 +58,7 @@ from propergenus.core import (
     RationalFunc,
     half_units,
 )
+from propergenus.chern import ChernRootSeries, _log_series
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
@@ -275,6 +282,75 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
             raise NonIntegral(f"grade {Fraction(h, 2)} is not integral: {lam_poly}")
         out.coeffs[h] = lam_poly
     return out
+
+
+# -- Chern-root exponentials by multiplying out ------------------------------
+
+
+class ChernRing:
+    """Coefficient ring of ``ChernRootSeries`` values, so that a QSeries
+    can carry them."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.name = f"chern[{k}]"
+
+    def zero(self):
+        return ChernRootSeries(self.k)
+
+    def one(self):
+        return ChernRootSeries.constant(self.k, 1)
+
+    def coerce(self, x):
+        return x if isinstance(x, ChernRootSeries) else ChernRootSeries.constant(self.k, x)
+
+    def is_zero(self, x) -> bool:
+        return x.is_zero()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ChernRing) and self.k == other.k
+
+
+def chern_power_exp(arg: ChernRootSeries) -> ChernRootSeries:
+    """exp of a series without constant term, as sum_m arg^m / m!."""
+    out = term = ChernRootSeries.constant(arg.k, 1)
+    for m in range(1, arg.k + 1):
+        term = term * arg * Fraction(1, m)
+        out = out + term
+    return out
+
+
+def chern_a_hat(k: int) -> ChernRootSeries:
+    core = [Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(k + 1)]
+    logs = _log_series(core, k)
+    return chern_power_exp(ChernRootSeries(k, {(r,): -logs[r] for r in range(1, k + 1)}))
+
+
+def chern_l_hat(k: int) -> ChernRootSeries:
+    logs_cosh = _log_series([Fraction(1, factorial(2 * m)) for m in range(k + 1)], k)
+    logs_sinh = _log_series([Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)], k)
+    return chern_power_exp(
+        ChernRootSeries(k, {(r,): logs_cosh[r] - logs_sinh[r] for r in range(1, k + 1)}))
+
+
+def chern_witten_series(k: int, N: int) -> QSeries:
+    """The half-twisted Witten bundle's Chern-character series over
+    ``ChernRing(k)``: QSeries.exp of sum_r ch(psi^r T~)/r (sum_n q^(nr)
+    - sum_m q^(r(m - 1/2))), ch(psi^r T~) = sum_s 2 r^(2s) p_s / (2s)!."""
+    arg = QSeries(ChernRing(k), N)
+    for r in range(1, 2 * N + 1):
+        c_r = ChernRootSeries(
+            k, {(s,): Fraction(2 * r ** (2 * s), factorial(2 * s)) for s in range(1, k + 1)}
+        ) * Fraction(1, r)
+        n = 1
+        while n * r <= N:
+            arg.coeffs[2 * n * r] = arg.coeffs[2 * n * r] + c_r
+            n += 1
+        m = 1
+        while r * (2 * m - 1) <= 2 * N:
+            arg.coeffs[r * (2 * m - 1)] = arg.coeffs[r * (2 * m - 1)] - c_r
+            m += 1
+    return arg.exp()
 
 
 # -- test-only helpers -------------------------------------------------------

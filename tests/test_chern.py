@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from propergenus.chern import (
     CancellationReport,
     ChernRootSeries,
+    _basis_rows,
     a_hat,
     ch_witten,
     l_hat,
@@ -19,6 +20,8 @@ from propergenus.core import RATIONAL, LaurentPoly, QSeries
 from propergenus.errors import InconsistentSystem, SingularSystem
 from propergenus.lambda_ring import THETA2, theta_bundle
 from propergenus.theta_modforms import modform_qexp
+
+from oracles import chern_a_hat, chern_l_hat, chern_witten_series
 
 
 def univariate_coeffs(kind: str, order: int) -> list[Fraction]:
@@ -80,13 +83,37 @@ def test_ch_witten_grade_zero_and_half():
 
 
 def test_ch_witten_rank_sequence_matches_lambda_ring():
-    # rank-4 genuine character at a fixed point (k = 1)
-    E = LaurentPoly({1: 1, -1: 1, 2: 1, -2: 1})
-    lam_side = theta_bundle(E, THETA2, N=3)
-    chern_side = witten_chern_series(1, 3)
-    for h in range(7):
-        g = Fraction(h, 2)
-        assert lam_side.coefficient(g).eval_one() == chern_side.coefficient(g).constant_term()
+    # every moment: with lam = e^x and roots x_j = w_j x, the x^(2n)
+    # coefficient of the Witten bundle over E = sum_j (lam^w_j + lam^-w_j),
+    # (1/(2n)!) sum_e c_e e^(2n), is the weight-n part of the Chern series
+    # at p_s = sum_j w_j^(2s); n = 0 is the rank
+    N = 3
+    for w in [(1, 2), (1, 3), (2, 5, 1), (1, 1, 4), (3,)]:
+        E = sum((LaurentPoly({wj: 1, -wj: 1}) for wj in w), LaurentPoly.zero())
+        lam_side = theta_bundle(E, THETA2, N=N)
+        for k in range(1, 5):
+            chern_side = witten_chern_series(k, N)
+            for h in range(2 * N + 1):
+                c = lam_side.coeffs[h].coeffs
+                for n in range(k + 1):
+                    moment = Fraction(sum(ce * e ** (2 * n) for e, ce in c.items()),
+                                      factorial(2 * n))
+                    value = sum(f.coeffs[h] * prod(sum(wj ** (2 * s) for wj in w) for s in lam)
+                                for lam, f in chern_side.items() if sum(lam) == n)
+                    assert moment == value, (w, k, h, n)
+
+
+def test_exponentials_match_multiplied_out_oracle():
+    for k in range(1, 9):
+        assert a_hat(k) == chern_a_hat(k)
+        assert l_hat(k) == chern_l_hat(k)
+        for N in (1, 2, 3, 5, 8):
+            series = witten_chern_series(k, N)
+            oracle = chern_witten_series(k, N)
+            assert all(f.ring == RATIONAL and f.trunc == N for f in series.values())
+            for h in range(2 * N + 1):
+                grade = ChernRootSeries(k, {p: f.coeffs[h] for p, f in series.items()})
+                assert grade == oracle.coeffs[h], (k, N, h)
 
 
 def test_partitions_and_symmetry():
@@ -157,6 +184,24 @@ def test_cancellation_insufficient_order():
 def test_cancellation_refuses_k_below_one(k):
     with pytest.raises(ValueError, match="k must be at least 1"):
         solve_cancellation(k)
+
+
+def test_basis_rows_multiply_only_what_they_need(monkeypatch):
+    # (8 delta2)^(k-2b) eps2^b for b = 0..[k/2]: k = 1 is delta2 alone,
+    # k = 2 one square, k = 3 a cube (two products) and delta2 * eps2
+    products = []
+    mul = QSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, QSeries):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    for k, expected in ((1, 0), (2, 1), (3, 3)):
+        products.clear()
+        _basis_rows(k, 4)
+        assert len(products) == expected, k
 
 
 def test_p2_decompose_basis_element():

@@ -137,6 +137,28 @@ def test_exp_matches_geometric():
     assert arg.exp() == QSeries.from_terms(RATIONAL, n, {i: 1 for i in range(n + 1)})
 
 
+def test_pow_multiplies_by_binary_powering(monkeypatch):
+    # n >= 1 costs bit_length - 1 squarings and popcount - 1 products,
+    # and nothing multiplies the unit series
+    base = QSeries.from_terms(RATIONAL, 6, {0: 2, Fraction(1, 2): -1, 3: 5})
+    products = []
+    mul = QSeries.__mul__
+
+    def counting(self, other):
+        if isinstance(other, QSeries):
+            products.append(1)
+        return mul(self, other)
+
+    powers = [QSeries.one(RATIONAL, 6)]
+    for _ in range(9):
+        powers.append(powers[-1] * base)
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    for n, expected in enumerate(powers):
+        products.clear()
+        assert base ** n == expected, n
+        assert len(products) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+
+
 def test_complex_eval_constant_and_q():
     one = QSeries.one(RATIONAL, 4)
     v, _ = complex_eval(one, 0.3 + 0.9j)

@@ -11,15 +11,24 @@ from propergenus.chern import a_hat, ch_witten, l_hat, p2_decompose, solve_cance
 from propergenus.core import RATIONAL, QSeries
 from propergenus.theta_modforms import modform_qexp
 
+
+def fmt(cls):
+    """A {partition: coefficient} class as c*p1*p2 + ..., partitions in order."""
+    if not cls:
+        return "0"
+    return " + ".join(f"{c}*" + "*".join(f"p{r}" for r in p) if p else f"{c}"
+                      for p, c in sorted(cls.items()))
+
+
 print("= Classical classes in the power-sum basis =")
 for k in (1, 2):
-    print(f"A-hat (k={k}):", a_hat(k))
-    print(f"L     (k={k}):", l_hat(k))
+    print(f"A-hat (k={k}):", fmt(a_hat(k)))
+    print(f"L     (k={k}):", fmt(l_hat(k)))
 
 print()
 print("= Chern characters of the half-twisted Witten coefficients =")
 for grade in (0, 0.5, 1):
-    print(f"  grade {grade}:", ch_witten(2, grade))
+    print(f"  grade {grade}:", fmt(ch_witten(2, grade)))
 
 print()
 print("= Cancellation reports =")
@@ -29,7 +38,7 @@ for k in (1, 2, 3):
     print("  residual zero:", report.residual_is_zero)
     print("  exponents    :", report.exponents, "->", report.schedule)
     for b, combo in enumerate(report.combinations):
-        print(f"  class[{b}]     : {combo}")
+        print(f"  class[{b}]     : {fmt(combo)}")
 
 print()
 print("= Decomposing modular forms in the (8 delta2)^a eps2^b basis =")

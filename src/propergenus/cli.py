@@ -255,7 +255,7 @@ def _run_cancellation(args) -> dict:
         "schedule": report.schedule,
         "residual_is_zero": report.residual_is_zero,
         "combinations": [
-            {"*".join(map(str, p)) or "1": str(Fraction(c)) for p, c in sorted(c.terms.items())}
+            {"*".join(map(str, p)) or "1": str(Fraction(c)) for p, c in sorted(c.items())}
             for c in report.combinations
         ],
     }
@@ -273,27 +273,26 @@ _RUNNERS = {
 }
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=args.json_indent) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _RUNNERS[args.verb](args)
+        doc, code = _RUNNERS[args.verb](args), 0
     except DomainError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}}, args)
-        return DOMAIN_ERROR
+        doc, code = {"error": {"code": exc.code, "message": str(exc)}}, DOMAIN_ERROR
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(doc, args)
-    return 0
+    text = json.dumps(doc, sort_keys=True, indent=args.json_indent) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.exit(USAGE_ERROR, f"{parser.prog}: error: cannot write {args.output!r}: "
+                                 f"{exc.strerror}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -20,16 +20,18 @@ function here recomputes one of them by another.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
-- ``chern_witten_series``, ``chern_a_hat`` and ``chern_l_hat``: the
-  exponentials of ``chern`` by multiplying series in the power sums out,
-  the Witten series over the Chern-root ring ``ChernRing`` from its
-  Adams-operation logarithm and the classical classes by the power loop
-  ``chern_power_exp``, against the closed form of ``chern``.
+- ``root_class_series``: A-hat and L from their definitions, as the
+  product over Chern roots of one-variable series, against the closed
+  forms of ``chern`` read at the roots' power sums (``power_sum_value``).
+- ``class_product_part``: a product of two power-sum classes multiplied
+  out over pairs of partitions, against the single exponential that
+  ``chern.solve_cancellation`` reads its top weight from.
 
 The prefactors, numerators and divisions of these routes are built here
 from the weights alone, so no oracle shares assembly code with the
 package route it checks; of ``lefschetz``'s private names only the
-twist series, the common input of every route, is imported.  The
+twist series, the common input of every route, is imported, and the
+Chern-root oracles import nothing from ``chern``.  The
 package builds the twists in lam; the oracles read them in mu, with
 lam = mu^2 (``double_exponents``).
 
@@ -51,6 +53,7 @@ from propergenus.core import (
     LAMBDA_RING,
     MU,
     MU_RING,
+    RATIONAL,
     LaurentPoly,
     LaurentRing,
     Poly,
@@ -58,7 +61,6 @@ from propergenus.core import (
     RationalFunc,
     half_units,
 )
-from propergenus.chern import ChernRootSeries, _log_series
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
@@ -284,73 +286,48 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     return out
 
 
-# -- Chern-root exponentials by multiplying out ------------------------------
+# -- Chern-root classes from their definitions -------------------------------
 
 
-class ChernRing:
-    """Coefficient ring of ``ChernRootSeries`` values, so that a QSeries
-    can carry them."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.name = f"chern[{k}]"
-
-    def zero(self):
-        return ChernRootSeries(self.k)
-
-    def one(self):
-        return ChernRootSeries.constant(self.k, 1)
-
-    def coerce(self, x):
-        return x if isinstance(x, ChernRootSeries) else ChernRootSeries.constant(self.k, x)
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChernRing) and self.k == other.k
+def root_class_series(kind: str, roots, order: int) -> list[Fraction]:
+    """prod_j f(x_j t) as a series in v = t^2, to v^order: the v^n
+    coefficient is the weight-4n part of the class at the Chern roots
+    x_j.  Kind "a" is f(u) = (u/2)/sinh(u/2) and "l" is u/tanh(u), each
+    factor divided out of the Taylor series of sinh and cosh."""
+    out = QSeries.one(RATIONAL, order)
+    for x in roots:
+        y = Fraction(x) ** 2
+        if kind == "a":  # 1 / (sinh(u/2)/(u/2))
+            factor = QSeries.from_terms(
+                RATIONAL, order,
+                {m: (y / 4) ** m / factorial(2 * m + 1) for m in range(order + 1)}).inverse()
+        else:  # cosh(u) / (sinh(u)/u)
+            sinh = QSeries.from_terms(
+                RATIONAL, order, {m: y ** m / factorial(2 * m + 1) for m in range(order + 1)})
+            cosh = QSeries.from_terms(
+                RATIONAL, order, {m: y ** m / factorial(2 * m) for m in range(order + 1)})
+            factor = cosh * sinh.inverse()
+        out = out * factor
+    return [out.coefficient(n) for n in range(order + 1)]
 
 
-def chern_power_exp(arg: ChernRootSeries) -> ChernRootSeries:
-    """exp of a series without constant term, as sum_m arg^m / m!."""
-    out = term = ChernRootSeries.constant(arg.k, 1)
-    for m in range(1, arg.k + 1):
-        term = term * arg * Fraction(1, m)
-        out = out + term
-    return out
+def power_sum_value(cls: dict, roots, weight: int):
+    """The weight-4*weight part of a {partition: coefficient} class at the
+    power sums p_s = sum_j x_j^(2s) of the roots x_j."""
+    p = {s: sum(Fraction(x) ** (2 * s) for x in roots) for s in range(1, weight + 1)}
+    return sum(c * math.prod(p[s] for s in lam) for lam, c in cls.items() if sum(lam) == weight)
 
 
-def chern_a_hat(k: int) -> ChernRootSeries:
-    core = [Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(k + 1)]
-    logs = _log_series(core, k)
-    return chern_power_exp(ChernRootSeries(k, {(r,): -logs[r] for r in range(1, k + 1)}))
-
-
-def chern_l_hat(k: int) -> ChernRootSeries:
-    logs_cosh = _log_series([Fraction(1, factorial(2 * m)) for m in range(k + 1)], k)
-    logs_sinh = _log_series([Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)], k)
-    return chern_power_exp(
-        ChernRootSeries(k, {(r,): logs_cosh[r] - logs_sinh[r] for r in range(1, k + 1)}))
-
-
-def chern_witten_series(k: int, N: int) -> QSeries:
-    """The half-twisted Witten bundle's Chern-character series over
-    ``ChernRing(k)``: QSeries.exp of sum_r ch(psi^r T~)/r (sum_n q^(nr)
-    - sum_m q^(r(m - 1/2))), ch(psi^r T~) = sum_s 2 r^(2s) p_s / (2s)!."""
-    arg = QSeries(ChernRing(k), N)
-    for r in range(1, 2 * N + 1):
-        c_r = ChernRootSeries(
-            k, {(s,): Fraction(2 * r ** (2 * s), factorial(2 * s)) for s in range(1, k + 1)}
-        ) * Fraction(1, r)
-        n = 1
-        while n * r <= N:
-            arg.coeffs[2 * n * r] = arg.coeffs[2 * n * r] + c_r
-            n += 1
-        m = 1
-        while r * (2 * m - 1) <= 2 * N:
-            arg.coeffs[r * (2 * m - 1)] = arg.coeffs[r * (2 * m - 1)] - c_r
-            m += 1
-    return arg.exp()
+def class_product_part(a: dict, b: dict, weight: int) -> dict:
+    """The weight-4*weight part of the product of two {partition:
+    coefficient} classes, multiplied out over pairs of partitions."""
+    out = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            if sum(p1) + sum(p2) == weight:
+                key = tuple(sorted(p1 + p2, reverse=True))
+                out[key] = out.get(key, 0) + c1 * c2
+    return {p: c for p, c in out.items() if c != 0}
 
 
 # -- test-only helpers -------------------------------------------------------

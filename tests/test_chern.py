@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
 from propergenus.chern import (
     CancellationReport,
-    ChernRootSeries,
     _basis_rows,
+    _twisted_top,
     a_hat,
     ch_witten,
     l_hat,
@@ -21,40 +22,32 @@ from propergenus.errors import InconsistentSystem, SingularSystem
 from propergenus.lambda_ring import THETA2, theta_bundle
 from propergenus.theta_modforms import modform_qexp
 
-from oracles import chern_a_hat, chern_l_hat, chern_witten_series
+from oracles import class_product_part, power_sum_value, root_class_series
 
 
-def univariate_coeffs(kind: str, order: int) -> list[Fraction]:
-    """One-variable Taylor oracle in v = u^2, by direct series division."""
-    if kind == "a":  # (u/2)/sinh(u/2)
-        denom = QSeries.from_terms(
-            RATIONAL, order,
-            {m: Fraction(1, 4 ** m * factorial(2 * m + 1)) for m in range(order + 1)})
-        series = denom.inverse()
-    else:  # u/tanh(u) = cosh(u) * (u/sinh(u))
-        sinh = QSeries.from_terms(
-            RATIONAL, order, {m: Fraction(1, factorial(2 * m + 1)) for m in range(order + 1)})
-        cosh = QSeries.from_terms(
-            RATIONAL, order, {m: Fraction(1, factorial(2 * m)) for m in range(order + 1)})
-        series = cosh * sinh.inverse()
-    return [series.coefficient(m) for m in range(order + 1)]
+def n_partitions(n: int) -> int:
+    return len(list(partitions_of(n)))
+
+
+def weight_part(cls: dict, n: int) -> dict:
+    return {p: c for p, c in cls.items() if sum(p) == n}
 
 
 def test_weight_zero_parts_are_one():
     for k in (1, 2, 3):
-        assert a_hat(k).constant_term() == 1
-        assert l_hat(k).constant_term() == 1
+        assert a_hat(k)[()] == 1
+        assert l_hat(k)[()] == 1
 
 
 def test_a_hat_weight_four_oracle():
-    c = univariate_coeffs("a", 1)
-    assert a_hat(1).weight_part(4) == ChernRootSeries.power_sum(1, 1, c[1])
+    c = root_class_series("a", (1,), 1)
+    assert weight_part(a_hat(1), 1) == {(1,): c[1]}
     assert c[1] == Fraction(-1, 24)
 
 
 def test_l_hat_weight_four_oracle():
-    c = univariate_coeffs("l", 1)
-    assert l_hat(1).weight_part(4) == ChernRootSeries.power_sum(1, 1, c[1])
+    c = root_class_series("l", (1,), 1)
+    assert weight_part(l_hat(1), 1) == {(1,): c[1]}
     assert c[1] == Fraction(1, 3)
 
 
@@ -62,71 +55,86 @@ def test_two_variable_product_oracle():
     # multiply out (1 + c1 x^2 + c2 x^4) for two roots and convert the
     # symmetric functions to power sums by Newton's identity
     for kind, build in (("a", a_hat), ("l", l_hat)):
-        c = univariate_coeffs(kind, 2)
+        c = root_class_series(kind, (1,), 2)
         e1 = c[1]              # coefficient of x1^2 + x2^2 = p1
         sq = c[1] * c[1]       # coefficient of x1^2 x2^2 = (p1^2 - p2)/2
         quart = c[2]           # coefficient of x1^4 + x2^4 = p2
-        expected = ChernRootSeries(2, {
-            (): 1,
-            (1,): e1,
-            (2,): quart - sq / 2,
-            (1, 1): sq / 2,
-        })
-        assert build(2) == expected
+        assert build(2) == {(): 1, (1,): e1, (2,): quart - sq / 2, (1, 1): sq / 2}
+
+
+def test_classes_match_root_products():
+    # every weight n <= k of A-hat and L, read at p_s = sum_j x_j^(2s),
+    # is the v^n coefficient of prod_j f(x_j t), v = t^2, at p(k) + 2
+    # seeded rational root vectors of length k
+    rng = random.Random(20260413)
+    for k in range(1, 9):
+        classes = {"a": a_hat(k), "l": l_hat(k)}
+        for _ in range(n_partitions(k) + 2):
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+            for kind, cls in classes.items():
+                series = root_class_series(kind, roots, k)
+                for n in range(k + 1):
+                    assert power_sum_value(cls, roots, n) == series[n], (kind, k, roots, n)
 
 
 def test_ch_witten_grade_zero_and_half():
-    assert ch_witten(1, 0) == ChernRootSeries.constant(1, 1)
-    assert ch_witten(1, Fraction(1, 2)) == ChernRootSeries(1, {(1,): -1})
-    assert ch_witten(2, Fraction(1, 2)) == ChernRootSeries(
-        2, {(1,): -1, (2,): Fraction(-1, 12)})
+    assert ch_witten(1, 0) == {(): 1}
+    assert ch_witten(1, Fraction(1, 2)) == {(1,): -1}
+    assert ch_witten(2, Fraction(1, 2)) == {(1,): -1, (2,): Fraction(-1, 12)}
 
 
 def test_ch_witten_rank_sequence_matches_lambda_ring():
     # every moment: with lam = e^x and roots x_j = w_j x, the x^(2n)
     # coefficient of the Witten bundle over E = sum_j (lam^w_j + lam^-w_j),
     # (1/(2n)!) sum_e c_e e^(2n), is the weight-n part of the Chern series
-    # at p_s = sum_j w_j^(2s); n = 0 is the rank
-    N = 3
-    for w in [(1, 2), (1, 3), (2, 5, 1), (1, 1, 4), (3,)]:
-        E = sum((LaurentPoly({wj: 1, -wj: 1}) for wj in w), LaurentPoly.zero())
-        lam_side = theta_bundle(E, THETA2, N=N)
-        for k in range(1, 5):
-            chern_side = witten_chern_series(k, N)
+    # at p_s = sum_j w_j^(2s); n = 0 is the rank.  p(8) + 2 seeded weight
+    # vectors of length 8 give every k <= 8 at least p(k) + 2 of them
+    rng = random.Random(20260414)
+    vectors = [tuple(rng.randint(1, 5) for _ in range(8)) for _ in range(n_partitions(8) + 2)]
+    for N in (1, 3):
+        chern_sides = {k: witten_chern_series(k, N) for k in range(1, 9)}
+        for w in vectors:
+            E = sum((LaurentPoly({wj: 1, -wj: 1}) for wj in w), LaurentPoly.zero())
+            lam_side = theta_bundle(E, THETA2, N=N)
             for h in range(2 * N + 1):
                 c = lam_side.coeffs[h].coeffs
-                for n in range(k + 1):
+                for n in range(9):
                     moment = Fraction(sum(ce * e ** (2 * n) for e, ce in c.items()),
                                       factorial(2 * n))
-                    value = sum(f.coeffs[h] * prod(sum(wj ** (2 * s) for wj in w) for s in lam)
-                                for lam, f in chern_side.items() if sum(lam) == n)
-                    assert moment == value, (w, k, h, n)
+                    for k in range(max(1, n), 9):
+                        grade = {lam: f.coeffs[h] for lam, f in chern_sides[k].items()}
+                        assert moment == power_sum_value(grade, w, n), (N, w, k, h, n)
 
 
 def test_exponentials_match_multiplied_out_oracle():
+    # the top weight that solve_cancellation decomposes, read from one
+    # exponential, is the weight-k part of A-hat times the Witten series
     for k in range(1, 9):
-        assert a_hat(k) == chern_a_hat(k)
-        assert l_hat(k) == chern_l_hat(k)
-        for N in (1, 2, 3, 5, 8):
+        for N in (k // 2 + 2, 3):
+            top = _twisted_top(k, N)
+            assert sorted(top) == sorted(partitions_of(k))
             series = witten_chern_series(k, N)
-            oracle = chern_witten_series(k, N)
             assert all(f.ring == RATIONAL and f.trunc == N for f in series.values())
             for h in range(2 * N + 1):
-                grade = ChernRootSeries(k, {p: f.coeffs[h] for p, f in series.items()})
-                assert grade == oracle.coeffs[h], (k, N, h)
+                grade = {p: f.coeffs[h] for p, f in series.items()}
+                expected = class_product_part(a_hat(k), grade, k)
+                got = {p: f.coeffs[h] for p, f in top.items() if f.coeffs[h] != 0}
+                assert got == expected, (k, N, h)
 
 
 def test_partitions_and_symmetry():
     assert sorted(partitions_of(3)) == [(1, 1, 1), (2, 1), (3,)]
-    s = ChernRootSeries(3, {(1, 2): 5})
-    assert list(s.terms) == [(2, 1)]
-    prod = ChernRootSeries.power_sum(3, 1) * ChernRootSeries.power_sum(3, 2)
-    assert list(prod.terms) == [(2, 1)]
+    for cls in (a_hat(4), l_hat(4), witten_chern_series(4, 2)):
+        assert all(list(p) == sorted(p, reverse=True) for p in cls)
 
 
 def test_weight_truncation():
-    s = ChernRootSeries.power_sum(1, 1) * ChernRootSeries.power_sum(1, 1)
-    assert s.is_zero()  # weight 8 > 4k with k = 1
+    # a class to weight 4k holds every partition of weight <= k and no more
+    for k in (1, 3, 5):
+        expected = sorted(p for n in range(k + 1) for p in partitions_of(n))
+        assert sorted(a_hat(k)) == sorted(l_hat(k)) == expected
+        assert sorted(witten_chern_series(k, 2)) == expected
+        assert all(c != 0 for c in ch_witten(k, 1).values())
 
 
 def test_cancellation_k1():
@@ -135,8 +143,8 @@ def test_cancellation_k1():
     assert rep.exponents == [3]
     assert rep.h_coeffs == [1]
     # the recovered relation is L^(4) = 8 * (-A-hat^(4)) = -8 A-hat^(4)
-    assert rep.combinations[0] == -a_hat(1).weight_part(4)
-    assert rep.combinations[0] * 8 == l_hat(1).weight_part(4)
+    assert rep.combinations[0] == {p: -c for p, c in weight_part(a_hat(1), 1).items()}
+    assert {p: 8 * c for p, c in rep.combinations[0].items()} == weight_part(l_hat(1), 1)
 
 
 def test_cancellation_k2():
@@ -167,12 +175,11 @@ def test_dimension_twelve_classical_form():
     # L^(12) = 8 {A-hat ch(T_C)}^(12) - 32 {A-hat}^(12), the classical
     # dimension-12 statement, as a direct power-sum identity
     k = 3
-    chT = ChernRootSeries.constant(k, 4 * k)
-    for s in range(1, k + 1):
-        chT = chT + ChernRootSeries.power_sum(k, s, Fraction(2, factorial(2 * s)))
-    lhs = l_hat(k).weight_part(12)
-    rhs = (a_hat(k) * chT).weight_part(12) * 8 - a_hat(k).weight_part(12) * 32
-    assert lhs == rhs
+    chT = {(): 4 * k, **{(s,): Fraction(2, factorial(2 * s)) for s in range(1, k + 1)}}
+    twisted = class_product_part(a_hat(k), chT, k)
+    ahat = weight_part(a_hat(k), k)
+    rhs = {p: 8 * twisted.get(p, 0) - 32 * ahat.get(p, 0) for p in partitions_of(k)}
+    assert weight_part(l_hat(k), k) == {p: c for p, c in rhs.items() if c != 0}
 
 
 def test_cancellation_insufficient_order():
@@ -205,8 +212,10 @@ def test_basis_rows_multiply_only_what_they_need(monkeypatch):
 
 
 def test_p2_decompose_basis_element():
-    d2 = modform_qexp("delta2", 6).series.scale(8)
-    assert p2_decompose(d2 * d2, 2) == [1, 0]
+    # decomposed on the grades the series holds, at every truncation
+    for order in range(2, 7):
+        d2 = modform_qexp("delta2", order).series.scale(8)
+        assert p2_decompose(d2 * d2, 2) == [1, 0], order
 
 
 def test_p2_decompose_zero_series():
@@ -247,3 +256,4 @@ def test_solve_exact_errors():
     sol = solve_exact([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]],
                       [[Fraction(6)], [Fraction(8)]])
     assert sol == [[Fraction(3)], [Fraction(2)]]
+

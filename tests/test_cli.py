@@ -333,3 +333,16 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["name"] == "delta1"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["modforms", "expand", "--name", "delta2", "--order", "2", "--output", str(target)])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"propergenus: error: cannot write '{target}'")
+

@@ -57,8 +57,8 @@ def partitions_of(n: int, max_part: int | None = None):
 
 
 def _partitions_upto(k: int) -> list[Partition]:
-    """Partitions of every weight 0..k."""
-    return [lam for n in range(k + 1) for lam in partitions_of(n)]
+    """Partitions of every weight 1..k (the constant term is the caller's)."""
+    return [lam for n in range(1, k + 1) for lam in partitions_of(n)]
 
 
 def _nonzero(terms: dict) -> dict[Partition, int | Fraction]:
@@ -114,14 +114,15 @@ def _witten_form(k: int, N: int) -> dict[int, QSeries]:
     return form
 
 
-def _exp_power_sums(form: dict, parts: list[Partition], one) -> dict[Partition, object]:
-    """exp(sum_s form[s] p_s) at the partitions ``parts``, in closed form.
+def _exp_power_sums(form: dict, parts: list[Partition]) -> dict[Partition, object]:
+    """exp(sum_s form[s] p_s) at the nonempty partitions ``parts``, in
+    closed form.
 
     The coefficient of p_lambda is prod_s form[s]^(m_s) / m_s!, with
     m_s the number of parts of lambda equal to s, so each power
     c_s^m / m! is built once and no series in the p_s is multiplied
-    out.  The coefficients may be rationals or rational q-series;
-    ``one``, the unit of their ring, is the constant term.
+    out.  The coefficients may be rationals or rational q-series; the
+    constant term, the unit of their ring, is left to the caller.
     """
     top = max(map(sum, parts), default=0)
     powers = {}
@@ -130,27 +131,27 @@ def _exp_power_sums(form: dict, parts: list[Partition], one) -> dict[Partition, 
         for m in range(2, top // s + 1):
             row.append(row[-1] * c * Fraction(1, m))
         powers[s] = row
-    return {lam: reduce(mul, [powers[s][lam.count(s) - 1] for s in set(lam)]) if lam else one
-            for lam in parts}
+    return {lam: reduce(mul, [powers[s][lam.count(s) - 1] for s in set(lam)]) for lam in parts}
 
 
 # -- the classical multiplicative classes ------------------------------------
 
 def a_hat(k: int) -> dict[Partition, int | Fraction]:
     """prod_j (x_j/2)/sinh(x_j/2), truncated at weight 4k."""
-    return _nonzero(_exp_power_sums(_a_hat_form(k), _partitions_upto(k), 1))
+    return _nonzero({(): 1, **_exp_power_sums(_a_hat_form(k), _partitions_upto(k))})
 
 
 def l_hat(k: int) -> dict[Partition, int | Fraction]:
     """prod_j x_j/tanh(x_j), truncated at weight 4k."""
-    return _nonzero(_exp_power_sums(_l_hat_form(k), _partitions_upto(k), 1))
+    return _nonzero({(): 1, **_exp_power_sums(_l_hat_form(k), _partitions_upto(k))})
 
 
 def witten_chern_series(k: int, N: int = 4) -> dict[Partition, QSeries]:
     """Chern-character q-series of the half-twisted Witten bundle over the
     rank-reduced tangent class, as {partition: rational q-series}: the
     coefficient of p_lambda at every half-grade, to weight 4k."""
-    return _exp_power_sums(_witten_form(k, N), _partitions_upto(k), QSeries.one(RATIONAL, N))
+    return {(): QSeries.one(RATIONAL, N),
+            **_exp_power_sums(_witten_form(k, N), _partitions_upto(k))}
 
 
 def ch_witten(k: int, grade) -> dict[Partition, int | Fraction]:
@@ -246,12 +247,13 @@ def _two_adic(c: Fraction) -> tuple[Fraction, int]:
     return c / Fraction(2) ** e, e
 
 
-def _twisted_top(k: int, N: int) -> dict[Partition, QSeries]:
+def _twisted_top(k: int, N: int, part_basis: list[Partition]) -> dict[Partition, QSeries]:
     """Weight-4k part of A-hat times the Witten series, at the partitions
-    of k: the product is the one exponential exp(sum_s (a_s + c_s(q)) p_s)."""
+    ``part_basis`` of k: the product is the one exponential
+    exp(sum_s (a_s + c_s(q)) p_s)."""
     ahat = _a_hat_form(k)
     twisted = {s: c + QSeries(RATIONAL, N, [ahat[s]]) for s, c in _witten_form(k, N).items()}
-    return _exp_power_sums(twisted, sorted(partitions_of(k)), None)
+    return _exp_power_sums(twisted, part_basis)
 
 
 def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport:
@@ -270,12 +272,12 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     if q_order < nb:
         raise SingularSystem(f"q_order {q_order} < {nb} unknowns")
     part_basis = sorted(partitions_of(k))
-    top = _twisted_top(k, q_order)
+    top = _twisted_top(k, q_order, part_basis)
     rhs = [[top[p].coeffs[h] for p in part_basis] for h in range(2 * q_order + 1)]
     solution = solve_exact(_basis_rows(k, q_order), rhs)  # nb x dim
     combos = [_nonzero(dict(zip(part_basis, row))) for row in solution]
     # scalar solve: sum_b c_b * combo_b = top part of the L-class
-    ell = _exp_power_sums(_l_hat_form(k), part_basis, None)
+    ell = _exp_power_sums(_l_hat_form(k), part_basis)
     lrows = [[combo.get(p, 0) for combo in combos] for p in part_basis]
     scalars = [c[0] for c in solve_exact(lrows, [[ell[p]] for p in part_basis])]
     h_coeffs, exponents = map(list, zip(*map(_two_adic, scalars)))

@@ -290,8 +290,10 @@ def main(argv=None) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as exc:
+        # the usage error takes precedence, but a domain error is not lost
+        lost = f"; {doc['error']['code']}: {doc['error']['message']}" if code else ""
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: cannot write {args.output!r}: "
-                                 f"{exc.strerror}\n")
+                                 f"{exc.strerror}{lost}\n")
     return code
 
 

@@ -346,3 +346,16 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, where):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"propergenus: error: cannot write '{target}'")
 
+
+def test_unwritable_output_keeps_domain_error(capsys, tmp_path):
+    # exit 64 takes precedence, and the domain error is named on stderr
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["witten-genus", "--weights", "0,1", "--order", "2", "--output", str(target)])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"propergenus: error: cannot write '{target}'")
+    assert "; OddWeightSum: " in captured.err
+

@@ -83,39 +83,30 @@ def test_ch_witten_grade_zero_and_half():
     assert ch_witten(2, Fraction(1, 2)) == {(1,): -1, (2,): Fraction(-1, 12)}
 
 
-def _check_witten_moments(vectors, N, max_k):
+def test_ch_witten_rank_sequence_matches_lambda_ring():
     # every moment: with lam = e^x and roots x_j = w_j x, the x^(2n)
     # coefficient of the Witten bundle over E = sum_j (lam^w_j + lam^-w_j),
     # (1/(2n)!) sum_e c_e e^(2n), is the weight-n part of the Chern series
-    # at p_s = sum_j w_j^(2s); n = 0 is the rank
-    chern_sides = {k: witten_chern_series(k, N) for k in range(1, max_k + 1)}
-    for w in vectors:
-        E = sum((LaurentPoly({wj: 1, -wj: 1}) for wj in w), LaurentPoly.zero())
-        lam_side = theta_bundle(E, THETA2, N=N)
-        for h in range(2 * N + 1):
-            c = lam_side.coeffs[h].coeffs
-            for n in range(max_k + 1):
-                moment = Fraction(sum(ce * e ** (2 * n) for e, ce in c.items()),
-                                  factorial(2 * n))
-                for k in range(max(1, n), max_k + 1):
-                    grade = {lam: f.coeffs[h] for lam, f in chern_sides[k].items()}
-                    assert moment == power_sum_value(grade, w, n), (N, w, k, h, n)
-
-
-def test_ch_witten_rank_sequence_matches_lambda_ring():
-    # p(8) + 2 seeded weight vectors of length 8 give every k <= 8 at
-    # least p(k) + 2 of them
+    # at p_s = sum_j w_j^(2s); n = 0 is the rank.  p(8) + 2 seeded weight
+    # vectors of length 8 give every k <= 8 at least p(k) + 2 of them; at
+    # N = 8, p(3) + 2 short vectors check the divisor sums of the Witten
+    # form up to half-grade 16 for k <= 3
     rng = random.Random(20260414)
-    vectors = [tuple(rng.randint(1, 5) for _ in range(8)) for _ in range(n_partitions(8) + 2)]
-    for N in (1, 3):
-        _check_witten_moments(vectors, N, 8)
-
-
-def test_ch_witten_high_grades_match_lambda_ring():
-    # the divisor sums of the Witten form up to half-grade h = 16, for k <= 3
-    rng = random.Random(20260415)
-    vectors = [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(n_partitions(3) + 2)]
-    _check_witten_moments(vectors, 8, 3)
+    long = [tuple(rng.randint(1, 5) for _ in range(8)) for _ in range(n_partitions(8) + 2)]
+    short = [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(n_partitions(3) + 2)]
+    for N, vectors, max_k in ((1, long, 8), (3, long, 8), (8, short, 3)):
+        chern_sides = {k: witten_chern_series(k, N) for k in range(1, max_k + 1)}
+        for w in vectors:
+            E = sum((LaurentPoly({wj: 1, -wj: 1}) for wj in w), LaurentPoly.zero())
+            lam_side = theta_bundle(E, THETA2, N=N)
+            for h in range(2 * N + 1):
+                c = lam_side.coeffs[h].coeffs
+                for n in range(max_k + 1):
+                    moment = Fraction(sum(ce * e ** (2 * n) for e, ce in c.items()),
+                                      factorial(2 * n))
+                    for k in range(max(1, n), max_k + 1):
+                        grade = {lam: f.coeffs[h] for lam, f in chern_sides[k].items()}
+                        assert moment == power_sum_value(grade, w, n), (N, w, k, h, n)
 
 
 def test_exponentials_match_multiplied_out_oracle():

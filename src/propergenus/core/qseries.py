@@ -19,6 +19,7 @@ from operator import itemgetter
 
 from ..errors import (
     GradeOutOfRange,
+    NonIntegral,
     NonUnitConstantTerm,
     NotUpperHalfPlane,
     RingMismatch,
@@ -355,48 +356,36 @@ def _unpack_digits(value: int, B: int, n: int, half: int):
             for i in range(0, len(raw), nbytes)]
 
 
-def _binomial_product(ring: LaurentRing, trunc: int, factors) -> QSeries:
-    """The product of binomial factors over a Laurent ring, built in place.
+def _convolve(rows, c, h: int, shift: int):
+    """rows[k] += sum_(j >= 1) c_j (rows[k - j h] << j shift), k downwards."""
+    for k in range(len(rows) - 1, h - 1, -1):
+        acc = rows[k]
+        for j in range(1, min(k // h, len(c) - 1) + 1):
+            src = rows[k - j * h]
+            if src:
+                acc += c[j] * (src << j * shift)
+        rows[k] = acc
 
-    Each factor ``(s, w, h, divide)`` multiplies the running product by
-    1 + s x^w q^(h/2) or, when ``divide``, divides it by 1 - s x^w q^(h/2),
-    with h >= 1.  Row k of the product, the coefficient of q^(k/2), is
-    one Kronecker-packed int R_k = sum_e c_e 2^(B (e/g + m k)): g is the
-    gcd of the weights, m = max|w|/g, and B is the digit width in bits.
-    A grade-k row only reaches |e/g| <= m k, so its digits sit at
-    0..2mk.  Multiplying is ``R_k += s (R_(k-h) << B (w/g + m h))`` for
-    k downwards, dividing the same update for k upwards; the shift is
-    never negative.
 
-    Evaluation at 2^B is a ring map, so the packed update is exact as
-    long as the digits read back satisfy |c| < 2^(B-1).  B comes from a
-    proven bound: the same recurrence on scalars with |s| (x = 1) gives
-    M_k, which bounds the l1 norm of row k of the product, of every
-    partial product and of every halfway state of an update.  So
-    B = bits(max M_k) + 1, rounded up to whole bytes, never overflows.
+def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
+    """Multiply rows (row k the coefficient of q^(k/2)) by (1 + s y)^mult,
+    or divide them by (1 - s y)^mult, with y = q^(h/2) 2^shift.
 
-    The product is exact to q^trunc: no exponent of x is dropped.  The
-    rows are unpacked once at the end, by :func:`_unpack_digits`.
+    A multiplicity that the truncation does not cut is applied one unit
+    at a time, k downwards to multiply and upwards to divide, one shift
+    and one add per row.  A larger one is one pass of its binomial
+    series cut at y^n, binom(mult + j - 1, j) s^j to divide and
+    binom(mult, j) s^j to multiply: mult = 10^6 costs what mult = n does.
     """
-    top = 2 * trunc
-    factors = [f for f in factors if f[2] <= top]
-    g = 0
-    for f in factors:
-        g = gcd(g, f[1])
-    g = g or 1
-    m = max((abs(f[1]) for f in factors), default=0) // g
-
-    majorant = [1] + [0] * top
-    for s, _, h, divide in factors:
-        a = abs(s)
-        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
-            majorant[k] += a * majorant[k - h]
-    B = _digit_width(max(majorant).bit_length() + 1)
-    half = _half(B, 2 * m * top + 1)  # the bias of the widest row
-
-    rows = [1] + [0] * top
-    for s, w, h, divide in factors:
-        shift = B * (w // g + m * h)
+    top = len(rows) - 1
+    n = top // h
+    if mult > n:
+        c = [1]
+        for j in range(1, n + 1):
+            c.append(c[-1] * s * (mult + j - 1 if divide else mult - j + 1) // j)
+        _convolve(rows, c, h, shift)
+        return
+    for _ in range(mult):
         for k in range(h, top + 1) if divide else range(top, h - 1, -1):
             src = rows[k - h]
             if not src:
@@ -409,10 +398,88 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors) -> QSeries:
             else:
                 rows[k] += s * src
 
+
+def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | None = None) -> QSeries:
+    """The product of binomial factors over a Laurent ring, built in place.
+
+    Each factor ``(s, w, h, divide, mult)`` multiplies the running
+    product by (1 + s x^w q^(h/2))^mult or, when ``divide``, divides it
+    by (1 - s x^w q^(h/2))^mult, with h >= 1.  The product starts from
+    ``start`` (integer Laurent coefficients), by default 1.
+
+    The factors with w = 0 carry no x: they multiply out first, on plain
+    ints, into the scalar start ``base``, and base times the start is
+    packed as the starting rows.  Row k, the coefficient of q^(k/2), is
+    one Kronecker-packed int R_k = sum_e c_e 2^(B (e/g + r + m k)): g is
+    the gcd of the weights and of the start's exponents, m = max|w|/g,
+    r = max|e|/g over the start, and B is the digit width in bits.  Row k
+    only reaches |e/g| <= r + m k, so its digits sit at 0..2(r + m k).
+    A weighted factor is ``R_k += s (R_(k-h) << B (w/g + m h))`` for k
+    downwards, or upwards to divide, or one binomial series per row
+    (:func:`_apply`); the shift is never negative.
+
+    Evaluation at 2^B is a ring map and Python ints do not overflow, so
+    the rows are exact as long as the final digits satisfy |c| < 2^(B-1).
+    B comes from a proven bound, since the l1 norm of a product is at most
+    the convolution of its factors' l1 norms: the majorant M_k starts
+    from the start rows' l1 norms convolved with |base| (exactly |base_k|
+    without a start) and runs the weighted factors on scalars with |s|.
+    So B = bits(max M_k) + 1, rounded up to a digit width, never
+    overflows.  The product is exact to q^trunc: no exponent of x is
+    dropped.  The rows are unpacked once at the end.
+    """
+    top = 2 * trunc
+    base = [1] + [0] * top
+    weighted = []
+    for f in factors:
+        if f[2] <= top:
+            if f[1]:
+                weighted.append(f)
+            else:
+                _apply(base, f[0], f[2], f[3], f[4])
+    g = 0
+    for f in weighted:
+        g = gcd(g, f[1])
+    if start is not None:
+        if start.ring != ring:
+            raise RingMismatch(f"{start.ring.name} vs {ring.name}")
+        start = [row.coeffs for row in start.coeffs[:top + 1]]
+        for row in start:
+            g = gcd(g, *row)
+    g = g or 1
+    m = max((abs(f[1]) for f in weighted), default=0) // g
+    r = max((abs(e) for row in start for e in row), default=0) // g if start else 0
+
+    if start is None:
+        majorant = list(map(abs, base))
+    else:
+        majorant = [sum(map(abs, row.values())) for row in start]
+        if not all(type(n) is int for n in majorant):  # a Fraction makes its norm one
+            raise NonIntegral("a start coefficient is not integral")
+        _convolve(majorant, list(map(abs, base)), 1, 0)
+    for s, _, h, divide, mult in weighted:
+        _apply(majorant, abs(s), h, divide, mult)
+    B = _digit_width(max(majorant).bit_length() + 1)
+    half = _half(B, 2 * (r + m * top) + 1)  # the bias of the widest row
+
+    if start is None:
+        rows = [b << B * m * k for k, b in enumerate(base)]
+    else:
+        rows = []
+        for k, row in enumerate(start):
+            digits = [0] * (2 * r + 1)
+            for e, c in row.items():
+                digits[e // g + r] = c
+            rows.append(_pack_digits(digits, B, half) << B * m * k)
+        _convolve(rows, base, 1, B * m)
+    for s, w, h, divide, mult in weighted:
+        _apply(rows, s, h, divide, mult, B * (w // g + m * h))
+
     out = []
     for k, row in enumerate(rows):
-        coeffs = _unpack_digits(row, B, 2 * m * k + 1, half)
-        exponents = range(-g * m * k, g * m * k + 1, g)
+        n = r + m * k
+        coeffs = _unpack_digits(row, B, 2 * n + 1, half)
+        exponents = range(-g * n, g * n + 1, g)
         out.append(LaurentPoly(dict(filter(itemgetter(1), zip(exponents, coeffs))), ring.var))
     return QSeries(ring, trunc, out)
 

@@ -10,7 +10,11 @@ averaged Witten genus of the induced bundle construction
 whose two computation routes (literal three-factor series, or the
 rank-reduced Witten bundle of the weight-(+-2) adjoint character times
 the Witten Lefschetz series) must agree exactly as series in lam and q,
-before the trace.
+before the trace.  The second route applies the bundle's binomial
+factors onto the assembled Lefschetz series, which is the start of one
+kernel run; the first folds them into every fixed point's twist before
+the assembly.  The elliptic genera apply Theta1 and Theta2 of the
+adjoint the same way, so no two series are multiplied here.
 
 The generic formal-degree functional on a root datum,
 
@@ -77,7 +81,7 @@ def averaged_witten_genus(weights, N: int = 10) -> QSeries:
     disagreement raises AssertionError.
     """
     literal = p_series(weights, N)
-    if theta_bundle(ADJOINT, THETA, N) * lefschetz_witten(weights, N) != literal:
+    if theta_bundle(ADJOINT, THETA, N, start=lefschetz_witten(weights, N)) != literal:
         raise AssertionError("the two Witten genus routes disagree")
     return trace_series(literal)
 
@@ -86,15 +90,11 @@ def averaged_elliptic_genera(weights, N: int = 8) -> tuple[QSeries, QSeries]:
     """Traces of the two elliptic-genus inductions; identically zero for
     every valid weight vector, since the twisted Lefschetz series vanish."""
     validate_weights(weights)
-    phi1 = trace_series(
-        theta_bundle(ADJOINT, THETA1, N)
-        * LaurentPoly({1: 1, -1: 1})  # the spinor character lam + lam^-1
-        * lefschetz_twisted(weights, SIGNATURE, THETA1, N)
-    )
-    phi2 = trace_series(
-        theta_bundle(ADJOINT, THETA2, N)
-        * lefschetz_twisted(weights, DIRAC, THETA2, N)
-    )
+    spinor = LaurentPoly({1: 1, -1: 1})  # the spinor character lam + lam^-1
+    phi1 = trace_series(theta_bundle(
+        ADJOINT, THETA1, N, start=lefschetz_twisted(weights, SIGNATURE, THETA1, N) * spinor))
+    phi2 = trace_series(theta_bundle(
+        ADJOINT, THETA2, N, start=lefschetz_twisted(weights, DIRAC, THETA2, N)))
     return phi1, phi2
 
 

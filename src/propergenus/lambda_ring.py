@@ -6,12 +6,16 @@ representation of weight n.  Total symmetric and exterior powers S_t
 and L_t of a character with integer multiplicities are products over
 its lines: split E = P - M into positive and negative parts, then
 S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M), so
-every line of weight w contributes one binomial factor 1 +- t x^w or
-its inverse.  These factors are applied in place, one pass over the
-grades each (``core.qseries._binomial_product``); a whole Witten bundle,
-the weight-0 part of E~ included, is one such product.  A character
-with a non-integral multiplicity is refused with NonIntegral.  The tests
-hold this route equal to the Adams-operation exponential
+the d lines of weight w contribute one binomial factor (1 +- t x^w)^d
+or its inverse.  A whole Witten bundle is one product of such factors,
+applied in place (``core.qseries._binomial_product``): the weight-0
+factors, the rank part of E~ among them, multiply out once on plain
+ints into the product's scalar start, and the cost of a weighted factor
+is bounded by the truncation, not by its multiplicity.  The product can
+start from a given series, so Theta(E~) times a series is one such run.
+A character with a non-integral multiplicity is refused with
+NonIntegral.  The tests hold this route equal to the Adams-operation
+exponential
 
     S_t(E) = exp( sum_k  psi^k(E) t^k / k ),
     L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ).
@@ -73,7 +77,8 @@ def ext_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
 
 
 def _line_factors(lines, h_t: int, sign: int, exterior: bool):
-    """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per line.
+    """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per
+    weight with its multiplicity.
 
     ``lines`` is ``_split(E)``.  A weight-w line of P contributes
     1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
@@ -85,8 +90,7 @@ def _line_factors(lines, h_t: int, sign: int, exterior: bool):
         s = -sign if flip else sign
         divide = not (exterior ^ flip)
         for w, mult in sorted(weights.items()):
-            for _ in range(mult):
-                yield s, w, h_t, divide
+            yield s, w, h_t, divide, mult
 
 
 def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
@@ -99,8 +103,10 @@ def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> 
                              _line_factors(_split(E), h_t, sign, exterior))
 
 
-def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
-    """Witten-bundle product over the character E itself (no rank reduction).
+def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8,
+                 start: QSeries | None = None) -> QSeries:
+    """Witten-bundle product over the character E itself (no rank reduction),
+    times ``start`` when it is given.
 
     Factors with first contribution above the truncation are dropped,
     which leaves every stored grade exact.
@@ -116,12 +122,14 @@ def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
     lines = _split(E)
     return _binomial_product(LaurentRing(E.var), N, (
         f for h_t, sign, exterior in powers
-        for f in _line_factors(lines, h_t, sign, exterior)))
+        for f in _line_factors(lines, h_t, sign, exterior)), start)
 
 
-def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSeries:
-    """Witten bundle of the rank-reduced representation E~ = E - rank(E)."""
-    out = theta_series(tilde(E), variant, N)
+def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8,
+                 start: QSeries | None = None) -> QSeries:
+    """Witten bundle of the rank-reduced representation E~ = E - rank(E),
+    times ``start`` when it is given."""
+    out = theta_series(tilde(E), variant, N, start)
     for g, c in out.nonzero_terms():
         if not c.is_integral():
             raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")

@@ -59,9 +59,9 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     trig, sign, half_offset = _THETA_SHAPE[kind]
     factors = []
     for j in range(1, n_q + 1):
-        factors.append((-1, 0, 2 * j, False))  # scalar factor (1 - q^j)
+        factors.append((-1, 0, 2 * j, False, 1))  # scalar factor (1 - q^j)
         h = 2 * j - 1 if half_offset else 2 * j
-        factors += [(sign, 1, h, False), (sign, -1, h, False)]
+        factors += [(sign, 1, h, False, 1), (sign, -1, h, False, 1)]
     series = _binomial_product(Z_RING, n_q, factors)
     if n_z < n_q:
         series = series.map_coefficients(

@@ -21,7 +21,7 @@ from propergenus.core.qseries import (
     _pack_digits,
     _unpack_digits,
 )
-from propergenus.errors import NonIntegral
+from propergenus.errors import NonIntegral, RingMismatch
 from propergenus.lambda_ring import (
     THETA,
     THETA1,
@@ -38,28 +38,31 @@ from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 # -- the dict-row kernel --------------------------------------------------------
 
 
-def reference_binomial_product(ring, trunc, factors):
-    """Binomial factors applied on per-grade ``{exponent: coeff}`` rows.
+def reference_binomial_product(ring, trunc, factors, start=None):
+    """Binomial factors applied on per-grade ``{exponent: coeff}`` rows,
+    starting from the rows of ``start`` (by default 1).
 
     Multiplying by 1 + s x^w q^(h/2) is ``row[k] += s x^w row[k-h]`` for
     k downwards, dividing by 1 - s x^w q^(h/2) the same update for k
-    upwards.
+    upwards; a factor of multiplicity m is m such updates.
     """
     top = 2 * trunc
-    rows = [{} for _ in range(top + 1)]
-    rows[0][0] = 1
-    for s, w, h, divide in factors:
+    if start is None:
+        start = QSeries.one(ring, trunc)
+    rows = [dict(poly.coeffs) for poly in start.coeffs]
+    for s, w, h, divide, mult in factors:
         if h > top:
             continue
-        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
-            dst = rows[k]
-            for e, c in rows[k - h].items():
-                e += w
-                c = dst.get(e, 0) + s * c
-                if c:
-                    dst[e] = c
-                else:
-                    del dst[e]
+        for _ in range(mult):
+            for k in range(h, top + 1) if divide else range(top, h - 1, -1):
+                dst = rows[k]
+                for e, c in rows[k - h].items():
+                    e += w
+                    c = dst.get(e, 0) + s * c
+                    if c:
+                        dst[e] = c
+                    else:
+                        del dst[e]
     return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
 
 
@@ -213,16 +216,15 @@ def test_p_series_one_minus_factor():
     ref = QSeries.one(LAMBDA_RING, N)
     for n in range(1, N + 1):
         ref = ref * QSeries.from_terms(LAMBDA_RING, N, {0: 1, n: -1}) ** 8
-    got = _binomial_product(
-        LAMBDA_RING, N, [(-1, 0, 2 * n, False) for n in range(1, N + 1) for _ in range(8)])
+    got = _binomial_product(LAMBDA_RING, N, [(-1, 0, 2 * n, False, 8) for n in range(1, N + 1)])
     assert got == ref
 
 
 def test_divide_undoes_multiply():
     rng = random.Random(47)
-    factors = [(rng.choice([1, -1]), rng.randint(-4, 4), rng.randint(1, 5), rng.random() < 0.5)
-               for _ in range(12)]
-    inverse = [(-s, w, h, not divide) for s, w, h, divide in factors]
+    factors = [(rng.choice([1, -1]), rng.randint(-4, 4), rng.randint(1, 5), rng.random() < 0.5,
+                rng.randint(1, 7)) for _ in range(12)]
+    inverse = [(-s, w, h, not divide, mult) for s, w, h, divide, mult in factors]
     prod = _binomial_product(LAMBDA_RING, 6, factors)
     assert prod * _binomial_product(LAMBDA_RING, 6, inverse) == QSeries.one(LAMBDA_RING, 6)
 
@@ -264,15 +266,15 @@ def test_exp_recurrence_matches_power_loop():
 # -- the packed kernel against the dict-row kernel -----------------------------------
 
 
-def rand_factors(rng, weights, top, count):
+def rand_factors(rng, weights, top, count, mults=(1,)):
     """Mixed multiply and divide factors with |s| up to 3."""
     return [(rng.choice([1, -1, 2, -2, 3, -3]), rng.choice(weights), rng.randint(1, top),
-             rng.random() < 0.5) for _ in range(count)]
+             rng.random() < 0.5, rng.choice(mults)) for _ in range(count)]
 
 
-def assert_kernels_agree(ring, trunc, factors):
-    got = _binomial_product(ring, trunc, factors)
-    assert got == reference_binomial_product(ring, trunc, factors), factors
+def assert_kernels_agree(ring, trunc, factors, start=None):
+    got = _binomial_product(ring, trunc, factors, start)
+    assert got == reference_binomial_product(ring, trunc, factors, start), (factors, start)
 
 
 def test_packed_kernel_matches_dict_kernel():
@@ -288,7 +290,7 @@ def test_packed_kernel_matches_dict_kernel():
 def test_packed_kernel_edge_lists():
     assert _binomial_product(LAMBDA_RING, 3, []) == QSeries.one(LAMBDA_RING, 3)
     # every factor starts above the truncation
-    late = [(2, 3, 7, False), (-1, -2, 9, True)]
+    late = [(2, 3, 7, False, 1), (-1, -2, 9, True, 5)]
     assert _binomial_product(Z_RING, 3, late) == QSeries.one(Z_RING, 3)
     # weights sharing the gcd 3
     rng = random.Random(61)
@@ -298,10 +300,104 @@ def test_packed_kernel_edge_lists():
 
 def test_packed_kernel_wide_digits():
     # 40 divisions by 1 - 3x q^(1/2): coefficients far above 2^64
-    factors = [(3, 1, 1, True)] * 40 + [(-1, -1, 2, False)] * 3
+    factors = [(3, 1, 1, True, 1)] * 40 + [(-1, -1, 2, False, 1)] * 3
     got = _binomial_product(LAMBDA_RING, 8, factors)
     assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
     assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
+
+
+def test_multiplicity_is_one_factor():
+    # a factor of multiplicity m equals m unit factors, for weight 0 (the
+    # scalar start) and for weighted lines, at multiplicities the
+    # truncation cuts (one binomial-series pass) and ones it does not
+    rng = random.Random(67)
+    for w in (0, 0, 1, -2, 3):
+        for _ in range(12):
+            trunc = rng.randint(1, 4)
+            s, h, divide = rng.choice([1, -1, 2, -3]), rng.randint(1, 2 * trunc), rng.random() < 0.5
+            mult = rng.choice([2, 3, 2 * trunc // h + 1, 2 * trunc + 5])
+            got = _binomial_product(LAMBDA_RING, trunc, [(s, w, h, divide, mult), (1, 1, 1, True, 1)])
+            units = [(s, w, h, divide, 1)] * mult + [(1, 1, 1, True, 1)]
+            assert got == _binomial_product(LAMBDA_RING, trunc, units), (s, w, h, divide, mult)
+            assert got == reference_binomial_product(LAMBDA_RING, trunc, units)
+
+
+def test_large_multiplicity_is_one_binomial_series():
+    # theta of a trivial bundle of rank m is prod_n (1 - q^n)^(-m): to q^2
+    # that is 1 + m q + (m + binom(m + 1, 2)) q^2, in one pass per factor
+    m = 10 ** 6
+    got = theta_series(LaurentPoly.constant(m), THETA, 2)
+    assert [c.eval_one() for c in got.coeffs] == [1, 0, m, 0, m + m * (m + 1) // 2]
+    # and for a weighted line: L_t(m x) with t = -q^(1/2) is (1 - x q^(1/2))^m
+    got = ext_total(LaurentPoly({1: m}), Fraction(1, 2), -1, 1)
+    assert [c.coeffs for c in got.coeffs] == [{0: 1}, {1: -m}, {2: m * (m - 1) // 2}]
+
+
+def rand_start(rng, ring, trunc, span, big=False):
+    """A seeded start series: some rows zero, exponents of both signs."""
+    rows = []
+    for _ in range(2 * trunc + 1):
+        if rng.random() < 0.3:
+            rows.append({})
+            continue
+        top = 2 ** 31 - 1 if big else 9
+        rows.append({rng.randint(-span, span): rng.choice([-top, top, rng.randint(-top, top)])
+                     for _ in range(rng.randint(1, 4))})
+    return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
+
+
+def test_packed_kernel_from_a_start():
+    rng = random.Random(71)
+    weight_sets = ([-3, -1, 0, 2, 5], [-6, 0, 3, 9], [0], [1, 7], [-4, -2])
+    for i in range(50):
+        weights = weight_sets[i % len(weight_sets)]
+        trunc = rng.randint(1, 4)
+        factors = rand_factors(rng, weights, 2 * trunc, rng.randint(0, 8), (1, 1, 2, 5))
+        start = rand_start(rng, LAMBDA_RING, trunc, rng.choice([0, 2, 7]), big=i % 4 == 3)
+        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+    # starts whose exponents share a gcd with the weights, or not
+    for span_step, weights in ((4, [-8, 4, 12]), (3, [-2, 6]), (2, [0])):
+        trunc = 3
+        start = QSeries(Z_RING, trunc, [LaurentPoly({span_step * rng.randint(-3, 3): k + 1}, "z")
+                                        for k in range(2 * trunc + 1)])
+        assert_kernels_agree(Z_RING, trunc, rand_factors(rng, weights, 6, 6, (1, 3)), start)
+
+
+def test_packed_kernel_start_edge_cases():
+    factors = [(1, 2, 1, True, 1), (-1, 0, 2, False, 3), (2, -1, 3, False, 4)]
+    # the all-zero start gives the zero series
+    zero = QSeries(LAMBDA_RING, 3)
+    assert _binomial_product(LAMBDA_RING, 3, factors, zero) == zero
+    # the start 1 is no start; a start alone comes back unchanged
+    one = QSeries.one(LAMBDA_RING, 3)
+    assert _binomial_product(LAMBDA_RING, 3, factors, one) == _binomial_product(
+        LAMBDA_RING, 3, factors)
+    rng = random.Random(73)
+    start = rand_start(rng, LAMBDA_RING, 3, 5)
+    assert _binomial_product(LAMBDA_RING, 3, [], start) == start
+    # coefficients at +-(2^31 - 1) fill a 32-bit digit exactly; one factor
+    # (1 + x q^(1/2)) doubles the l1 norm of row 1 and calls for 64 bits
+    for c in (2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31)):
+        start = QSeries(LAMBDA_RING, 1, [LaurentPoly({-3: c}), LaurentPoly({3: c}), LaurentPoly()])
+        assert _binomial_product(LAMBDA_RING, 1, [], start) == start
+        for factors in ([(1, 1, 1, False, 1)], [(1, 0, 1, False, 1)], [(-1, 2, 1, True, 3)]):
+            assert_kernels_agree(LAMBDA_RING, 1, factors, start)
+    with pytest.raises(RingMismatch):
+        _binomial_product(LAMBDA_RING, 1, [], QSeries.one(Z_RING, 1))
+    half_start = QSeries(LAMBDA_RING, 1, [1, LaurentPoly({2: Fraction(1, 2)})])
+    with pytest.raises(NonIntegral, match="^a start coefficient is not integral$"):
+        theta_bundle(LaurentPoly({2: 1, -2: 1}), THETA, 1, half_start)
+
+
+def test_theta_bundle_from_a_start_is_the_product():
+    # theta_bundle(E, variant, N, start) is theta_bundle(E, variant, N) * start
+    rng = random.Random(79)
+    for _ in range(10):
+        E = rand_char(rng)
+        N = rng.randint(1, 4)
+        start = rand_start(rng, LAMBDA_RING, N, 6)
+        for variant in (THETA, THETA1, THETA2):
+            assert theta_bundle(E, variant, N, start) == theta_bundle(E, variant, N) * start
 
 
 @pytest.mark.parametrize("n", [16, 256])
@@ -309,11 +405,12 @@ def test_packed_kernel_wide_digits():
 def test_packed_kernel_sign_bit(n, s):
     # 1/(1 - s x q^(1/2))^n reaches its majorant n(n+1)/2 at q^1, which needs
     # exactly 8 (n = 16) or 16 (n = 256) magnitude bits: a digit of that
-    # width without room for the sign would overflow
-    factors = [(s, 1, 1, True)] * n
-    got = _binomial_product(LAMBDA_RING, 1, factors)
-    assert got.coeffs[2] == LaurentPoly({2: n * (n + 1) // 2})
-    assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
+    # width without room for the sign would overflow; as n unit factors
+    # and as one factor of multiplicity n
+    for factors in ([(s, 1, 1, True, 1)] * n, [(s, 1, 1, True, n)]):
+        got = _binomial_product(LAMBDA_RING, 1, factors)
+        assert got.coeffs[2] == LaurentPoly({2: n * (n + 1) // 2})
+        assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
 
 
 @pytest.mark.parametrize("B", [8, 16, 24, 64, 72])

@@ -95,6 +95,40 @@ def test_witten_genus_route_check_compares_before_the_trace(monkeypatch):
     with pytest.raises(AssertionError, match="disagree"):
         averaged_witten_genus((0, 1, 2, 5), N=4)
 
+
+def test_witten_genus_route_check_fires_on_an_odd_start(monkeypatch):
+    # an odd power of lam in the start series, which every other term of
+    # both routes lacks: the kernel packs it at the gcd 1 and it survives
+    # the product with Theta(adjoint~), whose constant term is 1
+    original = induction.lefschetz_witten
+
+    def perturbed(weights, N):
+        extra = QSeries.from_terms(LAMBDA_RING, N, {1: LaurentPoly({3: 1, -1: -1})})
+        return original(weights, N) + extra
+
+    monkeypatch.setattr(induction, "lefschetz_witten", perturbed)
+    with pytest.raises(AssertionError, match="disagree"):
+        averaged_witten_genus((0, 1, 2, 5), N=4)
+
+
+def test_induction_multiplies_no_two_series(monkeypatch):
+    # each Witten bundle of the adjoint is applied onto its Lefschetz
+    # series by the kernel's start, so no two series are multiplied
+    mul = QSeries.__mul__
+
+    def refuse(self, other):
+        if isinstance(other, QSeries):
+            raise AssertionError("induction multiplied two series")
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    monkeypatch.setattr(QSeries, "__rmul__", refuse)
+    assert averaged_witten_genus((0, 1, 2, 5), N=6).coefficient(3) == 6
+    for ws in [(0, 2), (0, 1, 2, 5)]:
+        phi1, phi2 = averaged_elliptic_genera(ws, N=5)
+        assert phi1.is_zero() and phi2.is_zero()
+
+
 def test_witten_genus_nonzero_case():
     g = averaged_witten_genus((0, 1, 2, 5), N=8)
     assert g.coefficient(2) == -2

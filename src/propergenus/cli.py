@@ -73,6 +73,13 @@ def _parse_finite(text: str) -> float:
     return value
 
 
+def _parse_tol(text: str) -> float:
+    tol = _parse_finite(text)
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return tol
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -95,7 +102,7 @@ def build_parser() -> _Parser:
     unsigned.add_argument("--unsigned", action="store_true",
                           help="use the literal unsigned fixed-point formula")
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tol", type=_parse_finite, default=1e-9, help="numeric tolerance")
+    tolerance.add_argument("--tol", type=_parse_tol, default=1e-9, help="numeric tolerance")
 
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser(
@@ -189,19 +196,24 @@ def _run_p_series(args) -> dict:
     }
 
 
+def _check_report(verb: str, args, report: dict, **point) -> dict:
+    """The report of a numeric check verb at the evaluation point ``point``."""
+    return {
+        "verb": verb,
+        **point,
+        "tau": [args.tau.real, args.tau.imag],
+        "order": args.order,
+        "tolerance": args.tol,
+        "residuals": report["residuals"],
+        "failed": report["failed"],
+        "all_passed": report["all_passed"],
+    }
+
+
 def _run_theta(args) -> dict:
     if args.action == "check":
         report = verify_theta_transforms(args.v, args.tau, args.order, args.tol)
-        return {
-            "verb": "theta-check",
-            "v": [args.v.real, args.v.imag],
-            "tau": [args.tau.real, args.tau.imag],
-            "order": args.order,
-            "tolerance": args.tol,
-            "residuals": report["residuals"],
-            "failed": report["failed"],
-            "all_passed": report["all_passed"],
-        }
+        return _check_report("theta-check", args, report, v=[args.v.real, args.v.imag])
     exp = theta_qexp(args.kind, args.order, args.z_order)
     return {
         "verb": "theta-expand",
@@ -216,15 +228,7 @@ def _run_theta(args) -> dict:
 def _run_modforms(args) -> dict:
     if args.action == "check":
         report = verify_modform_transforms(args.tau, args.order, args.tol)
-        return {
-            "verb": "modforms-check",
-            "tau": [args.tau.real, args.tau.imag],
-            "order": args.order,
-            "tolerance": args.tol,
-            "residuals": report["residuals"],
-            "failed": report["failed"],
-            "all_passed": report["all_passed"],
-        }
+        return _check_report("modforms-check", args, report)
     mf = modform_qexp(args.name, args.order)
     return {
         "verb": "modforms-expand",

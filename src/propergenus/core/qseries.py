@@ -10,6 +10,7 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
 import sys
@@ -317,6 +318,7 @@ def _digit_width(bits: int) -> int:
     return next((b for b in _DIGIT_FORMATS if b >= bits), -(-bits // 8) * 8)
 
 
+@functools.lru_cache(maxsize=256)
 def _half(B: int, n: int) -> int:
     """2^(B-1) in each of n digits of width B.  Adding it biases every
     balanced digit c to c + 2^(B-1) >= 0, so no digit borrows from the
@@ -324,36 +326,53 @@ def _half(B: int, n: int) -> int:
     return int.from_bytes((bytes(B // 8 - 1) + b"\x80") * n, "little")
 
 
-def _pack_digits(digits, B: int, half: int) -> int:
-    """The value at 2^B of ``digits`` (lowest first, every |d| < 2^(B-1)).
+def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
+    """The value of ``poly`` at x = 2^B, its exponent e at digit
+    (e - lo) / step: sum_e c_e 2^(B (e - lo) / step).
 
-    ``half`` is ``_half(B, k)`` for some k >= len(digits).  The digits
-    are laid out in two's complement, and the inverse of the bias step
-    of :func:`_unpack_digits` turns that into the signed value.
+    Every exponent is at least ``lo`` and congruent to it mod ``step``,
+    and every |c_e| < 2^(B-1).  This is the one Kronecker layout of the
+    package (Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): the digits are laid out in two's complement, and the
+    inverse of the bias step of :func:`_unpack` turns that into the
+    signed value.
     """
+    if not poly.coeffs:
+        return 0
+    n = (max(poly.coeffs) - lo) // step + 1
+    digits = [0] * n
+    for e, c in poly.coeffs.items():
+        digits[(e - lo) // step] = c
     fmt = _DIGIT_FORMATS.get(B)
     if fmt:
-        raw = struct.pack(f"<{len(digits)}{fmt}", *digits)
+        raw = struct.pack(f"<{n}{fmt}", *digits)
     else:
         raw = b"".join(d.to_bytes(B // 8, "little", signed=True) for d in digits)
+    half = _half(B, n)
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _unpack_digits(value: int, B: int, n: int, half: int):
-    """The n balanced base-2^B digits of ``value``, lowest first.
+def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> LaurentPoly:
+    """The inverse of :func:`_pack`: the Laurent polynomial in ``var``
+    whose n balanced base-2^B digits, lowest first, are those of
+    ``value``, digit i at exponent lo + step i.
 
-    ``half`` is ``_half(B, k)`` for some k >= n.  Flipping the top bit of
-    each biased digit leaves c in two's complement, which one memoryview
-    cast reads when B is 8, 16, 32 or 64 (byte slices otherwise).
+    Adding the bias and flipping the top bit of each biased digit leaves
+    c in two's complement, which one memoryview cast reads when B is 8,
+    16, 32 or 64 (byte slices otherwise), and the zeros drop in C.
     Raises OverflowError when ``value`` has no n-digit balanced form.
     """
+    half = _half(B, n)
     nbytes = B // 8
     raw = ((value + half) ^ half).to_bytes(nbytes * n, "little")
     fmt = _DIGIT_FORMATS.get(B)
     if fmt:
-        return memoryview(raw).cast(fmt)
-    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-            for i in range(0, len(raw), nbytes)]
+        digits = memoryview(raw).cast(fmt)
+    else:
+        digits = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                  for i in range(0, len(raw), nbytes)]
+    exponents = range(lo, lo + step * n, step)
+    return LaurentPoly(dict(filter(itemgetter(1), zip(exponents, digits))), var)
 
 
 def _convolve(rows, c, h: int, shift: int):
@@ -410,10 +429,11 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     The factors with w = 0 carry no x: they multiply out first, on plain
     ints, into the scalar start ``base``, and base times the start is
     packed as the starting rows.  Row k, the coefficient of q^(k/2), is
-    one Kronecker-packed int R_k = sum_e c_e 2^(B (e/g + r + m k)): g is
-    the gcd of the weights and of the start's exponents, m = max|w|/g,
-    r = max|e|/g over the start, and B is the digit width in bits.  Row k
-    only reaches |e/g| <= r + m k, so its digits sit at 0..2(r + m k).
+    one int R_k = sum_e c_e 2^(B (e/g + r + m k)), the :func:`_pack` of
+    that coefficient at lo = -g (r + m k) and step g: g is the gcd of the
+    weights and of the start's exponents, m = max|w|/g, r = max|e|/g over
+    the start, and B is the digit width in bits.  Row k only reaches
+    |e/g| <= r + m k, so its digits sit at 0..2(r + m k).
     A weighted factor is ``R_k += s (R_(k-h) << B (w/g + m h))`` for k
     downwards, or upwards to divide, or one binomial series per row
     (:func:`_apply`); the shift is never negative.
@@ -426,7 +446,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     without a start) and runs the weighted factors on scalars with |s|.
     So B = bits(max M_k) + 1, rounded up to a digit width, never
     overflows.  The product is exact to q^trunc: no exponent of x is
-    dropped.  The rows are unpacked once at the end.
+    dropped.  Each row is unpacked once, by :func:`_unpack`.
     """
     top = 2 * trunc
     base = [1] + [0] * top
@@ -443,45 +463,33 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     if start is not None:
         if start.ring != ring:
             raise RingMismatch(f"{start.ring.name} vs {ring.name}")
-        start = [row.coeffs for row in start.coeffs[:top + 1]]
+        start = start.coeffs[:top + 1]
         for row in start:
-            g = gcd(g, *row)
+            g = gcd(g, *row.coeffs)
     g = g or 1
     m = max((abs(f[1]) for f in weighted), default=0) // g
-    r = max((abs(e) for row in start for e in row), default=0) // g if start else 0
+    r = max((abs(e) for row in start for e in row.coeffs), default=0) // g if start else 0
 
     if start is None:
         majorant = list(map(abs, base))
     else:
-        majorant = [sum(map(abs, row.values())) for row in start]
+        majorant = [sum(map(abs, row.coeffs.values())) for row in start]
         if not all(type(n) is int for n in majorant):  # a Fraction makes its norm one
             raise NonIntegral("a start coefficient is not integral")
         _convolve(majorant, list(map(abs, base)), 1, 0)
     for s, _, h, divide, mult in weighted:
         _apply(majorant, abs(s), h, divide, mult)
     B = _digit_width(max(majorant).bit_length() + 1)
-    half = _half(B, 2 * (r + m * top) + 1)  # the bias of the widest row
 
     if start is None:
         rows = [b << B * m * k for k, b in enumerate(base)]
     else:
-        rows = []
-        for k, row in enumerate(start):
-            digits = [0] * (2 * r + 1)
-            for e, c in row.items():
-                digits[e // g + r] = c
-            rows.append(_pack_digits(digits, B, half) << B * m * k)
+        rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start)]
         _convolve(rows, base, 1, B * m)
     for s, w, h, divide, mult in weighted:
         _apply(rows, s, h, divide, mult, B * (w // g + m * h))
-
-    out = []
-    for k, row in enumerate(rows):
-        n = r + m * k
-        coeffs = _unpack_digits(row, B, 2 * n + 1, half)
-        exponents = range(-g * n, g * n + 1, g)
-        out.append(LaurentPoly(dict(filter(itemgetter(1), zip(exponents, coeffs))), ring.var))
-    return QSeries(ring, trunc, out)
+    return QSeries(ring, trunc, [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
+                                 for k, row in enumerate(rows)])
 
 
 def _check_tau(tau: complex):

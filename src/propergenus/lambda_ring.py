@@ -129,11 +129,7 @@ def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8,
                  start: QSeries | None = None) -> QSeries:
     """Witten bundle of the rank-reduced representation E~ = E - rank(E),
     times ``start`` when it is given."""
-    out = theta_series(tilde(E), variant, N, start)
-    for g, c in out.nonzero_terms():
-        if not c.is_integral():
-            raise NonIntegral(f"coefficient at grade {g} is not integral: {c}")
-    return out
+    return theta_series(tilde(E), variant, N, start)
 
 
 # -- textual bundle expressions ---------------------------------------------

@@ -22,8 +22,9 @@ polynomial, and the quotient is exact.
 Each grade is certified by one integer division (Kronecker substitution:
 Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4).  Its numerator, shifted into a polynomial P in lam, and D are
-evaluated at lam = 2^B as big ints.  A zero remainder and a quotient q'
-read as balanced base-2^B digits with
+evaluated at lam = 2^B as big ints, and the quotient is read back, by
+the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).  A
+zero remainder and a quotient q' read as balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
 
@@ -50,17 +51,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import (
-    LAMBDA_RING,
-    QSeries,
-    _digit_width,
-    _half,
-    _pack_digits,
-    _unpack_digits,
-)
+from .core.qseries import LAMBDA_RING, QSeries, _digit_width, _pack, _unpack
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -170,10 +163,8 @@ def _pack_factors(data, point_series, operator: str, signed: bool, B: int | None
     # norm 2, so a width of len(pairs) + 2 bits holds each coefficient
     B0 = _digit_width(len(pairs) + 2)
     den, values = _factor_values(pairs, data, operator, B0)
-    half = _half(B0, den_degree + 1)
-    den_norm = sum(map(abs, _unpack_digits(den, B0, den_degree + 1, half)))
-    norms = [sum(map(abs, _unpack_digits(v, B0, d + 1, half)))
-             for v, d in zip(values, degrees)]
+    den_norm = _l1(_unpack(den, B0, 0, den_degree + 1, LAMBDA))
+    norms = [_l1(_unpack(v, B0, 0, d + 1, LAMBDA)) for v, d in zip(values, degrees)]
     if B is None:
         # the largest numerator bound N_h of any grade; a grade with
         # Fraction coefficients raises NonIntegral before its bound is
@@ -192,23 +183,16 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed):
     hi - lo, once D is known not to divide P.
 
     N_h and |D|_1 are below 2^(B-1), so P and D unpack exactly from their
-    values.  Spread onto even mu exponents, they give the same rational
-    function in mu as the Laurent sum, and its reduced form is unique
-    (monic denominator, coprime to the numerator): the message names the
-    same denominator whichever way the sum was formed.
+    values, straight onto even mu exponents (lam = mu^2).  They give the
+    same rational function in mu as the Laurent sum, and its reduced form
+    is unique (monic denominator, coprime to the numerator): the message
+    names the same denominator whichever way the sum was formed.
     """
     B, den, den_degree, _, _ = packed
-    half = _half(B, max(hi - lo, den_degree) + 1)
-    top, bottom = (
-        Poly([c for d in _unpack_digits(value, B, n, half) for c in (d, 0)])
-        for value, n in ((num, hi - lo + 1), (den, den_degree + 1))
-    )
-    if lo > 0:
-        top = top * Poly.monomial(2 * lo)
-    else:
-        bottom = bottom * Poly.monomial(-2 * lo)
+    top, shift = Poly.from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
+    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
     # D is coprime to mu, so the reduced denominator keeps a factor of D
-    RationalFunc(top, bottom).to_laurent(MU)
+    RationalFunc(top, bottom * Poly.monomial(shift)).to_laurent(MU)
     raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
@@ -218,9 +202,9 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     cs[j] is the twist coefficient of the j-th point at this grade, and
     ``packed`` is what :func:`_pack_factors` returns for the call.  The
     numerator num = sum_j cs[j] pre_j, aligned on its lowest exponent lo,
-    is the polynomial P = lam^(-lo) num, and P(2^B) is one big int.  One
-    divmod by D(2^B) and a balanced base-2^B reading give q'.  The check
-    is the proof: with a zero remainder and
+    is the polynomial P = lam^(-lo) num, and P(2^B) is one big int
+    (:func:`_pack`).  One divmod by D(2^B) and :func:`_unpack` give q'.
+    The check is the proof: with a zero remainder and
 
         max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |cs[j]|_1 |P_j|_1,
 
@@ -242,11 +226,7 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     for c, (value, low, degree, norm) in zip(cs, points):
         if c.coeffs:
             bound += _l1(c) * norm
-            first, last = min(c.coeffs), max(c.coeffs)
-            digits = [0] * (last - first + 1)
-            for e, x in c.coeffs.items():
-                digits[e - first] = x
-            rows.append((digits, value, low + first, low + last + degree))
+            rows.append((c, value, low, low + min(c.coeffs), low + max(c.coeffs) + degree))
     if not rows:
         return LaurentPoly.zero(LAMBDA)
     # a Fraction coefficient makes the bound a Fraction
@@ -254,12 +234,9 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
         raise NonIntegral("a twist coefficient is not integral")
     if bound >= limit or den_norm >= limit:
         return None
-    lo = min(row[2] for row in rows)
-    hi = max(row[3] for row in rows)
-    half = _half(B, hi - lo + 1)
-    num = 0
-    for digits, value, start, _ in rows:
-        num += _pack_digits(digits, B, half) * value << B * (start - lo)
+    lo = min(row[3] for row in rows)
+    hi = max(row[4] for row in rows)
+    num = sum(_pack(c, B, lo - low) * value for c, value, low, _, _ in rows)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
@@ -269,12 +246,12 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     if rem:
         _raise_not_laurent(num, lo, hi, packed)
     try:
-        q = _unpack_digits(quo, B, n, half)
+        q = _unpack(quo, B, lo, n, LAMBDA)
     except OverflowError:
         return None
-    if max(map(abs, q)) * den_norm + bound >= limit:
+    if max(map(abs, q.coeffs.values())) * den_norm + bound >= limit:
         return None
-    return LaurentPoly(dict(filter(itemgetter(1), zip(range(lo, lo + n), q))), LAMBDA)
+    return q
 
 
 def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:

@@ -14,13 +14,7 @@ from fractions import Fraction
 import pytest
 
 from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units
-from propergenus.core.qseries import (
-    LaurentRing,
-    _binomial_product,
-    _half,
-    _pack_digits,
-    _unpack_digits,
-)
+from propergenus.core.qseries import LaurentRing, _binomial_product, _pack, _unpack
 from propergenus.errors import NonIntegral, RingMismatch
 from propergenus.lambda_ring import (
     THETA,
@@ -415,21 +409,28 @@ def test_packed_kernel_sign_bit(n, s):
 
 @pytest.mark.parametrize("B", [8, 16, 24, 64, 72])
 def test_digit_pack_round_trip(B):
-    # both layouts (one cast at 8/16/64 bits, byte slices at 24/72): the
-    # packed value is sum_i d_i 2^(B i), unpacking inverts packing, and a
+    # both layouts (one cast at 8/16/64 bits, byte slices at 24/72), from
+    # exponent lo in steps of step: the packed value is sum_i c_i 2^(B i)
+    # with c_i at exponent lo + step i, unpacking inverts packing, and a
     # value with no n-digit balanced form raises OverflowError
     rng = random.Random(B)
     top = 1 << (B - 1)
-    half = _half(B, 12)
-    for n in (1, 5, 12):
-        digits = [rng.choice((-top, top - 1, 0, rng.randrange(-top, top))) for _ in range(n)]
-        value = _pack_digits(digits, B, half)
-        assert value == sum(d << (B * i) for i, d in enumerate(digits))
-        assert list(_unpack_digits(value, B, n, half)) == digits
-        # n digits hold exactly the values v with 0 <= v + _half(B, n) < 2^(B n)
-        lowest, highest = -_half(B, n), (1 << (B * n)) - _half(B, n) - 1
-        assert list(_unpack_digits(lowest, B, n, half)) == [-top] * n
-        assert list(_unpack_digits(highest, B, n, half)) == [top - 1] * n
-        for outside in (lowest - 1, highest + 1):
-            with pytest.raises(OverflowError):
-                _unpack_digits(outside, B, n, half)
+    for lo, step in ((0, 1), (-7, 1), (-6, 2), (4, 2), (-9, 3), (3, 3)):
+        for n in (1, 5, 12):
+            # an extreme top digit, so the packed form spans all n digits
+            digits = [rng.choice((-top, top - 1, 0, rng.randrange(-top, top)))
+                      for _ in range(n - 1)] + [rng.choice((-top, top - 1))]
+            poly = LaurentPoly({lo + step * i: d for i, d in enumerate(digits)}, "x")
+            value = _pack(poly, B, lo, step)
+            assert value == sum(d << (B * i) for i, d in enumerate(digits))
+            assert _unpack(value, B, lo, n, "x", step) == poly
+            # n digits hold exactly the values from -top ones to (top - 1) ones
+            ones = sum(1 << (B * i) for i in range(n))
+            lowest, highest = -top * ones, (top - 1) * ones
+            exponents = range(lo, lo + step * n, step)
+            assert _unpack(lowest, B, lo, n, "x", step) == LaurentPoly(dict.fromkeys(exponents, -top), "x")
+            assert _unpack(highest, B, lo, n, "x", step) == LaurentPoly(dict.fromkeys(exponents, top - 1), "x")
+            for outside in (lowest - 1, highest + 1):
+                with pytest.raises(OverflowError):
+                    _unpack(outside, B, lo, n, "x", step)
+    assert _pack(LaurentPoly.zero("x"), B, -3, 2) == 0

@@ -87,6 +87,12 @@ def test_usage_error_exit_code(capsys):
     ["modforms", "check", "--tau", "0.1,1", "--tol", "nan"],
     ["modforms", "check", "--tau", "0.1,1", "--tol", "inf"],
     ["modforms", "check", "--tau", "0.1,inf"],
+    # a law passes only when its residual is below --tol, so a tolerance
+    # of 0 or less would report laws that hold, at residual 0.0, as failed
+    ["theta", "check", "--v", "0,0", "--tau", "0,1", "--order", "1", "--tol", "0"],
+    ["theta", "check", "--v", "0,0", "--tau", "0,1", "--order", "1", "--tol", "-1"],
+    ["modforms", "check", "--tau", "0,1", "--order", "1", "--tol", "0"],
+    ["modforms", "check", "--tau", "0,1", "--order", "1", "--tol", "-1"],
 ])
 def test_non_finite_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -272,6 +278,21 @@ def test_theta_check_verb(capsys):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert len(doc["residuals"]) == 8
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["theta", "check", "--v", "0.1,0.2"], {"v"}),
+    (["modforms", "check"], set()),
+])
+def test_check_verb_keys(capsys, argv, point):
+    code, out = run(capsys, *argv, "--tau", "0,1", "--order", "4", "--tol", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"verb", "tau", "order", "tolerance", "residuals", "failed",
+                        "all_passed"} | point
+    assert doc["verb"] == "-".join(argv[:2])
+    assert doc["tau"] == [0.0, 1.0] and doc["order"] == 4 and doc["tolerance"] == 0.5
+    assert doc["all_passed"] is (doc["failed"] == [])
 
 
 def test_theta_expand_verb(capsys):

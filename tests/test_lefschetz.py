@@ -306,6 +306,10 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     with pytest.raises(NotLaurent) as got:
         _packed_grade([grade], over(2, 16))
     assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
+    # the same grade times lam^-3: the pole at mu = 0 joins the denominator
+    with pytest.raises(NotLaurent) as got:
+        _packed_grade([LaurentPoly({-3: -1, 252: 1})], over(2, 16))
+    assert str(got.value) == "denominator -1*x^6 + 1*x^8 has a non-monomial factor"
     outcomes = {
         "digit wider than B": ([LaurentPoly({0: 300, 1: -300})], over(1, 8), None),
         "nonzero remainder": ([LaurentPoly({0: 1, 3: 1})], over(1, 16), NotLaurent),

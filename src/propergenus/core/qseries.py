@@ -492,14 +492,15 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
                                  for k, row in enumerate(rows)])
 
 
-def _check_tau(tau: complex):
+def _check_tau(tau: complex, name: str = "tau"):
     """Refuse tau outside the upper half-plane, and tau so close to the
-    real axis that |q|^(1/2) = exp(-pi Im tau) rounds to 1."""
+    real axis that |q|^(1/2) = exp(-pi Im tau) rounds to 1.  The message
+    calls the point ``name``, say -1/tau for an S-image."""
     tau = complex(tau)
     if tau.imag <= 0:
-        raise NotUpperHalfPlane(f"tau = {tau} is not in the upper half-plane")
+        raise NotUpperHalfPlane(f"{name} = {tau} is not in the upper half-plane")
     if math.exp(-math.pi * tau.imag) == 1.0:
-        raise NotUpperHalfPlane(f"tau = {tau} is so close to the real axis "
+        raise NotUpperHalfPlane(f"{name} = {tau} is so close to the real axis "
                                 "that |q|^(1/2) rounds to 1")
 
 

@@ -66,6 +66,3 @@ class InconsistentSystem(DomainError):
     """Overdetermined linear solve has no exact solution."""
     code = "InconsistentSystem"
 
-
-class DegenerateRootDatum(DomainError):
-    code = "DegenerateRootDatum"

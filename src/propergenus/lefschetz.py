@@ -32,11 +32,12 @@ prove q' D = P: the difference vanishes at 2^B, and N_h bounds every
 coefficient of P, so each of its coefficients is below 2^(B-1).  D is
 monic, so a nonzero remainder proves that D does not divide P: the grade
 raises NotLaurent, which names the pole of the reduced rational form in
-mu.  A grade that B is too narrow to decide is repacked at 2B until it
-is decided.  The sum collapses to a Laurent polynomial exactly when the
-orientation signs sigma_j = (-1)^j (weights sorted ascending) are in
-place; the unsigned literal formula is kept available for comparison
-and fails the certificate already for the two-point case.
+mu.  A grade that B is too narrow to decide falls back once, to a
+proven width B* at which an undecided grade has no Laurent quotient.
+The sum collapses to a Laurent polynomial exactly when the orientation
+signs sigma_j = (-1)^j (weights sorted ascending) are in place; the
+unsigned literal formula is kept available for comparison and fails the
+certificate already for the two-point case.
 
 Witten-bundle factors outside the sum fold into every twist, since the
 sum is linear in its twists and Theta multiplies: the literal series is
@@ -51,9 +52,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _digit_width, _pack, _unpack
+from .core.qseries import LAMBDA_RING, QSeries, _apply, _digit_width, _pack, _unpack
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -178,6 +180,58 @@ def _pack_factors(data, point_series, operator: str, signed: bool, B: int | None
     return B, den, den_degree, den_norm, list(zip(values, lows, degrees, norms))
 
 
+def _quotient_bounds(data, point_series, operator: str, packed) -> list[tuple]:
+    """(M_h, N_h) for every grade h: N_h bounds every coefficient of P,
+    and if D divides P, M_h bounds every coefficient of Q = P / D.
+
+    P_j / D is one over the 2l - 1 pair factors lam^(w_s) - 1 at j, times
+    prod_s (lam^(w_s) + 1) for the signature operator, so in powers of
+    lam, pre_j / D = -sigma_j lam^(low_j) F_j, where
+
+        F_j = prod_s (1 + lam^(w_s))^[signature] / prod_s (1 - lam^(w_s))
+
+    has coefficients >= 0 (:func:`_apply` on plain ints).  If D | P, then
+    lam^lo Q = num / D = -sum_j sigma_j lam^(low_j) cs[j] F_j, and every
+    exponent of lam^(low_j) cs[j] is at least lo, so Q_i takes F_j only at
+    t <= i < n_h = deg Q + 1:
+
+        |Q_i| <= M_h = sum_j |cs[j]|_1 max_(t < n_h) F_(j,t).
+    """
+    _, _, den_degree, _, points = packed
+    grades = []
+    for h in range(len(point_series[0].coeffs)):
+        rows = [(j, s.coeffs[h]) for j, s in enumerate(point_series) if s.coeffs[h].coeffs]
+        lo = min((points[j][1] + min(c.coeffs) for j, c in rows), default=0)
+        hi = max((points[j][1] + max(c.coeffs) + points[j][2] for j, c in rows), default=0)
+        grades.append((rows, max(hi - lo + 1 - den_degree, 1)))
+    peaks = []
+    for datum in data:
+        F = [1] + [0] * (max(n for _, n in grades) - 1)
+        for w in datum.tangent_weights:
+            if operator == SIGNATURE:
+                _apply(F, 1, w, False, 1)
+            _apply(F, 1, w, True, 1)
+        peaks.append(list(accumulate(F, max)))
+    return [(sum(_l1(c) * peaks[j][n - 1] for j, c in rows),
+             sum(_l1(c) * points[j][3] for j, c in rows)) for rows, n in grades]
+
+
+def _proven_width(data, point_series, operator: str, packed) -> int:
+    """B*, the digit width of max_h (M_h |D|_1 + N_h) plus one bit
+    (:func:`_quotient_bounds`), at which every grade is decided.
+
+    A nonzero grade has M_h >= 1, so N_h and |D|_1 are below 2^(B*-1).
+    If D | P, the remainder at 2^B* is zero, Q unpacks as q' since every
+    |Q_i| <= M_h < 2^(B*-1), and max|q'_i| |D|_1 + N_h < 2^(B*-1): the
+    check holds.  So a grade that it does not prove at B* has no Laurent
+    quotient.  int() keeps every integral bound; a Fraction grade raises
+    NonIntegral before its bound is compared.
+    """
+    den_norm = packed[3]
+    top = max(m * den_norm + n for m, n in _quotient_bounds(data, point_series, operator, packed))
+    return _digit_width(int(top).bit_length() + 1)
+
+
 def _raise_not_laurent(num: int, lo: int, hi: int, packed):
     """Raise NotLaurent for lam^lo P / D, given P(2^B) = num with deg P <=
     hi - lo, once D is known not to divide P.
@@ -196,7 +250,7 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed):
     raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
-def _packed_grade(cs, packed) -> LaurentPoly | None:
+def _packed_grade(cs, packed, proven: bool = False) -> LaurentPoly | None:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
     cs[j] is the twist coefficient of the j-th point at this grade, and
@@ -217,7 +271,8 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     Laurent and raises NotLaurent.  A coefficient that is not an int
     raises NonIntegral.  Returns None when B is too narrow to decide:
     N_h or |D|_1 reaches 2^(B-1), or the remainder is zero but q' fails
-    the check.
+    the check.  When ``proven`` (B = B* of :func:`_proven_width`), an
+    undecided grade has no Laurent quotient and raises instead.
     """
     B, den, den_degree, den_norm, points = packed
     limit = 1 << (B - 1)
@@ -233,6 +288,8 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     if type(bound) is not int:
         raise NonIntegral("a twist coefficient is not integral")
     if bound >= limit or den_norm >= limit:
+        if proven:
+            raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
         return None
     lo = min(row[3] for row in rows)
     hi = max(row[4] for row in rows)
@@ -240,18 +297,18 @@ def _packed_grade(cs, packed) -> LaurentPoly | None:
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
-    if n < 1:
-        _raise_not_laurent(num, lo, hi, packed)
     quo, rem = divmod(num, den)
-    if rem:
+    if rem or n < 1:
         _raise_not_laurent(num, lo, hi, packed)
     try:
         q = _unpack(quo, B, lo, n, LAMBDA)
     except OverflowError:
-        return None
-    if max(map(abs, q.coeffs.values())) * den_norm + bound >= limit:
-        return None
-    return q
+        q = None
+    if q is not None and max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
+        return q
+    if proven:
+        _raise_not_laurent(num, lo, hi, packed)
+    return None
 
 
 def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
@@ -261,18 +318,21 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     over the lam Laurent ring.  Every grade goes through the packed
     certificate, which proves it an integral Laurent polynomial in lam
     or raises.  A grade that the call's width B is too narrow to decide
-    is repacked at 2B, then 4B, until it is decided: if D divides P the
-    quotient fits at some width, and if not, the remainder of P(2^B) by
-    D(2^B) is r(2^B) for r = P mod D, nonzero for large B.
+    falls back once, to the proven width B* (:func:`_proven_width`),
+    packed at most once per call.
     """
     N = point_series[0].trunc
     packed = _pack_factors(data, point_series, operator, signed)
+    wide = None
     out = QSeries(LAMBDA_RING, N)
     for h in range(2 * N + 1):
         cs = [s.coeffs[h] for s in point_series]
-        wide = packed
-        while (lam_poly := _packed_grade(cs, wide)) is None:
-            wide = _pack_factors(data, point_series, operator, signed, 2 * wide[0])
+        lam_poly = _packed_grade(cs, packed)
+        if lam_poly is None:
+            if wide is None:
+                B = _proven_width(data, point_series, operator, packed)
+                wide = _pack_factors(data, point_series, operator, signed, B)
+            lam_poly = _packed_grade(cs, wide, proven=True)
         out.coeffs[h] = lam_poly
     return out
 

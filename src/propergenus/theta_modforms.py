@@ -122,7 +122,7 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = 40,
     with an extra 1/i for theta.  Square roots use the principal branch.
     """
     _check_tau(tau)
-    _check_tau(-1 / tau)
+    _check_tau(-1 / tau, "-1/tau")
     t_partner = {"theta": "theta", "theta1": "theta1",
                  "theta2": "theta3", "theta3": "theta2"}
     t_phase = {"theta": cmath.exp(1j * cmath.pi / 4),
@@ -157,10 +157,11 @@ def _report(sides_of, tol: float) -> dict:
     pair.  Rounding error grows with the scale, the size of the terms
     that made a value, not with the value, which may cancel to zero; so
     the residual is |lhs - rhs| / max(1, scale_lhs, scale_rhs).  An
-    evaluation that leaves the floating-point range, by overflow or by
-    dividing by an underflowed zero, raises NumericOverflow, and so does a
-    residual or a scale that is not finite: it decides nothing, and JSON
-    cannot hold it.
+    evaluation that leaves the floating-point range, by overflow, by
+    dividing by an underflowed zero or by an infinite argument (cmath
+    raises ValueError), raises NumericOverflow, and so does a residual or
+    a scale that is not finite: it decides nothing, and JSON cannot hold
+    it.
     """
     try:
         residuals: dict[str, float] = {}
@@ -169,7 +170,7 @@ def _report(sides_of, tol: float) -> dict:
             if not all(map(math.isfinite, (diff, lhs_scale, rhs_scale))):
                 raise NumericOverflow("a residual or its scale is not a finite number")
             residuals[name] = diff / max(1.0, lhs_scale, rhs_scale)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise NumericOverflow(f"the evaluation left the floating-point range: {exc}") from None
     failed = sorted(name for name, r in residuals.items() if not r < tol)
     return {
@@ -249,6 +250,7 @@ def verify_modform_transforms(tau: complex, N: int = 60, tol: float = 1e-8) -> d
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
     _check_tau(tau)
     inv = -1 / tau
+    _check_tau(inv, "-1/tau")
 
     def side(name, t):
         return complex_eval(modform_qexp(name, N).series, t)

@@ -26,6 +26,9 @@ function here recomputes one of them by another.
 - ``class_product_part``: a product of two power-sum classes multiplied
   out over pairs of partitions, against the single exponential that
   ``chern.solve_cancellation`` reads its top weight from.
+- ``sl2_formal_degree``: the formal degree of a discrete series of
+  SL(2,R) by the Harish-Chandra product, against the trace
+  ``induction.pi_s1`` in absolute value.
 
 The prefactors, numerators and divisions of these routes are built here
 from the weights alone, so no oracle shares assembly code with the
@@ -328,6 +331,20 @@ def class_product_part(a: dict, b: dict, weight: int) -> dict:
                 key = tuple(sorted(p1 + p2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
     return {p: c for p, c in out.items() if c != 0}
+
+
+# -- formal degree of the discrete series of SL(2,R) -------------------------
+
+
+def sl2_formal_degree(mu) -> Fraction:
+    """The Harish-Chandra formal degree
+
+        (-1)^(d/2) prod_(alpha > 0) (mu + rho_c, alpha) / (rho, alpha)
+
+    for the circle in SL(2,R): d = dim G/K = 2, one positive root
+    alpha = 2, rho = 1 and no compact root, rho_c = 0."""
+    d, alpha, rho, rho_c = 2, 2, 1, 0
+    return (-1) ** (d // 2) * Fraction((mu + rho_c) * alpha, rho * alpha)
 
 
 # -- test-only helpers -------------------------------------------------------

@@ -115,18 +115,27 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv, code", [
+@pytest.mark.parametrize("argv, expected", [
     (["theta", "check", "--v", "0,300", "--tau", "0,1"], "NumericOverflow"),
     (["theta", "check", "--v", "0,120", "--tau", "0,1"], "NumericOverflow"),
     (["theta", "check", "--v", "0.1,0", "--tau", "0,1e-300"], "NotUpperHalfPlane"),
     (["theta", "check", "--v", "0.1,0", "--tau", "0,1e300"], "NotUpperHalfPlane"),
     (["modforms", "check", "--tau", "0,1e-300"], "NotUpperHalfPlane"),
+    # 2 pi v overflows inside cmath.exp, which raises ValueError
+    (["theta", "check", "--v", "1e308,0", "--tau", "0,1"], "NumericOverflow"),
+    # tau is in the upper half-plane; its S-image underflows onto the axis
+    (["modforms", "check", "--tau", "1e308,1"],
+     "NotUpperHalfPlane: -1/tau = (-1e-308+0j) is not in the upper half-plane"),
 ])
-def test_numeric_check_out_of_range_is_domain_error(capsys, argv, code):
-    # finite input whose evaluation cannot be done in floating point
+def test_numeric_check_out_of_range_is_domain_error(capsys, argv, expected):
+    # finite input whose evaluation cannot be done in floating point;
+    # expected is the error code, then ": " and the message if it is pinned
     exit_code, out = run(capsys, *argv, "--order", "20")
     assert exit_code == DOMAIN_ERROR
-    assert json.loads(out)["error"]["code"] == code
+    error = json.loads(out)["error"]
+    code, _, message = expected.partition(": ")
+    assert error["code"] == code
+    assert not message or error["message"] == message
 
 
 @pytest.mark.parametrize("argv, failed", [

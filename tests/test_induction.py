@@ -1,22 +1,19 @@
-from fractions import Fraction
-
 import pytest
 
 from propergenus.core import LAMBDA_RING, MU_RING, RATIONAL, LaurentPoly, QSeries
 from propergenus import induction
-from propergenus.errors import DegenerateRootDatum, RingMismatch
+from propergenus.errors import RingMismatch
 from propergenus.induction import (
-    RootDatum,
     averaged_elliptic_genera,
     averaged_witten_genus,
-    formal_degree,
     pi_s1,
-    sl2_root_datum,
     trace_char,
     trace_series,
 )
 from propergenus.lambda_ring import THETA, theta_bundle
 from propergenus.lefschetz import lefschetz_witten, p_series
+
+from oracles import sl2_formal_degree
 
 
 def test_pi_s1_pattern():
@@ -155,28 +152,6 @@ def test_elliptic_genera_vanish_cp7():
     assert phi1.is_zero() and phi2.is_zero()
 
 
-def test_formal_degree_orthogonal_weight_vanishes():
-    rd = RootDatum(4, [(1, 0), (0, 1)], (1, 1), (0, 0))
-    # mu + rho_c orthogonal to the first root
-    assert formal_degree(rd, (0, 3)) == 0
-
-
 def test_formal_degree_matches_trace_in_absolute_value():
-    rd = sl2_root_datum()
     for n in range(-4, 6):
-        fd = formal_degree(rd, (n - 1,))
-        assert abs(fd) == abs(pi_s1(n))
-
-
-def test_formal_degree_scale_invariance():
-    rd1 = RootDatum(2, [(2,)], (1,), (0,))
-    rd3 = RootDatum(2, [(2,)], (1,), (0,), gram=[[Fraction(3)]])
-    for n in (-2, 0, 3, 7):
-        assert formal_degree(rd1, (n - 1,)) == formal_degree(rd3, (n - 1,))
-
-
-def test_degenerate_root_datum_rejected():
-    with pytest.raises(DegenerateRootDatum):
-        RootDatum(2, [(2,)], (0,), (0,))
-    with pytest.raises(DegenerateRootDatum):
-        RootDatum(3, [(2,)], (1,), (0,))
+        assert abs(pi_s1(n)) == abs(sl2_formal_degree(n - 1)), n

@@ -236,9 +236,12 @@ def _count_packs(monkeypatch):
     return widths
 
 
-@pytest.mark.parametrize("operator,twist", [
+PACKED_CASES = [
     (DIRAC, None), (DIRAC, THETA), (DIRAC, THETA2), (SIGNATURE, THETA), (SIGNATURE, THETA1),
-])
+]
+
+
+@pytest.mark.parametrize("operator,twist", PACKED_CASES)
 def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
     # the packed certificate against Laurent products and dense division
     # on the same point series; signed sums certify at the call's width
@@ -266,7 +269,7 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
 def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     # at B = 8 most grades are beyond what the packed check can prove; the
     # helper must say so rather than answer, and the sum still comes out
-    # exact by repacking those grades wider
+    # exact from one more pack, at the proven width
     ws, N = (-3, 0, 1, 2, 4, 6), 4
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
@@ -280,13 +283,44 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
         assert g is None or g == reference.coeffs[h], h
     widths = _count_packs(monkeypatch)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
-    assert widths[0] == 8 and max(widths) > 8, widths
+    assert widths == [8, lefschetz._proven_width(data, series, DIRAC, packed)], widths
+
+
+@pytest.mark.parametrize("operator,twist", PACKED_CASES)
+def test_proven_width_decides_every_grade(operator, twist):
+    # M_h bounds every coefficient of a Laurent grade, and at the proven
+    # width the packed check decides every grade: signed sums certify,
+    # unsigned ones raise the dense oracle's NotLaurent
+    rng = random.Random(f"proven-{operator}-{twist}")
+    N = 4
+    for two_l in (2, 4, 6, 8):
+        ws = _seeded_weights(rng, two_l, 6)
+        data = validate_weights(ws)
+        series = [_twist_series(d, twist, N) for d in data]
+        grades = [[s.coeffs[h] for s in series] for h in range(2 * N + 1)]
+        reference = dense_assemble(data, series, operator, True)
+        packed = _pack_factors(data, series, operator, True)
+        bounds = lefschetz._quotient_bounds(data, series, operator, packed)
+        B = lefschetz._proven_width(data, series, operator, packed)
+        wide = _pack_factors(data, series, operator, True, B)
+        for h, cs in enumerate(grades):
+            top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
+            assert top <= bounds[h][0], (ws, h)
+            assert _packed_grade(cs, wide) == reference.coeffs[h], (ws, h)
+        with pytest.raises(NotLaurent) as expected:
+            dense_assemble(data, series, operator, False)
+        wide = _pack_factors(data, series, operator, False, B)
+        with pytest.raises(NotLaurent) as got:
+            for cs in grades:
+                assert _packed_grade(cs, wide, proven=True) is not None
+        assert str(got.value) == str(expected.value), ws
 
 
 def test_packed_grade_refuses_what_it_cannot_prove():
     # one point with pre = 1 over D = (lam - 1)^k: a grade the packed check
-    # cannot prove at width B returns None (the caller repacks wider); a
-    # grade shown not to be Laurent, or not integral, raises
+    # cannot prove at width B returns None (the caller falls back to the
+    # proven width); a grade shown not to be Laurent, or not integral,
+    # raises
     def over(k, B):
         return B, ((1 << B) - 1) ** k, k, 2 ** k, [(1, 0, 0, 1)]
 
@@ -297,15 +331,19 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     grade = LaurentPoly({0: 1, n: -2, 2 * n: 1})
     assert _packed_grade([grade], over(2, 8)) is None
     assert _packed_grade([grade], over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
+    # a width claimed proven that does not prove a Laurent grade is a defect
+    with pytest.raises(AssertionError, match="reduced to a Laurent polynomial"):
+        _packed_grade([grade], over(2, 8), proven=True)
     # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
     # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
     # the check; at B = 16 the remainder is nonzero, and the message names
     # the reduced denominator in mu
     grade = LaurentPoly({0: -1, 255: 1})
     assert _packed_grade([grade], over(2, 8)) is None
-    with pytest.raises(NotLaurent) as got:
-        _packed_grade([grade], over(2, 16))
-    assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
+    for packed, proven in ((over(2, 16), False), (over(2, 8), True)):
+        with pytest.raises(NotLaurent) as got:
+            _packed_grade([grade], packed, proven)
+        assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
     # the same grade times lam^-3: the pole at mu = 0 joins the denominator
     with pytest.raises(NotLaurent) as got:
         _packed_grade([LaurentPoly({-3: -1, 252: 1})], over(2, 16))
@@ -320,6 +358,8 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     for case, (grade, packed, outcome) in outcomes.items():
         if outcome is None:
             assert _packed_grade(grade, packed) is None, case
+            with pytest.raises(AssertionError, match="does not fit"):
+                _packed_grade(grade, packed, proven=True)
         else:
             with pytest.raises(outcome):
                 _packed_grade(grade, packed)

@@ -89,6 +89,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as that scalar
+        if self.is_constant():
+            return hash(self.coeffs.get(0, 0))
         return hash((self.var, tuple(sorted(self.coeffs.items()))))
 
     # -- ring operations ----------------------------------------------

@@ -312,9 +312,11 @@ class QSeries:
 _DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
 
 
-def _digit_width(bits: int) -> int:
-    """The narrowest packed digit width of at least ``bits`` bits: 8, 16,
-    32 or 64, which one cast reads, or else a whole number of bytes."""
+def _width(bound: int) -> int:
+    """The narrowest packed digit width B whose balanced digits hold every
+    |c| <= bound, that is bound < 2^(B-1): 8, 16, 32 or 64, which one cast
+    reads, or else a whole number of bytes."""
+    bits = bound.bit_length() + 1
     return next((b for b in _DIGIT_FORMATS if b >= bits), -(-bits // 8) * 8)
 
 
@@ -444,9 +446,9 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     the convolution of its factors' l1 norms: the majorant M_k starts
     from the start rows' l1 norms convolved with |base| (exactly |base_k|
     without a start) and runs the weighted factors on scalars with |s|.
-    So B = bits(max M_k) + 1, rounded up to a digit width, never
-    overflows.  The product is exact to q^trunc: no exponent of x is
-    dropped.  Each row is unpacked once, by :func:`_unpack`.
+    So B = :func:`_width` (max M_k) never overflows.  The product is exact
+    to q^trunc: no exponent of x is dropped.  Each row is unpacked once,
+    by :func:`_unpack`.
     """
     top = 2 * trunc
     base = [1] + [0] * top
@@ -479,7 +481,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         _convolve(majorant, list(map(abs, base)), 1, 0)
     for s, _, h, divide, mult in weighted:
         _apply(majorant, abs(s), h, divide, mult)
-    B = _digit_width(max(majorant).bit_length() + 1)
+    B = _width(max(majorant))
 
     if start is None:
         rows = [b << B * m * k for k, b in enumerate(base)]

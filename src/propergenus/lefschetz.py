@@ -34,6 +34,9 @@ monic, so a nonzero remainder proves that D does not divide P: the grade
 raises NotLaurent, which names the pole of the reduced rational form in
 mu.  A grade that B is too narrow to decide falls back once, to a
 proven width B* at which an undecided grade has no Laurent quotient.
+Each grade's rows, span and N_h, and each point's norms, are computed
+once per call, and both widths are the ``core.qseries._width`` of a
+bound.
 The sum collapses to a Laurent polynomial exactly when the orientation
 signs sigma_j = (-1)^j (weights sorted ascending) are in place; the
 unsigned literal formula is kept available for comparison and fails the
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _apply, _digit_width, _pack, _unpack
+from .core.qseries import LAMBDA_RING, QSeries, _apply, _pack, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -76,7 +79,8 @@ def validate_weights(weights) -> list[FixedPointDatum]:
     """Check and canonicalise a weight vector; enumerate fixed points.
 
     Weights are sorted ascending, so the orientation sign at the j-th
-    point is (-1)^j.
+    point is (-1)^j.  An even sum of weights makes every tangent weight
+    sum even: sum_s |a_s - a_j| = sum(a) - 2l a_j = sum(a) (mod 2).
     """
     ws = [int(a) for a in weights]
     if len(set(ws)) != len(ws):
@@ -86,13 +90,8 @@ def validate_weights(weights) -> list[FixedPointDatum]:
     if sum(ws) % 2 != 0:
         raise OddWeightSum(f"sum of weights {sum(ws)} is odd; the action is not spin")
     ws.sort()
-    data = []
-    for j, aj in enumerate(ws):
-        tangent = tuple(abs(a - aj) for a in ws if a != aj)
-        if sum(tangent) % 2 != 0:
-            raise OddWeightSum(f"odd tangent weight sum at fixed point {j}")
-        data.append(FixedPointDatum(j, aj, tangent, (-1) ** j))
-    return data
+    return [FixedPointDatum(j, aj, tuple(abs(a - aj) for a in ws if a != aj), (-1) ** j)
+            for j, aj in enumerate(ws)]
 
 
 def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
@@ -132,23 +131,18 @@ def _factor_values(pairs, data, operator: str, B: int) -> tuple[int, list[int]]:
     return den, values
 
 
-def _assembly_width(n_max: int, den_norm: int) -> int:
-    """The narrowest digit width at which the certificate accepts every
-    quotient whose coefficients are no larger than the numerator bound
-    n_max: then max|q| |D|_1 + n_max <= n_max (|D|_1 + 1) < 2^(B-1)."""
-    return _digit_width((n_max * (den_norm + 1)).bit_length() + 1)
-
-
-def _pack_factors(data, point_series, operator: str, signed: bool, B: int | None = None):
-    """The prefactors pre_j of the sum over D, and D itself, packed at
-    width B, by default the width that this call's twist coefficients
-    call for.
+def _certificate_data(data, point_series, operator: str):
+    """What the certificate of one call reads, computed once:
+    (pairs, deg D, |D|_1, points, grades).
 
     In lam, pre_j = sigma_j lam^(low_j) P_j.  With C_j the product of the
     pair factors not containing j, P_j = C_j for the Dirac operator
     (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for the
-    signature operator (low_j = 0).  Returns (B, D(2^B), deg D, |D|_1,
-    points), points[j] = (sigma_j P_j(2^B), low_j, deg P_j, |P_j|_1).
+    signature operator (low_j = 0).  points[j] = (low_j, deg P_j,
+    |P_j|_1).  grades[h] = (rows, lo, hi, N_h): rows holds (c_j, j) for
+    the nonzero twist coefficients c_j of grade h, the numerator
+    sum_j c_j pre_j spans lam^lo .. lam^hi, and N_h = sum_j |c_j|_1
+    |P_j|_1 bounds its coefficients (a Fraction if a c_j is one).
     """
     if operator not in (DIRAC, SIGNATURE):
         raise ValueError(f"unknown operator {operator!r}")
@@ -156,69 +150,52 @@ def _pack_factors(data, point_series, operator: str, signed: bool, B: int | None
     pairs = [(i, k, abs(data[i].weight - data[k].weight))
              for i in range(npts) for k in range(i + 1, npts)]
     den_degree = sum(w for _, _, w in pairs)
-    lows, degrees = [], []
-    for datum in data:
-        W = sum(datum.tangent_weights)
-        lows.append(0 if operator == SIGNATURE else W // 2)
-        degrees.append(den_degree if operator == SIGNATURE else den_degree - W)
     # D and every P_j are products of at most len(pairs) binomials of l1
-    # norm 2, so a width of len(pairs) + 2 bits holds each coefficient
-    B0 = _digit_width(len(pairs) + 2)
+    # norm 2, so no coefficient exceeds 2^len(pairs)
+    B0 = _width(1 << len(pairs))
     den, values = _factor_values(pairs, data, operator, B0)
+    points = []
+    for datum, value in zip(data, values):
+        W = sum(datum.tangent_weights)
+        low, degree = (0, den_degree) if operator == SIGNATURE else (W // 2, den_degree - W)
+        points.append((low, degree, _l1(_unpack(value, B0, 0, degree + 1, LAMBDA))))
+    grades = []
+    for h in range(len(point_series[0].coeffs)):
+        rows = [(s.coeffs[h], j) for j, s in enumerate(point_series) if s.coeffs[h].coeffs]
+        lo = min((points[j][0] + min(c.coeffs) for c, j in rows), default=0)
+        hi = max((points[j][0] + max(c.coeffs) + points[j][1] for c, j in rows), default=0)
+        grades.append((rows, lo, hi, sum(_l1(c) * points[j][2] for c, j in rows)))
     den_norm = _l1(_unpack(den, B0, 0, den_degree + 1, LAMBDA))
-    norms = [_l1(_unpack(v, B0, 0, d + 1, LAMBDA)) for v, d in zip(values, degrees)]
-    if B is None:
-        # the largest numerator bound N_h of any grade; a grade with
-        # Fraction coefficients raises NonIntegral before its bound is
-        # compared, and int() keeps every integral N_h
-        n_max = int(max(sum(_l1(s.coeffs[h]) * norm for s, norm in zip(point_series, norms))
-                        for h in range(len(point_series[0].coeffs))))
-        B = _assembly_width(n_max, den_norm)
+    return pairs, den_degree, den_norm, points, grades
+
+
+def _pack_factors(data, pairs, operator: str, signed: bool, B: int):
+    """(B, D(2^B), [sigma_j P_j(2^B)]): D and the prefactors of
+    :func:`_certificate_data` packed at width B, unsigned unless
+    ``signed``."""
     den, values = _factor_values(pairs, data, operator, B)
     if signed:
         values = [v * d.sign for v, d in zip(values, data)]
-    return B, den, den_degree, den_norm, list(zip(values, lows, degrees, norms))
+    return B, den, values
 
 
-def _quotient_bounds(data, point_series, operator: str, packed) -> list[tuple]:
-    """(M_h, N_h) for every grade h: N_h bounds every coefficient of P,
-    and if D divides P, M_h bounds every coefficient of Q = P / D.
+def _proven_width(data, operator: str, cert) -> int:
+    """B*, the :func:`_width` of max_h (M_h |D|_1 + N_h), at which every
+    grade is decided; ``cert`` is what :func:`_certificate_data` returns.
 
-    P_j / D is one over the 2l - 1 pair factors lam^(w_s) - 1 at j, times
+    M_h bounds every coefficient of Q = P / D if D divides P.  P_j / D is
+    one over the 2l - 1 pair factors lam^(w_s) - 1 at j, times
     prod_s (lam^(w_s) + 1) for the signature operator, so in powers of
     lam, pre_j / D = -sigma_j lam^(low_j) F_j, where
 
         F_j = prod_s (1 + lam^(w_s))^[signature] / prod_s (1 - lam^(w_s))
 
     has coefficients >= 0 (:func:`_apply` on plain ints).  If D | P, then
-    lam^lo Q = num / D = -sum_j sigma_j lam^(low_j) cs[j] F_j, and every
-    exponent of lam^(low_j) cs[j] is at least lo, so Q_i takes F_j only at
+    lam^lo Q = num / D = -sum_j sigma_j lam^(low_j) c_j F_j, and every
+    exponent of lam^(low_j) c_j is at least lo, so Q_i takes F_j only at
     t <= i < n_h = deg Q + 1:
 
-        |Q_i| <= M_h = sum_j |cs[j]|_1 max_(t < n_h) F_(j,t).
-    """
-    _, _, den_degree, _, points = packed
-    grades = []
-    for h in range(len(point_series[0].coeffs)):
-        rows = [(j, s.coeffs[h]) for j, s in enumerate(point_series) if s.coeffs[h].coeffs]
-        lo = min((points[j][1] + min(c.coeffs) for j, c in rows), default=0)
-        hi = max((points[j][1] + max(c.coeffs) + points[j][2] for j, c in rows), default=0)
-        grades.append((rows, max(hi - lo + 1 - den_degree, 1)))
-    peaks = []
-    for datum in data:
-        F = [1] + [0] * (max(n for _, n in grades) - 1)
-        for w in datum.tangent_weights:
-            if operator == SIGNATURE:
-                _apply(F, 1, w, False, 1)
-            _apply(F, 1, w, True, 1)
-        peaks.append(list(accumulate(F, max)))
-    return [(sum(_l1(c) * peaks[j][n - 1] for j, c in rows),
-             sum(_l1(c) * points[j][3] for j, c in rows)) for rows, n in grades]
-
-
-def _proven_width(data, point_series, operator: str, packed) -> int:
-    """B*, the digit width of max_h (M_h |D|_1 + N_h) plus one bit
-    (:func:`_quotient_bounds`), at which every grade is decided.
+        |Q_i| <= M_h = sum_j |c_j|_1 max_(t < n_h) F_(j,t).
 
     A nonzero grade has M_h >= 1, so N_h and |D|_1 are below 2^(B*-1).
     If D | P, the remainder at 2^B* is zero, Q unpacks as q' since every
@@ -227,12 +204,21 @@ def _proven_width(data, point_series, operator: str, packed) -> int:
     quotient.  int() keeps every integral bound; a Fraction grade raises
     NonIntegral before its bound is compared.
     """
-    den_norm = packed[3]
-    top = max(m * den_norm + n for m, n in _quotient_bounds(data, point_series, operator, packed))
-    return _digit_width(int(top).bit_length() + 1)
+    _, den_degree, den_norm, _, grades = cert
+    spans = [max(hi - lo + 1 - den_degree, 1) for _, lo, hi, _ in grades]
+    peaks = []
+    for datum in data:
+        F = [1] + [0] * (max(spans) - 1)
+        for w in datum.tangent_weights:
+            if operator == SIGNATURE:
+                _apply(F, 1, w, False, 1)
+            _apply(F, 1, w, True, 1)
+        peaks.append(list(accumulate(F, max)))
+    return _width(int(max(sum(_l1(c) * peaks[j][n - 1] for c, j in rows) * den_norm + bound
+                          for (rows, _, _, bound), n in zip(grades, spans))))
 
 
-def _raise_not_laurent(num: int, lo: int, hi: int, packed):
+def _raise_not_laurent(num: int, lo: int, hi: int, packed, den_degree: int):
     """Raise NotLaurent for lam^lo P / D, given P(2^B) = num with deg P <=
     hi - lo, once D is known not to divide P.
 
@@ -242,7 +228,7 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed):
     is unique (monic denominator, coprime to the numerator): the message
     names the same denominator whichever way the sum was formed.
     """
-    B, den, den_degree, _, _ = packed
+    B, den, _ = packed
     top, shift = Poly.from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
     bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
     # D is coprime to mu, so the reduced denominator keeps a factor of D
@@ -250,21 +236,22 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed):
     raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
-def _packed_grade(cs, packed, proven: bool = False) -> LaurentPoly | None:
+def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | None:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
-    cs[j] is the twist coefficient of the j-th point at this grade, and
-    ``packed`` is what :func:`_pack_factors` returns for the call.  The
-    numerator num = sum_j cs[j] pre_j, aligned on its lowest exponent lo,
-    is the polynomial P = lam^(-lo) num, and P(2^B) is one big int
-    (:func:`_pack`).  One divmod by D(2^B) and :func:`_unpack` give q'.
-    The check is the proof: with a zero remainder and
+    ``grade`` = (rows, lo, hi, N_h) and ``cert`` are what
+    :func:`_certificate_data` computes for the call, and ``packed`` is
+    what :func:`_pack_factors` returns.  The numerator num = sum_j c_j
+    pre_j, aligned on its lowest exponent lo, is the polynomial
+    P = lam^(-lo) num, and P(2^B) is one big int (:func:`_pack`).  One
+    divmod by D(2^B) and :func:`_unpack` give q'.  The check is the
+    proof: with a zero remainder and
 
-        max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |cs[j]|_1 |P_j|_1,
+        max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |c_j|_1 |P_j|_1,
 
     the polynomial q' D - P vanishes at 2^B and has every coefficient
     below 2^(B-1), so it is zero and num / D = lam^lo q'.  N_h bounds
-    every coefficient of P and of every cs[j].
+    every coefficient of P and of every c_j.
 
     D is monic, so D | P gives D(2^B) | P(2^B): a nonzero remainder, or
     a nonzero P of lower degree than D, proves that the grade is not
@@ -274,32 +261,26 @@ def _packed_grade(cs, packed, proven: bool = False) -> LaurentPoly | None:
     the check.  When ``proven`` (B = B* of :func:`_proven_width`), an
     undecided grade has no Laurent quotient and raises instead.
     """
-    B, den, den_degree, den_norm, points = packed
-    limit = 1 << (B - 1)
-    bound = 0
-    rows = []
-    for c, (value, low, degree, norm) in zip(cs, points):
-        if c.coeffs:
-            bound += _l1(c) * norm
-            rows.append((c, value, low, low + min(c.coeffs), low + max(c.coeffs) + degree))
+    rows, lo, hi, bound = grade
     if not rows:
         return LaurentPoly.zero(LAMBDA)
     # a Fraction coefficient makes the bound a Fraction
     if type(bound) is not int:
         raise NonIntegral("a twist coefficient is not integral")
+    B, den, values = packed
+    _, den_degree, den_norm, points, _ = cert
+    limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
         if proven:
             raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
         return None
-    lo = min(row[3] for row in rows)
-    hi = max(row[4] for row in rows)
-    num = sum(_pack(c, B, lo - low) * value for c, value, low, _, _ in rows)
+    num = sum(_pack(c, B, lo - points[j][0]) * values[j] for c, j in rows)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
     quo, rem = divmod(num, den)
     if rem or n < 1:
-        _raise_not_laurent(num, lo, hi, packed)
+        _raise_not_laurent(num, lo, hi, packed, den_degree)
     try:
         q = _unpack(quo, B, lo, n, LAMBDA)
     except OverflowError:
@@ -307,7 +288,7 @@ def _packed_grade(cs, packed, proven: bool = False) -> LaurentPoly | None:
     if q is not None and max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
         return q
     if proven:
-        _raise_not_laurent(num, lo, hi, packed)
+        _raise_not_laurent(num, lo, hi, packed, den_degree)
     return None
 
 
@@ -317,22 +298,27 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     point_series[j] is the twist-character q-series of the j-th point
     over the lam Laurent ring.  Every grade goes through the packed
     certificate, which proves it an integral Laurent polynomial in lam
-    or raises.  A grade that the call's width B is too narrow to decide
-    falls back once, to the proven width B* (:func:`_proven_width`),
-    packed at most once per call.
+    or raises.  The call's width B admits every quotient no larger than
+    the largest N_h, since then max|q'_i| |D|_1 + N_h <= max_h N_h
+    (|D|_1 + 1).  A grade that B is too narrow to decide falls back once,
+    to the proven width B* (:func:`_proven_width`), packed at most once
+    per call.
     """
-    N = point_series[0].trunc
-    packed = _pack_factors(data, point_series, operator, signed)
+    cert = _certificate_data(data, point_series, operator)
+    pairs, _, den_norm, _, grades = cert
+    # int() keeps every integral N_h; a grade with Fraction coefficients
+    # raises NonIntegral at its own grade, before its bound is compared
+    n_max = int(max(grade[3] for grade in grades))
+    packed = _pack_factors(data, pairs, operator, signed, _width(n_max * (den_norm + 1)))
     wide = None
-    out = QSeries(LAMBDA_RING, N)
-    for h in range(2 * N + 1):
-        cs = [s.coeffs[h] for s in point_series]
-        lam_poly = _packed_grade(cs, packed)
+    out = QSeries(LAMBDA_RING, point_series[0].trunc)
+    for h, grade in enumerate(grades):
+        lam_poly = _packed_grade(grade, packed, cert)
         if lam_poly is None:
             if wide is None:
-                B = _proven_width(data, point_series, operator, packed)
-                wide = _pack_factors(data, point_series, operator, signed, B)
-            lam_poly = _packed_grade(cs, wide, proven=True)
+                B = _proven_width(data, operator, cert)
+                wide = _pack_factors(data, pairs, operator, signed, B)
+            lam_poly = _packed_grade(grade, wide, cert, proven=True)
         out.coeffs[h] = lam_poly
     return out
 

@@ -34,6 +34,15 @@ def test_integral_fractions_collapse_to_int():
     assert all(type(c) is int for c in mixed.coeffs.values())
 
 
+def test_constants_hash_as_their_scalars():
+    # a constant polynomial == its scalar, so the two must hash alike
+    assert 3 in {LaurentPoly({0: 3})}
+    assert LaurentPoly.zero() in {0}
+    assert Fraction(1, 2) in {LaurentPoly({0: Fraction(1, 2)})}
+    assert LaurentPoly({0: -7}, "mu") in {-7}
+    assert len({LaurentPoly({1: 1}), LaurentPoly({1: 1}), LaurentPoly({1: 1}, "mu")}) == 2
+
+
 def test_arithmetic():
     p = LaurentPoly({1: 1, -1: 1})
     q = LaurentPoly({1: 1, -1: -1})

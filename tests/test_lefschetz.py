@@ -20,8 +20,10 @@ from propergenus.lambda_ring import (
 from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
+    _certificate_data,
     _pack_factors,
     _packed_grade,
+    _proven_width,
     _twist_series,
     lefschetz_twisted,
     lefschetz_witten,
@@ -55,6 +57,24 @@ def test_validate_sorts_ascending():
     data = validate_weights((3, 0, 2, 1))
     assert [d.weight for d in data] == [0, 1, 2, 3]
     assert [d.sign for d in data] == [1, -1, 1, -1]
+
+
+def test_even_weight_sum_makes_every_tangent_sum_even():
+    # the total is the only parity check: sum_s |a_s - a_j| = sum(a) -
+    # 2l a_j = sum(a) (mod 2), so every vector it accepts has even tangent
+    # weight sums at every point, and an odd total raises
+    rng = random.Random("tangent-parity")
+    seen = set()
+    for _ in range(200):
+        ws = rng.sample(range(-20, 21), rng.choice((2, 4, 6, 8)))
+        seen.add(sum(ws) % 2)
+        if sum(ws) % 2:
+            with pytest.raises(OddWeightSum) as got:
+                validate_weights(ws)
+            assert str(got.value) == f"sum of weights {sum(ws)} is odd; the action is not spin"
+        else:
+            assert all(sum(d.tangent_weights) % 2 == 0 for d in validate_weights(ws)), ws
+    assert seen == {0, 1}
 
 
 def test_validate_rejects_bad_input():
@@ -223,12 +243,14 @@ def _seeded_weights(rng, two_l, span):
     return ws
 
 
-def _count_packs(monkeypatch):
+def _count_packs(monkeypatch, first=None):
+    """Record the width of every _pack_factors call; with ``first``, the
+    first call packs at that width instead of the one it is given."""
     widths = []
     real_pack = lefschetz._pack_factors
 
-    def pack(*args):
-        packed = real_pack(*args)
+    def pack(data, pairs, operator, signed, B):
+        packed = real_pack(data, pairs, operator, signed, first if first and not widths else B)
         widths.append(packed[0])
         return packed
 
@@ -274,45 +296,85 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
-    monkeypatch.setattr(lefschetz, "_assembly_width", lambda n_max, den_norm: 8)
-    packed = _pack_factors(data, series, DIRAC, True)
+    cert = _certificate_data(data, series, DIRAC)
+    packed = _pack_factors(data, cert[0], DIRAC, True, 8)
     assert packed[0] == 8
-    grades = [_packed_grade([s.coeffs[h] for s in series], packed) for h in range(2 * N + 1)]
+    grades = [_packed_grade(grade, packed, cert) for grade in cert[4]]
     assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
     for h, g in enumerate(grades):
         assert g is None or g == reference.coeffs[h], h
-    widths = _count_packs(monkeypatch)
+    widths = _count_packs(monkeypatch, first=8)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
-    assert widths == [8, lefschetz._proven_width(data, series, DIRAC, packed)], widths
+    assert widths == [8, _proven_width(data, DIRAC, cert)], widths
+
+
+def test_forced_fallback_evaluates_the_factors_three_times(monkeypatch):
+    # D and the P_j are evaluated once at B0 for their norms, once at the
+    # call's width B and once at the proven width B*
+    widths = _count_packs(monkeypatch, first=8)
+    evaluated = []
+    real_values = lefschetz._factor_values
+
+    def values(pairs, data, operator, B):
+        evaluated.append(B)
+        return real_values(pairs, data, operator, B)
+
+    monkeypatch.setattr(lefschetz, "_factor_values", values)
+    lefschetz_twisted((-3, 0, 1, 2, 4, 6), DIRAC, THETA, 4)
+    assert len(widths) == 2 and widths[0] == 8, widths
+    # six points give 15 pair factors
+    assert evaluated == [lefschetz._width(1 << 15)] + widths, evaluated
+
+
+@pytest.mark.parametrize("ws,operator,twist,N,widths", [
+    ((0, 1, 2, 5), DIRAC, THETA, 12, (32, 32)),
+    ((0, 1, 2, 5), SIGNATURE, THETA1, 10, (32, 64)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA, 12, (64, 64)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA2, 12, (64, 72)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), SIGNATURE, THETA1, 12, (64, 80)),
+])
+def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypatch):
+    # the call's width B decides every grade in one pack, and the proven
+    # width B* that a fallback would pack at stays where it is
+    packs = _count_packs(monkeypatch)
+    data = validate_weights(ws)
+    series = [_twist_series(d, twist, N) for d in data]
+    lefschetz._assemble(data, series, operator, True)
+    cert = _certificate_data(data, series, operator)
+    assert (*packs, _proven_width(data, operator, cert)) == widths
 
 
 @pytest.mark.parametrize("operator,twist", PACKED_CASES)
 def test_proven_width_decides_every_grade(operator, twist):
-    # M_h bounds every coefficient of a Laurent grade, and at the proven
-    # width the packed check decides every grade: signed sums certify,
-    # unsigned ones raise the dense oracle's NotLaurent
+    # M_h bounds every coefficient of a Laurent grade, so the width proven
+    # from one grade alone decides it, and at the proven width the packed
+    # check decides every grade: signed sums certify, unsigned ones raise
+    # the dense oracle's NotLaurent
     rng = random.Random(f"proven-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
         ws = _seeded_weights(rng, two_l, 6)
         data = validate_weights(ws)
         series = [_twist_series(d, twist, N) for d in data]
-        grades = [[s.coeffs[h] for s in series] for h in range(2 * N + 1)]
         reference = dense_assemble(data, series, operator, True)
-        packed = _pack_factors(data, series, operator, True)
-        bounds = lefschetz._quotient_bounds(data, series, operator, packed)
-        B = lefschetz._proven_width(data, series, operator, packed)
-        wide = _pack_factors(data, series, operator, True, B)
-        for h, cs in enumerate(grades):
+        cert = _certificate_data(data, series, operator)
+        pairs, _, den_norm, _, grades = cert
+        B = _proven_width(data, operator, cert)
+        wide = _pack_factors(data, pairs, operator, True, B)
+        for h, grade in enumerate(grades):
+            alone = _proven_width(data, operator, cert[:4] + ([grade],))
             top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
-            assert top <= bounds[h][0], (ws, h)
-            assert _packed_grade(cs, wide) == reference.coeffs[h], (ws, h)
+            assert top * den_norm + grade[3] < 1 << (alone - 1), (ws, h)
+            assert alone <= B, (ws, h)
+            own = _pack_factors(data, pairs, operator, True, alone)
+            assert _packed_grade(grade, own, cert, proven=True) == reference.coeffs[h], (ws, h)
+            assert _packed_grade(grade, wide, cert) == reference.coeffs[h], (ws, h)
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
-        wide = _pack_factors(data, series, operator, False, B)
+        wide = _pack_factors(data, pairs, operator, False, B)
         with pytest.raises(NotLaurent) as got:
-            for cs in grades:
-                assert _packed_grade(cs, wide, proven=True) is not None
+            for grade in grades:
+                assert _packed_grade(grade, wide, cert, proven=True) is not None
         assert str(got.value) == str(expected.value), ws
 
 
@@ -322,47 +384,50 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     # proven width); a grade shown not to be Laurent, or not integral,
     # raises
     def over(k, B):
-        return B, ((1 << B) - 1) ** k, k, 2 ** k, [(1, 0, 0, 1)]
+        return (B, ((1 << B) - 1) ** k, [1]), ([], k, 2 ** k, [(0, 0, 1)], [])
+
+    def grade_of(c):
+        return [(c, 0)], min(c.coeffs), max(c.coeffs), sum(map(abs, c.coeffs.values()))
 
     # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
     # coefficient n: with n = 200 the numerator bound is only 4, and only
     # the quotient check sees that n does not fit a balanced 8-bit digit
     n = 200
-    grade = LaurentPoly({0: 1, n: -2, 2 * n: 1})
-    assert _packed_grade([grade], over(2, 8)) is None
-    assert _packed_grade([grade], over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
+    grade = grade_of(LaurentPoly({0: 1, n: -2, 2 * n: 1}))
+    assert _packed_grade(grade, *over(2, 8)) is None
+    assert _packed_grade(grade, *over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
     # a width claimed proven that does not prove a Laurent grade is a defect
     with pytest.raises(AssertionError, match="reduced to a Laurent polynomial"):
-        _packed_grade([grade], over(2, 8), proven=True)
+        _packed_grade(grade, *over(2, 8), proven=True)
     # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
     # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
     # the check; at B = 16 the remainder is nonzero, and the message names
     # the reduced denominator in mu
-    grade = LaurentPoly({0: -1, 255: 1})
-    assert _packed_grade([grade], over(2, 8)) is None
+    grade = grade_of(LaurentPoly({0: -1, 255: 1}))
+    assert _packed_grade(grade, *over(2, 8)) is None
     for packed, proven in ((over(2, 16), False), (over(2, 8), True)):
         with pytest.raises(NotLaurent) as got:
-            _packed_grade([grade], packed, proven)
+            _packed_grade(grade, *packed, proven)
         assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
     # the same grade times lam^-3: the pole at mu = 0 joins the denominator
     with pytest.raises(NotLaurent) as got:
-        _packed_grade([LaurentPoly({-3: -1, 252: 1})], over(2, 16))
+        _packed_grade(grade_of(LaurentPoly({-3: -1, 252: 1})), *over(2, 16))
     assert str(got.value) == "denominator -1*x^6 + 1*x^8 has a non-monomial factor"
     outcomes = {
-        "digit wider than B": ([LaurentPoly({0: 300, 1: -300})], over(1, 8), None),
-        "nonzero remainder": ([LaurentPoly({0: 1, 3: 1})], over(1, 16), NotLaurent),
-        "fewer degrees than D": ([LaurentPoly({0: 2, 1: 1})], over(2, 16), NotLaurent),
-        "Fraction coefficient": ([LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 2)})],
+        "digit wider than B": (LaurentPoly({0: 300, 1: -300}), over(1, 8), None),
+        "nonzero remainder": (LaurentPoly({0: 1, 3: 1}), over(1, 16), NotLaurent),
+        "fewer degrees than D": (LaurentPoly({0: 2, 1: 1}), over(2, 16), NotLaurent),
+        "Fraction coefficient": (LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 2)}),
                                  over(1, 16), NonIntegral),
     }
-    for case, (grade, packed, outcome) in outcomes.items():
+    for case, (c, packed, outcome) in outcomes.items():
         if outcome is None:
-            assert _packed_grade(grade, packed) is None, case
+            assert _packed_grade(grade_of(c), *packed) is None, case
             with pytest.raises(AssertionError, match="does not fit"):
-                _packed_grade(grade, packed, proven=True)
+                _packed_grade(grade_of(c), *packed, proven=True)
         else:
             with pytest.raises(outcome):
-                _packed_grade(grade, packed)
+                _packed_grade(grade_of(c), *packed)
 
 
 def test_oracles_share_no_assembly_code():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from propergenus import lefschetz
 from propergenus.core import LaurentPoly, QSeries
+from propergenus.core.qseries import _width
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import (
     THETA,
@@ -36,6 +37,7 @@ from oracles import (
     halve_exponents,
     lefschetz_grade_ratfunc,
     lefschetz_series_strategy,
+    quotient_bounds,
 )
 
 
@@ -59,27 +61,10 @@ def test_validate_sorts_ascending():
     assert [d.sign for d in data] == [1, -1, 1, -1]
 
 
-def test_even_weight_sum_makes_every_tangent_sum_even():
-    # the total is the only parity check: sum_s |a_s - a_j| = sum(a) -
-    # 2l a_j = sum(a) (mod 2), so every vector it accepts has even tangent
-    # weight sums at every point, and an odd total raises
-    rng = random.Random("tangent-parity")
-    seen = set()
-    for _ in range(200):
-        ws = rng.sample(range(-20, 21), rng.choice((2, 4, 6, 8)))
-        seen.add(sum(ws) % 2)
-        if sum(ws) % 2:
-            with pytest.raises(OddWeightSum) as got:
-                validate_weights(ws)
-            assert str(got.value) == f"sum of weights {sum(ws)} is odd; the action is not spin"
-        else:
-            assert all(sum(d.tangent_weights) % 2 == 0 for d in validate_weights(ws)), ws
-    assert seen == {0, 1}
-
-
 def test_validate_rejects_bad_input():
-    with pytest.raises(OddWeightSum):
+    with pytest.raises(OddWeightSum) as got:
         validate_weights((0, 1))
+    assert str(got.value) == "sum of weights 1 is odd; the action is not spin"
     with pytest.raises(DuplicateWeights):
         validate_weights((0, 2, 2, 4))
     with pytest.raises(ValueError):
@@ -304,14 +289,6 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     for h, g in enumerate(grades):
         assert g is None or g == reference.coeffs[h], h
     widths = _count_packs(monkeypatch, first=8)
-    assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
-    assert widths == [8, _proven_width(data, DIRAC, cert)], widths
-
-
-def test_forced_fallback_evaluates_the_factors_three_times(monkeypatch):
-    # D and the P_j are evaluated once at B0 for their norms, once at the
-    # call's width B and once at the proven width B*
-    widths = _count_packs(monkeypatch, first=8)
     evaluated = []
     real_values = lefschetz._factor_values
 
@@ -320,10 +297,11 @@ def test_forced_fallback_evaluates_the_factors_three_times(monkeypatch):
         return real_values(pairs, data, operator, B)
 
     monkeypatch.setattr(lefschetz, "_factor_values", values)
-    lefschetz_twisted((-3, 0, 1, 2, 4, 6), DIRAC, THETA, 4)
-    assert len(widths) == 2 and widths[0] == 8, widths
-    # six points give 15 pair factors
-    assert evaluated == [lefschetz._width(1 << 15)] + widths, evaluated
+    assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
+    assert widths == [8, _proven_width(data, DIRAC, cert)], widths
+    # D and the P_j are evaluated once at B0 for their norms, then once
+    # per pack
+    assert evaluated == [_width(1 << len(cert[0]))] + widths, evaluated
 
 
 @pytest.mark.parametrize("ws,operator,twist,N,widths", [
@@ -346,10 +324,12 @@ def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypat
 
 @pytest.mark.parametrize("operator,twist", PACKED_CASES)
 def test_proven_width_decides_every_grade(operator, twist):
-    # M_h bounds every coefficient of a Laurent grade, so the width proven
-    # from one grade alone decides it, and at the proven width the packed
-    # check decides every grade: signed sums certify, unsigned ones raise
-    # the dense oracle's NotLaurent
+    # the dense oracle's M_h bounds every coefficient of a Laurent grade,
+    # and the proven width is the width of max_h (M_h |D|_1 + N_h) from
+    # the oracle's bounds; the width proven from one grade alone decides
+    # it, and at the proven width the packed check decides every grade:
+    # signed sums certify, unsigned ones raise the dense oracle's
+    # NotLaurent
     rng = random.Random(f"proven-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
@@ -357,15 +337,18 @@ def test_proven_width_decides_every_grade(operator, twist):
         data = validate_weights(ws)
         series = [_twist_series(d, twist, N) for d in data]
         reference = dense_assemble(data, series, operator, True)
+        den_norm, bounds = quotient_bounds(data, series, operator)
         cert = _certificate_data(data, series, operator)
-        pairs, _, den_norm, _, grades = cert
+        pairs, _, _, _, grades = cert
+        assert cert[2] == den_norm, ws
         B = _proven_width(data, operator, cert)
+        assert B == _width(max(M * den_norm + n for M, n in bounds)), ws
         wide = _pack_factors(data, pairs, operator, True, B)
-        for h, grade in enumerate(grades):
-            alone = _proven_width(data, operator, cert[:4] + ([grade],))
+        for h, (grade, (M, n)) in enumerate(zip(grades, bounds)):
             top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
-            assert top * den_norm + grade[3] < 1 << (alone - 1), (ws, h)
-            assert alone <= B, (ws, h)
+            assert top <= M and grade[3] == n, (ws, h)
+            alone = _proven_width(data, operator, cert[:4] + ([grade],))
+            assert alone == _width(M * den_norm + n), (ws, h)
             own = _pack_factors(data, pairs, operator, True, alone)
             assert _packed_grade(grade, own, cert, proven=True) == reference.coeffs[h], (ws, h)
             assert _packed_grade(grade, wide, cert) == reference.coeffs[h], (ws, h)

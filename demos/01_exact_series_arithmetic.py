@@ -1,22 +1,18 @@
 """Tour of the exact arithmetic layer.
 
-Everything downstream rests on three containers: truncated series in
-q^(1/2) over a pluggable coefficient ring, sparse Laurent polynomials,
-and reduced rational functions.  All three are exact; no floats appear
-until a number is finally evaluated.
+Everything downstream rests on two containers: truncated series in
+q^(1/2) over a pluggable coefficient ring, and sparse Laurent
+polynomials.  Both are exact; no floats appear until a number is finally
+evaluated.  A fixed-point sum is a rational function at every q-grade,
+and the Laurent certificate proves it a Laurent polynomial or names the
+pole that stops it from being one.
 """
 
 from fractions import Fraction
 
-from propergenus import (
-    LAMBDA_RING,
-    RATIONAL,
-    LaurentPoly,
-    Poly,
-    QSeries,
-    RationalFunc,
-    complex_eval,
-)
+from propergenus import LAMBDA_RING, RATIONAL, LaurentPoly, QSeries, complex_eval
+from propergenus.errors import NotLaurent
+from propergenus.lefschetz import lefschetz_twisted, lefschetz_witten
 
 print("= Truncated q-series over exact rings =")
 one_minus_q = QSeries.from_terms(RATIONAL, 6, {0: 1, 1: -1})
@@ -32,17 +28,12 @@ half = QSeries.from_terms(RATIONAL, 3, {0: 1, Fraction(1, 2): -1})
 print("(1 - q^(1/2))^(-1) :", half.inverse())
 
 print()
-print("= Rational functions in mu reduce and certify =")
-f = RationalFunc(Poly([-1, 0, 1]), Poly([-1, 1]))
-print("(mu^2-1)/(mu-1)    :", f.to_laurent())
-
-g = RationalFunc(Poly([0, 1, 0, 1]), Poly.monomial(2))
-print("(mu^3+mu)/mu^2     :", g.to_laurent())
-
+print("= The Laurent certificate of a fixed-point sum =")
+print("signed, (0,1,2,5)  :", lefschetz_witten((0, 1, 2, 5), N=2))
 try:
-    RationalFunc(Poly([1]), Poly([-1, 1])).to_laurent()
-except Exception as exc:
-    print("1/(mu-1)           : rejected,", type(exc).__name__)
+    lefschetz_twisted((0, 2), twist=None, N=1, signed=False)
+except NotLaurent as exc:
+    print("unsigned, (0,2)    : NotLaurent:", exc)
 
 print()
 print("= Numeric evaluation and its scale =")

@@ -15,9 +15,7 @@ from .core import (
     Z_RING,
     LaurentPoly,
     LaurentRing,
-    Poly,
     QSeries,
-    RationalFunc,
     RationalRing,
     complex_eval,
 )

@@ -83,7 +83,9 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.var == other.var and self.coeffs == other.coeffs
+            # a constant equals its scalar, so two constants compare by
+            # value whatever their variables
+            return self.coeffs == other.coeffs and (self.var == other.var or self.is_constant())
         if isinstance(other, (int, Fraction)):
             return self.coeffs == ({0: normalize_scalar(other)} if other != 0 else {})
         return NotImplemented

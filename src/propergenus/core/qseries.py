@@ -156,10 +156,6 @@ class QSeries:
                 s.coeffs[h] = ring.coerce(c)
         return s
 
-    @classmethod
-    def monomial(cls, ring, trunc: int, grade, c) -> "QSeries":
-        return cls.from_terms(ring, trunc, {grade: c})
-
     # -- queries ----------------------------------------------------------
 
     def coefficient(self, grade):

@@ -1,11 +1,14 @@
-"""Univariate polynomials and rational functions over the rationals.
+"""The Euclid reduction that names a grade which is not Laurent.
 
-:class:`Poly` holds the one conversion to and from Laurent polynomials
-(:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`) and an exact
-``divmod``.  :class:`RationalFunc`, reduced by Euclid's gcd, is the
-reference reduction, off the hot path: it names the pole of a grade that
-fails the Laurent certificate, and serves diagnostics and the tests'
-oracle.
+When ``lefschetz`` has shown that D does not divide a grade's numerator,
+:class:`RationalFunc` reduces the grade's rational function in mu by
+Euclid's gcd over the rationals, and :meth:`RationalFunc.to_laurent`
+raises :class:`NotLaurent` naming the reduced denominator.
+:class:`Poly` holds what that needs: the conversion to and from Laurent
+polynomials (:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`), an
+exact ``divmod`` and the printed form of the message.  The tests' dense
+oracle divides on the same :class:`Poly`.  There is no rational-function
+arithmetic here, and the package does not export these names.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ class Poly:
     @classmethod
     def zero(cls) -> "Poly":
         return cls([])
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls([1])
 
     @classmethod
     def monomial(cls, deg: int, c: Scalar = 1) -> "Poly":
@@ -61,24 +60,6 @@ class Poly:
     def leading(self) -> Scalar:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
@@ -92,8 +73,6 @@ class Poly:
                 if b != 0:
                     out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -121,12 +100,6 @@ class Poly:
         inv = Fraction(1) / Fraction(self.leading())
         return Poly([c * inv for c in self.coeffs])
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
     def is_monomial(self) -> bool:
         return bool(self.coeffs) and all(c == 0 for c in self.coeffs[:-1])
 
@@ -136,8 +109,6 @@ class Poly:
         return " + ".join(
             f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0
         )
-
-    __repr__ = __str__
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -157,51 +128,13 @@ class RationalFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, reduced: bool = False):
+    def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalFunc":
-        """Embed a Laurent polynomial by clearing negative exponents."""
-        poly, shift = Poly.from_laurent(p)
-        return cls(poly, Poly.monomial(shift))
+        self.num, self.den = _reduce(num, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __add__(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RationalFunc":
-        return RationalFunc(-self.num, self.den, reduced=True)
-
-    def __sub__(self, other: "RationalFunc") -> "RationalFunc":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFunc":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunc(self.num * other, self.den)
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / d
 
     def to_laurent(self, var: str = MU) -> LaurentPoly:
         """Certify the reduced form as a Laurent polynomial.
@@ -215,15 +148,8 @@ class RationalFunc:
             raise NotLaurent(f"denominator {self.den} has a non-monomial factor")
         return self.num.to_laurent(self.den.degree(), var)
 
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if num.is_zero():
-        return Poly.zero(), Poly.one()
     g = poly_gcd(num, den)
     if g.degree() > 0:
         num, _ = divmod(num, g)

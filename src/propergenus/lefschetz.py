@@ -111,9 +111,10 @@ def _l1(p: LaurentPoly):
     return sum(map(abs, p.coeffs.values()))
 
 
-def _factor_values(pairs, data, operator: str, B: int) -> tuple[int, list[int]]:
-    """D(2^B) and the unsigned P_j(2^B), one shift and one add per factor
-    lam^w -+ 1.  Exact at any width: evaluation is a ring map."""
+def _factor_values(pairs, data, operator: str, signed: bool, B: int):
+    """(B, D(2^B), [P_j(2^B)]), each P_j(2^B) times sigma_j if ``signed``:
+    one shift and one add per factor lam^w -+ 1.  Exact at any width:
+    evaluation is a ring map."""
     den = 1
     for _, _, w in pairs:
         den = (den << B * w) - den
@@ -127,8 +128,8 @@ def _factor_values(pairs, data, operator: str, B: int) -> tuple[int, list[int]]:
             # the spinor character is mu^(-W_j) prod_s (lam^(w_s) + 1)
             for w in datum.tangent_weights:
                 v = (v << B * w) + v
-        values.append(v)
-    return den, values
+        values.append(v * datum.sign if signed else v)
+    return B, den, values
 
 
 def _certificate_data(data, point_series, operator: str):
@@ -153,7 +154,8 @@ def _certificate_data(data, point_series, operator: str):
     # D and every P_j are products of at most len(pairs) binomials of l1
     # norm 2, so no coefficient exceeds 2^len(pairs)
     B0 = _width(1 << len(pairs))
-    den, values = _factor_values(pairs, data, operator, B0)
+    # l1 norms do not see the signs
+    _, den, values = _factor_values(pairs, data, operator, False, B0)
     points = []
     for datum, value in zip(data, values):
         W = sum(datum.tangent_weights)
@@ -167,16 +169,6 @@ def _certificate_data(data, point_series, operator: str):
         grades.append((rows, lo, hi, sum(_l1(c) * points[j][2] for c, j in rows)))
     den_norm = _l1(_unpack(den, B0, 0, den_degree + 1, LAMBDA))
     return pairs, den_degree, den_norm, points, grades
-
-
-def _pack_factors(data, pairs, operator: str, signed: bool, B: int):
-    """(B, D(2^B), [sigma_j P_j(2^B)]): D and the prefactors of
-    :func:`_certificate_data` packed at width B, unsigned unless
-    ``signed``."""
-    den, values = _factor_values(pairs, data, operator, B)
-    if signed:
-        values = [v * d.sign for v, d in zip(values, data)]
-    return B, den, values
 
 
 def _proven_width(data, operator: str, cert) -> int:
@@ -241,11 +233,11 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
 
     ``grade`` = (rows, lo, hi, N_h) and ``cert`` are what
     :func:`_certificate_data` computes for the call, and ``packed`` is
-    what :func:`_pack_factors` returns.  The numerator num = sum_j c_j
-    pre_j, aligned on its lowest exponent lo, is the polynomial
-    P = lam^(-lo) num, and P(2^B) is one big int (:func:`_pack`).  One
-    divmod by D(2^B) and :func:`_unpack` give q'.  The check is the
-    proof: with a zero remainder and
+    what :func:`_factor_values` returns, signed or not.  The numerator
+    num = sum_j c_j pre_j, aligned on its lowest exponent lo, is the
+    polynomial P = lam^(-lo) num, and P(2^B) is one big int
+    (:func:`_pack`).  One divmod by D(2^B) and :func:`_unpack` give q'.
+    The check is the proof: with a zero remainder and
 
         max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |c_j|_1 |P_j|_1,
 
@@ -309,7 +301,7 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     # int() keeps every integral N_h; a grade with Fraction coefficients
     # raises NonIntegral at its own grade, before its bound is compared
     n_max = int(max(grade[3] for grade in grades))
-    packed = _pack_factors(data, pairs, operator, signed, _width(n_max * (den_norm + 1)))
+    packed = _factor_values(pairs, data, operator, signed, _width(n_max * (den_norm + 1)))
     wide = None
     out = QSeries(LAMBDA_RING, point_series[0].trunc)
     for h, grade in enumerate(grades):
@@ -317,7 +309,7 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
         if lam_poly is None:
             if wide is None:
                 B = _proven_width(data, operator, cert)
-                wide = _pack_factors(data, pairs, operator, signed, B)
+                wide = _factor_values(pairs, data, operator, signed, B)
             lam_poly = _packed_grade(grade, wide, cert, proven=True)
         out.coeffs[h] = lam_poly
     return out

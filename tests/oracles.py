@@ -42,9 +42,9 @@ package builds the twists in lam; the oracles read them in mu, with
 lam = mu^2 (``double_exponents``).
 
 Below the routes sit helpers that only the tests need: the lam <-> mu
-exponent maps, the value of a formal theta expansion at a point, and
-heuristic estimates of the tail that a numeric evaluation truncated at
-q^N drops.
+exponent maps, the value of a dense polynomial at a rational point, the
+value of a formal theta expansion at a point, and heuristic estimates
+of the tail that a numeric evaluation truncated at q^N drops.
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ from propergenus.core import (
     RATIONAL,
     LaurentPoly,
     LaurentRing,
-    Poly,
     QSeries,
-    RationalFunc,
     half_units,
 )
+from propergenus.core.ratfunc import Poly, RationalFunc
 from propergenus.errors import NonIntegral
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
@@ -140,12 +139,12 @@ def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], P
     for i in range(npts):
         for j in range(i + 1, npts):
             pairs[(i, j)] = _pair_factor(abs(data[i].weight - data[j].weight))
-    denominator = Poly.one()
+    denominator = Poly([1])
     for f in pairs.values():
         denominator = denominator * f
     prefactors = []
     for j, datum in enumerate(data):
-        cofactor = Poly.one()
+        cofactor = Poly([1])
         for (i, k), f in pairs.items():
             if j not in (i, k):
                 cofactor = cofactor * f
@@ -407,6 +406,14 @@ def halve_exponents(p: LaurentPoly, var: str = LAMBDA) -> LaurentPoly:
         if e % 2 != 0:
             raise NonIntegral(f"odd exponent {e} cannot be halved into {var}")
     return LaurentPoly({e // 2: c for e, c in p.coeffs.items()}, var)
+
+
+def poly_value(p: Poly, x) -> Fraction:
+    """p(x) by Horner's rule."""
+    total = Fraction(0)
+    for c in reversed(p.coeffs):
+        total = total * x + c
+    return total
 
 
 def theta_expansion_eval(exp: ThetaExpansion, v: complex, tau: complex) -> complex:

@@ -41,6 +41,8 @@ def test_constants_hash_as_their_scalars():
     assert Fraction(1, 2) in {LaurentPoly({0: Fraction(1, 2)})}
     assert LaurentPoly({0: -7}, "mu") in {-7}
     assert len({LaurentPoly({1: 1}), LaurentPoly({1: 1}), LaurentPoly({1: 1}, "mu")}) == 2
+    # equality is transitive: a constant equals another by value, whatever its variable
+    assert len({LaurentPoly({0: 3}, "lam"), LaurentPoly({0: 3}, "mu"), 3}) == 1
 
 
 def test_arithmetic():

@@ -22,7 +22,7 @@ from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
     _certificate_data,
-    _pack_factors,
+    _factor_values,
     _packed_grade,
     _proven_width,
     _twist_series,
@@ -37,6 +37,7 @@ from oracles import (
     halve_exponents,
     lefschetz_grade_ratfunc,
     lefschetz_series_strategy,
+    poly_value,
     quotient_bounds,
 )
 
@@ -107,9 +108,10 @@ def test_twist_theta_is_the_witten_series():
 
 
 def test_untwisted_dirac_is_grade_zero_only():
-    s = lefschetz_twisted((0, 1, 2, 5), DIRAC, None, N=3)
-    assert s.coefficient(0) == LaurentPoly.zero()  # A-hat genus vanishes
-    assert s.is_zero()
+    for ws in [(0, 1, 2, 5), (0, 1, 2, 3)]:
+        s = lefschetz_twisted(ws, DIRAC, None, N=3)
+        assert s.coefficient(0) == LaurentPoly.zero(), ws  # A-hat genus vanishes
+        assert s.is_zero(), ws
 
 
 def test_rigidity_signature_theta1():
@@ -197,7 +199,8 @@ def test_grade_ratfunc_specializes_at_one():
     for ws in [(0, 1, 2, 5), (0, 3, 5, 6)]:
         rf = lefschetz_grade_ratfunc(ws, 2, N=3)
         series = lefschetz_witten(ws, N=3)
-        assert rf.evaluate(Fraction(1)) == series.coefficient(2).eval_one()
+        value = poly_value(rf.num, 1) / poly_value(rf.den, 1)
+        assert value == series.coefficient(2).eval_one()
 
 
 @pytest.mark.parametrize("operator,twist", [
@@ -217,8 +220,12 @@ def test_certificate_matches_gcd_reference(operator, twist):
             grade = Fraction(h, 2)
             reference = lefschetz_grade_ratfunc(ws, grade, operator, twist, N).to_laurent()
             assert series.coefficient(grade) == halve_exponents(reference), (ws, grade)
-        with pytest.raises(NotLaurent):
+        data = validate_weights(ws)
+        with pytest.raises(NotLaurent) as expected:
+            dense_assemble(data, [_twist_series(d, twist, N) for d in data], operator, False)
+        with pytest.raises(NotLaurent) as got:
             lefschetz_twisted(ws, operator, twist, N, signed=False)
+        assert str(got.value) == str(expected.value), ws
 
 
 def _seeded_weights(rng, two_l, span):
@@ -229,17 +236,19 @@ def _seeded_weights(rng, two_l, span):
 
 
 def _count_packs(monkeypatch, first=None):
-    """Record the width of every _pack_factors call; with ``first``, the
-    first call packs at that width instead of the one it is given."""
+    """Record the width of every _factor_values call: the norms' width B0
+    of _certificate_data, then one per pack.  With ``first``, the first
+    pack is at that width instead of the one it is given."""
     widths = []
-    real_pack = lefschetz._pack_factors
+    real_values = lefschetz._factor_values
 
-    def pack(data, pairs, operator, signed, B):
-        packed = real_pack(data, pairs, operator, signed, first if first and not widths else B)
-        widths.append(packed[0])
-        return packed
+    def values(pairs, data, operator, signed, B):
+        if first and len(widths) == 1:
+            B = first
+        widths.append(B)
+        return real_values(pairs, data, operator, signed, B)
 
-    monkeypatch.setattr(lefschetz, "_pack_factors", pack)
+    monkeypatch.setattr(lefschetz, "_factor_values", values)
     return widths
 
 
@@ -265,7 +274,7 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
         reference = dense_assemble(data, series, operator, True)
         for h in range(2 * N + 1):
             assert packed.coeffs[h] == reference.coeffs[h], (ws, h)
-        assert len(widths) == 1, (ws, widths)
+        assert len(widths) == 2, (ws, widths)  # B0, then one pack
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
         with pytest.raises(NotLaurent) as got:
@@ -282,26 +291,16 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
     cert = _certificate_data(data, series, DIRAC)
-    packed = _pack_factors(data, cert[0], DIRAC, True, 8)
-    assert packed[0] == 8
+    packed = _factor_values(cert[0], data, DIRAC, True, 8)
     grades = [_packed_grade(grade, packed, cert) for grade in cert[4]]
     assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
     for h, g in enumerate(grades):
         assert g is None or g == reference.coeffs[h], h
     widths = _count_packs(monkeypatch, first=8)
-    evaluated = []
-    real_values = lefschetz._factor_values
-
-    def values(pairs, data, operator, B):
-        evaluated.append(B)
-        return real_values(pairs, data, operator, B)
-
-    monkeypatch.setattr(lefschetz, "_factor_values", values)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
-    assert widths == [8, _proven_width(data, DIRAC, cert)], widths
     # D and the P_j are evaluated once at B0 for their norms, then once
     # per pack
-    assert evaluated == [_width(1 << len(cert[0]))] + widths, evaluated
+    assert widths == [_width(1 << len(cert[0])), 8, _proven_width(data, DIRAC, cert)], widths
 
 
 @pytest.mark.parametrize("ws,operator,twist,N,widths", [
@@ -318,8 +317,9 @@ def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypat
     data = validate_weights(ws)
     series = [_twist_series(d, twist, N) for d in data]
     lefschetz._assemble(data, series, operator, True)
+    _, B = packs  # B0 for the norms, then the one pack
     cert = _certificate_data(data, series, operator)
-    assert (*packs, _proven_width(data, operator, cert)) == widths
+    assert (B, _proven_width(data, operator, cert)) == widths
 
 
 @pytest.mark.parametrize("operator,twist", PACKED_CASES)
@@ -343,18 +343,18 @@ def test_proven_width_decides_every_grade(operator, twist):
         assert cert[2] == den_norm, ws
         B = _proven_width(data, operator, cert)
         assert B == _width(max(M * den_norm + n for M, n in bounds)), ws
-        wide = _pack_factors(data, pairs, operator, True, B)
+        wide = _factor_values(pairs, data, operator, True, B)
         for h, (grade, (M, n)) in enumerate(zip(grades, bounds)):
             top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
             assert top <= M and grade[3] == n, (ws, h)
             alone = _proven_width(data, operator, cert[:4] + ([grade],))
             assert alone == _width(M * den_norm + n), (ws, h)
-            own = _pack_factors(data, pairs, operator, True, alone)
+            own = _factor_values(pairs, data, operator, True, alone)
             assert _packed_grade(grade, own, cert, proven=True) == reference.coeffs[h], (ws, h)
             assert _packed_grade(grade, wide, cert) == reference.coeffs[h], (ws, h)
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
-        wide = _pack_factors(data, pairs, operator, False, B)
+        wide = _factor_values(pairs, data, operator, False, B)
         with pytest.raises(NotLaurent) as got:
             for grade in grades:
                 assert _packed_grade(grade, wide, cert, proven=True) is not None

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .chern import solve_cancellation
 from .core.laurent import LaurentPoly
 from .errors import DomainError
+# unused here, but perfbench/spans.py wraps cli.trace_series (tests/test_perfbench_targets.py)
 from .induction import averaged_elliptic_genera, averaged_witten_genus, trace_series
 from .lambda_ring import eval_bundle_expr
 from .lefschetz import lefschetz_twisted, p_series
@@ -94,7 +95,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="propergenus")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=_parse_order, default=10, help="truncation order N >= 1")
-    common.add_argument("--json-indent", type=int, default=2)
+    common.add_argument("--json-indent", type=int, choices=range(9), default=2)
     common.add_argument("--output", default=None, help="write JSON here instead of stdout")
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
@@ -106,17 +107,17 @@ def build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser(
-        "witten-genus", parents=[common, weighted, unsigned],
+        "witten-genus", parents=[common, weighted],
         description=(
-            "Averaged Witten genus of the weighted action. Without --unsigned the "
-            "series is evaluated by two routes, the literal product p_series and "
+            "Averaged Witten genus of the weighted action. The series is "
+            "evaluated by two routes, the literal product p_series and "
             "the factored route Theta(adjoint) * Lefschetz, and the two must agree "
             "exactly at every grade."))
     sub.add_parser("elliptic-genera", parents=[common, weighted])
     lf = sub.add_parser("lefschetz", parents=[common, weighted, unsigned])
     lf.add_argument("--operator", choices=["dirac", "signature"], default="dirac")
     lf.add_argument("--twist", choices=["none", "theta", "theta1", "theta2"], default="theta")
-    sub.add_parser("p-series", parents=[common, weighted, unsigned])
+    sub.add_parser("p-series", parents=[common, weighted])
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
@@ -145,10 +146,7 @@ def build_parser() -> _Parser:
 
 
 def _run_witten(args) -> dict:
-    if args.unsigned:
-        series = trace_series(p_series(args.weights, args.order, signed=False))
-    else:
-        series = averaged_witten_genus(args.weights, args.order)
+    series = averaged_witten_genus(args.weights, args.order)
     return {
         "verb": "witten-genus",
         "weights": sorted(args.weights),
@@ -186,12 +184,12 @@ def _run_lefschetz(args) -> dict:
 
 
 def _run_p_series(args) -> dict:
-    series = p_series(args.weights, args.order, signed=not args.unsigned)
+    series = p_series(args.weights, args.order)
     return {
         "verb": "p-series",
         "weights": sorted(args.weights),
         "order": args.order,
-        "signed": not args.unsigned,
+        "signed": True,
         "series": series.to_json(),
     }
 

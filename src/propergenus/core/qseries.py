@@ -29,7 +29,7 @@ from .laurent import LaurentPoly, normalize_scalar, scalar_to_str
 
 
 class RationalRing:
-    """Coefficient ring tag for exact rationals (int or Fraction)."""
+    """Coefficient ring tag for exact rationals (int or Fraction); 0 is falsy."""
 
     name = "rational"
 
@@ -43,9 +43,6 @@ class RationalRing:
         if isinstance(x, (int, Fraction)):
             return normalize_scalar(x)
         raise TypeError(f"cannot coerce {x!r} into the rational ring")
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def invert(self, x):
         if x == 0:
@@ -66,7 +63,7 @@ class RationalRing:
 
 
 class LaurentRing:
-    """Coefficient ring tag for Laurent polynomials in a fixed variable."""
+    """Coefficient ring tag for Laurent polynomials in one variable; 0 is falsy."""
 
     def __init__(self, var: str):
         self.var = var
@@ -86,9 +83,6 @@ class LaurentRing:
         if isinstance(x, (int, Fraction)):
             return LaurentPoly.constant(x, self.var)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
 
     def invert(self, x):
         return x.inverse_if_unit()
@@ -166,11 +160,11 @@ class QSeries:
 
     def nonzero_terms(self):
         for h, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 yield Fraction(h, 2), c
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,8 +201,8 @@ class QSeries:
         n = min(self.trunc, other.trunc)
         top = 2 * n
         out = [self.ring.zero()] * (top + 1)
-        a_nz = [(h, c) for h, c in enumerate(self.coeffs[: top + 1]) if not self.ring.is_zero(c)]
-        b_nz = [(h, c) for h, c in enumerate(other.coeffs[: top + 1]) if not other.ring.is_zero(c)]
+        a_nz = [(h, c) for h, c in enumerate(self.coeffs[: top + 1]) if c]
+        b_nz = [(h, c) for h, c in enumerate(other.coeffs[: top + 1]) if c]
         if len(a_nz) > len(b_nz):
             a_nz, b_nz = b_nz, a_nz
         for ha, ca in a_nz:
@@ -246,7 +240,7 @@ class QSeries:
         for h in range(1, top + 1):
             acc = self.ring.zero()
             for k in range(1, h + 1):
-                if not self.ring.is_zero(a[k]):
+                if a[k]:
                     acc = acc + a[k] * out[h - k]
             out[h] = -(b0 * acc)
         return QSeries(self.ring, self.trunc, out)
@@ -258,9 +252,9 @@ class QSeries:
         recurrence h f_h = sum_k k g_k f_(h-k) (Brent and Kung, 1978).
         """
         ring = self.ring
-        if not ring.is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise ValueError("exp requires vanishing constant term")
-        weighted = [(k, g * k) for k, g in enumerate(self.coeffs) if k and not ring.is_zero(g)]
+        weighted = [(k, g * k) for k, g in enumerate(self.coeffs) if k and g]
         out = [ring.one()]
         for h in range(1, 2 * self.trunc + 1):
             acc = ring.zero()
@@ -268,7 +262,7 @@ class QSeries:
                 if k > h:
                     break
                 f = out[h - k]
-                if not ring.is_zero(f):
+                if f:
                     acc = acc + kg * f
             out.append(acc * Fraction(1, h))
         return QSeries(ring, self.trunc, out)
@@ -291,7 +285,7 @@ class QSeries:
     def __str__(self) -> str:
         parts = []
         for h, c in enumerate(self.coeffs):
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             g = Fraction(h, 2)
             c_str = str(c)

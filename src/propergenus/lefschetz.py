@@ -38,9 +38,11 @@ Each grade's rows, span and N_h, and each point's norms, are computed
 once per call, and both widths are the ``core.qseries._width`` of a
 bound.
 The sum collapses to a Laurent polynomial exactly when the orientation
-signs sigma_j = (-1)^j (weights sorted ascending) are in place; the
-unsigned literal formula is kept available for comparison and fails the
-certificate already for the two-point case.
+signs sigma_j = (-1)^j (weights sorted ascending) are in place, and the
+assembly always applies them.  The literal unsigned sum, kept only for
+comparison (``lefschetz_twisted(..., signed=False)``), first negates the
+twist of each point with sigma_j = -1; it fails the certificate already
+for the two-point case.
 
 Witten-bundle factors outside the sum fold into every twist, since the
 sum is linear in its twists and Theta multiplies: the literal series is
@@ -100,7 +102,7 @@ def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
 
 
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
-    if twist is None or twist == "none":
+    if twist is None:
         return QSeries.one(LAMBDA_RING, N)
     if twist in (THETA, THETA1, THETA2):
         return theta_bundle(_tangent_char(datum), twist, N)
@@ -111,10 +113,9 @@ def _l1(p: LaurentPoly):
     return sum(map(abs, p.coeffs.values()))
 
 
-def _factor_values(pairs, data, operator: str, signed: bool, B: int):
-    """(B, D(2^B), [P_j(2^B)]), each P_j(2^B) times sigma_j if ``signed``:
-    one shift and one add per factor lam^w -+ 1.  Exact at any width:
-    evaluation is a ring map."""
+def _factor_values(pairs, data, operator: str, B: int):
+    """(B, D(2^B), [sigma_j P_j(2^B)]): one shift and one add per factor
+    lam^w -+ 1.  Exact at any width: evaluation is a ring map."""
     den = 1
     for _, _, w in pairs:
         den = (den << B * w) - den
@@ -128,7 +129,7 @@ def _factor_values(pairs, data, operator: str, signed: bool, B: int):
             # the spinor character is mu^(-W_j) prod_s (lam^(w_s) + 1)
             for w in datum.tangent_weights:
                 v = (v << B * w) + v
-        values.append(v * datum.sign if signed else v)
+        values.append(v * datum.sign)
     return B, den, values
 
 
@@ -154,8 +155,7 @@ def _certificate_data(data, point_series, operator: str):
     # D and every P_j are products of at most len(pairs) binomials of l1
     # norm 2, so no coefficient exceeds 2^len(pairs)
     B0 = _width(1 << len(pairs))
-    # l1 norms do not see the signs
-    _, den, values = _factor_values(pairs, data, operator, False, B0)
+    _, den, values = _factor_values(pairs, data, operator, B0)
     points = []
     for datum, value in zip(data, values):
         W = sum(datum.tangent_weights)
@@ -233,7 +233,7 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
 
     ``grade`` = (rows, lo, hi, N_h) and ``cert`` are what
     :func:`_certificate_data` computes for the call, and ``packed`` is
-    what :func:`_factor_values` returns, signed or not.  The numerator
+    what :func:`_factor_values` returns.  The numerator
     num = sum_j c_j pre_j, aligned on its lowest exponent lo, is the
     polynomial P = lam^(-lo) num, and P(2^B) is one big int
     (:func:`_pack`).  One divmod by D(2^B) and :func:`_unpack` give q'.
@@ -284,7 +284,7 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
     return None
 
 
-def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
+def _assemble(data, point_series, operator: str) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
@@ -301,7 +301,7 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     # int() keeps every integral N_h; a grade with Fraction coefficients
     # raises NonIntegral at its own grade, before its bound is compared
     n_max = int(max(grade[3] for grade in grades))
-    packed = _factor_values(pairs, data, operator, signed, _width(n_max * (den_norm + 1)))
+    packed = _factor_values(pairs, data, operator, _width(n_max * (den_norm + 1)))
     wide = None
     out = QSeries(LAMBDA_RING, point_series[0].trunc)
     for h, grade in enumerate(grades):
@@ -309,7 +309,7 @@ def _assemble(data, point_series, operator: str, signed: bool) -> QSeries:
         if lam_poly is None:
             if wide is None:
                 B = _proven_width(data, operator, cert)
-                wide = _factor_values(pairs, data, operator, signed, B)
+                wide = _factor_values(pairs, data, operator, B)
             lam_poly = _packed_grade(grade, wide, cert, proven=True)
         out.coeffs[h] = lam_poly
     return out
@@ -324,15 +324,17 @@ def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,
     """
     data = validate_weights(weights)
     point_series = [_twist_series(d, twist, N) for d in data]
-    return _assemble(data, point_series, operator, signed)
+    if not signed:  # the assembly signs every point, and sigma_j^2 = 1
+        point_series = [-s if d.sign < 0 else s for d, s in zip(data, point_series)]
+    return _assemble(data, point_series, operator)
 
 
-def lefschetz_witten(weights, N: int = 10, signed: bool = True) -> QSeries:
+def lefschetz_witten(weights, N: int = 10) -> QSeries:
     """Witten-bundle-twisted Dirac Lefschetz series (twist = Theta)."""
-    return lefschetz_twisted(weights, DIRAC, THETA, N, signed)
+    return lefschetz_twisted(weights, DIRAC, THETA, N)
 
 
-def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
+def p_series(weights, N: int = 10) -> QSeries:
     """The literal three-factor two-variable series of the weighted action:
     prod_n (1 - q^n)^(4l), times Theta(adjoint) = prod_n of the geometric
     series in lam^2 q^n and lam^-2 q^n, times the bare fixed-point sum of
@@ -346,4 +348,4 @@ def p_series(weights, N: int = 10, signed: bool = True) -> QSeries:
     data = validate_weights(weights)
     outer = LaurentPoly({2: 1, -2: 1, 0: -2 * len(data)})
     point_series = [theta_series(_tangent_char(d) + outer, THETA, N) for d in data]
-    return _assemble(data, point_series, DIRAC, signed)
+    return _assemble(data, point_series, DIRAC)

@@ -136,7 +136,7 @@ def test_rigidity_generic_vectors():
 
 def test_unsigned_formula_is_not_laurent():
     with pytest.raises(NotLaurent):
-        lefschetz_witten((0, 2), N=2, signed=False)
+        lefschetz_twisted((0, 2), DIRAC, THETA, 2, signed=False)
 
 
 def test_p_series_cp1_vanishes():
@@ -163,8 +163,6 @@ def test_p_series_multiplies_no_series(monkeypatch):
     monkeypatch.setattr(QSeries, "__rmul__", refuse)
     for ws in [(0, 2), (0, 1, 2, 5), (-3, 0, 1, 2, 4, 6)]:
         p_series(ws, N=4)
-        with pytest.raises(NotLaurent):
-            p_series(ws, N=4, signed=False)
 
 
 def _bare_twist(datum, N):
@@ -176,7 +174,7 @@ def _bare_twist(datum, N):
 def test_p_series_fold_matches_outer_product():
     # the fold against the three literal factors: prod (1 - q^n)^(4l) and
     # Theta(adjoint) as one series, times the dense sum of the bare twists
-    # Theta(T_j); unsigned, both fail with the same message
+    # Theta(T_j)
     rng = random.Random("p-series-fold")
     adjoint = LaurentPoly({2: 1, -2: 1})
     for two_l in (2, 4, 6):
@@ -186,11 +184,6 @@ def test_p_series_fold_matches_outer_product():
             bare = [_bare_twist(d, N) for d in data]
             outer = theta_series(adjoint - LaurentPoly.constant(2 * two_l), THETA, N)
             assert p_series(ws, N) == outer * dense_assemble(data, bare, DIRAC, True), (ws, N)
-            with pytest.raises(NotLaurent) as expected:
-                dense_assemble(data, bare, DIRAC, False)
-            with pytest.raises(NotLaurent) as got:
-                p_series(ws, N, signed=False)
-            assert str(got.value) == str(expected.value), (ws, N)
 
 
 def test_grade_ratfunc_specializes_at_one():
@@ -242,11 +235,11 @@ def _count_packs(monkeypatch, first=None):
     widths = []
     real_values = lefschetz._factor_values
 
-    def values(pairs, data, operator, signed, B):
+    def values(pairs, data, operator, B):
         if first and len(widths) == 1:
             B = first
         widths.append(B)
-        return real_values(pairs, data, operator, signed, B)
+        return real_values(pairs, data, operator, B)
 
     monkeypatch.setattr(lefschetz, "_factor_values", values)
     return widths
@@ -261,7 +254,9 @@ PACKED_CASES = [
 def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
     # the packed certificate against Laurent products and dense division
     # on the same point series; signed sums certify at the call's width
-    # without widening, unsigned ones fail with the oracle's message
+    # without widening, and the unsigned sum, the signed assembly of the
+    # twists negated at the points with sigma_j = -1, fails with the
+    # oracle's message
     widths = _count_packs(monkeypatch)
     rng = random.Random(f"packed-{operator}-{twist}")
     N = 4
@@ -270,15 +265,16 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
         data = validate_weights(ws)
         series = [_twist_series(d, twist, N) for d in data]
         widths.clear()
-        packed = lefschetz._assemble(data, series, operator, True)
+        packed = lefschetz._assemble(data, series, operator)
         reference = dense_assemble(data, series, operator, True)
         for h in range(2 * N + 1):
             assert packed.coeffs[h] == reference.coeffs[h], (ws, h)
         assert len(widths) == 2, (ws, widths)  # B0, then one pack
+        flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
         with pytest.raises(NotLaurent) as got:
-            lefschetz._assemble(data, series, operator, False)
+            lefschetz._assemble(data, flipped, operator)
         assert str(got.value) == str(expected.value), ws
 
 
@@ -291,7 +287,7 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
     cert = _certificate_data(data, series, DIRAC)
-    packed = _factor_values(cert[0], data, DIRAC, True, 8)
+    packed = _factor_values(cert[0], data, DIRAC, 8)
     grades = [_packed_grade(grade, packed, cert) for grade in cert[4]]
     assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
     for h, g in enumerate(grades):
@@ -316,7 +312,7 @@ def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypat
     packs = _count_packs(monkeypatch)
     data = validate_weights(ws)
     series = [_twist_series(d, twist, N) for d in data]
-    lefschetz._assemble(data, series, operator, True)
+    lefschetz._assemble(data, series, operator)
     _, B = packs  # B0 for the norms, then the one pack
     cert = _certificate_data(data, series, operator)
     assert (B, _proven_width(data, operator, cert)) == widths
@@ -328,8 +324,8 @@ def test_proven_width_decides_every_grade(operator, twist):
     # and the proven width is the width of max_h (M_h |D|_1 + N_h) from
     # the oracle's bounds; the width proven from one grade alone decides
     # it, and at the proven width the packed check decides every grade:
-    # signed sums certify, unsigned ones raise the dense oracle's
-    # NotLaurent
+    # signed sums certify, and the sign-flipped twists of the unsigned sum
+    # raise the dense oracle's NotLaurent
     rng = random.Random(f"proven-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
@@ -343,21 +339,23 @@ def test_proven_width_decides_every_grade(operator, twist):
         assert cert[2] == den_norm, ws
         B = _proven_width(data, operator, cert)
         assert B == _width(max(M * den_norm + n for M, n in bounds)), ws
-        wide = _factor_values(pairs, data, operator, True, B)
+        wide = _factor_values(pairs, data, operator, B)
         for h, (grade, (M, n)) in enumerate(zip(grades, bounds)):
             top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
             assert top <= M and grade[3] == n, (ws, h)
             alone = _proven_width(data, operator, cert[:4] + ([grade],))
             assert alone == _width(M * den_norm + n), (ws, h)
-            own = _factor_values(pairs, data, operator, True, alone)
+            own = _factor_values(pairs, data, operator, alone)
             assert _packed_grade(grade, own, cert, proven=True) == reference.coeffs[h], (ws, h)
             assert _packed_grade(grade, wide, cert) == reference.coeffs[h], (ws, h)
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
-        wide = _factor_values(pairs, data, operator, False, B)
+        flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
+        unsigned = _certificate_data(data, flipped, operator)
+        assert _proven_width(data, operator, unsigned) == B, ws
         with pytest.raises(NotLaurent) as got:
-            for grade in grades:
-                assert _packed_grade(grade, wide, cert, proven=True) is not None
+            for grade in unsigned[4]:
+                assert _packed_grade(grade, wide, unsigned, proven=True) is not None
         assert str(got.value) == str(expected.value), ws
 
 
@@ -544,7 +542,7 @@ def test_witten_series_properties(ws, k):
     assert lefschetz_witten([a + k for a in ws], N) == exact
     assert lefschetz_witten([-a for a in ws], N) == -exact
     with pytest.raises(NotLaurent):
-        lefschetz_witten(ws, N, signed=False)
+        lefschetz_twisted(ws, DIRAC, THETA, N, signed=False)
     for operator, twist in ((SIGNATURE, THETA1), (DIRAC, THETA2)):
         rigid = lefschetz_twisted(ws, operator, twist, N)
         assert all(c.is_constant() for _, c in rigid.nonzero_terms())

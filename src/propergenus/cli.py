@@ -21,8 +21,8 @@ from .core.laurent import LaurentPoly
 from .errors import DomainError
 # unused here, but perfbench/spans.py wraps cli.trace_series (tests/test_perfbench_targets.py)
 from .induction import averaged_elliptic_genera, averaged_witten_genus, trace_series
-from .lambda_ring import eval_bundle_expr
-from .lefschetz import lefschetz_twisted, p_series
+from .lambda_ring import THETA, THETA1, THETA2, eval_bundle_expr
+from .lefschetz import DIRAC, SIGNATURE, lefschetz_twisted, p_series
 from .theta_modforms import (
     MODFORM_NAMES,
     THETA_KINDS,
@@ -99,9 +99,6 @@ def build_parser() -> _Parser:
     common.add_argument("--output", default=None, help="write JSON here instead of stdout")
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
-    unsigned = argparse.ArgumentParser(add_help=False)
-    unsigned.add_argument("--unsigned", action="store_true",
-                          help="use the literal unsigned fixed-point formula")
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tol", type=_parse_tol, default=1e-9, help="numeric tolerance")
 
@@ -114,9 +111,11 @@ def build_parser() -> _Parser:
             "the factored route Theta(adjoint) * Lefschetz, and the two must agree "
             "exactly at every grade."))
     sub.add_parser("elliptic-genera", parents=[common, weighted])
-    lf = sub.add_parser("lefschetz", parents=[common, weighted, unsigned])
-    lf.add_argument("--operator", choices=["dirac", "signature"], default="dirac")
-    lf.add_argument("--twist", choices=["none", "theta", "theta1", "theta2"], default="theta")
+    lf = sub.add_parser("lefschetz", parents=[common, weighted])
+    lf.add_argument("--unsigned", action="store_true",
+                    help="use the literal unsigned fixed-point formula")
+    lf.add_argument("--operator", choices=[DIRAC, SIGNATURE], default=DIRAC)
+    lf.add_argument("--twist", choices=["none", THETA, THETA1, THETA2], default=THETA)
     sub.add_parser("p-series", parents=[common, weighted])
 
     theta = sub.add_parser("theta")
@@ -145,67 +144,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _weighted_report(args, **body) -> dict:
+    """The report of a verb on a weight vector: its shared header, then ``body``."""
+    return {"verb": args.verb, "weights": sorted(args.weights), "order": args.order, **body}
+
+
 def _run_witten(args) -> dict:
     series = averaged_witten_genus(args.weights, args.order)
-    return {
-        "verb": "witten-genus",
-        "weights": sorted(args.weights),
-        "order": args.order,
-        "series": series.to_json(),
-        "identically_zero": series.is_zero(),
-    }
+    return _weighted_report(args, series=series.to_json(), identically_zero=series.is_zero())
 
 
 def _run_elliptic(args) -> dict:
     phi1, phi2 = averaged_elliptic_genera(args.weights, args.order)
-    return {
-        "verb": "elliptic-genera",
-        "weights": sorted(args.weights),
-        "order": args.order,
-        "phi1": phi1.to_json(),
-        "phi2": phi2.to_json(),
-        "identically_zero": phi1.is_zero() and phi2.is_zero(),
-    }
+    return _weighted_report(args, phi1=phi1.to_json(), phi2=phi2.to_json(),
+                            identically_zero=phi1.is_zero() and phi2.is_zero())
 
 
 def _run_lefschetz(args) -> dict:
     twist = None if args.twist == "none" else args.twist
     series = lefschetz_twisted(args.weights, args.operator, twist,
                                args.order, signed=not args.unsigned)
-    return {
-        "verb": "lefschetz",
-        "weights": sorted(args.weights),
-        "operator": args.operator,
-        "twist": args.twist,
-        "order": args.order,
-        "signed": not args.unsigned,
-        "series": series.to_json(),
-    }
+    return _weighted_report(args, operator=args.operator, twist=args.twist,
+                            signed=not args.unsigned, series=series.to_json())
 
 
 def _run_p_series(args) -> dict:
     series = p_series(args.weights, args.order)
-    return {
-        "verb": "p-series",
-        "weights": sorted(args.weights),
-        "order": args.order,
-        "signed": True,
-        "series": series.to_json(),
-    }
+    return _weighted_report(args, signed=True, series=series.to_json())
 
 
 def _check_report(verb: str, args, report: dict, **point) -> dict:
     """The report of a numeric check verb at the evaluation point ``point``."""
-    return {
-        "verb": verb,
-        **point,
-        "tau": [args.tau.real, args.tau.imag],
-        "order": args.order,
-        "tolerance": args.tol,
-        "residuals": report["residuals"],
-        "failed": report["failed"],
-        "all_passed": report["all_passed"],
-    }
+    return {"verb": verb, **point, "tau": [args.tau.real, args.tau.imag],
+            "order": args.order, **report}
 
 
 def _run_theta(args) -> dict:
@@ -281,7 +252,7 @@ def main(argv=None) -> int:
     try:
         doc, code = _RUNNERS[args.verb](args), 0
     except DomainError as exc:
-        doc, code = {"error": {"code": exc.code, "message": str(exc)}}, DOMAIN_ERROR
+        doc, code = {"error": {"code": type(exc).__name__, "message": str(exc)}}, DOMAIN_ERROR
     except ValueError as exc:
         parser.error(str(exc))
     text = json.dumps(doc, sort_keys=True, indent=args.json_indent) + "\n"

@@ -25,7 +25,7 @@ from ..errors import (
     NotUpperHalfPlane,
     RingMismatch,
 )
-from .laurent import LaurentPoly, normalize_scalar, scalar_to_str
+from .laurent import LAMBDA, MU, Z, LaurentPoly, normalize_scalar, scalar_to_str
 
 
 class RationalRing:
@@ -101,9 +101,9 @@ class LaurentRing:
 
 
 RATIONAL = RationalRing()
-LAMBDA_RING = LaurentRing("lam")
-MU_RING = LaurentRing("mu")
-Z_RING = LaurentRing("z")
+LAMBDA_RING = LaurentRing(LAMBDA)
+MU_RING = LaurentRing(MU)
+Z_RING = LaurentRing(Z)
 
 
 def half_units(grade) -> int:

@@ -1,27 +1,24 @@
 """Domain errors shared by all modules.
 
-Every error carries a stable ``code`` string so the CLI can emit
-machine-readable error objects.
+The CLI reports an error as a machine-readable object whose ``code``
+is the exception's class name, so each class name is a stable code.
 """
 
 
 class DomainError(Exception):
-    code = "DomainError"
+    """An input or intermediate result outside the domain of a computation."""
 
 
 class RingMismatch(DomainError):
     """Two series over different coefficient rings were combined."""
-    code = "RingMismatch"
 
 
 class NonUnitConstantTerm(DomainError):
     """Series inversion requires an invertible constant term."""
-    code = "NonUnitConstantTerm"
 
 
 class GradeOutOfRange(DomainError):
     """A coefficient beyond the truncation order was requested."""
-    code = "GradeOutOfRange"
 
 
 class NotLaurent(DomainError):
@@ -30,39 +27,32 @@ class NotLaurent(DomainError):
     In fixed-point sums this signals a sign-convention or truncation
     error upstream.
     """
-    code = "NotLaurent"
 
 
 class NonIntegral(DomainError):
     """A value expected to have integer coefficients does not."""
-    code = "NonIntegral"
 
 
 class DuplicateWeights(DomainError):
-    code = "DuplicateWeights"
+    """The weights of a circle action are not distinct."""
 
 
 class OddWeightSum(DomainError):
-    code = "OddWeightSum"
+    """The weights of a circle action have an odd sum, so it is not spin."""
 
 
 class NotUpperHalfPlane(DomainError):
     """tau is not in the upper half-plane, or so close to the real axis
     that |q|^(1/2) rounds to 1 and no q-series converges numerically."""
-    code = "NotUpperHalfPlane"
 
 
 class NumericOverflow(DomainError):
     """A numeric evaluation left the floating-point range."""
-    code = "NumericOverflow"
 
 
 class SingularSystem(DomainError):
     """Linear solve hit a singular system (wrong order or basis)."""
-    code = "SingularSystem"
 
 
 class InconsistentSystem(DomainError):
     """Overdetermined linear solve has no exact solution."""
-    code = "InconsistentSystem"
-

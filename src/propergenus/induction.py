@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core.laurent import LaurentPoly
+from .core.laurent import LAMBDA, LaurentPoly
 from .core.qseries import RATIONAL, LaurentRing, QSeries
 from .errors import RingMismatch
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle
 from .lefschetz import (
+    ADJOINT,
     DIRAC,
     SIGNATURE,
     lefschetz_twisted,
@@ -54,13 +55,9 @@ def trace_series(s: QSeries) -> QSeries:
     character variable; rational-function-valued input has no home here
     so that Laurent-certification failures surface upstream.
     """
-    if not isinstance(s.ring, LaurentRing) or s.ring.var != "lam":
+    if not isinstance(s.ring, LaurentRing) or s.ring.var != LAMBDA:
         raise RingMismatch("trace_series expects a series over Laurent polynomials in lam")
     return s.map_coefficients(trace_char, RATIONAL)
-
-
-# the weight-(+-2) character of the two-dimensional slice of SL(2,R)
-ADJOINT = LaurentPoly({2: 1, -2: 1})
 
 
 def averaged_witten_genus(weights, N: int = 10) -> QSeries:

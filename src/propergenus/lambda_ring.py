@@ -169,21 +169,16 @@ def parse_sexpr(text: str):
 
 
 def _parse_t_token(tok: str):
-    sign = 1
-    if tok.startswith("-"):
-        sign = -1
-        tok = tok[1:]
-    if not tok.startswith("q"):
-        raise ValueError(f"bad q-power token {tok!r}")
-    rest = tok[1:]
-    if not rest:
+    sign = -1 if tok.startswith("-") else 1
+    power = tok[1:] if sign < 0 else tok
+    if power == "q":
         return Fraction(1), sign
-    if not rest.startswith("^"):
-        raise ValueError(f"bad q-power token {tok!r}")
-    try:
-        return Fraction(rest[1:]), sign
-    except ZeroDivisionError:
-        raise ValueError(f"bad q-power token {tok!r}") from None
+    if power.startswith("q^"):
+        try:
+            return Fraction(power[2:]), sign
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bad q-power token {tok!r}")
 
 
 def eval_bundle_expr(expr, N: int = 8):

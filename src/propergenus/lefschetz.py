@@ -68,6 +68,9 @@ from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
 DIRAC = "dirac"
 SIGNATURE = "signature"
 
+# the weight-(+-2) character of the two-dimensional slice of SL(2,R)
+ADJOINT = LaurentPoly({2: 1, -2: 1})
+
 
 @dataclass(frozen=True)
 class FixedPointDatum:
@@ -346,6 +349,6 @@ def p_series(weights, N: int = 10) -> QSeries:
     the second route of the Witten genus, which ``induction`` compares.
     """
     data = validate_weights(weights)
-    outer = LaurentPoly({2: 1, -2: 1, 0: -2 * len(data)})
+    outer = ADJOINT - 2 * len(data)  # adjoint - 4l over the 2l points
     point_series = [theta_series(_tangent_char(d) + outer, THETA, N) for d in data]
     return _assemble(data, point_series, DIRAC)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core.laurent import LaurentPoly
+from .core.laurent import Z, LaurentPoly
 from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, _check_tau, complex_eval
 from .errors import NumericOverflow
 
@@ -65,7 +65,7 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     series = _binomial_product(Z_RING, n_q, factors)
     if n_z < n_q:
         series = series.map_coefficients(
-            lambda c: LaurentPoly({e: v for e, v in c.coeffs.items() if abs(e) <= n_z}, "z"))
+            lambda c: LaurentPoly({e: v for e, v in c.coeffs.items() if abs(e) <= n_z}, Z))
     pref = Fraction(1, 8) if kind in ("theta", "theta1") else Fraction(0)
     return ThetaExpansion(kind, pref, trig, series, n_z)
 

@@ -70,6 +70,9 @@ def test_domain_error_codes(capsys):
     code, out = run(capsys, "witten-genus", "--weights", "0,2,2,4", "--order", "2")
     assert code == DOMAIN_ERROR
     assert json.loads(out)["error"]["code"] == "DuplicateWeights"
+    code, out = run(capsys, "cancellation", "--k", "3", "--order", "1")
+    assert code == DOMAIN_ERROR
+    assert json.loads(out)["error"]["code"] == "SingularSystem"
 
 
 def test_usage_error_exit_code(capsys):
@@ -109,7 +112,7 @@ def test_non_finite_input_is_usage_error(capsys, argv):
 @pytest.mark.parametrize("expr", [
     "(rep)", "(sum)", "(tensor)", "(tilde)", "(theta)", "(sym q)", "(rep 1",
     "(rep 1 2)", "(tilde (rep 1) (rep 2))", "(rep (rep 1))", "(sym (rep 1) (rep 0))",
-    "(sym q^1/0 (rep 1))",
+    "(sym q^1/0 (rep 1))", "(sym -q^abc (rep 1))", "(sym q^ (rep 1))", "(sym q^1/2/3 (rep 1))",
     pytest.param("(tilde " * 2000 + "(rep 1)" + ")" * 2000, id="nested-2000"),
     pytest.param("(" * 2000, id="open-2000"),
 ])
@@ -117,7 +120,10 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     with pytest.raises(SystemExit) as exc:
         main(["bundle", "expand", "--expr", expr, "--order", "2"])
     assert exc.value.code == USAGE_ERROR
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if "q^" in expr:
+        assert "bad q-power token" in captured.err
 
 
 @pytest.mark.parametrize("argv, expected", [

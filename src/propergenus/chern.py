@@ -30,7 +30,7 @@ recovers the power-of-two schedule relating it to the top L-class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -224,14 +224,9 @@ def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
     return [x[0] for x in solve_exact(_basis_rows(m, genus.trunc), rhs)]
 
 
-@dataclass
-class CancellationReport:
-    k: int
-    h_coeffs: list[Fraction]
-    exponents: list[int]
-    combinations: list[dict[Partition, int | Fraction]]
-    residual: dict[Partition, int | Fraction]
-    schedule: str
+class CancellationReport(namedtuple(
+        "CancellationReport", "k h_coeffs exponents combinations residual schedule")):
+    __slots__ = ()
 
     @property
     def residual_is_zero(self) -> bool:

@@ -207,6 +207,14 @@ def _token(arg) -> str:
     return arg
 
 
+def _int_token(head: str, arg) -> int:
+    tok = _token(arg)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{head} takes an integer, got {tok!r}") from None
+
+
 def _char(head: str, node, N) -> LaurentPoly:
     val = _eval(node, N)
     if not isinstance(val, LaurentPoly):
@@ -227,9 +235,9 @@ def _eval(node, N):
         want = f"at least {n}" if more else str(n)
         raise ValueError(f"{head} takes {want} argument(s), got {len(args)}")
     if head == "rep":
-        return LaurentPoly.monomial(int(_token(args[0])))
+        return LaurentPoly.monomial(_int_token(head, args[0]))
     if head == "trivial":
-        return LaurentPoly.constant(int(_token(args[0])))
+        return LaurentPoly.constant(_int_token(head, args[0]))
     if head in _FOLDS:
         vals = [_eval(a, N) for a in args]
         if not all(isinstance(v, LaurentPoly) for v in vals):

@@ -55,8 +55,7 @@ of the literal sum.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
@@ -72,12 +71,8 @@ SIGNATURE = "signature"
 ADJOINT = LaurentPoly({2: 1, -2: 1})
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
-    index: int
-    weight: int
-    tangent_weights: tuple[int, ...]
-    sign: int
+# its field ``index`` shadows tuple.index
+FixedPointDatum = namedtuple("FixedPointDatum", "index weight tangent_weights sign")
 
 
 def validate_weights(weights) -> list[FixedPointDatum]:

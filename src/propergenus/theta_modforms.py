@@ -1,23 +1,24 @@
 """Jacobi theta functions and the level-2 modular forms built from them.
 
-The four theta functions are handled twice over: as formal q-expansions
-with Laurent coefficients in z = e^(2 pi i v), and as numeric products
-for complex arguments.  The modular forms delta_1, eps_1, delta_2,
-eps_2 are exact divisor-sum q-series; their transformation laws under
-tau -> -1/tau and the eight theta transformation laws are verified
-numerically to a requested tolerance, relative to the size of the terms
-each evaluation sums or multiplies.
+The four theta functions are formal q-expansions with Laurent
+coefficients in z = e^(2 pi i v), read from the sum side of Jacobi's
+triple product, and numeric products for complex arguments.  The
+modular forms delta_1, eps_1, delta_2, eps_2 are exact divisor-sum
+q-series; their transformation laws under tau -> -1/tau and the eight
+theta transformation laws are verified numerically to a requested
+tolerance, relative to the size of the terms each evaluation sums or
+multiplies.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core.laurent import Z, LaurentPoly
-from .core.qseries import RATIONAL, Z_RING, QSeries, _binomial_product, _check_tau, complex_eval
+from .core.qseries import RATIONAL, Z_RING, QSeries, _check_tau, complex_eval
 from .errors import NumericOverflow
 
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
@@ -31,24 +32,18 @@ _THETA_SHAPE = {
 }
 
 
-@dataclass
-class ThetaExpansion:
-    """Formal expansion: prefactor q^prefactor_exponent * trig * series."""
-
-    kind: str
-    prefactor_exponent: Fraction
-    trig: str | None
-    series: QSeries
-    z_order: int
+# formal expansion: prefactor q^prefactor_exponent * trig * series
+ThetaExpansion = namedtuple("ThetaExpansion", "kind prefactor_exponent trig series z_order")
 
 
 def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
-    """Triple-product expansion of a theta function, truncated in q and z.
+    """Expansion of a theta function to q^n_q, keeping only z^e with |e| <= n_z.
 
-    The product is exact to q^n_q; then every term z^e with |e| > n_z is
-    dropped from each grade.  That exact product never carries |e| > n_q,
-    so n_z >= n_q drops nothing.  n_z defaults to n_q and must not be
-    negative.
+    With s the kind's z-sign, Jacobi's triple product gives each nonzero
+    grade in closed form (h counts half powers of q):
+      theta2, theta3:  h = k^2,       s^k (z^k + z^-k), or 1 at k = 0;
+      theta, theta1:   h = k (k+1),   (-1)^k sum_(|e| <= k) (-s)^e z^e.
+    n_z defaults to n_q and must not be negative.
     """
     if kind not in _THETA_SHAPE:
         raise ValueError(f"unknown theta kind {kind!r}")
@@ -57,15 +52,17 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     if n_z < 0:
         raise ValueError(f"z-order must be non-negative, got {n_z}")
     trig, sign, half_offset = _THETA_SHAPE[kind]
-    factors = []
-    for j in range(1, n_q + 1):
-        factors.append((-1, 0, 2 * j, False, 1))  # scalar factor (1 - q^j)
-        h = 2 * j - 1 if half_offset else 2 * j
-        factors += [(sign, 1, h, False, 1), (sign, -1, h, False, 1)]
-    series = _binomial_product(Z_RING, n_q, factors)
-    if n_z < n_q:
-        series = series.map_coefficients(
-            lambda c: LaurentPoly({e: v for e, v in c.coeffs.items() if abs(e) <= n_z}, Z))
+    series = QSeries(Z_RING, n_q)
+    for k in range(2 * n_q + 1):
+        h = k * k if half_offset else k * (k + 1)
+        if h > 2 * n_q:
+            break
+        if half_offset:
+            grade = {e: sign ** k for e in (k, -k) if k <= n_z}
+        else:
+            r = min(k, n_z)
+            grade = {e: (-1) ** k * (-sign) ** abs(e) for e in range(-r, r + 1)}
+        series.coeffs[h] = LaurentPoly(grade, Z)
     pref = Fraction(1, 8) if kind in ("theta", "theta1") else Fraction(0)
     return ThetaExpansion(kind, pref, trig, series, n_z)
 
@@ -183,15 +180,7 @@ def _report(sides_of, tol: float) -> dict:
 
 # -- modular forms over the level-2 subgroups --------------------------------
 
-MODFORM_NAMES = ("delta1", "eps1", "delta2", "eps2")
-
-
-@dataclass
-class ModFormSeries:
-    name: str
-    series: QSeries
-    weight: int
-    group: str
+ModFormSeries = namedtuple("ModFormSeries", "name series weight group")
 
 
 def _divisors(n: int) -> list[int]:
@@ -210,6 +199,18 @@ def _odd_divisor_sum(n: int) -> int:
     return sum(d for d in _divisors(n) if d % 2 == 1)
 
 
+# name: (weight, group, constant term, half-unit step, coefficient of q^(step n / 2))
+_MODFORMS = {
+    "delta1": (2, "Gamma_0(2)", Fraction(1, 4), 2, lambda n: 6 * _odd_divisor_sum(n)),
+    "eps1": (4, "Gamma_0(2)", Fraction(1, 16), 2,
+             lambda n: sum((-1) ** d * d ** 3 for d in _divisors(n))),
+    "delta2": (2, "Gamma^0(2)", Fraction(-1, 8), 1, lambda n: -3 * _odd_divisor_sum(n)),
+    "eps2": (4, "Gamma^0(2)", 0, 1,
+             lambda n: sum(d ** 3 for d in _divisors(n) if (n // d) % 2 == 1)),
+}
+MODFORM_NAMES = tuple(_MODFORMS)
+
+
 def modform_qexp(name: str, N: int = 10) -> ModFormSeries:
     """Exact q-expansion by direct divisor sums.
 
@@ -218,27 +219,14 @@ def modform_qexp(name: str, N: int = 10) -> ModFormSeries:
     delta2 = -1/8 - 3 sum_{n, d|n odd} d q^(n/2)     (weight 2)
     eps2   = sum_{n, d|n, n/d odd} d^3 q^(n/2)       (weight 4)
     """
+    if name not in _MODFORMS:
+        raise ValueError(f"unknown modular form {name!r}")
+    weight, group, constant, step, coefficient = _MODFORMS[name]
     s = QSeries(RATIONAL, N)
-    if name == "delta1":
-        s.coeffs[0] = Fraction(1, 4)
-        for n in range(1, N + 1):
-            s.coeffs[2 * n] = 6 * _odd_divisor_sum(n)
-        return ModFormSeries(name, s, 2, "Gamma_0(2)")
-    if name == "eps1":
-        s.coeffs[0] = Fraction(1, 16)
-        for n in range(1, N + 1):
-            s.coeffs[2 * n] = sum((-1) ** d * d ** 3 for d in _divisors(n))
-        return ModFormSeries(name, s, 4, "Gamma_0(2)")
-    if name == "delta2":
-        s.coeffs[0] = Fraction(-1, 8)
-        for n in range(1, 2 * N + 1):
-            s.coeffs[n] = -3 * _odd_divisor_sum(n)
-        return ModFormSeries(name, s, 2, "Gamma^0(2)")
-    if name == "eps2":
-        for n in range(1, 2 * N + 1):
-            s.coeffs[n] = sum(d ** 3 for d in _divisors(n) if (n // d) % 2 == 1)
-        return ModFormSeries(name, s, 4, "Gamma^0(2)")
-    raise ValueError(f"unknown modular form {name!r}")
+    s.coeffs[0] = constant
+    for n in range(1, 2 * N // step + 1):
+        s.coeffs[step * n] = coefficient(n)
+    return ModFormSeries(name, s, weight, group)
 
 
 def modform_eval(name: str, tau: complex, N: int = 60) -> complex:

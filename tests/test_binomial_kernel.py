@@ -195,10 +195,14 @@ def test_theta_bundle_of_tangent_character_matches_convolution_route():
 
 @pytest.mark.parametrize("kind", THETA_KINDS)
 def test_theta_qexp_matches_triple_product_loop(kind):
+    # the closed-form sum against the multiplied-out product; orders 16 and
+    # 24 reach k = 6 on the square and the k(k+1) grades
+    cases = [(n_q, n_z) for n_q in range(1, 9) for n_z in (None, *range(n_q + 4))]
+    cases += [(n_q, n_z) for n_q in (16, 24) for n_z in (None, 0, 3, n_q + 1)]
+    for n_q, n_z in cases:
+        got = theta_qexp(kind, n_q, n_z)
+        assert got.series == reference_theta_qexp(kind, n_q, n_z), (n_q, n_z)
     for n_q in range(1, 9):
-        for n_z in (None, *range(n_q + 4)):
-            got = theta_qexp(kind, n_q, n_z)
-            assert got.series == reference_theta_qexp(kind, n_q, n_z), (n_q, n_z)
         with pytest.raises(ValueError):
             theta_qexp(kind, n_q, -1)
 

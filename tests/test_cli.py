@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import propergenus
 from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
 
 
@@ -113,6 +118,7 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     "(rep)", "(sum)", "(tensor)", "(tilde)", "(theta)", "(sym q)", "(rep 1",
     "(rep 1 2)", "(tilde (rep 1) (rep 2))", "(rep (rep 1))", "(sym (rep 1) (rep 0))",
     "(sym q^1/0 (rep 1))", "(sym -q^abc (rep 1))", "(sym q^ (rep 1))", "(sym q^1/2/3 (rep 1))",
+    "(rep abc)", "(trivial 1.5)",
     pytest.param("(tilde " * 2000 + "(rep 1)" + ")" * 2000, id="nested-2000"),
     pytest.param("(" * 2000, id="open-2000"),
 ])
@@ -124,6 +130,9 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     assert captured.out == ""
     if "q^" in expr:
         assert "bad q-power token" in captured.err
+    if expr in ("(rep abc)", "(trivial 1.5)"):
+        head, token = expr[1:-1].split()
+        assert f"{head} takes an integer, got '{token}'" in captured.err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -288,6 +297,17 @@ def test_shared_parser_prints_what_a_fresh_parser_prints(capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, USAGE_ERROR, 0, USAGE_ERROR, 0,
                                                DOMAIN_ERROR, 0, 0]
+
+
+def test_cold_start_imports_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: more import
+    # time than a small computation takes; -S keeps site hooks out of it
+    src = Path(propergenus.__file__).resolve().parent.parent
+    probe = ("import sys, propergenus.cli; propergenus.cli.build_parser(); "
+             "print([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_theta_check_verb(capsys):

@@ -1,4 +1,5 @@
-"""The Euclid reduction that names a grade which is not Laurent.
+"""Exact polynomial division, and the Euclid reduction that names a
+grade which is not Laurent.
 
 When ``lefschetz`` has shown that D does not divide a grade's numerator,
 :class:`RationalFunc` reduces the grade's rational function in mu by
@@ -6,8 +7,10 @@ Euclid's gcd over the rationals, and :meth:`RationalFunc.to_laurent`
 raises :class:`NotLaurent` naming the reduced denominator.
 :class:`Poly` holds what that needs: the conversion to and from Laurent
 polynomials (:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`), an
-exact ``divmod`` and the printed form of the message.  The tests' dense
-oracle divides on the same :class:`Poly`.  There is no rational-function
+exact ``divmod`` and the printed form of the message.  The same
+``divmod``, by the monic D on ints, decides a grade whose quotient the
+packed check of ``lefschetz`` cannot read at its width, and the tests'
+dense oracle divides on it too.  There is no rational-function
 arithmetic here, and the package does not export these names.
 """
 

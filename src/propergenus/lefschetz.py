@@ -32,11 +32,12 @@ prove q' D = P: the difference vanishes at 2^B, and N_h bounds every
 coefficient of P, so each of its coefficients is below 2^(B-1).  D is
 monic, so a nonzero remainder proves that D does not divide P: the grade
 raises NotLaurent, which names the pole of the reduced rational form in
-mu.  A grade that B is too narrow to decide falls back once, to a
-proven width B* at which an undecided grade has no Laurent quotient.
-Each grade's rows, span and N_h, and each point's norms, are computed
-once per call, and both widths are the ``core.qseries._width`` of a
-bound.
+mu.  A zero remainder whose quotient fails the check leaves B too
+narrow for q', but not for P and D, whose coefficients are below
+2^(B-1): both unpack exactly, and ``Poly``'s division by the monic D
+decides the grade on ints.  Each grade's rows, span and N_h, and each
+point's norms, are computed once per call, and the width is the
+``core.qseries._width`` of a bound.
 The sum collapses to a Laurent polynomial exactly when the orientation
 signs sigma_j = (-1)^j (weights sorted ascending) are in place, and the
 assembly always applies them.  The literal unsigned sum, kept only for
@@ -56,10 +57,9 @@ of the literal sum.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import accumulate
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _apply, _pack, _unpack, _width
+from .core.qseries import LAMBDA_RING, QSeries, _pack, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, NonIntegral, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -169,45 +169,6 @@ def _certificate_data(data, point_series, operator: str):
     return pairs, den_degree, den_norm, points, grades
 
 
-def _proven_width(data, operator: str, cert) -> int:
-    """B*, the :func:`_width` of max_h (M_h |D|_1 + N_h), at which every
-    grade is decided; ``cert`` is what :func:`_certificate_data` returns.
-
-    M_h bounds every coefficient of Q = P / D if D divides P.  P_j / D is
-    one over the 2l - 1 pair factors lam^(w_s) - 1 at j, times
-    prod_s (lam^(w_s) + 1) for the signature operator, so in powers of
-    lam, pre_j / D = -sigma_j lam^(low_j) F_j, where
-
-        F_j = prod_s (1 + lam^(w_s))^[signature] / prod_s (1 - lam^(w_s))
-
-    has coefficients >= 0 (:func:`_apply` on plain ints).  If D | P, then
-    lam^lo Q = num / D = -sum_j sigma_j lam^(low_j) c_j F_j, and every
-    exponent of lam^(low_j) c_j is at least lo, so Q_i takes F_j only at
-    t <= i < n_h = deg Q + 1:
-
-        |Q_i| <= M_h = sum_j |c_j|_1 max_(t < n_h) F_(j,t).
-
-    A nonzero grade has M_h >= 1, so N_h and |D|_1 are below 2^(B*-1).
-    If D | P, the remainder at 2^B* is zero, Q unpacks as q' since every
-    |Q_i| <= M_h < 2^(B*-1), and max|q'_i| |D|_1 + N_h < 2^(B*-1): the
-    check holds.  So a grade that it does not prove at B* has no Laurent
-    quotient.  int() keeps every integral bound; a Fraction grade raises
-    NonIntegral before its bound is compared.
-    """
-    _, den_degree, den_norm, _, grades = cert
-    spans = [max(hi - lo + 1 - den_degree, 1) for _, lo, hi, _ in grades]
-    peaks = []
-    for datum in data:
-        F = [1] + [0] * (max(spans) - 1)
-        for w in datum.tangent_weights:
-            if operator == SIGNATURE:
-                _apply(F, 1, w, False, 1)
-            _apply(F, 1, w, True, 1)
-        peaks.append(list(accumulate(F, max)))
-    return _width(int(max(sum(_l1(c) * peaks[j][n - 1] for c, j in rows) * den_norm + bound
-                          for (rows, _, _, bound), n in zip(grades, spans))))
-
-
 def _raise_not_laurent(num: int, lo: int, hi: int, packed, den_degree: int):
     """Raise NotLaurent for lam^lo P / D, given P(2^B) = num with deg P <=
     hi - lo, once D is known not to divide P.
@@ -226,7 +187,7 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed, den_degree: int):
     raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
-def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | None:
+def _packed_grade(grade, packed, cert) -> LaurentPoly:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
     ``grade`` = (rows, lo, hi, N_h) and ``cert`` are what
@@ -245,11 +206,11 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
 
     D is monic, so D | P gives D(2^B) | P(2^B): a nonzero remainder, or
     a nonzero P of lower degree than D, proves that the grade is not
-    Laurent and raises NotLaurent.  A coefficient that is not an int
-    raises NonIntegral.  Returns None when B is too narrow to decide:
-    N_h or |D|_1 reaches 2^(B-1), or the remainder is zero but q' fails
-    the check.  When ``proven`` (B = B* of :func:`_proven_width`), an
-    undecided grade has no Laurent quotient and raises instead.
+    Laurent and raises NotLaurent.  A zero remainder whose q' fails the
+    check, or has no balanced form, is decided by dividing P by D
+    exactly: both unpack from their values, since N_h and |D|_1 are
+    below 2^(B-1), and D is monic, so the division stays on ints.  A
+    coefficient that is not an int raises NonIntegral.
     """
     rows, lo, hi, bound = grade
     if not rows:
@@ -261,9 +222,7 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
     _, den_degree, den_norm, points, _ = cert
     limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
-        if proven:
-            raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
-        return None
+        raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
     num = sum(_pack(c, B, lo - points[j][0]) * values[j] for c, j in rows)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
@@ -273,13 +232,17 @@ def _packed_grade(grade, packed, cert, proven: bool = False) -> LaurentPoly | No
         _raise_not_laurent(num, lo, hi, packed, den_degree)
     try:
         q = _unpack(quo, B, lo, n, LAMBDA)
+        if max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
+            return q
     except OverflowError:
-        q = None
-    if q is not None and max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
-        return q
-    if proven:
-        _raise_not_laurent(num, lo, hi, packed, den_degree)
-    return None
+        pass
+    # B is too narrow for q' but holds P and D: divide them exactly
+    top, _ = Poly.from_laurent(_unpack(num, B, 0, hi - lo + 1, LAMBDA))
+    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, LAMBDA))
+    quo, rem = divmod(top, bottom)
+    if rem.is_zero():
+        return quo.to_laurent(-lo, LAMBDA)
+    _raise_not_laurent(num, lo, hi, packed, den_degree)
 
 
 def _assemble(data, point_series, operator: str) -> QSeries:
@@ -288,11 +251,9 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     point_series[j] is the twist-character q-series of the j-th point
     over the lam Laurent ring.  Every grade goes through the packed
     certificate, which proves it an integral Laurent polynomial in lam
-    or raises.  The call's width B admits every quotient no larger than
-    the largest N_h, since then max|q'_i| |D|_1 + N_h <= max_h N_h
-    (|D|_1 + 1).  A grade that B is too narrow to decide falls back once,
-    to the proven width B* (:func:`_proven_width`), packed at most once
-    per call.
+    or raises.  The call's width B holds every N_h and |D|_1, and it
+    admits every quotient no larger than the largest N_h, since then
+    max|q'_i| |D|_1 + N_h <= max_h N_h (|D|_1 + 1).
     """
     cert = _certificate_data(data, point_series, operator)
     pairs, _, den_norm, _, grades = cert
@@ -300,16 +261,9 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     # raises NonIntegral at its own grade, before its bound is compared
     n_max = int(max(grade[3] for grade in grades))
     packed = _factor_values(pairs, data, operator, _width(n_max * (den_norm + 1)))
-    wide = None
     out = QSeries(LAMBDA_RING, point_series[0].trunc)
     for h, grade in enumerate(grades):
-        lam_poly = _packed_grade(grade, packed, cert)
-        if lam_poly is None:
-            if wide is None:
-                B = _proven_width(data, operator, cert)
-                wide = _factor_values(pairs, data, operator, B)
-            lam_poly = _packed_grade(grade, wide, cert, proven=True)
-        out.coeffs[h] = lam_poly
+        out.coeffs[h] = _packed_grade(grade, packed, cert)
     return out
 
 

@@ -20,9 +20,8 @@ function here recomputes one of them by another.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
-- ``quotient_bounds``: the certificate's coefficient bounds N_h and M_h
-  from dense products and expanded geometric series, against the
-  proven width of ``lefschetz._proven_width``.
+- ``quotient_bounds``: the certificate's bounds |D|_1 and N_h from
+  dense products, against ``lefschetz._certificate_data``.
 - ``root_class_series``: A-hat and L from their definitions, as the
   product over Chern roots of one-variable series, against the closed
   forms of ``chern`` read at the roots' power sums (``power_sum_value``).
@@ -291,19 +290,12 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     return out
 
 
-def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[int, int]]]:
-    """|D|_1 and, for every grade h, (M_h, N_h) from dense expansions.
+def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[int]]:
+    """|D|_1 and, for every grade h, N_h from dense products.
 
-    N_h = sum_j |c_j|_1 |pre_j|_1 bounds every coefficient of the grade's
-    numerator.  M_h = sum_j |c_j|_1 max_(t < n_h) F_(j,t), with n_h the
-    degree of the would-be quotient plus one, read off the spans of the
-    products c_j pre_j, and
-
-        F_j = prod_s (1 + lam^(w_s))^[signature] / prod_s (1 - lam^(w_s))
-
-    multiplied out term by term from geometric series, bounds every
-    coefficient of the quotient when D divides the numerator.  The sums
-    run over the nonzero c_j; integral twists give int bounds.
+    N_h = sum_j |c_j|_1 |pre_j|_1 over the nonzero c_j bounds every
+    coefficient of the grade's numerator; integral twists give int
+    bounds.
     """
     prefactors, denominator = _prefactors(data, operator, True)
     series = [_in_mu(s) for s in point_series]
@@ -311,26 +303,9 @@ def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[
     def l1(coeffs):
         return sum(map(abs, coeffs))
 
-    bounds = []
-    for h in range(len(series[0].coeffs)):
-        rows = [(s.coeffs[h], pre, datum)
-                for s, pre, datum in zip(series, prefactors, data) if not s.coeffs[h].is_zero()]
-        terms = [c * pre for c, pre, _ in rows]
-        lo = min((t.min_exp() for t in terms), default=0)
-        hi = max((t.max_exp() for t in terms), default=0)
-        top = 2 * max((hi - lo - denominator.degree()) // 2, 0)  # mu exponent of F_(j,n_h-1)
-        M = 0
-        for c, _, datum in rows:
-            F = LaurentPoly.constant(1, MU)
-            for w in datum.tangent_weights:
-                # 1/(1 - mu^(2w)) = -mu^(-w) / (mu^w - mu^(-w))
-                factor = _geometric_inverse_mu(w, top + w) * LaurentPoly.monomial(-w, -1, MU)
-                if operator == SIGNATURE:
-                    factor = factor * LaurentPoly({0: 1, 2 * w: 1}, MU)
-                F = _truncate_above(F * factor, top)
-            M += l1(c.coeffs.values()) * max(F.coeffs.values())
-        bounds.append((M, sum(l1(c.coeffs.values()) * l1(pre.coeffs.values())
-                              for c, pre, _ in rows)))
+    bounds = [sum(l1(s.coeffs[h].coeffs.values()) * l1(pre.coeffs.values())
+                  for s, pre in zip(series, prefactors))
+              for h in range(len(series[0].coeffs))]
     return l1(denominator.coeffs), bounds
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from propergenus import lefschetz
 from propergenus.core import LaurentPoly, QSeries
 from propergenus.core.qseries import _width
+from propergenus.core.ratfunc import Poly
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import (
     THETA,
@@ -24,7 +25,6 @@ from propergenus.lefschetz import (
     _certificate_data,
     _factor_values,
     _packed_grade,
-    _proven_width,
     _twist_series,
     lefschetz_twisted,
     lefschetz_witten,
@@ -279,53 +279,63 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
 
 
 def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
-    # at B = 8 most grades are beyond what the packed check can prove; the
-    # helper must say so rather than answer, and the sum still comes out
-    # exact from one more pack, at the proven width
-    ws, N = (-3, 0, 1, 2, 4, 6), 4
+    # at the narrowest width that holds every N_h and |D|_1, the packed
+    # check leaves one grade undecided; exact division of P by D decides
+    # it, and the sum still comes out exact from one pack
+    ws, N = (0, 1, 2, 5), 12
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
     cert = _certificate_data(data, series, DIRAC)
-    packed = _factor_values(cert[0], data, DIRAC, 8)
-    grades = [_packed_grade(grade, packed, cert) for grade in cert[4]]
-    assert any(g is None and reference.coeffs[h] for h, g in enumerate(grades))
-    for h, g in enumerate(grades):
-        assert g is None or g == reference.coeffs[h], h
-    widths = _count_packs(monkeypatch, first=8)
+    B = _width(max(max(grade[3] for grade in cert[4]), cert[2]))
+    assert B == 16
+    divisions = []
+    real_divmod = Poly.__divmod__
+
+    def counted(self, other):
+        divisions.append(self)
+        return real_divmod(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    packed = _factor_values(cert[0], data, DIRAC, B)
+    divided = []
+    for h, grade in enumerate(cert[4]):
+        calls = len(divisions)
+        assert _packed_grade(grade, packed, cert) == reference.coeffs[h], h
+        if len(divisions) > calls:
+            divided.append(h)
+    assert len(divided) == 1 and reference.coeffs[divided[0]], divided
+    widths = _count_packs(monkeypatch, first=B)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
     # D and the P_j are evaluated once at B0 for their norms, then once
-    # per pack
-    assert widths == [_width(1 << len(cert[0])), 8, _proven_width(data, DIRAC, cert)], widths
+    # for the one pack
+    assert widths == [_width(1 << len(cert[0])), B], widths
 
 
 @pytest.mark.parametrize("ws,operator,twist,N,widths", [
-    ((0, 1, 2, 5), DIRAC, THETA, 12, (32, 32)),
-    ((0, 1, 2, 5), SIGNATURE, THETA1, 10, (32, 64)),
-    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA, 12, (64, 64)),
-    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA2, 12, (64, 72)),
-    ((0, 1, 2, 3, 4, 6, 7, 9), SIGNATURE, THETA1, 12, (64, 80)),
+    ((0, 1, 2, 5), DIRAC, THETA, 12, (32,)),
+    ((0, 1, 2, 5), SIGNATURE, THETA1, 10, (32,)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA, 12, (64,)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA2, 12, (64,)),
+    ((0, 1, 2, 3, 4, 6, 7, 9), SIGNATURE, THETA1, 12, (64,)),
 ])
 def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypatch):
-    # the call's width B decides every grade in one pack, and the proven
-    # width B* that a fallback would pack at stays where it is
+    # the call's width B decides every grade in one pack: the widths after
+    # B0, which the norms are read at, are B alone
     packs = _count_packs(monkeypatch)
     data = validate_weights(ws)
     series = [_twist_series(d, twist, N) for d in data]
     lefschetz._assemble(data, series, operator)
-    _, B = packs  # B0 for the norms, then the one pack
-    cert = _certificate_data(data, series, operator)
-    assert (B, _proven_width(data, operator, cert)) == widths
+    assert tuple(packs[1:]) == widths
 
 
 @pytest.mark.parametrize("operator,twist", PACKED_CASES)
-def test_proven_width_decides_every_grade(operator, twist):
-    # the dense oracle's M_h bounds every coefficient of a Laurent grade,
-    # and the proven width is the width of max_h (M_h |D|_1 + N_h) from
-    # the oracle's bounds; the width proven from one grade alone decides
-    # it, and at the proven width the packed check decides every grade:
-    # signed sums certify, and the sign-flipped twists of the unsigned sum
-    # raise the dense oracle's NotLaurent
+def test_proven_width_decides_every_grade(operator, twist, monkeypatch):
+    # the dense oracle's |D|_1 and N_h are the certificate's, the call
+    # packs at the width proven from them, and at that width every grade
+    # of the signed sum is the oracle's while the sign-flipped twists of
+    # the unsigned sum raise the oracle's NotLaurent
+    packs = _count_packs(monkeypatch)
     rng = random.Random(f"proven-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
@@ -335,35 +345,23 @@ def test_proven_width_decides_every_grade(operator, twist):
         reference = dense_assemble(data, series, operator, True)
         den_norm, bounds = quotient_bounds(data, series, operator)
         cert = _certificate_data(data, series, operator)
-        pairs, _, _, _, grades = cert
-        assert cert[2] == den_norm, ws
-        B = _proven_width(data, operator, cert)
-        assert B == _width(max(M * den_norm + n for M, n in bounds)), ws
-        wide = _factor_values(pairs, data, operator, B)
-        for h, (grade, (M, n)) in enumerate(zip(grades, bounds)):
-            top = max(map(abs, reference.coeffs[h].coeffs.values()), default=0)
-            assert top <= M and grade[3] == n, (ws, h)
-            alone = _proven_width(data, operator, cert[:4] + ([grade],))
-            assert alone == _width(M * den_norm + n), (ws, h)
-            own = _factor_values(pairs, data, operator, alone)
-            assert _packed_grade(grade, own, cert, proven=True) == reference.coeffs[h], (ws, h)
-            assert _packed_grade(grade, wide, cert) == reference.coeffs[h], (ws, h)
+        assert cert[2] == den_norm and [grade[3] for grade in cert[4]] == bounds, ws
+        packs.clear()
+        assert lefschetz._assemble(data, series, operator) == reference, ws
+        assert packs[1:] == [_width(max(bounds) * (den_norm + 1))], ws
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
         flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
-        unsigned = _certificate_data(data, flipped, operator)
-        assert _proven_width(data, operator, unsigned) == B, ws
         with pytest.raises(NotLaurent) as got:
-            for grade in unsigned[4]:
-                assert _packed_grade(grade, wide, unsigned, proven=True) is not None
+            lefschetz._assemble(data, flipped, operator)
         assert str(got.value) == str(expected.value), ws
 
 
 def test_packed_grade_refuses_what_it_cannot_prove():
     # one point with pre = 1 over D = (lam - 1)^k: a grade the packed check
-    # cannot prove at width B returns None (the caller falls back to the
-    # proven width); a grade shown not to be Laurent, or not integral,
-    # raises
+    # cannot prove at width B is divided exactly; a grade shown not to be
+    # Laurent, or not integral, raises, and so does a width that does not
+    # hold N_h
     def over(k, B):
         return (B, ((1 << B) - 1) ** k, [1]), ([], k, 2 ** k, [(0, 0, 1)], [])
 
@@ -372,43 +370,39 @@ def test_packed_grade_refuses_what_it_cannot_prove():
 
     # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
     # coefficient n: with n = 200 the numerator bound is only 4, and only
-    # the quotient check sees that n does not fit a balanced 8-bit digit
+    # the quotient check sees that n does not fit a balanced 8-bit digit;
+    # exact division gives the square at 8 bits as at 16
     n = 200
     grade = grade_of(LaurentPoly({0: 1, n: -2, 2 * n: 1}))
-    assert _packed_grade(grade, *over(2, 8)) is None
-    assert _packed_grade(grade, *over(2, 16)) == LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
-    # a width claimed proven that does not prove a Laurent grade is a defect
-    with pytest.raises(AssertionError, match="reduced to a Laurent polynomial"):
-        _packed_grade(grade, *over(2, 8), proven=True)
+    square = LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
+    for B in (8, 16):
+        assert _packed_grade(grade, *over(2, B)) == square, B
     # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
     # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
     # the check; at B = 16 the remainder is nonzero, and the message names
     # the reduced denominator in mu
     grade = grade_of(LaurentPoly({0: -1, 255: 1}))
-    assert _packed_grade(grade, *over(2, 8)) is None
-    for packed, proven in ((over(2, 16), False), (over(2, 8), True)):
+    for B in (8, 16):
         with pytest.raises(NotLaurent) as got:
-            _packed_grade(grade, *packed, proven)
-        assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor"
+            _packed_grade(grade, *over(2, B))
+        assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor", B
     # the same grade times lam^-3: the pole at mu = 0 joins the denominator
     with pytest.raises(NotLaurent) as got:
         _packed_grade(grade_of(LaurentPoly({-3: -1, 252: 1})), *over(2, 16))
     assert str(got.value) == "denominator -1*x^6 + 1*x^8 has a non-monomial factor"
+    # N_h = 600 does not fit a balanced 8-bit digit: the call's width
+    # always holds N_h, so a width that does not is a defect
+    with pytest.raises(AssertionError, match="does not fit"):
+        _packed_grade(grade_of(LaurentPoly({0: 300, 1: -300})), *over(1, 8))
     outcomes = {
-        "digit wider than B": (LaurentPoly({0: 300, 1: -300}), over(1, 8), None),
         "nonzero remainder": (LaurentPoly({0: 1, 3: 1}), over(1, 16), NotLaurent),
         "fewer degrees than D": (LaurentPoly({0: 2, 1: 1}), over(2, 16), NotLaurent),
         "Fraction coefficient": (LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 2)}),
                                  over(1, 16), NonIntegral),
     }
     for case, (c, packed, outcome) in outcomes.items():
-        if outcome is None:
-            assert _packed_grade(grade_of(c), *packed) is None, case
-            with pytest.raises(AssertionError, match="does not fit"):
-                _packed_grade(grade_of(c), *packed, proven=True)
-        else:
-            with pytest.raises(outcome):
-                _packed_grade(grade_of(c), *packed)
+        with pytest.raises(outcome):
+            _packed_grade(grade_of(c), *packed)
 
 
 def test_oracles_share_no_assembly_code():

@@ -351,9 +351,13 @@ def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> Lau
 
     Adding the bias and flipping the top bit of each biased digit leaves
     c in two's complement, which one memoryview cast reads when B is 8,
-    16, 32 or 64 (byte slices otherwise), and the zeros drop in C.
-    Raises OverflowError when ``value`` has no n-digit balanced form.
+    16, 32 or 64 (byte slices otherwise), and the zeros drop in C.  Every
+    digit kept is then a nonzero int, so the result is built without the
+    normalising constructor.  Raises OverflowError when ``value`` has no
+    n-digit balanced form.
     """
+    if not value:
+        return LaurentPoly.zero(var)
     half = _half(B, n)
     nbytes = B // 8
     raw = ((value + half) ^ half).to_bytes(nbytes * n, "little")
@@ -364,7 +368,10 @@ def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> Lau
         digits = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
                   for i in range(0, len(raw), nbytes)]
     exponents = range(lo, lo + step * n, step)
-    return LaurentPoly(dict(filter(itemgetter(1), zip(exponents, digits))), var)
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly.coeffs = dict(filter(itemgetter(1), zip(exponents, digits)))
+    poly.var = var
+    return poly
 
 
 def _convolve(rows, c, h: int, shift: int):
@@ -379,8 +386,9 @@ def _convolve(rows, c, h: int, shift: int):
 
 
 def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
-    """Multiply rows (row k the coefficient of q^(k/2)) by (1 + s y)^mult,
-    or divide them by (1 - s y)^mult, with y = q^(h/2) 2^shift.
+    """Multiply rows (row k the coefficient of u^k, u one step of the
+    grade lattice) by (1 + s y)^mult, or divide them by (1 - s y)^mult,
+    with y = u^h 2^shift.
 
     A multiplicity that the truncation does not cut is applied one unit
     at a time, k downwards to multiply and upwards to divide, one shift
@@ -410,6 +418,27 @@ def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
                 rows[k] += s * src
 
 
+@functools.lru_cache(maxsize=256)
+def _majorant(norms: tuple | None, base: tuple, lines: frozenset) -> int:
+    """max_k M_k, the bound on the l1 norm of every row of a product.
+
+    M_k starts as ``base``, the |base_k|, without a start, and as the
+    start rows' l1 ``norms`` convolved with ``base`` with one; the merged
+    weighted factors ``{(|s|, h, divide): mult}`` of ``lines`` then run
+    on these scalars.  The factors commute, so merging changes no value,
+    and no exponent of x enters, so the twists at all fixed points of
+    one call share one key.
+    """
+    if norms is None:
+        majorant = list(base)
+    else:
+        majorant = list(norms)
+        _convolve(majorant, base, 1, 0)
+    for (s, h, divide), mult in lines:
+        _apply(majorant, s, h, divide, mult)
+    return max(majorant)
+
+
 def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | None = None) -> QSeries:
     """The product of binomial factors over a Laurent ring, built in place.
 
@@ -420,25 +449,29 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
 
     The factors with w = 0 carry no x: they multiply out first, on plain
     ints, into the scalar start ``base``, and base times the start is
-    packed as the starting rows.  Row k, the coefficient of q^(k/2), is
-    one int R_k = sum_e c_e 2^(B (e/g + r + m k)), the :func:`_pack` of
-    that coefficient at lo = -g (r + m k) and step g: g is the gcd of the
-    weights and of the start's exponents, m = max|w|/g, r = max|e|/g over
-    the start, and B is the digit width in bits.  Row k only reaches
-    |e/g| <= r + m k, so its digits sit at 0..2(r + m k).
-    A weighted factor is ``R_k += s (R_(k-h) << B (w/g + m h))`` for k
-    downwards, or upwards to divide, or one binomial series per row
-    (:func:`_apply`); the shift is never negative.
+    packed as the starting rows.  Only the grade lattice q^(d k/2) is
+    kept, d the gcd of every weighted h and of every index of a nonzero
+    entry of base or of the start; every other grade is zero.  Row k, the
+    coefficient of q^(d k/2), is one int R_k = sum_e c_e 2^(B (e/g + r + m k)),
+    the :func:`_pack` of that coefficient at lo = -g (r + m k) and step g:
+    g is the gcd of the weights and of the start's exponents,
+    m = max|w|/g, r = max|e|/g over the start, and B is the digit width
+    in bits.  Every weighted h is at least d, so grade d k holds at most
+    k weighted units, each moving |e/g| by at most m: row k only reaches
+    |e/g| <= r + m k, and exponent e sits at digit e/g + r + m k, in
+    0..2(r + m k).  For Theta and Theta1 (every h even) that halves both
+    the number of rows and the digits in each.  A weighted factor is
+    ``R_k += s (R_(k-h/d) << B (w/g + m h/d))`` for k downwards, or
+    upwards to divide, or one binomial series per row (:func:`_apply`);
+    the shift is never negative.
 
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
     the rows are exact as long as the final digits satisfy |c| < 2^(B-1).
     B comes from a proven bound, since the l1 norm of a product is at most
-    the convolution of its factors' l1 norms: the majorant M_k starts
-    from the start rows' l1 norms convolved with |base| (exactly |base_k|
-    without a start) and runs the weighted factors on scalars with |s|.
-    So B = :func:`_width` (max M_k) never overflows.  The product is exact
-    to q^trunc: no exponent of x is dropped.  Each row is unpacked once,
-    by :func:`_unpack`.
+    the convolution of its factors' l1 norms: B = :func:`_width` of
+    :func:`_majorant`, which never overflows.  The product is exact to
+    q^trunc: no exponent of x is dropped.  Each row is unpacked once, by
+    :func:`_unpack`.
     """
     top = 2 * trunc
     base = [1] + [0] * top
@@ -449,29 +482,33 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
                 weighted.append(f)
             else:
                 _apply(base, f[0], f[2], f[3], f[4])
-    g = 0
-    for f in weighted:
-        g = gcd(g, f[1])
+    g = gcd(*(f[1] for f in weighted))
+    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b))
     if start is not None:
         if start.ring != ring:
             raise RingMismatch(f"{start.ring.name} vs {ring.name}")
         start = start.coeffs[:top + 1]
-        for row in start:
-            g = gcd(g, *row.coeffs)
+        for k, row in enumerate(start):
+            if row:
+                g = gcd(g, *row.coeffs)
+                d = gcd(d, k)
     g = g or 1
+    d = d or 1
     m = max((abs(f[1]) for f in weighted), default=0) // g
     r = max((abs(e) for row in start for e in row.coeffs), default=0) // g if start else 0
+    base = base[::d]
 
-    if start is None:
-        majorant = list(map(abs, base))
-    else:
-        majorant = [sum(map(abs, row.coeffs.values())) for row in start]
-        if not all(type(n) is int for n in majorant):  # a Fraction makes its norm one
+    norms = None
+    if start is not None:
+        start = start[::d]
+        norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
+        if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
             raise NonIntegral("a start coefficient is not integral")
-        _convolve(majorant, list(map(abs, base)), 1, 0)
+    lines = {}
     for s, _, h, divide, mult in weighted:
-        _apply(majorant, abs(s), h, divide, mult)
-    B = _width(max(majorant))
+        key = (abs(s), h // d, divide)
+        lines[key] = lines.get(key, 0) + mult
+    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(lines.items())))
 
     if start is None:
         rows = [b << B * m * k for k, b in enumerate(base)]
@@ -479,9 +516,11 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start)]
         _convolve(rows, base, 1, B * m)
     for s, w, h, divide, mult in weighted:
-        _apply(rows, s, h, divide, mult, B * (w // g + m * h))
-    return QSeries(ring, trunc, [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
-                                 for k, row in enumerate(rows)])
+        _apply(rows, s, h // d, divide, mult, B * (w // g + m * h // d))
+    coeffs = [ring.zero()] * (top + 1)
+    coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
+                   for k, row in enumerate(rows)]
+    return QSeries(ring, trunc, coeffs)
 
 
 def _check_tau(tau: complex, name: str = "tau"):

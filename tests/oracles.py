@@ -12,6 +12,9 @@ function here recomputes one of them by another.
       L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ),
 
   against the binomial products of ``lambda_ring``.
+- ``factor_majorant``: the bound behind the binomial kernel's digit
+  width, one factor and one unit of multiplicity at a time over every
+  half-grade, against the merged, cached ``core.qseries._majorant``.
 - ``lefschetz_series_strategy``: the fixed-point sum by mu-adic
   expansion of each local denominator, against the exact-division
   certificate of ``lefschetz``.
@@ -102,6 +105,41 @@ def adams_theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSer
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
     return out
+
+
+# -- the binomial kernel's width bound --------------------------------------
+
+
+def factor_majorant(trunc: int, factors, start: QSeries | None = None) -> int:
+    """max_k M_k, the bound on the l1 norm of every grade of the product
+    of binomial factors ``(s, w, h, divide, mult)`` times ``start``.
+
+    The weight-0 factors multiply out into the scalar start b with their
+    signs; M_k starts as |b_k|, or as the start rows' l1 norms convolved
+    with |b|, and each weighted factor is applied to it with |s|, one
+    unit of multiplicity at a time, on every half-grade.
+    """
+    top = 2 * trunc
+
+    def unit(rows, s, h, divide):
+        for k in range(h, top + 1) if divide else range(top, h - 1, -1):
+            rows[k] += s * rows[k - h]
+
+    base = [1] + [0] * top
+    for s, w, h, divide, mult in factors:
+        if not w and h <= top:
+            for _ in range(mult):
+                unit(base, s, h, divide)
+    if start is None:
+        majorant = [abs(b) for b in base]
+    else:
+        norms = [sum(abs(c) for c in row.coeffs.values()) for row in start.coeffs[:top + 1]]
+        majorant = [sum(norms[j] * abs(base[k - j]) for j in range(k + 1)) for k in range(top + 1)]
+    for s, w, h, divide, mult in factors:
+        if w and h <= top:
+            for _ in range(mult):
+                unit(majorant, abs(s), h, divide)
+    return max(majorant)
 
 
 # -- dense prefactors over the common denominator ---------------------------

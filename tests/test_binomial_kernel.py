@@ -5,21 +5,28 @@ series for S_t of a line, a two-term series for L_t of a line, the three
 triple-product factors of a theta function) and multiplies the factors
 with ``QSeries.__mul__``.  ``reference_binomial_product`` applies the
 same factors in place on per-grade ``{exponent: coeff}`` rows.  The
-Kronecker-packed kernel must give the same series at every grade.
+Kronecker-packed kernel must give the same series at every grade, on
+its grade lattice or off it, and its digit-width bound must equal the
+factor-by-factor one of ``oracles.factor_majorant``.
 """
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import factor_majorant
 
-from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units
+from propergenus.cli import main
+from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units, qseries
 from propergenus.core.qseries import LaurentRing, _binomial_product, _pack, _unpack
 from propergenus.errors import NonIntegral, RingMismatch
 from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
+    _line_factors,
     _split,
     ext_total,
     sym_total,
@@ -27,6 +34,7 @@ from propergenus.lambda_ring import (
     theta_series,
     tilde,
 )
+from propergenus.lefschetz import lefschetz_witten
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 
 # -- the dict-row kernel --------------------------------------------------------
@@ -438,3 +446,188 @@ def test_digit_pack_round_trip(B):
                 with pytest.raises(OverflowError):
                     _unpack(outside, B, lo, n, "x", step)
     assert _pack(LaurentPoly.zero("x"), B, -3, 2) == 0
+
+
+# -- the grade lattice ---------------------------------------------------------------
+
+
+def rand_lattice_factors(rng, d, top, count, mults=(1,)):
+    """Factors whose h are all multiples of d, weight 0 among the weights."""
+    return [(rng.choice([1, -1, 2, -2, 3, -3]), rng.choice([-4, -1, 0, 0, 2, 3]),
+             d * rng.randint(1, top // d), rng.random() < 0.5, rng.choice(mults))
+            for _ in range(count)]
+
+
+def rand_lattice_start(rng, ring, trunc, d, span):
+    """A seeded start whose nonzero rows all sit at multiples of d."""
+    start = rand_start(rng, ring, trunc, span)
+    return QSeries(ring, trunc, [c if k % d == 0 else LaurentPoly.zero(ring.var)
+                                 for k, c in enumerate(start.coeffs)])
+
+
+def unpacked_widths(monkeypatch, *args):
+    """The kernel's result and the digit count of every row it unpacks."""
+    widths = []
+
+    def spy(value, B, lo, n, var, step=1):
+        widths.append(n)
+        return unpack(value, B, lo, n, var, step)
+
+    unpack = qseries._unpack
+    monkeypatch.setattr(qseries, "_unpack", spy)
+    return _binomial_product(*args), widths
+
+
+def test_packed_kernel_on_grade_lattices():
+    # every h a multiple of d = 2 or 3, with and without a start on the lattice
+    rng = random.Random(83)
+    for i in range(60):
+        d = (2, 3)[i % 2]
+        trunc = rng.randint(2, 6)
+        factors = rand_lattice_factors(rng, d, 2 * trunc, rng.randint(1, 8), (1, 1, 2, 5))
+        start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 4) if i % 3 else None
+        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+
+
+def test_off_lattice_entries_force_the_full_grid():
+    rng = random.Random(89)
+    for i in range(30):
+        d = (2, 3)[i % 2]
+        trunc = rng.randint(2, 5)
+        factors = rand_lattice_factors(rng, d, 2 * trunc, rng.randint(1, 6), (1, 2))
+        # one nonzero start row off the lattice
+        start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 3)
+        coeffs = list(start.coeffs)
+        coeffs[d * rng.randint(0, (2 * trunc - 1) // d) + 1] = LaurentPoly({rng.randint(-3, 3): 5})
+        assert_kernels_agree(LAMBDA_RING, trunc, factors, QSeries(LAMBDA_RING, trunc, coeffs))
+        # a weight-0 factor with odd h puts the scalar start off the lattice
+        odd = (rng.choice([1, -1, 2]), 0, rng.randrange(1, 2 * trunc + 1, 2), rng.random() < 0.5, 1)
+        assert_kernels_agree(LAMBDA_RING, trunc, factors + [odd])
+        assert_kernels_agree(LAMBDA_RING, trunc, [odd] + factors, start)
+
+
+def test_lattice_multiplicities_past_the_truncation():
+    # multiplicities past top // h take the binomial-series path on the lattice
+    rng = random.Random(97)
+    for i in range(30):
+        d = (2, 3)[i % 2]
+        trunc = rng.randint(2, 6)
+        top = 2 * trunc
+        factors = [(s, w, h, divide, top // h + rng.choice([1, 2, 7]))
+                   for s, w, h, divide, _ in rand_lattice_factors(rng, d, top, rng.randint(1, 4))]
+        start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 2) if i % 2 else None
+        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+
+
+def witten_factors(E, variant, N):
+    """The factor list of ``theta_series(E, variant, N)``."""
+    powers = [(2 * n, 1, False) for n in range(1, N + 1)]
+    if variant == THETA1:
+        powers += [(2 * m, 1, True) for m in range(1, N + 1)]
+    elif variant == THETA2:
+        powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
+    lines = _split(E)
+    return [f for h, sign, exterior in powers for f in _line_factors(lines, h, sign, exterior)]
+
+
+def test_witten_bundles_on_the_lattice(monkeypatch):
+    # Theta and Theta1 (every h even) run on every other grade, at
+    # 2(r + m k') + 1 digits in row k'; Theta2 (odd h) on every grade
+    rng = random.Random(101)
+    for i in range(24):
+        E = tilde(rand_char(rng, var="mu" if i % 2 else "lam"))
+        N = rng.randint(1, 5)
+        for variant in (THETA, THETA1, THETA2):
+            factors = witten_factors(E, variant, N)
+            ring = LaurentRing(E.var)
+            got, widths = unpacked_widths(monkeypatch, ring, N, factors)
+            monkeypatch.undo()
+            assert got == theta_series(E, variant, N)
+            assert got == reference_binomial_product(ring, N, factors)
+            g = math.gcd(*E.coeffs)
+            m = max(map(abs, E.coeffs)) // g
+            if variant == THETA2:
+                assert widths == [2 * m * k + 1 for k in range(2 * N + 1)]
+            elif m:
+                assert widths == [2 * m * k + 1 for k in range(N + 1)]
+
+
+def test_bundle_expression_on_a_third_of_the_grades(capsys, monkeypatch):
+    # S_t(x) with t = q^(3/2) is sum_j x^j q^(3j/2): d = 3, three rows of 1, 3, 5 digits
+    got, widths = unpacked_widths(monkeypatch, LAMBDA_RING, 3, [(1, 1, 3, True, 1)])
+    monkeypatch.undo()
+    assert widths == [1, 3, 5]
+    assert got == reference_binomial_product(LAMBDA_RING, 3, [(1, 1, 3, True, 1)])
+    assert main(["bundle", "expand", "--expr", "(sym q^3/2 (rep 1))", "--order", "3"]) == 0
+    terms = {t["grade"]: t["coeff"] for t in json.loads(capsys.readouterr().out)["series"]["terms"]}
+    assert terms == {"0": {"0": "1"}, "1/2": {}, "1": {}, "3/2": {"1": "1"},
+                     "2": {}, "5/2": {}, "3": {"2": "1"}}
+
+
+# -- the majorant -------------------------------------------------------------------
+
+
+def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
+    # the merged multiset on the lattice gives every majorant, so every
+    # digit width B, of the factor-by-factor route on all half-grades
+    rng = random.Random(103)
+    seen = []
+
+    def spy(*key):
+        seen.append(majorant(*key))
+        return seen[-1]
+
+    majorant = qseries._majorant
+    monkeypatch.setattr(qseries, "_majorant", spy)
+    for i in range(80):
+        trunc = rng.randint(2, 5)
+        top = 2 * trunc
+        if i % 2:
+            factors = rand_lattice_factors(rng, (2, 3)[i % 4 // 2], top, rng.randint(1, 8))
+        else:
+            factors = rand_factors(rng, [-3, -1, 0, 2, 5], top, rng.randint(1, 8))
+        # repeated (|s|, h, divide) merge; some multiplicities pass top // h
+        factors += [(-s, w + 1, h, divide, mult) for s, w, h, divide, mult in factors[:2]]
+        factors = [(s, w, h, divide, rng.choice([1, 2, mult, top // h + rng.choice([1, 3])]))
+                   for s, w, h, divide, mult in factors]
+        start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
+        _binomial_product(LAMBDA_RING, trunc, factors, start)
+        assert seen.pop() == factor_majorant(trunc, factors, start), (factors, start)
+
+
+def test_fixed_points_share_one_majorant():
+    # the four twists of CP^3 differ only in their weights
+    qseries._majorant.cache_clear()
+    lefschetz_witten((0, 1, 2, 5), 12)
+    info = qseries._majorant.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+# -- unpacking ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("B", [8, 16, 24, 32, 64, 72])
+@pytest.mark.parametrize("step", [1, 2])
+def test_unpack_builds_the_normal_polynomial(B, step):
+    # the result without the normalising constructor equals and hashes as
+    # the normalised one, stores no zero digit and keeps its variable
+    rng = random.Random(B * step)
+    top = 1 << (B - 1)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        lo = rng.randint(-9, 9)
+        digits = [rng.choice((0, 0, 1, -1, -top, top - 1, rng.randrange(-top, top)))
+                  for _ in range(n)]
+        value = sum(c << (B * i) for i, c in enumerate(digits))
+        exponents = range(lo, lo + step * n, step)
+        got = _unpack(value, B, lo, n, "mu", step)
+        want = LaurentPoly(dict(zip(exponents, digits)), "mu")
+        assert got == want and hash(got) == hash(want)
+        assert got.var == "mu"
+        assert all(type(c) is int and c for c in got.coeffs.values())
+        ones = sum(1 << (B * i) for i in range(n))
+        for outside in (-top * ones - 1, (top - 1) * ones + 1):
+            with pytest.raises(OverflowError):
+                _unpack(outside, B, lo, n, "mu", step)
+    zero = _unpack(0, B, -3, 4, "z", step)
+    assert zero == LaurentPoly.zero("z") and zero.var == "z" and not zero.coeffs

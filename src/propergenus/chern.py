@@ -33,11 +33,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .core.laurent import normalize_scalar
-from .core.qseries import RATIONAL, QSeries
+from .core.qseries import RATIONAL, QSeries, _numerators, _over
 from .errors import InconsistentSystem, SingularSystem
 from .theta_modforms import _divisors, modform_qexp
 
@@ -97,9 +97,10 @@ def _l_hat_form(k: int) -> dict[int, Fraction]:
     return {s: logs_cosh[s] - logs_sinh[s] for s in range(1, k + 1)}
 
 
-def _witten_form(k: int, N: int) -> dict[int, QSeries]:
+def _witten_form(k: int, N: int, shift: dict | None = None) -> dict[int, tuple[QSeries, int]]:
     """c_s(q) with the half-twisted Witten bundle's Chern-character
-    q-series equal to exp(sum_s c_s(q) p_s).
+    q-series equal to exp(sum_s c_s(q) p_s), plus ``shift[s]`` at q^0,
+    each as a pair of an integer q-series and an int denominator.
 
     With ch(psi^r T~) = sum_s 2 r^(2s) p_s / (2s)!, the bundle's
     Adams-operation logarithm sum_r ch(psi^r T~)/r (sum_n q^(nr) -
@@ -109,29 +110,39 @@ def _witten_form(k: int, N: int) -> dict[int, QSeries]:
     divisors = [(h, _divisors(h)) for h in range(1, 2 * N + 1)]
     form = {}
     for s in range(1, k + 1):
-        g = [0] + [sum((-1) ** (h // d) * d ** (2 * s - 1) for d in ds) for h, ds in divisors]
-        form[s] = QSeries(RATIONAL, N, g).scale(Fraction(2, factorial(2 * s)))
+        a, half = Fraction((shift or {}).get(s, 0)), factorial(2 * s) // 2
+        den = lcm(half, a.denominator)
+        g = [den // half * sum((-1) ** (h // d) * d ** (2 * s - 1) for d in ds) for h, ds in divisors]
+        form[s] = QSeries._of(RATIONAL, N, [a.numerator * den // a.denominator, *g]), den
     return form
 
 
 def _exp_power_sums(form: dict, parts: list[Partition]) -> dict[Partition, object]:
-    """exp(sum_s form[s] p_s) at the nonempty partitions ``parts``, in
-    closed form.
+    """exp(sum_s c_s p_s) at the nonempty partitions ``parts``, in
+    closed form: ``form[s]`` is a rational c_s, or c_s = n_s / d_s given
+    as a pair of an integer q-series n_s and an int d_s.
 
-    The coefficient of p_lambda is prod_s form[s]^(m_s) / m_s!, with
-    m_s the number of parts of lambda equal to s, so each power
-    c_s^m / m! is built once and no series in the p_s is multiplied
-    out.  The coefficients may be rationals or rational q-series; the
-    constant term, the unit of their ring, is left to the caller.
+    The coefficient of p_lambda is prod_s c_s^(m_s) / m_s!, with m_s
+    the number of parts of lambda equal to s, so each power c_s^m / m!
+    is built once and no series in the p_s is multiplied out.  Numerators
+    and denominators multiply apart, and each coefficient is read out
+    once; the constant term, the unit of their ring, is the caller's.
     """
     top = max(map(sum, parts), default=0)
     powers = {}
     for s, c in form.items():
-        row = [c]
+        n, d = c if isinstance(c, tuple) else (c.numerator, c.denominator)
+        row = [(n, d)]
         for m in range(2, top // s + 1):
-            row.append(row[-1] * c * Fraction(1, m))
+            row.append((row[-1][0] * n, row[-1][1] * d * m))
         powers[s] = row
-    return {lam: reduce(mul, [powers[s][lam.count(s) - 1] for s in set(lam)]) for lam in parts}
+    out = {}
+    for lam in parts:
+        nums, dens = zip(*[powers[s][lam.count(s) - 1] for s in set(lam)])
+        n, d = reduce(mul, nums), prod(dens)
+        out[lam] = (QSeries._of(RATIONAL, n.trunc, _over(n.coeffs, d))
+                    if isinstance(n, QSeries) else Fraction(n, d))
+    return out
 
 
 # -- the classical multiplicative classes ------------------------------------
@@ -162,47 +173,43 @@ def ch_witten(k: int, grade) -> dict[Partition, int | Fraction]:
 
 # -- exact linear algebra ----------------------------------------------------
 
-def solve_exact(rows: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A x = y for every right-hand column, exactly.
+def solve_exact(rows: list[list], rhs: list[list]) -> list[list[Fraction]]:
+    """Solve A x = y for every right-hand column, exactly and fraction-free:
+    each equation is scaled to ints, and Gauss-Jordan clears a row r
+    against the pivot row as p r - f (pivot row), divided by its gcd (where
+    Bareiss, Math. Comp. 1968, divides by the previous pivot).
 
     Raises SingularSystem when the unknowns are underdetermined and
     InconsistentSystem when no exact solution exists.  Returns the
-    solutions as columns.
+    solutions as columns, each entry one Fraction(rhs, pivot).
     """
-    n_eq = len(rows)
     n_un = len(rows[0]) if rows else 0
-    n_rhs = len(rhs[0]) if rhs else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(y) for y in rhs[i]] for i in range(n_eq)]
-    pivots = []
+    aug = [_numerators([*a, *y])[0] for a, y in zip(rows, rhs)]
     row = 0
     for col in range(n_un):
-        pivot = next((r for r in range(row, n_eq) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(row, len(aug)) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n_eq):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
+        p_row = aug[row]
+        p = p_row[col]
+        for r, other in enumerate(aug):
+            f = other[col]
+            if r != row and f:
+                other = [p * a - f * b for a, b in zip(other, p_row)]
+                g = gcd(*other)
+                aug[r] = [v // g for v in other] if g > 1 else other
         row += 1
-        if row == n_eq:
+        if row == len(aug):
             break
-    if len(pivots) < n_un:
-        raise SingularSystem(f"rank {len(pivots)} < {n_un} unknowns")
-    for r in range(row, n_eq):
-        if any(aug[r][n_un + j] != 0 for j in range(n_rhs)):
-            raise InconsistentSystem("no exact solution; extra equations do not vanish")
-    solution = [[Fraction(0)] * n_rhs for _ in range(n_un)]
-    for i, col in enumerate(pivots):
-        for j in range(n_rhs):
-            solution[col][j] = aug[i][n_un + j]
-    return solution
+    if row < n_un:
+        raise SingularSystem(f"rank {row} < {n_un} unknowns")
+    if any(any(y[n_un:]) for y in aug[row:]):
+        raise InconsistentSystem("no exact solution; extra equations do not vanish")
+    return [[Fraction(y, r[i]) for y in r[n_un:]] for i, r in enumerate(aug[:n_un])]
 
 
-def _basis_rows(weight_half: int, N: int) -> list[list[Fraction]]:
+def _basis_rows(weight_half: int, N: int) -> list[list[int | Fraction]]:
     """The basis (8 delta_2)^(weight_half - 2b) * eps_2^b, b = 0..[weight_half/2],
     of weight 2 weight_half, as rows: row h holds the q^(h/2) coefficients."""
     d2 = modform_qexp("delta2", N).series.scale(8)
@@ -211,7 +218,7 @@ def _basis_rows(weight_half: int, N: int) -> list[list[Fraction]]:
     for b in range(weight_half // 2 + 1):
         a = weight_half - 2 * b
         basis.append(d2 ** a * e2 ** b if a and b else d2 ** a if a else e2 ** b)
-    return [[Fraction(s.coeffs[h]) for s in basis] for h in range(2 * N + 1)]
+    return [[s.coeffs[h] for s in basis] for h in range(2 * N + 1)]
 
 
 def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
@@ -220,7 +227,7 @@ def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
     The input q-expansion must determine the [m/2]+1 coefficients and
     stay consistent at every further stored grade.
     """
-    rhs = [[Fraction(c)] for c in genus.coeffs]
+    rhs = [[c] for c in genus.coeffs]
     return [x[0] for x in solve_exact(_basis_rows(m, genus.trunc), rhs)]
 
 
@@ -246,9 +253,7 @@ def _twisted_top(k: int, N: int, part_basis: list[Partition]) -> dict[Partition,
     """Weight-4k part of A-hat times the Witten series, at the partitions
     ``part_basis`` of k: the product is the one exponential
     exp(sum_s (a_s + c_s(q)) p_s)."""
-    ahat = _a_hat_form(k)
-    twisted = {s: c + QSeries(RATIONAL, N, [ahat[s]]) for s, c in _witten_form(k, N).items()}
-    return _exp_power_sums(twisted, part_basis)
+    return _exp_power_sums(_witten_form(k, N, _a_hat_form(k)), part_basis)
 
 
 def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport:

@@ -106,6 +106,18 @@ MU_RING = LaurentRing(MU)
 Z_RING = LaurentRing(Z)
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """Rationals as int numerators over one denominator, the lcm of theirs."""
+    den = math.lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _over(numerators, den: int) -> list:
+    """The rationals c / den, integral ones as int (``numerators`` itself at 1)."""
+    return numerators if den == 1 else [Fraction(c, den) if c % den else c // den
+                                        for c in numerators]
+
+
 def half_units(grade) -> int:
     """Convert a grade (int, Fraction, or float multiple of 1/2) to half units."""
     h = Fraction(grade) * 2
@@ -132,6 +144,13 @@ class QSeries:
             if len(coeffs) < n:
                 coeffs += [ring.zero()] * (n - len(coeffs))
             self.coeffs = coeffs[:n]
+
+    @classmethod
+    def _of(cls, ring, trunc: int, coeffs: list) -> "QSeries":
+        """The series of 2 trunc + 1 ``coeffs`` already in ``ring``'s normal form."""
+        s = cls.__new__(cls)
+        s.ring, s.trunc, s.coeffs = ring, trunc, coeffs
+        return s
 
     # -- constructors ---------------------------------------------------
 
@@ -195,14 +214,20 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
+        """One sparse convolution, of Laurent coefficients as they are or of
+        rational ones as int numerators over one denominator each."""
         if not isinstance(other, QSeries):
             return self.scale(other)
         self._check(other)
         n = min(self.trunc, other.trunc)
         top = 2 * n
+        a, b, den = self.coeffs[: top + 1], other.coeffs[: top + 1], 1
+        if isinstance(self.ring, RationalRing):
+            (a, da), (b, db) = _numerators(a), _numerators(b)
+            den = da * db
         out = [self.ring.zero()] * (top + 1)
-        a_nz = [(h, c) for h, c in enumerate(self.coeffs[: top + 1]) if c]
-        b_nz = [(h, c) for h, c in enumerate(other.coeffs[: top + 1]) if c]
+        a_nz = [(h, c) for h, c in enumerate(a) if c]
+        b_nz = [(h, c) for h, c in enumerate(b) if c]
         if len(a_nz) > len(b_nz):
             a_nz, b_nz = b_nz, a_nz
         for ha, ca in a_nz:
@@ -211,7 +236,7 @@ class QSeries:
                 if hb > room:
                     break
                 out[ha + hb] = out[ha + hb] + ca * cb
-        return QSeries(self.ring, n, out)
+        return QSeries._of(self.ring, n, _over(out, den))
 
     __rmul__ = __mul__
 
@@ -520,7 +545,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     coeffs = [ring.zero()] * (top + 1)
     coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
                    for k, row in enumerate(rows)]
-    return QSeries(ring, trunc, coeffs)
+    return QSeries._of(ring, trunc, coeffs)
 
 
 def _check_tau(tau: complex, name: str = "tau"):

@@ -31,6 +31,10 @@ function here recomputes one of them by another.
 - ``class_product_part``: a product of two power-sum classes multiplied
   out over pairs of partitions, against the single exponential that
   ``chern.solve_cancellation`` reads its top weight from.
+- ``fraction_product`` and ``fraction_solve``: a product of rational
+  q-series by one Fraction multiply-add per pair of grades, and
+  Gauss-Jordan elimination on Fractions, against the integer-numerator
+  ``QSeries.__mul__`` and the fraction-free ``chern.solve_exact``.
 - ``sl2_formal_degree``: the formal degree of a discrete series of
   SL(2,R) by the Harish-Chandra product, against the trace
   ``induction.pi_s1`` in absolute value.
@@ -68,7 +72,7 @@ from propergenus.core import (
     half_units,
 )
 from propergenus.core.ratfunc import Poly, RationalFunc
-from propergenus.errors import NonIntegral
+from propergenus.errors import InconsistentSystem, NonIntegral, SingularSystem
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
 from propergenus.theta_modforms import ThetaExpansion, theta_eval
@@ -389,6 +393,55 @@ def class_product_part(a: dict, b: dict, weight: int) -> dict:
                 key = tuple(sorted(p1 + p2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
     return {p: c for p, c in out.items() if c != 0}
+
+
+# -- rational arithmetic on Fractions -----------------------------------------
+
+
+def fraction_product(a: QSeries, b: QSeries) -> QSeries:
+    """a * b over the rationals, one Fraction multiply-add per pair of
+    grades, normalised by the coercing constructor."""
+    n = min(a.trunc, b.trunc)
+    out = [Fraction(0)] * (2 * n + 1)
+    for ha in range(2 * n + 1):
+        for hb in range(2 * n + 1 - ha):
+            out[ha + hb] += Fraction(a.coeffs[ha]) * Fraction(b.coeffs[hb])
+    return QSeries(RATIONAL, n, out)
+
+
+def fraction_solve(rows, rhs) -> list[list[Fraction]]:
+    """Solve A x = y for every right-hand column by Gauss-Jordan
+    elimination on Fractions, each pivot row scaled to a unit pivot.
+    Raises SingularSystem below full column rank and InconsistentSystem
+    when a leftover equation has a nonzero right-hand side."""
+    n_eq = len(rows)
+    n_un = len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(y) for y in rhs[i]] for i in range(n_eq)]
+    pivots = []
+    row = 0
+    for col in range(n_un):
+        pivot = next((r for r in range(row, n_eq) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(n_eq):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == n_eq:
+            break
+    if len(pivots) < n_un:
+        raise SingularSystem(f"rank {len(pivots)} < {n_un} unknowns")
+    if any(v != 0 for r in range(row, n_eq) for v in aug[r][n_un:]):
+        raise InconsistentSystem("no exact solution; extra equations do not vanish")
+    solution = [None] * n_un
+    for i, col in enumerate(pivots):
+        solution[col] = aug[i][n_un:]
+    return solution
 
 
 # -- formal degree of the discrete series of SL(2,R) -------------------------

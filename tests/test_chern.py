@@ -22,7 +22,7 @@ from propergenus.errors import InconsistentSystem, SingularSystem
 from propergenus.lambda_ring import THETA2, theta_bundle
 from propergenus.theta_modforms import modform_qexp
 
-from oracles import class_product_part, power_sum_value, root_class_series
+from oracles import class_product_part, fraction_solve, power_sum_value, root_class_series
 
 
 def n_partitions(n: int) -> int:
@@ -260,3 +260,47 @@ def test_solve_exact_errors():
                       [[Fraction(6)], [Fraction(8)]])
     assert sol == [[Fraction(3)], [Fraction(2)]]
 
+
+
+def _random_system(rng, n_eq, n_un, rank, consistent, fractions):
+    """A seeded n_eq x n_un system of the given rank with two right-hand
+    columns, int entries or, with ``fractions``, Fraction ones."""
+    def entry():
+        if fractions and rng.random() < 0.6:
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return rng.randint(-30, 30)
+
+    left = [[entry() for _ in range(rank)] for _ in range(n_eq)]
+    right = [[entry() for _ in range(n_un)] for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    x = [[entry(), entry()] for _ in range(n_un)]
+    rhs = [[sum(a * xi[j] for a, xi in zip(row, x)) for j in range(2)] for row in rows]
+    if not consistent:
+        rhs[rng.randrange(n_eq)][rng.randrange(2)] += 1
+    return rows, rhs
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_solve_exact_matches_fraction_oracle(fractions):
+    # full rank (square and overdetermined), rank-deficient, inconsistent
+    # and fewer equations than unknowns: the same solution or the same
+    # exception class as elimination on Fractions
+    rng = random.Random(1968 + fractions)
+    shapes = [(3, 3, 3, True), (6, 3, 3, True), (5, 4, 3, True), (6, 3, 3, False),
+              (5, 2, 2, False), (2, 4, 2, True), (4, 4, 2, False), (1, 1, 1, True)]
+    outcomes = set()
+    for _ in range(25):
+        for n_eq, n_un, rank, consistent in shapes:
+            rows, rhs = _random_system(rng, n_eq, n_un, rank, consistent, fractions)
+            try:
+                expected = fraction_solve(rows, rhs)
+            except (SingularSystem, InconsistentSystem) as exc:
+                with pytest.raises(type(exc)):
+                    solve_exact(rows, rhs)
+                outcomes.add(type(exc))
+                continue
+            got = solve_exact(rows, rhs)
+            assert got == expected, (n_eq, n_un, rank, consistent)
+            assert all(type(v) is Fraction for col in got for v in col)
+            outcomes.add(None)
+    assert outcomes == {None, SingularSystem, InconsistentSystem}

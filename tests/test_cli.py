@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -372,6 +373,38 @@ def test_cancellation_verb(capsys):
     assert doc["residual_is_zero"] is True
     assert doc["exponents"] == [6, 0]
     assert doc["schedule"] == "2^(3k-6j)"
+
+
+# SHA-256 of the stdout of cancellation --k k --order o, o in {k//2 + 1, 4, 10},
+# and of the SingularSystem document at k = 5, order 2 (2 < 3 unknowns)
+CANCELLATION_DIGESTS = [
+    (1, 1, 0, "42e6332ee05fce3cb12e652f2a66124295040ef60477f7ff4422fcbfa78036b5"),
+    (1, 4, 0, "42e6332ee05fce3cb12e652f2a66124295040ef60477f7ff4422fcbfa78036b5"),
+    (1, 10, 0, "42e6332ee05fce3cb12e652f2a66124295040ef60477f7ff4422fcbfa78036b5"),
+    (2, 2, 0, "885d3e81c68b1369ea7ff052ef68ac17bb67cb714e392b0a91dc3bd0c4990ec5"),
+    (2, 4, 0, "885d3e81c68b1369ea7ff052ef68ac17bb67cb714e392b0a91dc3bd0c4990ec5"),
+    (2, 10, 0, "885d3e81c68b1369ea7ff052ef68ac17bb67cb714e392b0a91dc3bd0c4990ec5"),
+    (3, 2, 0, "d66c33c69cc60eb3fe24e4e246356692c930c6d6585c8bb99c669dfaa1be30c1"),
+    (3, 4, 0, "d66c33c69cc60eb3fe24e4e246356692c930c6d6585c8bb99c669dfaa1be30c1"),
+    (3, 10, 0, "d66c33c69cc60eb3fe24e4e246356692c930c6d6585c8bb99c669dfaa1be30c1"),
+    (4, 3, 0, "5d2afcb3587fca83b1a1f8387b50cb12dd6b16c14d298d143e066a357e85446d"),
+    (4, 4, 0, "5d2afcb3587fca83b1a1f8387b50cb12dd6b16c14d298d143e066a357e85446d"),
+    (4, 10, 0, "5d2afcb3587fca83b1a1f8387b50cb12dd6b16c14d298d143e066a357e85446d"),
+    (5, 3, 0, "2cf72b7476bcfb2ca71a6805bc5682394d7c5a1a4b216d4770ba546b305ac5c2"),
+    (5, 4, 0, "2cf72b7476bcfb2ca71a6805bc5682394d7c5a1a4b216d4770ba546b305ac5c2"),
+    (5, 10, 0, "2cf72b7476bcfb2ca71a6805bc5682394d7c5a1a4b216d4770ba546b305ac5c2"),
+    (6, 4, 0, "207d4cc8c4df2e46b26354ccf9557e72f23c7261ee2b4fe12be4b8cb1ad0c002"),
+    (6, 10, 0, "207d4cc8c4df2e46b26354ccf9557e72f23c7261ee2b4fe12be4b8cb1ad0c002"),
+    (5, 2, DOMAIN_ERROR, "4fbd62451940511e2c310021437e534869265a31aab2eb39ffb8f8eee7796b6f"),
+]
+
+
+@pytest.mark.parametrize("k, order, code, digest", CANCELLATION_DIGESTS,
+                         ids=[f"k{k}-order{o}" for k, o, _, _ in CANCELLATION_DIGESTS])
+def test_cancellation_bytes_are_pinned(capsys, k, order, code, digest):
+    got, out = run(capsys, "cancellation", "--k", str(k), "--order", str(order))
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_emitted_series_round_trips_into_library(capsys):

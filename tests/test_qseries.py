@@ -20,7 +20,7 @@ from propergenus.errors import (
 )
 from propergenus.theta_modforms import modform_qexp
 
-from oracles import complex_eval_tail
+from oracles import complex_eval_tail, fraction_product
 
 
 def geom(ring, trunc, step, coeff_fn):
@@ -157,6 +157,41 @@ def test_pow_multiplies_by_binary_powering(monkeypatch):
         products.clear()
         assert base ** n == expected, n
         assert len(products) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+
+
+def _random_rational_series(rng, trunc, kind):
+    """A rational series of one kind: "int", "mixed" (ints and Fractions),
+    "zero", or "negative" (every nonzero numerator < 0)."""
+    coeffs = []
+    for _ in range(2 * trunc + 1):
+        if kind == "zero" or rng.random() < 0.3:
+            coeffs.append(0)
+        elif kind == "int":
+            coeffs.append(rng.randint(-50, 50))
+        elif kind == "negative":
+            coeffs.append(Fraction(-rng.randint(1, 10 ** 6), rng.choice([1, 2, 3, 12, 720])))
+        else:
+            coeffs.append(rng.choice([rng.randint(-9, 9),
+                                      Fraction(rng.randint(-99, 99), rng.randint(1, 40))]))
+    return QSeries(RATIONAL, trunc, coeffs)
+
+
+def test_rational_product_matches_fraction_oracle():
+    # the integer-numerator product against one Fraction multiply-add per
+    # pair of grades, at equal and unequal truncations; an integral
+    # coefficient must come back as an int, whatever its factors were
+    rng = random.Random(1995)
+    kinds = ("int", "mixed", "zero", "negative")
+    for _ in range(40):
+        for ka in kinds:
+            for kb in kinds:
+                a = _random_rational_series(rng, rng.randint(1, 8), ka)
+                b = _random_rational_series(rng, rng.randint(1, 8), kb)
+                got = a * b
+                assert got == fraction_product(a, b), (ka, kb)
+                assert got.trunc == min(a.trunc, b.trunc)
+                assert all(type(c) is int if Fraction(c).denominator == 1
+                           else type(c) is Fraction for c in got.coeffs), (ka, kb)
 
 
 def test_complex_eval_constant_and_q():

@@ -37,7 +37,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .core.laurent import normalize_scalar
-from .core.qseries import RATIONAL, QSeries, _numerators, _over
+from .core.qseries import RATIONAL, QSeries
 from .errors import InconsistentSystem, SingularSystem
 from .theta_modforms import _divisors, modform_qexp
 
@@ -64,6 +64,18 @@ def _partitions_upto(k: int) -> list[Partition]:
 def _nonzero(terms: dict) -> dict[Partition, int | Fraction]:
     """A class with its zero coefficients dropped and integral ones as int."""
     return {p: normalize_scalar(c) for p, c in terms.items() if c != 0}
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Rationals as int numerators over one denominator, the lcm of theirs."""
+    den = lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _over(numerators, den: int) -> list:
+    """The rationals c / den, integral ones as int (``numerators`` itself at 1)."""
+    return numerators if den == 1 else [Fraction(c, den) if c % den else c // den
+                                        for c in numerators]
 
 
 # -- the linear forms --------------------------------------------------------

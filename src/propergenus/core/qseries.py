@@ -106,18 +106,6 @@ MU_RING = LaurentRing(MU)
 Z_RING = LaurentRing(Z)
 
 
-def _numerators(values) -> tuple[list[int], int]:
-    """Rationals as int numerators over one denominator, the lcm of theirs."""
-    den = math.lcm(*[c.denominator for c in values])
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
-def _over(numerators, den: int) -> list:
-    """The rationals c / den, integral ones as int (``numerators`` itself at 1)."""
-    return numerators if den == 1 else [Fraction(c, den) if c % den else c // den
-                                        for c in numerators]
-
-
 def half_units(grade) -> int:
     """Convert a grade (int, Fraction, or float multiple of 1/2) to half units."""
     h = Fraction(grade) * 2
@@ -214,20 +202,15 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
-        """One sparse convolution, of Laurent coefficients as they are or of
-        rational ones as int numerators over one denominator each."""
+        """One sparse convolution of the nonzero coefficients."""
         if not isinstance(other, QSeries):
             return self.scale(other)
         self._check(other)
         n = min(self.trunc, other.trunc)
         top = 2 * n
-        a, b, den = self.coeffs[: top + 1], other.coeffs[: top + 1], 1
-        if isinstance(self.ring, RationalRing):
-            (a, da), (b, db) = _numerators(a), _numerators(b)
-            den = da * db
         out = [self.ring.zero()] * (top + 1)
-        a_nz = [(h, c) for h, c in enumerate(a) if c]
-        b_nz = [(h, c) for h, c in enumerate(b) if c]
+        a_nz = [(h, c) for h, c in enumerate(self.coeffs[: top + 1]) if c]
+        b_nz = [(h, c) for h, c in enumerate(other.coeffs[: top + 1]) if c]
         if len(a_nz) > len(b_nz):
             a_nz, b_nz = b_nz, a_nz
         for ha, ca in a_nz:
@@ -236,7 +219,7 @@ class QSeries:
                 if hb > room:
                     break
                 out[ha + hb] = out[ha + hb] + ca * cb
-        return QSeries._of(self.ring, n, _over(out, den))
+        return QSeries(self.ring, n, out)
 
     __rmul__ = __mul__
 
@@ -400,14 +383,16 @@ def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> Lau
 
 
 def _convolve(rows, c, h: int, shift: int):
-    """rows[k] += sum_(j >= 1) c_j (rows[k - j h] << j shift), k downwards."""
-    for k in range(len(rows) - 1, h - 1, -1):
-        acc = rows[k]
-        for j in range(1, min(k // h, len(c) - 1) + 1):
-            src = rows[k - j * h]
-            if src:
-                acc += c[j] * (src << j * shift)
-        rows[k] = acc
+    """rows[k] += sum_(j >= 1) c_j (rows[k - j h] << j shift), for every k:
+    over the nonzero sources i downwards, c_j (rows[i] << j shift) goes into
+    row i + j h.  Only rows below k add into row k, so each source is read
+    before anything is added to it, and every sum is of the original rows."""
+    top = len(rows) - 1
+    for i in range(top - h, -1, -1):
+        src = rows[i]
+        if src:
+            for j in range(1, min((top - i) // h, len(c) - 1) + 1):
+                rows[i + j * h] += c[j] * (src << j * shift)
 
 
 def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
@@ -444,21 +429,18 @@ def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
 
 
 @functools.lru_cache(maxsize=256)
-def _majorant(norms: tuple | None, base: tuple, lines: frozenset) -> int:
+def _majorant(norms: tuple, base: tuple, lines: frozenset) -> int:
     """max_k M_k, the bound on the l1 norm of every row of a product.
 
-    M_k starts as ``base``, the |base_k|, without a start, and as the
-    start rows' l1 ``norms`` convolved with ``base`` with one; the merged
+    M_k starts as the start rows' l1 ``norms``, padded with zeros, convolved
+    with ``base``, the |base_k|: ``base`` itself at the start 1; the merged
     weighted factors ``{(|s|, h, divide): mult}`` of ``lines`` then run
     on these scalars.  The factors commute, so merging changes no value,
     and no exponent of x enters, so the twists at all fixed points of
     one call share one key.
     """
-    if norms is None:
-        majorant = list(base)
-    else:
-        majorant = list(norms)
-        _convolve(majorant, base, 1, 0)
+    majorant = list(norms) + [0] * (len(base) - len(norms))
+    _convolve(majorant, base, 1, 0)
     for (s, h, divide), mult in lines:
         _apply(majorant, s, h, divide, mult)
     return max(majorant)
@@ -470,11 +452,13 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     Each factor ``(s, w, h, divide, mult)`` multiplies the running
     product by (1 + s x^w q^(h/2))^mult or, when ``divide``, divides it
     by (1 - s x^w q^(h/2))^mult, with h >= 1.  The product starts from
-    ``start`` (integer Laurent coefficients), by default 1.
+    the series ``start`` (integer Laurent coefficients), by default 1,
+    and is exact to the lower of the two truncations.
 
     The factors with w = 0 carry no x: they multiply out first, on plain
-    ints, into the scalar start ``base``, and base times the start is
-    packed as the starting rows.  Only the grade lattice q^(d k/2) is
+    ints, into the scalar start ``base``.  The start's rows are packed,
+    padded with zero rows to the length of the lattice and multiplied by
+    base (:func:`_convolve`).  Only the grade lattice q^(d k/2) is
     kept, d the gcd of every weighted h and of every index of a nonzero
     entry of base or of the start; every other grade is zero.  Row k, the
     coefficient of q^(d k/2), is one int R_k = sum_e c_e 2^(B (e/g + r + m k)),
@@ -498,6 +482,13 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     q^trunc: no exponent of x is dropped.  Each row is unpacked once, by
     :func:`_unpack`.
     """
+    if start is None:
+        start = [ring.one()]
+    elif start.ring != ring:
+        raise RingMismatch(f"{start.ring.name} vs {ring.name}")
+    else:
+        trunc = min(trunc, start.trunc)
+        start = start.coeffs[:2 * trunc + 1]
     top = 2 * trunc
     base = [1] + [0] * top
     weighted = []
@@ -507,39 +498,26 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
                 weighted.append(f)
             else:
                 _apply(base, f[0], f[2], f[3], f[4])
-    g = gcd(*(f[1] for f in weighted))
-    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b))
-    if start is not None:
-        if start.ring != ring:
-            raise RingMismatch(f"{start.ring.name} vs {ring.name}")
-        start = start.coeffs[:top + 1]
-        for k, row in enumerate(start):
-            if row:
-                g = gcd(g, *row.coeffs)
-                d = gcd(d, k)
-    g = g or 1
-    d = d or 1
+    exponents = [e for row in start for e in row.coeffs]
+    g = gcd(*(f[1] for f in weighted), *exponents) or 1
+    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b),
+            *(k for k, row in enumerate(start) if row)) or 1
     m = max((abs(f[1]) for f in weighted), default=0) // g
-    r = max((abs(e) for row in start for e in row.coeffs), default=0) // g if start else 0
+    r = max(map(abs, exponents), default=0) // g
     base = base[::d]
-
-    norms = None
-    if start is not None:
-        start = start[::d]
-        norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
-        if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
-            raise NonIntegral("a start coefficient is not integral")
+    start = start[::d]
+    norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
+    if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
+        raise NonIntegral("a start coefficient is not integral")
     lines = {}
     for s, _, h, divide, mult in weighted:
         key = (abs(s), h // d, divide)
         lines[key] = lines.get(key, 0) + mult
     B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(lines.items())))
 
-    if start is None:
-        rows = [b << B * m * k for k, b in enumerate(base)]
-    else:
-        rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start)]
-        _convolve(rows, base, 1, B * m)
+    rows = ([_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start)]
+            + [0] * (len(base) - len(start)))
+    _convolve(rows, base, 1, B * m)
     for s, w, h, divide, mult in weighted:
         _apply(rows, s, h // d, divide, mult, B * (w // g + m * h // d))
     coeffs = [ring.zero()] * (top + 1)

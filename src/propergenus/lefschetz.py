@@ -82,7 +82,11 @@ def validate_weights(weights) -> list[FixedPointDatum]:
     point is (-1)^j.  An even sum of weights makes every tangent weight
     sum even: sum_s |a_s - a_j| = sum(a) - 2l a_j = sum(a) (mod 2).
     """
-    ws = [int(a) for a in weights]
+    ws = []
+    for a in weights:
+        if int(a) != a:
+            raise ValueError(f"weight {a} is not an integer")
+        ws.append(int(a))
     if len(set(ws)) != len(ws):
         raise DuplicateWeights(f"weights {ws} are not distinct")
     if len(ws) < 2 or len(ws) % 2 != 0:

@@ -34,7 +34,7 @@ from propergenus.lambda_ring import (
     theta_series,
     tilde,
 )
-from propergenus.lefschetz import lefschetz_witten
+from propergenus.lefschetz import _tangent_char, lefschetz_witten, validate_weights
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 
 # -- the dict-row kernel --------------------------------------------------------
@@ -283,6 +283,15 @@ def assert_kernels_agree(ring, trunc, factors, start=None):
     assert got == reference_binomial_product(ring, trunc, factors, start), (factors, start)
 
 
+def kernel_widths(*args):
+    """The kernel's result and the list of digit widths B it chose."""
+    widths = []
+    width = qseries._width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
+        return _binomial_product(*args), widths
+
+
 def test_packed_kernel_matches_dict_kernel():
     rng = random.Random(59)
     weight_sets = ([-3, -1, 0, 2, 5], [-6, 0, 3, 9], [-4, -2], [0], [1, 7])
@@ -310,6 +319,20 @@ def test_packed_kernel_wide_digits():
     got = _binomial_product(LAMBDA_RING, 8, factors)
     assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
     assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
+    # the Theta2 twist of a 2l = 8 tangent character at N = 20 packs and
+    # unpacks 72-bit digits through byte slices, from the default start,
+    # from the start 1 and from a seeded start
+    E = tilde(_tangent_char(validate_weights((0, 1, 2, 3, 4, 6, 7, 9))[0]))
+    ring, N = LaurentRing(E.var), 20
+    factors = witten_factors(E, THETA2, N)
+    default = kernel_widths(ring, N, factors)
+    assert default[1] == [72]
+    assert default[0] == reference_binomial_product(ring, N, factors)
+    assert kernel_widths(ring, N, factors, QSeries.one(ring, N)) == default
+    start = rand_start(random.Random(107), ring, N, 4)
+    got, widths = kernel_widths(ring, N, factors, start)
+    assert widths == [72]
+    assert got == reference_binomial_product(ring, N, factors, start)
 
 
 def test_multiplicity_is_one_factor():
@@ -374,13 +397,17 @@ def test_packed_kernel_start_edge_cases():
     # the all-zero start gives the zero series
     zero = QSeries(LAMBDA_RING, 3)
     assert _binomial_product(LAMBDA_RING, 3, factors, zero) == zero
-    # the start 1 is no start; a start alone comes back unchanged
+    # the start 1 is the default start: the same series at the same width B;
+    # a start alone comes back unchanged
     one = QSeries.one(LAMBDA_RING, 3)
-    assert _binomial_product(LAMBDA_RING, 3, factors, one) == _binomial_product(
-        LAMBDA_RING, 3, factors)
+    assert kernel_widths(LAMBDA_RING, 3, factors, one) == kernel_widths(LAMBDA_RING, 3, factors)
     rng = random.Random(73)
     start = rand_start(rng, LAMBDA_RING, 3, 5)
     assert _binomial_product(LAMBDA_RING, 3, [], start) == start
+    # a start of a lower truncation cuts the product to it
+    short = rand_start(rng, LAMBDA_RING, 1, 5)
+    assert _binomial_product(LAMBDA_RING, 3, factors, short) == _binomial_product(
+        LAMBDA_RING, 3, factors) * short
     # coefficients at +-(2^31 - 1) fill a 32-bit digit exactly; one factor
     # (1 + x q^(1/2)) doubles the l1 norm of row 1 and calls for 64 bits
     for c in (2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31)):

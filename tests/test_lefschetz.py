@@ -70,6 +70,12 @@ def test_validate_rejects_bad_input():
         validate_weights((0, 2, 2, 4))
     with pytest.raises(ValueError):
         validate_weights((0, 1, 3))
+    # a non-integral weight is refused, not truncated to its integer part
+    for bad, name in ((2.7, "2.7"), (Fraction(3, 2), "3/2")):
+        with pytest.raises(ValueError, match=f"^weight {name} is not an integer$"):
+            validate_weights((0, 1, bad, 5))
+    # integral floats and Fractions are the integers they equal
+    assert validate_weights((0, 1.0, Fraction(4, 2), 5)) == validate_weights((0, 1, 2, 5))
 
 
 def test_cp1_witten_series_vanishes():

@@ -335,10 +335,13 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
     package (Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): the digits are laid out in two's complement, and the
     inverse of the bias step of :func:`_unpack` turns that into the
-    signed value.
+    signed value.  One term is one shift.
     """
     if not poly.coeffs:
         return 0
+    if len(poly.coeffs) == 1:
+        ((e, c),) = poly.coeffs.items()
+        return c << B * ((e - lo) // step)
     n = (max(poly.coeffs) - lo) // step + 1
     digits = [0] * n
     for e, c in poly.coeffs.items():
@@ -428,19 +431,80 @@ def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
                 rows[k] += s * src
 
 
+def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
+    """Multiply rows (row i the coefficient of q^(i/2)) by
+    (sum_k s^k x^(w k) q^(k^2/2))^mult, with s = +-1 and w > 0 in units of
+    g, one downward pass per unit of multiplicity.  The terms k = +-j sit
+    j^2 rows down, at shifts B (m j^2 -+ w j), so row i adds at most
+    2 floor(sqrt(i)) shifted rows, each read before anything is added
+    to it."""
+    top = len(rows) - 1
+    terms = [(j * j, s ** j, B * (m * j * j - w * j), 2 * B * w * j)
+             for j in range(1, math.isqrt(top) + 1)]
+    for _ in range(mult):
+        for i in range(top, 0, -1):
+            acc = rows[i]
+            for offset, sign, shift, gap in terms:
+                if offset > i:
+                    break
+                src = rows[i - offset]
+                if src:
+                    src <<= shift
+                    src += src << gap
+                    acc = acc + src if sign > 0 else acc - src
+            rows[i] = acc
+
+
+def _pairs(weighted, top: int) -> dict:
+    """``{(s, w): mult}``, w > 0, of the full Theta2 pairs among the
+    weighted factors: the multiply factors (s, +-w, h, False), s = +-1, of
+    every odd h <= top, with one summed multiplicity mult <= top/2.  By
+    Jacobi's triple product (Hardy and Wright, Theorem 352) their product
+    is sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf, one pass per unit of mult;
+    a larger mult keeps its binomial passes, which cost at most the
+    truncation (:func:`_apply`)."""
+    odd = {}
+    for s, w, h, divide, mult in weighted:
+        if h & 1 and not divide and s * s == 1:
+            odd[s, w, h] = odd.get((s, w, h), 0) + mult
+    pairs = {}
+    for s, w, h in odd:
+        if h == 1 and w > 0:
+            mults = {odd.get((s, v, j)) for v in (w, -w) for j in range(1, top + 1, 2)}
+            mult = mults.pop()
+            if not mults and 2 * mult <= top:
+                pairs[s, w] = mult
+    return pairs
+
+
 @functools.lru_cache(maxsize=256)
-def _majorant(norms: tuple, base: tuple, lines: frozenset) -> int:
+def _scalar_start(zero: tuple, top: int) -> tuple:
+    """The product of the weight-0 factors ``zero`` on plain ints, its
+    coefficient of q^(k/2) at index k = 0..top.  The twists at all fixed
+    points of one call share their rank, so they share one start."""
+    base = [1] + [0] * top
+    for s, _, h, divide, mult in zero:
+        _apply(base, s, h, divide, mult)
+    return tuple(base)
+
+
+@functools.lru_cache(maxsize=256)
+def _majorant(norms: tuple, base: tuple, lines: frozenset, jtp: int) -> int:
     """max_k M_k, the bound on the l1 norm of every row of a product.
 
     M_k starts as the start rows' l1 ``norms``, padded with zeros, convolved
-    with ``base``, the |base_k|: ``base`` itself at the start 1; the merged
-    weighted factors ``{(|s|, h, divide): mult}`` of ``lines`` then run
-    on these scalars.  The factors commute, so merging changes no value,
-    and no exponent of x enters, so the twists at all fixed points of
-    one call share one key.
+    with |b_k|, b = ``base`` (q; q)^jtp the scalar start of the binomial
+    factorisation, without the triple product's 1/(q; q)^jtp (jtp > 0 only
+    on the half-grade lattice, d = 1).  The merged weighted factors
+    ``{(|s|, h, divide): mult}`` of ``lines`` then run on these scalars.
+    The factors commute, so merging changes no value, and no exponent of
+    x enters, so the twists at all fixed points of one call share one key.
     """
-    majorant = list(norms) + [0] * (len(base) - len(norms))
-    _convolve(majorant, base, 1, 0)
+    b = list(base)
+    for h in range(2, len(b), 2):
+        _apply(b, -1, h, False, jtp)
+    majorant = list(norms) + [0] * (len(b) - len(norms))
+    _convolve(majorant, [abs(c) for c in b], 1, 0)
     for (s, h, divide), mult in lines:
         _apply(majorant, s, h, divide, mult)
     return max(majorant)
@@ -455,14 +519,15 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     the series ``start`` (integer Laurent coefficients), by default 1,
     and is exact to the lower of the two truncations.
 
-    The factors with w = 0 carry no x: they multiply out first, on plain
-    ints, into the scalar start ``base``.  The start's rows are packed,
-    padded with zero rows to the length of the lattice and multiplied by
-    base (:func:`_convolve`).  Only the grade lattice q^(d k/2) is
-    kept, d the gcd of every weighted h and of every index of a nonzero
-    entry of base or of the start; every other grade is zero.  Row k, the
-    coefficient of q^(d k/2), is one int R_k = sum_e c_e 2^(B (e/g + r + m k)),
-    the :func:`_pack` of that coefficient at lo = -g (r + m k) and step g:
+    The factors with w = 0 carry no x: they multiply out on plain ints
+    into the scalar start ``base``, once per distinct list
+    (:func:`_scalar_start`).  The start's rows are packed, padded with
+    zero rows to the length of the lattice and multiplied by base
+    (:func:`_convolve`).  Only the grade lattice q^(d k/2) is kept, d the
+    gcd of every weighted h and of every index of a nonzero entry of base
+    or of the start; every other grade is zero.  Row k, the coefficient
+    of q^(d k/2), is one int R_k = sum_e c_e 2^(B (e/g + r + m k)), the
+    :func:`_pack` of that coefficient at lo = -g (r + m k) and step g:
     g is the gcd of the weights and of the start's exponents,
     m = max|w|/g, r = max|e|/g over the start, and B is the digit width
     in bits.  Every weighted h is at least d, so grade d k holds at most
@@ -474,13 +539,26 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     upwards to divide, or one binomial series per row (:func:`_apply`);
     the shift is never negative.
 
+    The full Theta2 pairs (:func:`_pairs`) run by Jacobi's triple
+    product instead, in place of their binomial passes: their
+    1/(q; q)^mult joins the scalar start as weight-0 factors
+    (1, 0, 2n, True, mult), and each pair is mult downward passes of its
+    sum side (:func:`_triple`) at the end.  When the start and every
+    remaining weighted factor sit on whole grades, these run in two
+    phases.  Phase 1 is the rest of the product on the whole-q lattice,
+    half the rows at half the digits, row k' at lo = -g (r + m k'); the
+    scalar start joins it when it sits on whole grades too.  Phase 2
+    spreads row k' to half-grade 2k' by one shift of B m k', convolves
+    a scalar start with odd grades, and runs the triple product.
+
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
-    the rows are exact as long as the final digits satisfy |c| < 2^(B-1).
+    the rows are exact as long as the final digits satisfy |c| < 2^(B-1);
+    intermediate digits may overflow, since only the final rows are read.
     B comes from a proven bound, since the l1 norm of a product is at most
     the convolution of its factors' l1 norms: B = :func:`_width` of
-    :func:`_majorant`, which never overflows.  The product is exact to
-    q^trunc: no exponent of x is dropped.  Each row is unpacked once, by
-    :func:`_unpack`.
+    :func:`_majorant` of the binomial factorisation, which never
+    overflows.  The product is exact to q^trunc: no exponent of x is
+    dropped.  Each row is unpacked once, by :func:`_unpack`.
     """
     if start is None:
         start = [ring.one()]
@@ -490,20 +568,22 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         trunc = min(trunc, start.trunc)
         start = start.coeffs[:2 * trunc + 1]
     top = 2 * trunc
-    base = [1] + [0] * top
-    weighted = []
+    zero, weighted = [], []
     for f in factors:
         if f[2] <= top:
-            if f[1]:
-                weighted.append(f)
-            else:
-                _apply(base, f[0], f[2], f[3], f[4])
+            (weighted if f[1] else zero).append(f)
     exponents = [e for row in start for e in row.coeffs]
     g = gcd(*(f[1] for f in weighted), *exponents) or 1
-    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b),
-            *(k for k, row in enumerate(start) if row)) or 1
     m = max((abs(f[1]) for f in weighted), default=0) // g
     r = max(map(abs, exponents), default=0) // g
+    d = gcd(*(f[2] for f in weighted), *(k for k, row in enumerate(start) if row))
+    # a pair has h = 1, so the pair detection runs only when d = 1
+    pairs = _pairs(weighted, top) if d == 1 else {}
+    jtp = sum(pairs.values())
+    if jtp:
+        zero += [(1, 0, h, True, jtp) for h in range(2, top + 1, 2)]
+    base = _scalar_start(tuple(zero), top)
+    d = gcd(d, *(k for k, b in enumerate(base) if b)) or 1
     base = base[::d]
     start = start[::d]
     norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
@@ -513,13 +593,29 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     for s, _, h, divide, mult in weighted:
         key = (abs(s), h // d, divide)
         lines[key] = lines.get(key, 0) + mult
-    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(lines.items())))
+    B = _width(_majorant(norms, base, frozenset(lines.items()), jtp))
 
-    rows = ([_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start)]
-            + [0] * (len(base) - len(start)))
-    _convolve(rows, base, 1, B * m)
+    if pairs:
+        weighted = [f for f in weighted
+                    if not (f[2] & 1 and not f[3] and (f[0], abs(f[1])) in pairs)]
+    # phase 1 runs on the whole-q rows (every = 2) unless a grade left in it is odd
+    every = 2 if pairs and not any(f[2] & 1 for f in weighted) and not any(start[1::2]) else 1
+    late = every == 2 and any(base[1::2])
+    rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]
+    rows += [0] * (len(base[::every]) - len(rows))
+    if not late:
+        _convolve(rows, base[::every], 1, B * m)
     for s, w, h, divide, mult in weighted:
-        _apply(rows, s, h // d, divide, mult, B * (w // g + m * h // d))
+        h //= d * every
+        _apply(rows, s, h, divide, mult, B * (w // g + m * h))
+    if every == 2:
+        spread = [0] * len(base)
+        spread[::2] = [row << B * m * k for k, row in enumerate(rows)]
+        rows = spread
+        if late:
+            _convolve(rows, base, 1, B * m)
+    for (s, w), mult in pairs.items():
+        _triple(rows, s, w // g, m, B, mult)
     coeffs = [ring.zero()] * (top + 1)
     coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
                    for k, row in enumerate(rows)]

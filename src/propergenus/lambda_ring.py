@@ -9,10 +9,17 @@ S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M), so
 the d lines of weight w contribute one binomial factor (1 +- t x^w)^d
 or its inverse.  A whole Witten bundle is one product of such factors,
 applied in place (``core.qseries._binomial_product``): the weight-0
-factors, the rank part of E~ among them, multiply out once on plain
-ints into the product's scalar start, and the cost of a weighted factor
-is bounded by the truncation, not by its multiplicity.  The product can
-start from a given series, so Theta(E~) times a series is one such run.
+factors, the rank part of E~ among them, multiply out on plain ints
+into the product's scalar start, built once for all fixed points of a
+call, and the cost of a weighted factor is bounded by the truncation,
+not by its multiplicity.  In Theta2 the exterior factors of a line pair
++-w of equal multiplicity run by Jacobi's triple product instead,
+prod_m (1 - z q^(m-1/2))(1 - q^(m-1/2)/z)
+= sum_k (-1)^k z^k q^(k^2/2) / prod_n (1 - q^n): the sum side is one
+pass per unit of multiplicity, the denominator joins the scalar start,
+and the rest of the product runs first on the whole-q grades, in two
+phases.  The product can start from a given series, so Theta(E~) times
+a series is one such run.
 A character with a non-integral multiplicity is refused with
 NonIntegral.  The tests hold this route equal to the Adams-operation
 exponential

@@ -13,6 +13,7 @@ factor-by-factor one of ``oracles.factor_majorant``.
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,13 +29,20 @@ from propergenus.lambda_ring import (
     THETA2,
     _line_factors,
     _split,
+    eval_bundle_expr,
     ext_total,
     sym_total,
     theta_bundle,
     theta_series,
     tilde,
 )
-from propergenus.lefschetz import _tangent_char, lefschetz_witten, validate_weights
+from propergenus.lefschetz import (
+    FixedPointDatum,
+    _tangent_char,
+    lefschetz_twisted,
+    lefschetz_witten,
+    validate_weights,
+)
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
 
 # -- the dict-row kernel --------------------------------------------------------
@@ -446,9 +454,9 @@ def test_packed_kernel_sign_bit(n, s):
         assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
 
 
-@pytest.mark.parametrize("B", [8, 16, 24, 64, 72])
+@pytest.mark.parametrize("B", [8, 16, 24, 32, 64, 72])
 def test_digit_pack_round_trip(B):
-    # both layouts (one cast at 8/16/64 bits, byte slices at 24/72), from
+    # both layouts (one cast at 8/16/32/64 bits, byte slices at 24/72), from
     # exponent lo in steps of step: the packed value is sum_i c_i 2^(B i)
     # with c_i at exponent lo + step i, unpacking inverts packing, and a
     # value with no n-digit balanced form raises OverflowError
@@ -473,6 +481,16 @@ def test_digit_pack_round_trip(B):
                 with pytest.raises(OverflowError):
                     _unpack(outside, B, lo, n, "x", step)
     assert _pack(LaurentPoly.zero("x"), B, -3, 2) == 0
+    # a one-term polynomial is one shift, and adds to another one-term
+    # polynomial as the two-term polynomial packs on the digit path
+    for lo, step in ((0, 1), (-7, 1), (-6, 2), (3, 3)):
+        for c in (-top, top - 1, 1, -1, rng.randrange(-top, top) or 1):
+            i, j = rng.sample(range(12), 2)
+            one = LaurentPoly({lo + step * i: c}, "x")
+            other = LaurentPoly({lo + step * j: rng.choice((-top, top - 1))}, "x")
+            assert _pack(one, B, lo, step) == c << B * i
+            assert _pack(one, B, lo, step) + _pack(other, B, lo, step) == _pack(one + other, B, lo, step)
+            assert _unpack(_pack(one, B, lo, step), B, lo, i + 1, "x", step) == one
 
 
 # -- the grade lattice ---------------------------------------------------------------
@@ -591,6 +609,109 @@ def test_bundle_expression_on_a_third_of_the_grades(capsys, monkeypatch):
                      "2": {}, "5/2": {}, "3": {"2": "1"}}
 
 
+# -- the triple product -------------------------------------------------------------
+
+
+def triple_spy(monkeypatch):
+    """The pairs that run by the triple product, as ``_triple``'s arguments
+    after the rows, and the row count of every weighted binomial pass
+    (one with a shift, unlike the scalar passes of the scalar start and
+    the majorant)."""
+    pairs, lengths = [], []
+    triple, apply = qseries._triple, qseries._apply
+
+    def apply_spy(rows, s, h, divide, mult, shift=0):
+        if shift:
+            lengths.append(len(rows))
+        apply(rows, s, h, divide, mult, shift)
+
+    monkeypatch.setattr(qseries, "_triple", lambda rows, *args: pairs.append(args) or triple(rows, *args))
+    monkeypatch.setattr(qseries, "_apply", apply_spy)
+    return pairs, lengths
+
+
+def tangent_character(tangent_weights):
+    return _tangent_char(FixedPointDatum(0, 0, tuple(tangent_weights), 1))
+
+
+@pytest.mark.parametrize("weights", [(0, 1, 2, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6, 7, 9)])
+def test_theta2_twists_by_the_triple_product(monkeypatch, weights):
+    # each +-w pair of a point's Theta2 twist runs by the triple product
+    # when its multiplicity is at most N, and then every other weighted
+    # factor runs on the N + 1 whole-q rows; the convolution route checks
+    # the orders it reaches in a few seconds
+    for N in range(1, 13):
+        for datum in validate_weights(weights):
+            E = tilde(_tangent_char(datum))
+            ring = LaurentRing(E.var)
+            factors = witten_factors(E, THETA2, N)
+            pairs, lengths = triple_spy(monkeypatch)
+            got = _binomial_product(ring, N, factors)
+            monkeypatch.undo()
+            assert got == reference_binomial_product(ring, N, factors), (datum, N)
+            if N <= 12 // (len(weights) - 2):
+                assert got == reference_theta_series(E, THETA2, N), (datum, N)
+            mults = Counter(datum.tangent_weights).values()
+            assert sorted(p[-1] for p in pairs) == sorted(c for c in mults if c <= N)
+            assert set(lengths) == {N + 1 if max(mults) <= N else 2 * N + 1}
+
+
+def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
+    # tangent weights (1, 1, 4) carry the pair +-1 twice, (1, 1, 1, 2) three times
+    for tangent, mult in (((1, 1, 4), 2), ((1, 1, 1, 2), 3)):
+        E = tilde(tangent_character(tangent))
+        ring = LaurentRing(E.var)
+        for N in range(1, 9):
+            pairs, _ = triple_spy(monkeypatch)
+            got = theta_series(E, THETA2, N)
+            monkeypatch.undo()
+            assert got == reference_theta_series(E, THETA2, N), (tangent, N)
+            assert got == reference_binomial_product(ring, N, witten_factors(E, THETA2, N))
+            assert (mult in [p[-1] for p in pairs]) == (mult <= N)
+
+
+@pytest.mark.parametrize("expr, pairs, phase1", [
+    # a pair beside an unpaired odd line: one phase on every half-grade
+    ("(theta2 (sum (rep 3) (rep 1) (rep -1)))", 1, False),
+    # unequal multiplicities, and negative ones (divide factors): no pair
+    ("(theta2 (sum (rep 2) (rep 2) (rep -2)))", 0, False),
+    ("(theta2 (difference (trivial 4) (sum (rep 1) (rep -1))))", 0, False),
+    # a scalar start on whole grades joins phase 1, one with odd grades phase 2
+    ("(theta2 (sum (rep 1) (rep -1)))", 1, True),
+    ("(theta2 (tilde (sum (rep 2) (rep -2) (rep 4) (rep -4))))", 2, True),
+])
+def test_theta2_bundle_expressions_and_the_triple_product(monkeypatch, expr, pairs, phase1):
+    E = eval_bundle_expr(expr[len("(theta2 "):-1])
+    ring = LaurentRing(E.var)
+    for N in range(1, 9):
+        spied, lengths = triple_spy(monkeypatch)
+        got = eval_bundle_expr(expr, N)
+        monkeypatch.undo()
+        assert got == reference_theta_series(E, THETA2, N), (expr, N)
+        assert got == reference_binomial_product(ring, N, witten_factors(E, THETA2, N))
+        assert len(spied) == pairs
+        assert set(lengths) == {N + 1 if phase1 else 2 * N + 1}
+
+
+def test_triple_product_from_a_start(monkeypatch):
+    # a start with odd grades takes the one-phase path, a start on whole
+    # grades the two-phase one
+    rng = random.Random(109)
+    E = tilde(_tangent_char(validate_weights((0, 1, 2, 5))[0]))
+    ring = LaurentRing(E.var)
+    for N in range(1, 9):
+        factors = witten_factors(E, THETA2, N)
+        odd = list(rand_start(rng, ring, N, 4).coeffs)
+        odd[2 * rng.randint(0, N - 1) + 1] = LaurentPoly({rng.randint(-4, 4): rng.choice([-7, 7])}, ring.var)
+        for start, rows in ((QSeries(ring, N, odd), 2 * N + 1),
+                            (rand_lattice_start(rng, ring, N, 2, 4), N + 1)):
+            pairs, lengths = triple_spy(monkeypatch)
+            got = _binomial_product(ring, N, factors, start)
+            monkeypatch.undo()
+            assert got == reference_binomial_product(ring, N, factors, start), (N, start)
+            assert len(pairs) == 3 and set(lengths) == {rows}
+
+
 # -- the majorant -------------------------------------------------------------------
 
 
@@ -620,6 +741,19 @@ def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
         start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
         _binomial_product(LAMBDA_RING, trunc, factors, start)
         assert seen.pop() == factor_majorant(trunc, factors, start), (factors, start)
+    # full Theta2 sets, which run by the triple product, alone and beside
+    # seeded factors: B is still the width of their binomial factorisation
+    pairs, _ = triple_spy(monkeypatch)
+    for i in range(40):
+        trunc = rng.randint(1, 5)
+        E = tilde(tangent_character(rng.choice(range(1, 6)) for _ in range(rng.randint(1, 4))))
+        factors = witten_factors(E, THETA2, trunc)
+        if i % 2:
+            factors += rand_factors(rng, [-3, -1, 0, 2, 5], 2 * trunc, rng.randint(1, 4), (1, 2))
+        start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
+        _binomial_product(LAMBDA_RING, trunc, factors, start)
+        assert seen.pop() == factor_majorant(trunc, factors, start), (factors, start)
+    assert len(pairs) > 40
 
 
 def test_fixed_points_share_one_majorant():
@@ -628,6 +762,20 @@ def test_fixed_points_share_one_majorant():
     lefschetz_witten((0, 1, 2, 5), 12)
     info = qseries._majorant.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+def test_fixed_points_share_one_scalar_start(monkeypatch):
+    # the four Theta2 twists of CP^3 share their rank, so they share the
+    # product of their weight-0 factors and the triple product's 1/(q; q)^3
+    starts = []
+    cached = qseries._scalar_start
+    monkeypatch.setattr(qseries, "_scalar_start", lambda *key: starts.append(cached(*key)) or starts[-1])
+    cached.cache_clear()
+    lefschetz_twisted((0, 1, 2, 5), twist=THETA2, N=12)
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert len(starts) == 4 and type(starts[0]) is tuple
+    assert all(start is starts[0] for start in starts)
 
 
 # -- unpacking ----------------------------------------------------------------------

@@ -458,11 +458,13 @@ def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
 def _pairs(weighted, top: int) -> dict:
     """``{(s, w): mult}``, w > 0, of the full Theta2 pairs among the
     weighted factors: the multiply factors (s, +-w, h, False), s = +-1, of
-    every odd h <= top, with one summed multiplicity mult <= top/2.  By
-    Jacobi's triple product (Hardy and Wright, Theorem 352) their product
-    is sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf, one pass per unit of mult;
-    a larger mult keeps its binomial passes, which cost at most the
-    truncation (:func:`_apply`)."""
+    every odd h <= top, with one summed multiplicity
+    mult <= 3 isqrt(top).  By Jacobi's triple product (Hardy and Wright,
+    Theorem 352) their product is sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf,
+    one pass of about 2 sqrt(top) shifted adds per row and unit of mult.
+    A larger mult keeps its binomial passes, which grow with top but
+    only slowly with mult (:func:`_apply`): they win from about
+    4 isqrt(top) on."""
     odd = {}
     for s, w, h, divide, mult in weighted:
         if h & 1 and not divide and s * s == 1:
@@ -472,7 +474,7 @@ def _pairs(weighted, top: int) -> dict:
         if h == 1 and w > 0:
             mults = {odd.get((s, v, j)) for v in (w, -w) for j in range(1, top + 1, 2)}
             mult = mults.pop()
-            if not mults and 2 * mult <= top:
+            if not mults and mult <= 3 * math.isqrt(top):
                 pairs[s, w] = mult
     return pairs
 
@@ -489,22 +491,18 @@ def _scalar_start(zero: tuple, top: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _majorant(norms: tuple, base: tuple, lines: frozenset, jtp: int) -> int:
+def _majorant(norms: tuple, base: tuple, lines: frozenset) -> int:
     """max_k M_k, the bound on the l1 norm of every row of a product.
 
     M_k starts as the start rows' l1 ``norms``, padded with zeros, convolved
-    with |b_k|, b = ``base`` (q; q)^jtp the scalar start of the binomial
-    factorisation, without the triple product's 1/(q; q)^jtp (jtp > 0 only
-    on the half-grade lattice, d = 1).  The merged weighted factors
-    ``{(|s|, h, divide): mult}`` of ``lines`` then run on these scalars.
-    The factors commute, so merging changes no value, and no exponent of
-    x enters, so the twists at all fixed points of one call share one key.
+    with ``base``, the |base_k|: ``base`` itself at the start 1; the merged
+    weighted factors ``{(|s|, h, divide): mult}`` of ``lines`` then run
+    on these scalars.  The factors commute, so merging changes no value,
+    and no exponent of x enters, so the twists at all fixed points of
+    one call share one key.
     """
-    b = list(base)
-    for h in range(2, len(b), 2):
-        _apply(b, -1, h, False, jtp)
-    majorant = list(norms) + [0] * (len(b) - len(norms))
-    _convolve(majorant, [abs(c) for c in b], 1, 0)
+    majorant = list(norms) + [0] * (len(base) - len(norms))
+    _convolve(majorant, base, 1, 0)
     for (s, h, divide), mult in lines:
         _apply(majorant, s, h, divide, mult)
     return max(majorant)
@@ -540,16 +538,15 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     the shift is never negative.
 
     The full Theta2 pairs (:func:`_pairs`) run by Jacobi's triple
-    product instead, in place of their binomial passes: their
-    1/(q; q)^mult joins the scalar start as weight-0 factors
+    product instead, in place of their binomial passes: once B is set,
+    their 1/(q; q)^mult joins the scalar start as weight-0 factors
     (1, 0, 2n, True, mult), and each pair is mult downward passes of its
     sum side (:func:`_triple`) at the end.  When the start and every
     remaining weighted factor sit on whole grades, these run in two
     phases.  Phase 1 is the rest of the product on the whole-q lattice,
-    half the rows at half the digits, row k' at lo = -g (r + m k'); the
-    scalar start joins it when it sits on whole grades too.  Phase 2
-    spreads row k' to half-grade 2k' by one shift of B m k', convolves
-    a scalar start with odd grades, and runs the triple product.
+    half the rows at half the digits, row k' at lo = -g (r + m k').
+    Phase 2 spreads row k' to half-grade 2k' by one shift of B m k',
+    convolves the scalar start and runs the triple product.
 
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
     the rows are exact as long as the final digits satisfy |c| < 2^(B-1);
@@ -572,18 +569,13 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     for f in factors:
         if f[2] <= top:
             (weighted if f[1] else zero).append(f)
+    base = _scalar_start(tuple(zero), top)
     exponents = [e for row in start for e in row.coeffs]
     g = gcd(*(f[1] for f in weighted), *exponents) or 1
+    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b),
+            *(k for k, row in enumerate(start) if row)) or 1
     m = max((abs(f[1]) for f in weighted), default=0) // g
     r = max(map(abs, exponents), default=0) // g
-    d = gcd(*(f[2] for f in weighted), *(k for k, row in enumerate(start) if row))
-    # a pair has h = 1, so the pair detection runs only when d = 1
-    pairs = _pairs(weighted, top) if d == 1 else {}
-    jtp = sum(pairs.values())
-    if jtp:
-        zero += [(1, 0, h, True, jtp) for h in range(2, top + 1, 2)]
-    base = _scalar_start(tuple(zero), top)
-    d = gcd(d, *(k for k, b in enumerate(base) if b)) or 1
     base = base[::d]
     start = start[::d]
     norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
@@ -593,18 +585,21 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     for s, _, h, divide, mult in weighted:
         key = (abs(s), h // d, divide)
         lines[key] = lines.get(key, 0) + mult
-    B = _width(_majorant(norms, base, frozenset(lines.items()), jtp))
+    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(lines.items())))
 
+    # a pair has h = 1, so the pair detection runs only when d = 1
+    pairs = _pairs(weighted, top) if d == 1 else {}
     if pairs:
+        jtp = sum(pairs.values())
+        base = _scalar_start(tuple(zero) + tuple((1, 0, h, True, jtp) for h in range(2, top + 1, 2)), top)
         weighted = [f for f in weighted
                     if not (f[2] & 1 and not f[3] and (f[0], abs(f[1])) in pairs)]
     # phase 1 runs on the whole-q rows (every = 2) unless a grade left in it is odd
     every = 2 if pairs and not any(f[2] & 1 for f in weighted) and not any(start[1::2]) else 1
-    late = every == 2 and any(base[1::2])
     rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]
     rows += [0] * (len(base[::every]) - len(rows))
-    if not late:
-        _convolve(rows, base[::every], 1, B * m)
+    if every == 1:
+        _convolve(rows, base, 1, B * m)
     for s, w, h, divide, mult in weighted:
         h //= d * every
         _apply(rows, s, h, divide, mult, B * (w // g + m * h))
@@ -612,8 +607,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         spread = [0] * len(base)
         spread[::2] = [row << B * m * k for k, row in enumerate(rows)]
         rows = spread
-        if late:
-            _convolve(rows, base, 1, B * m)
+        _convolve(rows, base, 1, B * m)
     for (s, w), mult in pairs.items():
         _triple(rows, s, w // g, m, B, mult)
     coeffs = [ring.zero()] * (top + 1)

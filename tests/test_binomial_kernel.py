@@ -637,9 +637,9 @@ def tangent_character(tangent_weights):
 @pytest.mark.parametrize("weights", [(0, 1, 2, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6, 7, 9)])
 def test_theta2_twists_by_the_triple_product(monkeypatch, weights):
     # each +-w pair of a point's Theta2 twist runs by the triple product
-    # when its multiplicity is at most N, and then every other weighted
-    # factor runs on the N + 1 whole-q rows; the convolution route checks
-    # the orders it reaches in a few seconds
+    # (its multiplicity is at most 3 <= pair_bound(N)), and then every
+    # other weighted factor runs on the N + 1 whole-q rows; the
+    # convolution route checks the orders it reaches in a few seconds
     for N in range(1, 13):
         for datum in validate_weights(weights):
             E = tilde(_tangent_char(datum))
@@ -652,22 +652,32 @@ def test_theta2_twists_by_the_triple_product(monkeypatch, weights):
             if N <= 12 // (len(weights) - 2):
                 assert got == reference_theta_series(E, THETA2, N), (datum, N)
             mults = Counter(datum.tangent_weights).values()
-            assert sorted(p[-1] for p in pairs) == sorted(c for c in mults if c <= N)
-            assert set(lengths) == {N + 1 if max(mults) <= N else 2 * N + 1}
+            assert sorted(p[-1] for p in pairs) == sorted(mults)
+            assert set(lengths) == {N + 1}
+
+
+def pair_bound(N):
+    """The largest multiplicity of a pair that runs by the triple product."""
+    return 3 * math.isqrt(2 * N)
 
 
 def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
-    # tangent weights (1, 1, 4) carry the pair +-1 twice, (1, 1, 1, 2) three times
-    for tangent, mult in (((1, 1, 4), 2), ((1, 1, 1, 2), 3)):
-        E = tilde(tangent_character(tangent))
+    # tangent weights (1, 1, 4) carry the pair +-1 twice, (1, 1, 1, 2) three
+    # times; the pair +-1 seven times passes the bound up to N = 4
+    assert [N for N in range(1, 9) if 7 > pair_bound(N)] == [1, 2, 3, 4]
+    for E, mult in ((tilde(tangent_character((1, 1, 4))), 2),
+                    (tilde(tangent_character((1, 1, 1, 2))), 3),
+                    (tilde(LaurentPoly({1: 7, -1: 7, 3: 1, -3: 1}, "x")), 7)):
         ring = LaurentRing(E.var)
         for N in range(1, 9):
-            pairs, _ = triple_spy(monkeypatch)
+            pairs, lengths = triple_spy(monkeypatch)
             got = theta_series(E, THETA2, N)
             monkeypatch.undo()
-            assert got == reference_theta_series(E, THETA2, N), (tangent, N)
+            assert got == reference_theta_series(E, THETA2, N), (E, N)
             assert got == reference_binomial_product(ring, N, witten_factors(E, THETA2, N))
-            assert (mult in [p[-1] for p in pairs]) == (mult <= N)
+            assert (mult in [p[-1] for p in pairs]) == (mult <= pair_bound(N))
+            if mult > pair_bound(N):
+                assert set(lengths) == {2 * N + 1}
 
 
 @pytest.mark.parametrize("expr, pairs, phase1", [
@@ -676,7 +686,7 @@ def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
     # unequal multiplicities, and negative ones (divide factors): no pair
     ("(theta2 (sum (rep 2) (rep 2) (rep -2)))", 0, False),
     ("(theta2 (difference (trivial 4) (sum (rep 1) (rep -1))))", 0, False),
-    # a scalar start on whole grades joins phase 1, one with odd grades phase 2
+    # a scalar start on whole grades, and one with odd grades, beside phase 1
     ("(theta2 (sum (rep 1) (rep -1)))", 1, True),
     ("(theta2 (tilde (sum (rep 2) (rep -2) (rep 4) (rep -4))))", 2, True),
 ])
@@ -766,16 +776,17 @@ def test_fixed_points_share_one_majorant():
 
 def test_fixed_points_share_one_scalar_start(monkeypatch):
     # the four Theta2 twists of CP^3 share their rank, so they share the
-    # product of their weight-0 factors and the triple product's 1/(q; q)^3
+    # product of their weight-0 factors, which sets the majorant, and that
+    # product over the triple product's (q; q)^3, which the rows start from
     starts = []
     cached = qseries._scalar_start
     monkeypatch.setattr(qseries, "_scalar_start", lambda *key: starts.append(cached(*key)) or starts[-1])
     cached.cache_clear()
     lefschetz_twisted((0, 1, 2, 5), twist=THETA2, N=12)
     info = cached.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
-    assert len(starts) == 4 and type(starts[0]) is tuple
-    assert all(start is starts[0] for start in starts)
+    assert (info.misses, info.hits) == (2, 6)
+    assert len(starts) == 8 and type(starts[0]) is tuple and starts[0] != starts[1]
+    assert all(start is starts[k % 2] for k, start in enumerate(starts))
 
 
 # -- unpacking ----------------------------------------------------------------------

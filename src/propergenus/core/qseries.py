@@ -306,8 +306,87 @@ class QSeries:
     __repr__ = __str__
 
 
+class PackedSeries(QSeries):
+    """A series over a Laurent ring held as packed rows, the layout of
+    :func:`_binomial_product`, which returns one.
+
+    ``packed`` = (rows, B, g, r, m, d): row k is the coefficient of
+    q^(d k/2), one int whose balanced base-2^B digit e/g + r + m k holds
+    the coefficient of x^e, and every grade off the lattice is zero.  The
+    coefficients unpack on their first read, so a reader of the rows
+    alone, such as the Laurent certificate of ``lefschetz``, never
+    unpacks them.
+    """
+
+    __slots__ = ("packed",)
+
+    def __init__(self, ring, trunc: int, packed: tuple):
+        self.ring, self.trunc, self.packed = ring, trunc, packed
+
+    def __getattr__(self, name):
+        # reached only while the slot ``coeffs`` is unset
+        if name != "coeffs":
+            raise AttributeError(name)
+        rows, B, g, r, m, d = self.packed
+        coeffs = [self.ring.zero()] * (2 * self.trunc + 1)
+        coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, self.ring.var, g)
+                       for k, row in enumerate(rows)]
+        self.coeffs = coeffs
+        return coeffs
+
+    @classmethod
+    def of(cls, series: QSeries) -> "PackedSeries":
+        """``series`` as packed rows: itself when it is packed, or else each
+        grade h packed by :func:`_pack` as row h, at g = d = 1, m = 0 and
+        r = max|e|, and at the narrowest width that holds it."""
+        if isinstance(series, cls):
+            return series
+        coeffs = series.coeffs
+        if not all(c.is_integral() for c in coeffs):
+            raise NonIntegral("a coefficient is not integral")
+        r = max((abs(e) for c in coeffs for e in c.coeffs), default=0)
+        B = _width(max((abs(v) for c in coeffs for v in c.coeffs.values()), default=0))
+        out = cls(series.ring, series.trunc, ([_pack(c, B, -r) for c in coeffs], B, 1, r, 0, 1))
+        out.coeffs = coeffs
+        return out
+
+    def spans(self) -> list:
+        """(h, k, lo, hi, l1) of every nonzero row k: its grade h in half
+        units, its lowest and highest exponent of x and the l1 norm of its
+        coefficients, read from its digits (:func:`_span`)."""
+        rows, B, g, r, m, d = self.packed
+        out = []
+        for k, row in enumerate(rows):
+            if row:
+                first, last, l1 = _span(row, B, 2 * (r + m * k) + 1)
+                out.append((d * k, k, g * (first - r - m * k), g * (last - r - m * k), l1))
+        return out
+
+    def relaid(self, B: int) -> "PackedSeries":
+        """The same series at width B and step g = 1: exponent e of row k
+        moves from digit e/g + r + m k to digit e + g (r + m k), and each
+        row moves by byte copies (:func:`_relay`).  Every coefficient must
+        fit a balanced base-2^B digit."""
+        rows, width, g, r, m, d = self.packed
+        if width == B and g == 1:
+            return self
+        return PackedSeries(self.ring, self.trunc, (
+            [_relay(row, width, 2 * (r + m * k) + 1, g, B) for k, row in enumerate(rows)],
+            B, 1, g * r, g * m, d))
+
+    def row(self, k: int, lo: int) -> int:
+        """Row k at x = 2^B with exponent e at digit e - lo, for step 1 and
+        lo at most every exponent of the row: one shift, exact to the
+        right too, since every digit it drops is zero."""
+        rows, B, _, r, m, _ = self.packed
+        shift = B * (-lo - r - m * k)
+        return rows[k] << shift if shift >= 0 else rows[k] >> -shift
+
+
 # memoryview (and struct) formats of the digit widths that one cast can read
 _DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+# the sign byte of a two's complement digit, from the digit's top byte
+_SIGN_BYTES = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def _width(bound: int) -> int:
@@ -334,7 +413,7 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
     and every |c_e| < 2^(B-1).  This is the one Kronecker layout of the
     package (Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer
     Algebra, 8.4): the digits are laid out in two's complement, and the
-    inverse of the bias step of :func:`_unpack` turns that into the
+    inverse of the bias step of :func:`_raw` turns that into the
     signed value.  One term is one shift.
     """
     if not poly.coeffs:
@@ -355,34 +434,99 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
     return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> LaurentPoly:
-    """The inverse of :func:`_pack`: the Laurent polynomial in ``var``
-    whose n balanced base-2^B digits, lowest first, are those of
-    ``value``, digit i at exponent lo + step i.
+def _raw(value: int, B: int, n: int) -> bytes:
+    """The n balanced base-2^B digits of ``value``, lowest first, each in
+    two's complement in B/8 bytes.
 
     Adding the bias and flipping the top bit of each biased digit leaves
-    c in two's complement, which one memoryview cast reads when B is 8,
-    16, 32 or 64 (byte slices otherwise), and the zeros drop in C.  Every
-    digit kept is then a nonzero int, so the result is built without the
-    normalising constructor.  Raises OverflowError when ``value`` has no
-    n-digit balanced form.
+    each digit c in two's complement.  Raises OverflowError when
+    ``value`` has no n-digit balanced form.
+    """
+    half = _half(B, n)
+    return ((value + half) ^ half).to_bytes(B // 8 * n, "little")
+
+
+def _read(raw: bytes, B: int):
+    """The signed digits of :func:`_raw` bytes.
+
+    One memoryview cast reads them when B is 8, 16, 32 or 64.  Any other
+    width is first re-laid by byte copies (:func:`_recast`): onto the
+    next wider cast width, or onto 64 bits when every digit fits one,
+    that is when each digit's bytes above its eighth repeat the sign of
+    its eighth.  Byte slices read the rest.
+    """
+    fmt = _DIGIT_FORMATS.get(B)
+    if fmt:
+        return memoryview(raw).cast(fmt)
+    nbytes = B // 8
+    wider = min((w for w in _DIGIT_FORMATS if w > B), default=None)
+    if wider:
+        return memoryview(_recast(raw, nbytes, wider // 8)).cast(_DIGIT_FORMATS[wider])
+    if _DIGIT_FORMATS:
+        sign = raw[7::nbytes].translate(_SIGN_BYTES)
+        if all(raw[b::nbytes] == sign for b in range(8, nbytes)):
+            return memoryview(_recast(raw, nbytes, 8)).cast("q")
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, len(raw), nbytes)]
+
+
+def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> LaurentPoly:
+    """The inverse of :func:`_pack`: the Laurent polynomial in ``var``
+    whose n balanced base-2^B digits (:func:`_raw`), lowest first, are
+    those of ``value``, digit i at exponent lo + step i.
+
+    The zeros drop in C, so every digit kept is a nonzero int, and the
+    result is built without the normalising constructor.
     """
     if not value:
         return LaurentPoly.zero(var)
-    half = _half(B, n)
-    nbytes = B // 8
-    raw = ((value + half) ^ half).to_bytes(nbytes * n, "little")
-    fmt = _DIGIT_FORMATS.get(B)
-    if fmt:
-        digits = memoryview(raw).cast(fmt)
-    else:
-        digits = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-                  for i in range(0, len(raw), nbytes)]
     exponents = range(lo, lo + step * n, step)
     poly = LaurentPoly.__new__(LaurentPoly)
-    poly.coeffs = dict(filter(itemgetter(1), zip(exponents, digits)))
+    poly.coeffs = dict(filter(itemgetter(1), zip(exponents, _read(_raw(value, B, n), B))))
     poly.var = var
     return poly
+
+
+def _span(value: int, B: int, n: int) -> tuple[int, int, int]:
+    """(i, j, l1) of a nonzero ``value`` read as n balanced base-2^B
+    digits (:func:`_raw`): its lowest and highest nonzero digits i <= j
+    and the l1 norm of its digits.  A digit is zero exactly when its two's
+    complement bytes are, so stripping zero bytes finds i and j in C, and
+    only digits i..j are read.
+    """
+    raw = _raw(value, B, n)
+    nbytes = B // 8
+    i = (len(raw) - len(raw.lstrip(b"\0"))) // nbytes
+    j = (len(raw.rstrip(b"\0")) - 1) // nbytes
+    return i, j, sum(map(abs, _read(raw[i * nbytes:(j + 1) * nbytes], B)))
+
+
+def _recast(raw: bytes, old: int, new: int, step: int = 1) -> bytearray:
+    """Two's complement digits of ``old`` bytes each as digits of ``new``
+    bytes, digit i at digit step i and 0 between.  Each byte column is one
+    strided copy in C: a narrower digit keeps its low bytes, exact when
+    it fits, and a wider one repeats the sign byte of its top byte."""
+    out = bytearray(((len(raw) // old - 1) * step + 1) * new)
+    stride = step * new
+    for b in range(min(old, new)):
+        out[b::stride] = raw[b::old]
+    if new > old:
+        sign = raw[old - 1::old].translate(_SIGN_BYTES)
+        for b in range(old, new):
+            out[b::stride] = sign
+    return out
+
+
+def _relay(value: int, B: int, n: int, step: int, width: int) -> int:
+    """The value whose base-2^width digit step i is digit i of the n
+    balanced base-2^B digits of ``value``, and every other digit 0:
+    :func:`_recast` of its two's complement digits (:func:`_raw`).  Exact
+    when every digit fits the new width."""
+    if not value:
+        return 0
+    out = _recast(_raw(value, B, n), B // 8, width // 8, step)
+    half = _half(width, len(out) // (width // 8))
+    return (int.from_bytes(out, "little") ^ half) - half
 
 
 def _convolve(rows, c, h: int, shift: int):
@@ -555,7 +699,9 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
     the convolution of its factors' l1 norms: B = :func:`_width` of
     :func:`_majorant` of the binomial factorisation, which never
     overflows.  The product is exact to q^trunc: no exponent of x is
-    dropped.  Each row is unpacked once, by :func:`_unpack`.
+    dropped.  It is returned as these rows (:class:`PackedSeries`), and
+    each row is unpacked once, by :func:`_unpack`, if its coefficients
+    are read.
     """
     if start is None:
         start = [ring.one()]
@@ -610,10 +756,7 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         _convolve(rows, base, 1, B * m)
     for (s, w), mult in pairs.items():
         _triple(rows, s, w // g, m, B, mult)
-    coeffs = [ring.zero()] * (top + 1)
-    coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, ring.var, g)
-                   for k, row in enumerate(rows)]
-    return QSeries._of(ring, trunc, coeffs)
+    return PackedSeries(ring, trunc, (rows, B, g, r, m, d))
 
 
 def _check_tau(tau: complex, name: str = "tau"):

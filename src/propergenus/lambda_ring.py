@@ -83,21 +83,21 @@ def ext_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     return _total_power(E, t_grade, sign, N, exterior=True)
 
 
-def _line_factors(lines, h_t: int, sign: int, exterior: bool):
-    """Binomial factors of S_t(E) or L_t(E), t = sign * q^(h_t/2), one per
-    weight with its multiplicity.
+def _line_factors(E: LaurentPoly, powers) -> list:
+    """The binomial factors of the product of S_t(E), or of L_t(E) when
+    ``exterior``, over ``powers`` of (h_t, sign, exterior) with
+    t = sign * q^(h_t/2), one per power and weight with its multiplicity.
 
-    ``lines`` is ``_split(E)``.  A weight-w line of P contributes
+    With E = P - M (:func:`_split`), a weight-w line of P contributes
     1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
     S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
     a line of M contributes the other one with -t.
     """
-    pos, neg = lines
-    for weights, flip in ((pos, False), (neg, True)):
-        s = -sign if flip else sign
-        divide = not (exterior ^ flip)
-        for w, mult in sorted(weights.items()):
-            yield s, w, h_t, divide, mult
+    pos, neg = _split(E)
+    lines = [(w, mult, flip) for weights, flip in ((pos, False), (neg, True))
+             for w, mult in sorted(weights.items())]
+    return [(-sign if flip else sign, w, h_t, exterior == flip, mult)
+            for h_t, sign, exterior in powers for w, mult, flip in lines]
 
 
 def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
@@ -106,8 +106,7 @@ def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> 
     h_t = half_units(t_grade)
     if h_t < 1:
         raise ValueError("t must carry a positive power of q")
-    return _binomial_product(LaurentRing(E.var), N,
-                             _line_factors(_split(E), h_t, sign, exterior))
+    return _binomial_product(LaurentRing(E.var), N, _line_factors(E, [(h_t, sign, exterior)]))
 
 
 def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8,
@@ -126,10 +125,7 @@ def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8,
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
-    lines = _split(E)
-    return _binomial_product(LaurentRing(E.var), N, (
-        f for h_t, sign, exterior in powers
-        for f in _line_factors(lines, h_t, sign, exterior)), start)
+    return _binomial_product(LaurentRing(E.var), N, _line_factors(E, powers), start)
 
 
 def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8,

@@ -23,7 +23,13 @@ Each grade is certified by one integer division (Kronecker substitution:
 Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4).  Its numerator, shifted into a polynomial P in lam, and D are
 evaluated at lam = 2^B as big ints, and the quotient is read back, by
-the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).  A
+the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).
+The twists enter in that layout: a twist built by the binomial kernel
+is its packed rows (``core.qseries.PackedSeries``), never unpacked
+here.  Each row's span and l1 norm are read from its digits, and P(2^B)
+is a sum of shifted rows times the prefactors' values.  A twist at
+another digit width or exponent step is re-laid at B once, by byte
+copies, and any other series is packed into the same rows.  A
 zero remainder and a quotient q' read as balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
@@ -59,9 +65,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _pack, _unpack, _width
+from .core.qseries import LAMBDA_RING, PackedSeries, QSeries, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
-from .errors import DuplicateWeights, NonIntegral, OddWeightSum
+from .errors import DuplicateWeights, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
 
 DIRAC = "dirac"
@@ -135,7 +141,7 @@ def _factor_values(pairs, data, operator: str, B: int):
     return B, den, values
 
 
-def _certificate_data(data, point_series, operator: str):
+def _certificate_data(data, twists, operator: str):
     """What the certificate of one call reads, computed once:
     (pairs, deg D, |D|_1, points, grades).
 
@@ -143,10 +149,12 @@ def _certificate_data(data, point_series, operator: str):
     pair factors not containing j, P_j = C_j for the Dirac operator
     (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for the
     signature operator (low_j = 0).  points[j] = (low_j, deg P_j,
-    |P_j|_1).  grades[h] = (rows, lo, hi, N_h): rows holds (c_j, j) for
-    the nonzero twist coefficients c_j of grade h, the numerator
-    sum_j c_j pre_j spans lam^lo .. lam^hi, and N_h = sum_j |c_j|_1
-    |P_j|_1 bounds its coefficients (a Fraction if a c_j is one).
+    |P_j|_1).  twists[j] is the twist c_j of point j as packed rows, and
+    grades[h] = (terms, lo, hi, N_h): terms holds (j, k) for each nonzero
+    row k of a twist j on grade h, the numerator sum_j c_j pre_j spans
+    lam^lo .. lam^hi, and N_h = sum_j |c_j|_1 |P_j|_1 bounds its
+    coefficients.  The span and |c_j|_1 of a row are read from its
+    digits (``PackedSeries.spans``), not unpacked.
     """
     if operator not in (DIRAC, SIGNATURE):
         raise ValueError(f"unknown operator {operator!r}")
@@ -163,12 +171,15 @@ def _certificate_data(data, point_series, operator: str):
         W = sum(datum.tangent_weights)
         low, degree = (0, den_degree) if operator == SIGNATURE else (W // 2, den_degree - W)
         points.append((low, degree, _l1(_unpack(value, B0, 0, degree + 1, LAMBDA))))
-    grades = []
-    for h in range(len(point_series[0].coeffs)):
-        rows = [(s.coeffs[h], j) for j, s in enumerate(point_series) if s.coeffs[h].coeffs]
-        lo = min((points[j][0] + min(c.coeffs) for c, j in rows), default=0)
-        hi = max((points[j][0] + max(c.coeffs) + points[j][1] for c, j in rows), default=0)
-        grades.append((rows, lo, hi, sum(_l1(c) * points[j][2] for c, j in rows)))
+    # per grade, (j, k) with the row's lowest and highest exponent of the
+    # numerator and its share of N_h
+    rows = [[] for _ in range(2 * twists[0].trunc + 1)]
+    for j, twist in enumerate(twists):
+        low, degree, norm = points[j]
+        for h, k, first, last, l1 in twist.spans():
+            rows[h].append(((j, k), low + first, low + last + degree, l1 * norm))
+    grades = [([t[0] for t in ts], min((t[1] for t in ts), default=0),
+               max((t[2] for t in ts), default=0), sum(t[3] for t in ts)) for ts in rows]
     den_norm = _l1(_unpack(den, B0, 0, den_degree + 1, LAMBDA))
     return pairs, den_degree, den_norm, points, grades
 
@@ -191,16 +202,18 @@ def _raise_not_laurent(num: int, lo: int, hi: int, packed, den_degree: int):
     raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
 
 
-def _packed_grade(grade, packed, cert) -> LaurentPoly:
+def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
-    ``grade`` = (rows, lo, hi, N_h) and ``cert`` are what
-    :func:`_certificate_data` computes for the call, and ``packed`` is
-    what :func:`_factor_values` returns.  The numerator
-    num = sum_j c_j pre_j, aligned on its lowest exponent lo, is the
-    polynomial P = lam^(-lo) num, and P(2^B) is one big int
-    (:func:`_pack`).  One divmod by D(2^B) and :func:`_unpack` give q'.
-    The check is the proof: with a zero remainder and
+    ``grade`` = (terms, lo, hi, N_h) and ``cert`` are what
+    :func:`_certificate_data` computes for the call, ``twists`` are the
+    twists re-laid at the width B and step 1, and ``packed`` is what
+    :func:`_factor_values` returns.  The numerator num = sum_j c_j pre_j,
+    aligned on its lowest exponent lo, is the polynomial
+    P = lam^(-lo) num, and P(2^B) is one big int: over the terms (j, k),
+    row k of twist j with lam^e at digit e + low_j - lo, one shift of
+    the kernel's row (``PackedSeries.row``), times sigma_j P_j(2^B).  No
+    row is unpacked.  One divmod by D(2^B) and :func:`_unpack` give q'.  The check is the proof: with a zero remainder and
 
         max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |c_j|_1 |P_j|_1,
 
@@ -213,21 +226,17 @@ def _packed_grade(grade, packed, cert) -> LaurentPoly:
     Laurent and raises NotLaurent.  A zero remainder whose q' fails the
     check, or has no balanced form, is decided by dividing P by D
     exactly: both unpack from their values, since N_h and |D|_1 are
-    below 2^(B-1), and D is monic, so the division stays on ints.  A
-    coefficient that is not an int raises NonIntegral.
+    below 2^(B-1), and D is monic, so the division stays on ints.
     """
-    rows, lo, hi, bound = grade
-    if not rows:
+    terms, lo, hi, bound = grade
+    if not terms:
         return LaurentPoly.zero(LAMBDA)
-    # a Fraction coefficient makes the bound a Fraction
-    if type(bound) is not int:
-        raise NonIntegral("a twist coefficient is not integral")
     B, den, values = packed
     _, den_degree, den_norm, points, _ = cert
     limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
         raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
-    num = sum(_pack(c, B, lo - points[j][0]) * values[j] for c, j in rows)
+    num = sum(twists[j].row(k, lo - points[j][0]) * values[j] for j, k in terms)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
@@ -253,21 +262,24 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
-    over the lam Laurent ring.  Every grade goes through the packed
-    certificate, which proves it an integral Laurent polynomial in lam
-    or raises.  The call's width B holds every N_h and |D|_1, and it
-    admits every quotient no larger than the largest N_h, since then
-    max|q'_i| |D|_1 + N_h <= max_h N_h (|D|_1 + 1).
+    over the lam Laurent ring, read as packed rows: the kernel's own, or
+    any other series packed (``PackedSeries.of``).  Every grade goes
+    through the packed certificate, which proves it an integral Laurent
+    polynomial in lam or raises.  The call's width B holds every N_h and
+    |D|_1, and it admits every quotient no larger than the largest N_h,
+    since then max|q'_i| |D|_1 + N_h <= max_h N_h (|D|_1 + 1).  A twist
+    at another width or step is re-laid at B once; B holds its digits,
+    since N_h >= |c_j|_1.
     """
-    cert = _certificate_data(data, point_series, operator)
+    twists = [PackedSeries.of(s) for s in point_series]
+    cert = _certificate_data(data, twists, operator)
     pairs, _, den_norm, _, grades = cert
-    # int() keeps every integral N_h; a grade with Fraction coefficients
-    # raises NonIntegral at its own grade, before its bound is compared
-    n_max = int(max(grade[3] for grade in grades))
-    packed = _factor_values(pairs, data, operator, _width(n_max * (den_norm + 1)))
+    packed = _factor_values(pairs, data, operator,
+                            _width(max(grade[3] for grade in grades) * (den_norm + 1)))
+    twists = [t.relaid(packed[0]) for t in twists]
     out = QSeries(LAMBDA_RING, point_series[0].trunc)
     for h, grade in enumerate(grades):
-        out.coeffs[h] = _packed_grade(grade, packed, cert)
+        out.coeffs[h] = _packed_grade(grade, twists, packed, cert)
     return out
 
 

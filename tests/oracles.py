@@ -23,8 +23,9 @@ function here recomputes one of them by another.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
-- ``quotient_bounds``: the certificate's bounds |D|_1 and N_h from
-  dense products, against ``lefschetz._certificate_data``.
+- ``quotient_bounds``: the certificate's bounds |D|_1 and N_h, and
+  each grade's span, from dense products, against
+  ``lefschetz._certificate_data``, which reads them from packed rows.
 - ``root_class_series``: A-hat and L from their definitions, as the
   product over Chern roots of one-variable series, against the closed
   forms of ``chern`` read at the roots' power sums (``power_sum_value``).
@@ -332,12 +333,14 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     return out
 
 
-def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[int]]:
-    """|D|_1 and, for every grade h, N_h from dense products.
+def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """|D|_1 and, for every grade h, (lo, hi, N_h) from dense products.
 
-    N_h = sum_j |c_j|_1 |pre_j|_1 over the nonzero c_j bounds every
-    coefficient of the grade's numerator; integral twists give int
-    bounds.
+    The numerator sum_j c_j pre_j of grade h spans lam^lo .. lam^hi, the
+    lowest and highest exponents of the products c_j pre_j over the
+    nonzero c_j, read in mu (0 and 0 when there is none), and
+    N_h = sum_j |c_j|_1 |pre_j|_1 bounds every one of its coefficients;
+    integral twists give int bounds.
     """
     prefactors, denominator = _prefactors(data, operator, True)
     series = [_in_mu(s) for s in point_series]
@@ -345,10 +348,14 @@ def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[int]]:
     def l1(coeffs):
         return sum(map(abs, coeffs))
 
-    bounds = [sum(l1(s.coeffs[h].coeffs.values()) * l1(pre.coeffs.values())
-                  for s, pre in zip(series, prefactors))
-              for h in range(len(series[0].coeffs))]
-    return l1(denominator.coeffs), bounds
+    grades = []
+    for h in range(len(series[0].coeffs)):
+        terms = [(s.coeffs[h], pre) for s, pre in zip(series, prefactors) if s.coeffs[h]]
+        # the extreme terms of a product of two Laurent polynomials do not cancel
+        grades.append((min(((c.min_exp() + pre.min_exp()) // 2 for c, pre in terms), default=0),
+                       max(((c.max_exp() + pre.max_exp()) // 2 for c, pre in terms), default=0),
+                       sum(l1(c.coeffs.values()) * l1(pre.coeffs.values()) for c, pre in terms)))
+    return l1(denominator.coeffs), grades
 
 
 # -- Chern-root classes from their definitions -------------------------------

@@ -21,7 +21,16 @@ from oracles import factor_majorant
 
 from propergenus.cli import main
 from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units, qseries
-from propergenus.core.qseries import LaurentRing, _binomial_product, _pack, _unpack
+from propergenus.core.qseries import (
+    LaurentRing,
+    _binomial_product,
+    _pack,
+    _raw,
+    _read,
+    _relay,
+    _span,
+    _unpack,
+)
 from propergenus.errors import NonIntegral, RingMismatch
 from propergenus.lambda_ring import (
     THETA,
@@ -327,9 +336,10 @@ def test_packed_kernel_wide_digits():
     got = _binomial_product(LAMBDA_RING, 8, factors)
     assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
     assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
-    # the Theta2 twist of a 2l = 8 tangent character at N = 20 packs and
-    # unpacks 72-bit digits through byte slices, from the default start,
-    # from the start 1 and from a seeded start
+    # the Theta2 twist of a 2l = 8 tangent character at N = 20 packs
+    # 72-bit digits through byte slices and unpacks them through byte
+    # copies onto 64 bits, from the default start, from the start 1 and
+    # from a seeded start
     E = tilde(_tangent_char(validate_weights((0, 1, 2, 3, 4, 6, 7, 9))[0]))
     ring, N = LaurentRing(E.var), 20
     factors = witten_factors(E, THETA2, N)
@@ -454,12 +464,14 @@ def test_packed_kernel_sign_bit(n, s):
         assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
 
 
-@pytest.mark.parametrize("B", [8, 16, 24, 32, 64, 72])
+@pytest.mark.parametrize("B", [8, 16, 24, 32, 40, 56, 64, 72, 80, 88, 96, 120])
 def test_digit_pack_round_trip(B):
-    # both layouts (one cast at 8/16/32/64 bits, byte slices at 24/72), from
-    # exponent lo in steps of step: the packed value is sum_i c_i 2^(B i)
-    # with c_i at exponent lo + step i, unpacking inverts packing, and a
-    # value with no n-digit balanced form raises OverflowError
+    # every layout (one cast at 8/16/32/64 bits, byte copies onto a cast
+    # width first, or byte slices when a digit above 64 bits does not fit
+    # 64), from exponent lo in steps of step: the packed value is
+    # sum_i c_i 2^(B i) with c_i at exponent lo + step i, unpacking inverts
+    # packing, and a value with no n-digit balanced form raises
+    # OverflowError
     rng = random.Random(B)
     top = 1 << (B - 1)
     for lo, step in ((0, 1), (-7, 1), (-6, 2), (4, 2), (-9, 3), (3, 3)):
@@ -493,6 +505,52 @@ def test_digit_pack_round_trip(B):
             assert _unpack(_pack(one, B, lo, step), B, lo, i + 1, "x", step) == one
 
 
+@pytest.mark.parametrize("B", [24, 40, 48, 56, 72, 80, 88, 96, 120])
+def test_wide_digits_read_by_one_cast(B):
+    # a width that no cast reads is re-laid onto one by byte copies: onto
+    # the next wider cast width, or onto 64 bits when every digit fits 64
+    # bits; a digit that does not fit sends the read to byte slices, and
+    # both reads give the digits
+    rng = random.Random(f"read-{B}")
+    top = 1 << (min(B, 64) - 1)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        digits = [rng.choice((0, 1, -1, -top, top - 1, rng.randrange(-top, top))) for _ in range(n)]
+        value = sum(c << (B * i) for i, c in enumerate(digits))
+        got = _read(_raw(value, B, n), B)
+        assert isinstance(got, memoryview) and list(got) == digits
+        if B > 64:
+            # one digit past 64 bits, of either sign: just past, or up to B
+            wide = rng.choice((top, -top - 1, rng.randrange(top + 1, 1 << (B - 1))))
+            digits[rng.randrange(n)] = wide if rng.random() < 0.5 else -wide - 1
+            value = sum(c << (B * i) for i, c in enumerate(digits))
+            got = _read(_raw(value, B, n), B)
+            assert isinstance(got, list) and got == digits
+
+
+@pytest.mark.parametrize("B", [8, 16, 24, 32, 64, 72, 80])
+def test_span_and_relay_read_the_digits(B):
+    # _span finds the lowest and highest nonzero digits and the l1 norm of
+    # the digits; _relay moves digit i to digit step i at another width,
+    # narrower or wider, as packing the digits there does
+    rng = random.Random(f"span-{B}")
+    top = 1 << (B - 1)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        digits = [rng.choice((0, 0, 1, -1, -top, top - 1, rng.randrange(-top, top))) for _ in range(n)]
+        digits[rng.randrange(n)] = rng.choice((-1, 1, -top, top - 1))
+        value = sum(c << (B * i) for i, c in enumerate(digits))
+        nonzero = [i for i, c in enumerate(digits) if c]
+        assert _span(value, B, n) == (nonzero[0], nonzero[-1], sum(map(abs, digits)))
+        for width in (8, 16, 32, 40, 64, 72, 96):
+            if max(map(abs, digits)) >= 1 << (width - 1):
+                continue
+            for step in (1, 2, 3):
+                want = sum(c << (width * step * i) for i, c in enumerate(digits))
+                assert _relay(value, B, n, step, width) == want, (width, step)
+    assert _relay(0, B, 3, 2, 16) == 0
+
+
 # -- the grade lattice ---------------------------------------------------------------
 
 
@@ -520,7 +578,9 @@ def unpacked_widths(monkeypatch, *args):
 
     unpack = qseries._unpack
     monkeypatch.setattr(qseries, "_unpack", spy)
-    return _binomial_product(*args), widths
+    got = _binomial_product(*args)
+    got.coeffs  # the rows unpack on this first read
+    return got, widths
 
 
 def test_packed_kernel_on_grade_lattices():
@@ -571,8 +631,7 @@ def witten_factors(E, variant, N):
         powers += [(2 * m, 1, True) for m in range(1, N + 1)]
     elif variant == THETA2:
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
-    lines = _split(E)
-    return [f for h, sign, exterior in powers for f in _line_factors(lines, h, sign, exterior)]
+    return _line_factors(E, powers)
 
 
 def test_witten_bundles_on_the_lattice(monkeypatch):

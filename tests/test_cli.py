@@ -407,6 +407,49 @@ def test_cancellation_bytes_are_pinned(capsys, k, order, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The bytes of the Theta2 twist itself.  Both genera of a Theta2 twist
+# vanish identically, so a fixed-point sum cannot pin it: a sign flip of
+# Jacobi's triple product leaves every such sum zero, but changes these.
+THETA2_DIGESTS = [
+    ("(theta2 (tilde (sum (rep 1) (rep -1))))", 4,
+     "02ee6e46e390f4fb9e491caeaaeaa7413b75ff24e4b035586cd70dbe9e11e50f"),
+    ("(theta2 (tilde (sum (rep 1) (rep -1) (rep 3) (rep -3))))", 10,
+     "afb174b5301d3b8192a1de8ee7064e80c0a01038e855917fe49e29ff867f9a31"),
+]
+
+
+@pytest.mark.parametrize("expr, order, digest", THETA2_DIGESTS,
+                         ids=[f"pairs{expr.count('rep') // 2}-order{o}" for expr, o, _ in THETA2_DIGESTS])
+def test_theta2_bundle_bytes_are_pinned(capsys, expr, order, digest):
+    got, out = run(capsys, "bundle", "expand", "--expr", expr, "--order", str(order))
+    assert got == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Fixed-point sums whose twists are laid out unlike the certificate: the
+# kernel's digit width is wider or narrower than the certificate's, or
+# the twist's exponents step by g = 2.
+LAYOUT_DIGESTS = [
+    ("kernel64-cert32", ["--weights", "0,1,2,5", "--twist", "theta2", "--order", "20"],
+     "b038991089e7970e81e80ff78beaec6be23c0d01fce7f98ead289b6c73d020bc"),
+    ("kernel32-cert64", ["--weights", "0,1,2,3,4,6", "--order", "12"],
+     "c62ab59f01f455feec0598492d935a09e3b07c8aa16c2f8a713bd67eee7d8126"),
+    ("kernel72-cert64", ["--weights", "0,1,2,3,4,6,7,9", "--twist", "theta2", "--order", "20"],
+     "8aec1d5dae502473505ab8360cc40c729c34b06755b1fdd1d5e99cffb8be8a8d"),
+    ("step2", ["--weights", "0,2,4,6", "--operator", "signature", "--twist", "theta1",
+               "--order", "10"],
+     "22c0caa46f244f41d1bc7df5e0d794546a35c1bcd882bd1687bccdf7225fd0fb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", [case[1:] for case in LAYOUT_DIGESTS],
+                         ids=[case[0] for case in LAYOUT_DIGESTS])
+def test_relaid_twist_bytes_are_pinned(capsys, argv, digest):
+    got, out = run(capsys, "lefschetz", *argv)
+    assert got == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_emitted_series_round_trips_into_library(capsys):
     from propergenus.induction import averaged_witten_genus
 

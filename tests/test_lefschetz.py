@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propergenus import lefschetz
-from propergenus.core import LaurentPoly, QSeries
-from propergenus.core.qseries import _width
+from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
+from propergenus.core.qseries import PackedSeries, _width
 from propergenus.core.ratfunc import Poly
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import (
@@ -23,7 +23,6 @@ from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
     _certificate_data,
-    _factor_values,
     _packed_grade,
     _twist_series,
     lefschetz_twisted,
@@ -237,9 +236,12 @@ def _seeded_weights(rng, two_l, span):
 def _count_packs(monkeypatch, first=None):
     """Record the width of every _factor_values call: the norms' width B0
     of _certificate_data, then one per pack.  With ``first``, the first
-    pack is at that width instead of the one it is given."""
+    pack is at that width instead of the one it is given, and so are the
+    twists, which the assembly re-lays at the pack's width.  Every grade
+    must read its twists at the pack's width and step 1."""
     widths = []
     real_values = lefschetz._factor_values
+    real_grade = lefschetz._packed_grade
 
     def values(pairs, data, operator, B):
         if first and len(widths) == 1:
@@ -247,8 +249,18 @@ def _count_packs(monkeypatch, first=None):
         widths.append(B)
         return real_values(pairs, data, operator, B)
 
+    def grade(grade, twists, packed, cert):
+        assert {t.packed[1:3] for t in twists} == {(packed[0], 1)}, packed[0]
+        return real_grade(grade, twists, packed, cert)
+
     monkeypatch.setattr(lefschetz, "_factor_values", values)
+    monkeypatch.setattr(lefschetz, "_packed_grade", grade)
     return widths
+
+
+def _certificate(data, series, operator):
+    """_certificate_data of the point series, read as packed rows."""
+    return _certificate_data(data, [PackedSeries.of(s) for s in series], operator)
 
 
 PACKED_CASES = [
@@ -287,14 +299,17 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
 def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     # at the narrowest width that holds every N_h and |D|_1, the packed
     # check leaves one grade undecided; exact division of P by D decides
-    # it, and the sum still comes out exact from one pack
+    # it, and the sum still comes out exact from one pack.  The kernel's
+    # rows are 32 bits wide, and the assembly re-lays them at B = 16, so
+    # the narrow width runs through the rows as the call's width does.
     ws, N = (0, 1, 2, 5), 12
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
-    cert = _certificate_data(data, series, DIRAC)
+    cert = _certificate(data, series, DIRAC)
     B = _width(max(max(grade[3] for grade in cert[4]), cert[2]))
     assert B == 16
+    assert {s.packed[1] for s in series} == {32}
     divisions = []
     real_divmod = Poly.__divmod__
 
@@ -303,16 +318,23 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
         return real_divmod(self, other)
 
     monkeypatch.setattr(Poly, "__divmod__", counted)
-    packed = _factor_values(cert[0], data, DIRAC, B)
-    divided = []
-    for h, grade in enumerate(cert[4]):
-        calls = len(divisions)
-        assert _packed_grade(grade, packed, cert) == reference.coeffs[h], h
-        if len(divisions) > calls:
-            divided.append(h)
-    assert len(divided) == 1 and reference.coeffs[divided[0]], divided
     widths = _count_packs(monkeypatch, first=B)
+    divided, grades = [], []
+    counting_grade = lefschetz._packed_grade
+
+    def grade(grade, twists, packed, cert):
+        assert packed[0] == B
+        calls = len(divisions)
+        got = counting_grade(grade, twists, packed, cert)
+        if len(divisions) > calls:
+            divided.append(len(grades))
+        grades.append(got)
+        return got
+
+    monkeypatch.setattr(lefschetz, "_packed_grade", grade)
     assert lefschetz_twisted(ws, DIRAC, THETA, N) == reference
+    assert grades == reference.coeffs
+    assert len(divided) == 1 and reference.coeffs[divided[0]], divided
     # D and the P_j are evaluated once at B0 for their norms, then once
     # for the one pack
     assert widths == [_width(1 << len(cert[0])), B], widths
@@ -350,7 +372,8 @@ def test_proven_width_decides_every_grade(operator, twist, monkeypatch):
         series = [_twist_series(d, twist, N) for d in data]
         reference = dense_assemble(data, series, operator, True)
         den_norm, bounds = quotient_bounds(data, series, operator)
-        cert = _certificate_data(data, series, operator)
+        bounds = [grade[2] for grade in bounds]
+        cert = _certificate(data, series, operator)
         assert cert[2] == den_norm and [grade[3] for grade in cert[4]] == bounds, ws
         packs.clear()
         assert lefschetz._assemble(data, series, operator) == reference, ws
@@ -363,52 +386,110 @@ def test_proven_width_decides_every_grade(operator, twist, monkeypatch):
         assert str(got.value) == str(expected.value), ws
 
 
+def _assert_certificate_reads_like_oracle(data, series, operator):
+    """Every grade's (lo, hi, N_h) and |D|_1, read from the twists' rows,
+    equal the dense oracle's; the sum equals the dense assembly; and the
+    sign-flipped twists of the unsigned sum raise the oracle's NotLaurent."""
+    den_norm, bounds = quotient_bounds(data, series, operator)
+    cert = _certificate(data, series, operator)
+    assert cert[2] == den_norm
+    assert [grade[1:] for grade in cert[4]] == bounds
+    assert lefschetz._assemble(data, series, operator) == dense_assemble(data, series, operator, True)
+    flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
+    with pytest.raises(NotLaurent) as expected:
+        dense_assemble(data, series, operator, False)
+    with pytest.raises(NotLaurent) as got:
+        lefschetz._assemble(data, flipped, operator)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("operator", [DIRAC, SIGNATURE])
+@pytest.mark.parametrize("twist", [None, THETA, THETA1, THETA2])
+def test_certificate_reads_rows_like_the_oracle(operator, twist):
+    # the kernel's rows (the twist-less 1 and the negated twists packed by
+    # _pack) give the certificate the dense oracle's spans and bounds
+    rng = random.Random(f"rows-{operator}-{twist}")
+    N = 4
+    for two_l in (2, 4, 6, 8):
+        ws = _seeded_weights(rng, two_l, 6)
+        data = validate_weights(ws)
+        series = [_twist_series(d, twist, N) for d in data]
+        assert all(isinstance(s, PackedSeries) == (twist is not None) for s in series)
+        _assert_certificate_reads_like_oracle(data, series, operator)
+
+
+# (weights, operator, twist, N) whose twists the certificate re-lays, with
+# the kernel's digit width and step and the certificate's width
+RELAID_CASES = {
+    "kernel64-cert32": (((0, 1, 2, 5), DIRAC, THETA2, 20), (64, 1), 32),
+    "kernel32-cert64": (((0, 1, 2, 3, 4, 6), DIRAC, THETA, 12), (32, 1), 64),
+    "kernel72-cert64": (((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA2, 20), (72, 1), 64),
+    "step2": (((0, 2, 4, 6), SIGNATURE, THETA1, 10), (32, 2), 32),
+}
+
+
+@pytest.mark.parametrize("case", list(RELAID_CASES))
+def test_relaid_twists_certify_like_the_oracle(case, monkeypatch):
+    (ws, operator, twist, N), layout, B = RELAID_CASES[case]
+    data = validate_weights(ws)
+    series = [_twist_series(d, twist, N) for d in data]
+    assert {s.packed[1:3] for s in series} == {layout}
+    _assert_certificate_reads_like_oracle(data, series, operator)
+    # every grade reads the twists re-laid at the call's width B
+    packs = _count_packs(monkeypatch)
+    lefschetz._assemble(data, series, operator)
+    assert packs[1:] == [B]
+
+
 def test_packed_grade_refuses_what_it_cannot_prove():
     # one point with pre = 1 over D = (lam - 1)^k: a grade the packed check
     # cannot prove at width B is divided exactly; a grade shown not to be
     # Laurent, or not integral, raises, and so does a width that does not
     # hold N_h
-    def over(k, B):
-        return (B, ((1 << B) - 1) ** k, [1]), ([], k, 2 ** k, [(0, 0, 1)], [])
-
-    def grade_of(c):
-        return [(c, 0)], min(c.coeffs), max(c.coeffs), sum(map(abs, c.coeffs.values()))
+    def over(c, k, B):
+        """The arguments of _packed_grade for the grade c / (lam - 1)^k at
+        width B: c packed as a twist, re-laid at B."""
+        twist = PackedSeries.of(QSeries(LAMBDA_RING, 1, [c])).relaid(B)
+        grade = [(0, 0)], min(c.coeffs), max(c.coeffs), sum(map(abs, c.coeffs.values()))
+        packed = B, ((1 << B) - 1) ** k, [1]
+        return grade, [twist], packed, ([], k, 2 ** k, [(0, 0, 1)], [])
 
     # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
     # coefficient n: with n = 200 the numerator bound is only 4, and only
     # the quotient check sees that n does not fit a balanced 8-bit digit;
     # exact division gives the square at 8 bits as at 16
     n = 200
-    grade = grade_of(LaurentPoly({0: 1, n: -2, 2 * n: 1}))
+    c = LaurentPoly({0: 1, n: -2, 2 * n: 1})
     square = LaurentPoly(dict.fromkeys(range(n), 1)) ** 2
     for B in (8, 16):
-        assert _packed_grade(grade, *over(2, B)) == square, B
+        assert _packed_grade(*over(c, 2, B)) == square, B
     # (lam^255 - 1) / (lam - 1)^2 is not Laurent, yet 255^2 divides
     # 256^255 - 1: the remainder vanishes at B = 8 and the quotient fails
     # the check; at B = 16 the remainder is nonzero, and the message names
     # the reduced denominator in mu
-    grade = grade_of(LaurentPoly({0: -1, 255: 1}))
+    c = LaurentPoly({0: -1, 255: 1})
     for B in (8, 16):
         with pytest.raises(NotLaurent) as got:
-            _packed_grade(grade, *over(2, B))
+            _packed_grade(*over(c, 2, B))
         assert str(got.value) == "denominator -1*x^0 + 1*x^2 has a non-monomial factor", B
     # the same grade times lam^-3: the pole at mu = 0 joins the denominator
     with pytest.raises(NotLaurent) as got:
-        _packed_grade(grade_of(LaurentPoly({-3: -1, 252: 1})), *over(2, 16))
+        _packed_grade(*over(LaurentPoly({-3: -1, 252: 1}), 2, 16))
     assert str(got.value) == "denominator -1*x^6 + 1*x^8 has a non-monomial factor"
     # N_h = 600 does not fit a balanced 8-bit digit: the call's width
     # always holds N_h, so a width that does not is a defect
     with pytest.raises(AssertionError, match="does not fit"):
-        _packed_grade(grade_of(LaurentPoly({0: 300, 1: -300})), *over(1, 8))
+        _packed_grade(*over(LaurentPoly({0: 300, 1: -300}), 1, 8))
     outcomes = {
-        "nonzero remainder": (LaurentPoly({0: 1, 3: 1}), over(1, 16), NotLaurent),
-        "fewer degrees than D": (LaurentPoly({0: 2, 1: 1}), over(2, 16), NotLaurent),
+        "nonzero remainder": (LaurentPoly({0: 1, 3: 1}), 1, NotLaurent),
+        "fewer degrees than D": (LaurentPoly({0: 2, 1: 1}), 2, NotLaurent),
+        # a twist with a Fraction coefficient has no packed rows
         "Fraction coefficient": (LaurentPoly({0: Fraction(-1, 2), 1: Fraction(1, 2)}),
-                                 over(1, 16), NonIntegral),
+                                 1, NonIntegral),
     }
-    for case, (c, packed, outcome) in outcomes.items():
+    for case, (c, k, outcome) in outcomes.items():
         with pytest.raises(outcome):
-            _packed_grade(grade_of(c), *packed)
+            _packed_grade(*over(c, k, 16))
 
 
 def test_oracles_share_no_assembly_code():

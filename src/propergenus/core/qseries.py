@@ -334,22 +334,6 @@ class PackedSeries(QSeries):
         self.coeffs = coeffs
         return coeffs
 
-    @classmethod
-    def of(cls, series: QSeries) -> "PackedSeries":
-        """``series`` as packed rows: itself when it is packed, or else each
-        grade h packed by :func:`_pack` as row h, at g = d = 1, m = 0 and
-        r = max|e|, and at the narrowest width that holds it."""
-        if isinstance(series, cls):
-            return series
-        coeffs = series.coeffs
-        if not all(c.is_integral() for c in coeffs):
-            raise NonIntegral("a coefficient is not integral")
-        r = max((abs(e) for c in coeffs for e in c.coeffs), default=0)
-        B = _width(max((abs(v) for c in coeffs for v in c.coeffs.values()), default=0))
-        out = cls(series.ring, series.trunc, ([_pack(c, B, -r) for c in coeffs], B, 1, r, 0, 1))
-        out.coeffs = coeffs
-        return out
-
     def spans(self) -> list:
         """(h, k, lo, hi, l1) of every nonzero row k: its grade h in half
         units, its lowest and highest exponent of x and the l1 norm of its
@@ -545,7 +529,7 @@ def _convolve(rows, c, h: int, shift: int):
 def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
     """Multiply rows (row k the coefficient of u^k, u one step of the
     grade lattice) by (1 + s y)^mult, or divide them by (1 - s y)^mult,
-    with y = u^h 2^shift.
+    with s = +-1 and y = u^h 2^shift.
 
     A multiplicity that the truncation does not cut is applied one unit
     at a time, k downwards to multiply and upwards to divide, one shift
@@ -567,12 +551,10 @@ def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
             if not src:
                 continue
             src <<= shift
-            if s == 1:  # the common s = +-1 needs no multiplication
+            if s > 0:
                 rows[k] += src
-            elif s == -1:
-                rows[k] -= src
             else:
-                rows[k] += s * src
+                rows[k] -= src
 
 
 def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
@@ -599,37 +581,14 @@ def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
             rows[i] = acc
 
 
-def _pairs(weighted, top: int) -> dict:
-    """``{(s, w): mult}``, w > 0, of the full Theta2 pairs among the
-    weighted factors: the multiply factors (s, +-w, h, False), s = +-1, of
-    every odd h <= top, with one summed multiplicity
-    mult <= 3 isqrt(top).  By Jacobi's triple product (Hardy and Wright,
-    Theorem 352) their product is sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf,
-    one pass of about 2 sqrt(top) shifted adds per row and unit of mult.
-    A larger mult keeps its binomial passes, which grow with top but
-    only slowly with mult (:func:`_apply`): they win from about
-    4 isqrt(top) on."""
-    odd = {}
-    for s, w, h, divide, mult in weighted:
-        if h & 1 and not divide and s * s == 1:
-            odd[s, w, h] = odd.get((s, w, h), 0) + mult
-    pairs = {}
-    for s, w, h in odd:
-        if h == 1 and w > 0:
-            mults = {odd.get((s, v, j)) for v in (w, -w) for j in range(1, top + 1, 2)}
-            mult = mults.pop()
-            if not mults and mult <= 3 * math.isqrt(top):
-                pairs[s, w] = mult
-    return pairs
-
-
 @functools.lru_cache(maxsize=256)
 def _scalar_start(zero: tuple, top: int) -> tuple:
-    """The product of the weight-0 factors ``zero`` on plain ints, its
-    coefficient of q^(k/2) at index k = 0..top.  The twists at all fixed
-    points of one call share their rank, so they share one start."""
+    """The product of the weight-0 factors ``zero``, each (s, h, divide,
+    mult) as in :func:`_apply`, on plain ints: its coefficient of q^(k/2)
+    at index k = 0..top.  The twists at all fixed points of one call
+    share their rank, so they share one start."""
     base = [1] + [0] * top
-    for s, _, h, divide, mult in zero:
+    for s, h, divide, mult in zero:
         _apply(base, s, h, divide, mult)
     return tuple(base)
 
@@ -640,69 +599,70 @@ def _majorant(norms: tuple, base: tuple, lines: frozenset) -> int:
 
     M_k starts as the start rows' l1 ``norms``, padded with zeros, convolved
     with ``base``, the |base_k|: ``base`` itself at the start 1; the merged
-    weighted factors ``{(|s|, h, divide): mult}`` of ``lines`` then run
-    on these scalars.  The factors commute, so merging changes no value,
-    and no exponent of x enters, so the twists at all fixed points of
-    one call share one key.
+    weighted factors ``{(h, divide): mult}`` of ``lines`` then run on
+    these scalars with s = 1.  The factors commute, so merging changes no
+    value, and no exponent of x enters, so the twists at all fixed points
+    of one call share one key.
     """
     majorant = list(norms) + [0] * (len(base) - len(norms))
     _convolve(majorant, base, 1, 0)
-    for (s, h, divide), mult in lines:
-        _apply(majorant, s, h, divide, mult)
+    for (h, divide), mult in lines:
+        _apply(majorant, 1, h, divide, mult)
     return max(majorant)
 
 
-def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | None = None) -> QSeries:
-    """The product of binomial factors over a Laurent ring, built in place.
+def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None = None) -> PackedSeries:
+    """The product of S_t(E), or L_t(E) when ``exterior``, over ``powers``
+    (h, sign, exterior) with t = sign q^(h/2), h >= 1 and sign = +-1,
+    times the series ``start`` (integer Laurent coefficients in the
+    variable of E, by default 1), exact to the lower of the two
+    truncations and built in place.
 
-    Each factor ``(s, w, h, divide, mult)`` multiplies the running
-    product by (1 + s x^w q^(h/2))^mult or, when ``divide``, divides it
-    by (1 - s x^w q^(h/2))^mult, with h >= 1.  The product starts from
-    the series ``start`` (integer Laurent coefficients), by default 1,
-    and is exact to the lower of the two truncations.
-
-    The factors with w = 0 carry no x: they multiply out on plain ints
+    A line c x^w of E gives each power one binomial factor: with s = sign
+    when c > 0 and s = -sign when c < 0, the product is multiplied by
+    (1 + s x^w t')^|c|, t' = q^(h/2), or divided by (1 - s x^w t')^|c|
+    when c > 0 is not exterior or c < 0 is, by S_t(P - M) = S_t(P) L_-t(M)
+    and L_t(P - M) = L_t(P) S_-t(M).  A c that is not an integer raises
+    NonIntegral.  The weight-0 line's factors multiply out on plain ints
     into the scalar start ``base``, once per distinct list
     (:func:`_scalar_start`).  The start's rows are packed, padded with
     zero rows to the length of the lattice and multiplied by base
     (:func:`_convolve`).  Only the grade lattice q^(d k/2) is kept, d the
-    gcd of every weighted h and of every index of a nonzero entry of base
-    or of the start; every other grade is zero.  Row k, the coefficient
-    of q^(d k/2), is one int R_k = sum_e c_e 2^(B (e/g + r + m k)), the
-    :func:`_pack` of that coefficient at lo = -g (r + m k) and step g:
-    g is the gcd of the weights and of the start's exponents,
-    m = max|w|/g, r = max|e|/g over the start, and B is the digit width
-    in bits.  Every weighted h is at least d, so grade d k holds at most
-    k weighted units, each moving |e/g| by at most m: row k only reaches
-    |e/g| <= r + m k, and exponent e sits at digit e/g + r + m k, in
-    0..2(r + m k).  For Theta and Theta1 (every h even) that halves both
-    the number of rows and the digits in each.  A weighted factor is
-    ``R_k += s (R_(k-h/d) << B (w/g + m h/d))`` for k downwards, or
-    upwards to divide, or one binomial series per row (:func:`_apply`);
-    the shift is never negative.
+    gcd of every h (when E has a weighted line) and of every index of a
+    nonzero entry of base or of the start; every other grade is zero.
+    Row k, the coefficient of q^(d k/2), is one int
+    R_k = sum_e c_e 2^(B (e/g + r + m k)), the :func:`_pack` of that
+    coefficient at lo = -g (r + m k) and step g: g is the gcd of the
+    weights and of the start's exponents, m = max|w|/g, r = max|e|/g
+    over the start, and B is the digit width in bits.  Grade d k holds at
+    most k weighted units, each moving |e/g| by at most m, so exponent e
+    sits at digit e/g + r + m k, in 0..2(r + m k): for Theta and Theta1
+    (every h even) half the rows at half the digits.  A weighted factor
+    is ``R_k +-= R_(k-h/d) << B (w/g + m h/d)`` for k downwards, or
+    upwards to divide, or one binomial series per row (:func:`_apply`).
 
-    The full Theta2 pairs (:func:`_pairs`) run by Jacobi's triple
-    product instead, in place of their binomial passes: once B is set,
-    their 1/(q; q)^mult joins the scalar start as weight-0 factors
-    (1, 0, 2n, True, mult), and each pair is mult downward passes of its
-    sum side (:func:`_triple`) at the end.  When the start and every
-    remaining weighted factor sit on whole grades, these run in two
-    phases.  Phase 1 is the rest of the product on the whole-q lattice,
-    half the rows at half the digits, row k' at lo = -g (r + m k').
-    Phase 2 spreads row k' to half-grade 2k' by one shift of B m k',
-    convolves the scalar start and runs the triple product.
+    When the odd powers are one per odd h <= 2 trunc, all of one sign and
+    kind (Theta2), each line pair +-w of one multiplying c with
+    |c| <= 3 isqrt(2 trunc) runs by Jacobi's triple product (Hardy and
+    Wright, Theorem 352): its odd factors are
+    sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf, |c| downward passes of
+    about 2 sqrt(2 trunc) shifted adds per row (:func:`_triple`), where
+    the binomial passes win from about 4 isqrt(2 trunc) on.  Once B is
+    set, 1/(q; q)^|c| joins the scalar start.  When every weighted line
+    is paired and the start has no odd grade, the rest runs first on the
+    whole-q rows, row k' at lo = -g (r + m k'); then row k' moves to
+    half-grade 2k' by one shift of B m k', the scalar start is convolved
+    and the triple product runs.
 
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
-    the rows are exact as long as the final digits satisfy |c| < 2^(B-1);
-    intermediate digits may overflow, since only the final rows are read.
-    B comes from a proven bound, since the l1 norm of a product is at most
-    the convolution of its factors' l1 norms: B = :func:`_width` of
-    :func:`_majorant` of the binomial factorisation, which never
-    overflows.  The product is exact to q^trunc: no exponent of x is
-    dropped.  It is returned as these rows (:class:`PackedSeries`), and
-    each row is unpacked once, by :func:`_unpack`, if its coefficients
-    are read.
+    the rows are exact while the final digits satisfy |c| < 2^(B-1);
+    intermediate digits may overflow.  The l1 norm of a product is at
+    most the convolution of its factors' l1 norms, so B = :func:`_width`
+    of :func:`_majorant` of the binomial factorisation never overflows,
+    and no exponent of x is dropped.  The rows are returned as they are
+    (:class:`PackedSeries`) and unpack only when read.
     """
+    ring = LaurentRing(E.var)
     if start is None:
         start = [ring.one()]
     elif start.ring != ring:
@@ -711,44 +671,62 @@ def _binomial_product(ring: LaurentRing, trunc: int, factors, start: QSeries | N
         trunc = min(trunc, start.trunc)
         start = start.coeffs[:2 * trunc + 1]
     top = 2 * trunc
-    zero, weighted = [], []
-    for f in factors:
-        if f[2] <= top:
-            (weighted if f[1] else zero).append(f)
-    base = _scalar_start(tuple(zero), top)
+    for w, c in E.coeffs.items():
+        if not isinstance(c, int):
+            raise NonIntegral(f"multiplicity {c} at weight {w} is not an integer")
+    powers = [p for p in powers if p[0] <= top]
+    lines = [(w, c) for w, c in E.coeffs.items() if w] if powers else []
+    c0 = E.coeffs.get(0)
+    zero = tuple((sign if c0 > 0 else -sign, h, (c0 > 0) != ext, abs(c0))
+                 for h, sign, ext in powers) if c0 else ()
+    base = _scalar_start(zero, top)
     exponents = [e for row in start for e in row.coeffs]
-    g = gcd(*(f[1] for f in weighted), *exponents) or 1
-    d = gcd(*(f[2] for f in weighted), *(k for k, b in enumerate(base) if b),
+    g = gcd(*(w for w, _ in lines), *exponents) or 1
+    d = gcd(*(h for h, _, _ in powers if lines), *(k for k, b in enumerate(base) if b),
             *(k for k, row in enumerate(start) if row)) or 1
-    m = max((abs(f[1]) for f in weighted), default=0) // g
+    m = max((abs(w) for w, _ in lines), default=0) // g
     r = max(map(abs, exponents), default=0) // g
     base = base[::d]
     start = start[::d]
     norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
     if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
         raise NonIntegral("a start coefficient is not integral")
-    lines = {}
-    for s, _, h, divide, mult in weighted:
-        key = (abs(s), h // d, divide)
-        lines[key] = lines.get(key, 0) + mult
-    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(lines.items())))
+    # per power, the positive and the negative lines merge into one factor each
+    plus = sum(c for _, c in lines if c > 0)
+    minus = -sum(c for _, c in lines if c < 0)
+    merged = {}
+    for h, _, ext in powers:
+        for key, mult in (((h // d, not ext), plus), ((h // d, ext), minus)):
+            if mult:
+                merged[key] = merged.get(key, 0) + mult
+    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(merged.items())))
 
-    # a pair has h = 1, so the pair detection runs only when d = 1
-    pairs = _pairs(weighted, top) if d == 1 else {}
+    pairs = {}
+    odd = [p for p in powers if p[0] & 1]
+    kinds = {p[1:] for p in odd}
+    if lines and len(kinds) == 1 and sorted(h for h, _, _ in odd) == list(range(1, top, 2)):
+        ((sign, ext),) = kinds
+        for w, c in lines:
+            if w > 0 and E.coeffs.get(-w) == c and (c > 0) == ext and abs(c) <= 3 * math.isqrt(top):
+                pairs[sign if ext else -sign, w] = abs(c)
+    paired = {v for _, w in pairs for v in (w, -w)}
     if pairs:
         jtp = sum(pairs.values())
-        base = _scalar_start(tuple(zero) + tuple((1, 0, h, True, jtp) for h in range(2, top + 1, 2)), top)
-        weighted = [f for f in weighted
-                    if not (f[2] & 1 and not f[3] and (f[0], abs(f[1])) in pairs)]
-    # phase 1 runs on the whole-q rows (every = 2) unless a grade left in it is odd
-    every = 2 if pairs and not any(f[2] & 1 for f in weighted) and not any(start[1::2]) else 1
+        base = _scalar_start(zero + tuple((1, h, True, jtp) for h in range(2, top + 1, 2)), top)
+    # phase 1 runs on the whole-q rows (every = 2) when every weighted line is paired
+    every = 2 if pairs and len(paired) == len(lines) and not any(start[1::2]) else 1
     rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]
     rows += [0] * (len(base[::every]) - len(rows))
     if every == 1:
         _convolve(rows, base, 1, B * m)
-    for s, w, h, divide, mult in weighted:
+    units = [(w, B * w // g, c > 0, abs(c)) for w, c in lines]
+    for h, sign, ext in powers:
+        skip = paired if h & 1 else ()
         h //= d * every
-        _apply(rows, s, h, divide, mult, B * (w // g + m * h))
+        lift = B * m * h
+        for w, shift, positive, mult in units:
+            if w not in skip:
+                _apply(rows, sign if positive else -sign, h, positive != ext, mult, shift + lift)
     if every == 2:
         spread = [0] * len(base)
         spread[::2] = [row << B * m * k for k, row in enumerate(rows)]

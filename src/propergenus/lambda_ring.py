@@ -4,25 +4,25 @@ A virtual representation of the circle is recorded by its character, a
 Laurent polynomial whose exponent n carries the one-dimensional
 representation of weight n.  Total symmetric and exterior powers S_t
 and L_t of a character with integer multiplicities are products over
-its lines: split E = P - M into positive and negative parts, then
+its lines: with E = P - M split into positive and negative parts,
 S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M), so
 the d lines of weight w contribute one binomial factor (1 +- t x^w)^d
-or its inverse.  A whole Witten bundle is one product of such factors,
-applied in place (``core.qseries._binomial_product``): the weight-0
-factors, the rank part of E~ among them, multiply out on plain ints
-into the product's scalar start, built once for all fixed points of a
-call, and the cost of a weighted factor is bounded by the truncation,
-not by its multiplicity.  In Theta2 the exterior factors of a line pair
-+-w of equal multiplicity run by Jacobi's triple product instead,
+or its inverse.  A whole Witten bundle is one such product over two
+short lists, the lines of E and the powers t of q, and
+``core.qseries._binomial_product`` takes exactly these two lists: E
+itself and its powers (h, sign, exterior), t = sign q^(h/2).  It reads
+each factor as a line and a power inside its loops, multiplies the
+weight-0 factors, the rank part of E~ among them, out on plain ints
+into a scalar start built once for all fixed points of a call, and
+bounds the cost of a weighted factor by the truncation, not by its
+multiplicity.  In Theta2 the exterior factors of a line pair +-w of
+equal multiplicity run by Jacobi's triple product instead,
 prod_m (1 - z q^(m-1/2))(1 - q^(m-1/2)/z)
-= sum_k (-1)^k z^k q^(k^2/2) / prod_n (1 - q^n): the sum side is one
-pass per unit of multiplicity, the denominator joins the scalar start,
-and the rest of the product runs first on the whole-q grades, in two
-phases.  The product can start from a given series, so Theta(E~) times
-a series is one such run.
-A character with a non-integral multiplicity is refused with
-NonIntegral.  The tests hold this route equal to the Adams-operation
-exponential
+= sum_k (-1)^k z^k q^(k^2/2) / prod_n (1 - q^n), in two phases.  The
+product can start from a given series, so Theta(E~) times a series is
+one such run.  A character with a non-integral multiplicity is refused
+with NonIntegral.  The tests hold this route equal to the
+Adams-operation exponential
 
     S_t(E) = exp( sum_k  psi^k(E) t^k / k ),
     L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ).
@@ -59,20 +59,6 @@ def tilde(E: LaurentPoly) -> LaurentPoly:
     return E - rk
 
 
-def _split(E: LaurentPoly) -> tuple[dict[int, int], dict[int, int]]:
-    """Split E = P - M into positive and negative weight multiplicities."""
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    for e, c in E.coeffs.items():
-        if not isinstance(c, int):
-            raise NonIntegral(f"multiplicity {c} at weight {e} is not an integer")
-        if c > 0:
-            pos[e] = c
-        else:
-            neg[e] = -c
-    return pos, neg
-
-
 def sym_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     """Total symmetric power S_t(E) with t = sign * q^t_grade."""
     return _total_power(E, t_grade, sign, N, exterior=False)
@@ -83,30 +69,13 @@ def ext_total(E: LaurentPoly, t_grade, sign: int = 1, N: int = 8) -> QSeries:
     return _total_power(E, t_grade, sign, N, exterior=True)
 
 
-def _line_factors(E: LaurentPoly, powers) -> list:
-    """The binomial factors of the product of S_t(E), or of L_t(E) when
-    ``exterior``, over ``powers`` of (h_t, sign, exterior) with
-    t = sign * q^(h_t/2), one per power and weight with its multiplicity.
-
-    With E = P - M (:func:`_split`), a weight-w line of P contributes
-    1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
-    S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
-    a line of M contributes the other one with -t.
-    """
-    pos, neg = _split(E)
-    lines = [(w, mult, flip) for weights, flip in ((pos, False), (neg, True))
-             for w, mult in sorted(weights.items())]
-    return [(-sign if flip else sign, w, h_t, exterior == flip, mult)
-            for h_t, sign, exterior in powers for w, mult, flip in lines]
-
-
 def _total_power(E: LaurentPoly, t_grade, sign: int, N: int, exterior: bool) -> QSeries:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     h_t = half_units(t_grade)
     if h_t < 1:
         raise ValueError("t must carry a positive power of q")
-    return _binomial_product(LaurentRing(E.var), N, _line_factors(E, [(h_t, sign, exterior)]))
+    return _binomial_product(E, [(h_t, sign, exterior)], N)
 
 
 def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8,
@@ -125,7 +94,7 @@ def theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8,
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
-    return _binomial_product(LaurentRing(E.var), N, _line_factors(E, powers), start)
+    return _binomial_product(E, powers, N, start)
 
 
 def theta_bundle(E: LaurentPoly, variant: str = THETA, N: int = 8,

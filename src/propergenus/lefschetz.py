@@ -24,13 +24,13 @@ Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4).  Its numerator, shifted into a polynomial P in lam, and D are
 evaluated at lam = 2^B as big ints, and the quotient is read back, by
 the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).
-The twists enter in that layout: a twist built by the binomial kernel
-is its packed rows (``core.qseries.PackedSeries``), never unpacked
-here.  Each row's span and l1 norm are read from its digits, and P(2^B)
-is a sum of shifted rows times the prefactors' values.  A twist at
-another digit width or exponent step is re-laid at B once, by byte
-copies, and any other series is packed into the same rows.  A
-zero remainder and a quotient q' read as balanced base-2^B digits with
+Every twist, the twist-less 1 included, is a product of the binomial
+kernel and enters as its packed rows (``core.qseries.PackedSeries``),
+never unpacked here.  Each row's span and l1 norm are read from its
+digits, and P(2^B) is a sum of shifted rows times the prefactors'
+values.  A twist at another digit width or exponent step is re-laid at
+B once, by byte copies.  A zero remainder and a quotient q' read as
+balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
 
@@ -47,9 +47,9 @@ point's norms, are computed once per call, and the width is the
 The sum collapses to a Laurent polynomial exactly when the orientation
 signs sigma_j = (-1)^j (weights sorted ascending) are in place, and the
 assembly always applies them.  The literal unsigned sum, kept only for
-comparison (``lefschetz_twisted(..., signed=False)``), first negates the
-twist of each point with sigma_j = -1; it fails the certificate already
-for the two-point case.
+comparison (``lefschetz_twisted(..., signed=False)``), sets every
+point's sign to 1; it fails the certificate already for the two-point
+case.
 
 Witten-bundle factors outside the sum fold into every twist, since the
 sum is linear in its twists and Theta multiplies: the literal series is
@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, PackedSeries, QSeries, _unpack, _width
+from .core.qseries import LAMBDA_RING, QSeries, _binomial_product, _span, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -110,15 +110,11 @@ def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
 
 
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
-    if twist is None:
-        return QSeries.one(LAMBDA_RING, N)
+    if twist is None:  # the kernel's empty product
+        return _binomial_product(LaurentPoly.zero(LAMBDA), [], N)
     if twist in (THETA, THETA1, THETA2):
         return theta_bundle(_tangent_char(datum), twist, N)
     raise ValueError(f"unknown twist {twist!r}")
-
-
-def _l1(p: LaurentPoly):
-    return sum(map(abs, p.coeffs.values()))
 
 
 def _factor_values(pairs, data, operator: str, B: int):
@@ -153,8 +149,9 @@ def _certificate_data(data, twists, operator: str):
     grades[h] = (terms, lo, hi, N_h): terms holds (j, k) for each nonzero
     row k of a twist j on grade h, the numerator sum_j c_j pre_j spans
     lam^lo .. lam^hi, and N_h = sum_j |c_j|_1 |P_j|_1 bounds its
-    coefficients.  The span and |c_j|_1 of a row are read from its
-    digits (``PackedSeries.spans``), not unpacked.
+    coefficients.  The span and |c_j|_1 of a row (``PackedSeries.spans``),
+    and |D|_1 and |P_j|_1 from their values at 2^B0, are read from digits
+    (``_span``), not unpacked.
     """
     if operator not in (DIRAC, SIGNATURE):
         raise ValueError(f"unknown operator {operator!r}")
@@ -170,7 +167,7 @@ def _certificate_data(data, twists, operator: str):
     for datum, value in zip(data, values):
         W = sum(datum.tangent_weights)
         low, degree = (0, den_degree) if operator == SIGNATURE else (W // 2, den_degree - W)
-        points.append((low, degree, _l1(_unpack(value, B0, 0, degree + 1, LAMBDA))))
+        points.append((low, degree, _span(value, B0, degree + 1)[2]))
     # per grade, (j, k) with the row's lowest and highest exponent of the
     # numerator and its share of N_h
     rows = [[] for _ in range(2 * twists[0].trunc + 1)]
@@ -180,7 +177,7 @@ def _certificate_data(data, twists, operator: str):
             rows[h].append(((j, k), low + first, low + last + degree, l1 * norm))
     grades = [([t[0] for t in ts], min((t[1] for t in ts), default=0),
                max((t[2] for t in ts), default=0), sum(t[3] for t in ts)) for ts in rows]
-    den_norm = _l1(_unpack(den, B0, 0, den_degree + 1, LAMBDA))
+    den_norm = _span(den, B0, den_degree + 1)[2]
     return pairs, den_degree, den_norm, points, grades
 
 
@@ -262,8 +259,8 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     """Sum local contributions exactly, grade by grade.
 
     point_series[j] is the twist-character q-series of the j-th point
-    over the lam Laurent ring, read as packed rows: the kernel's own, or
-    any other series packed (``PackedSeries.of``).  Every grade goes
+    over the lam Laurent ring, as the kernel's packed rows
+    (``core.qseries.PackedSeries``).  Every grade goes
     through the packed certificate, which proves it an integral Laurent
     polynomial in lam or raises.  The call's width B holds every N_h and
     |D|_1, and it admits every quotient no larger than the largest N_h,
@@ -271,12 +268,11 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     at another width or step is re-laid at B once; B holds its digits,
     since N_h >= |c_j|_1.
     """
-    twists = [PackedSeries.of(s) for s in point_series]
-    cert = _certificate_data(data, twists, operator)
+    cert = _certificate_data(data, point_series, operator)
     pairs, _, den_norm, _, grades = cert
     packed = _factor_values(pairs, data, operator,
                             _width(max(grade[3] for grade in grades) * (den_norm + 1)))
-    twists = [t.relaid(packed[0]) for t in twists]
+    twists = [t.relaid(packed[0]) for t in point_series]
     out = QSeries(LAMBDA_RING, point_series[0].trunc)
     for h, grade in enumerate(grades):
         out.coeffs[h] = _packed_grade(grade, twists, packed, cert)
@@ -291,10 +287,9 @@ def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,
     NonIntegral flag a sign-convention or truncation error.
     """
     data = validate_weights(weights)
-    point_series = [_twist_series(d, twist, N) for d in data]
-    if not signed:  # the assembly signs every point, and sigma_j^2 = 1
-        point_series = [-s if d.sign < 0 else s for d, s in zip(data, point_series)]
-    return _assemble(data, point_series, operator)
+    if not signed:  # the assembly signs every point by its datum's sign
+        data = [d._replace(sign=1) for d in data]
+    return _assemble(data, [_twist_series(d, twist, N) for d in data], operator)
 
 
 def lefschetz_witten(weights, N: int = 10) -> QSeries:

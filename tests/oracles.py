@@ -12,9 +12,17 @@ function here recomputes one of them by another.
       L_t(E) = exp( sum_k (-1)^(k-1) psi^k(E) t^k / k ),
 
   against the binomial products of ``lambda_ring``.
+- ``line_factors``: a product of total powers of a character multiplied
+  out into one binomial factor per line and power (``split_char`` splits
+  the lines by sign), the flat list that the tests' dict-row kernel and
+  ``factor_majorant`` read, against the binomial kernel, which reads
+  the character and its powers.
 - ``factor_majorant``: the bound behind the binomial kernel's digit
   width, one factor and one unit of multiplicity at a time over every
   half-grade, against the merged, cached ``core.qseries._majorant``.
+- ``factor_pairs``: the Theta2 line pairs that run by Jacobi's triple
+  product, found in the flat factor list, against the pair rule that
+  the kernel reads from the character and its powers.
 - ``lefschetz_series_strategy``: the fixed-point sum by mu-adic
   expansion of each local denominator, against the exact-division
   certificate of ``lefschetz``.
@@ -110,6 +118,61 @@ def adams_theta_series(E: LaurentPoly, variant: str = THETA, N: int = 8) -> QSer
     elif variant != THETA:
         raise ValueError(f"unknown Witten bundle variant {variant!r}")
     return out
+
+
+# -- the binomial kernel's factors -------------------------------------------
+
+
+def split_char(E: LaurentPoly) -> tuple[dict[int, int], dict[int, int]]:
+    """Split E = P - M into positive and negative weight multiplicities."""
+    pos: dict[int, int] = {}
+    neg: dict[int, int] = {}
+    for e, c in E.coeffs.items():
+        if not isinstance(c, int):
+            raise NonIntegral(f"multiplicity {c} at weight {e} is not an integer")
+        if c > 0:
+            pos[e] = c
+        else:
+            neg[e] = -c
+    return pos, neg
+
+
+def line_factors(E: LaurentPoly, powers) -> list:
+    """The binomial factors (s, w, h, divide, mult) of the product of
+    S_t(E), or of L_t(E) when ``exterior``, over ``powers`` of
+    (h, sign, exterior) with t = sign * q^(h/2), one per power and weight
+    with its multiplicity: the factor multiplies by (1 + s x^w q^(h/2))^mult
+    or, when ``divide``, divides by (1 - s x^w q^(h/2))^mult.
+
+    With E = P - M (:func:`split_char`), a weight-w line of P contributes
+    1/(1 - t x^w) to S_t and 1 + t x^w to L_t; by
+    S_t(P - M) = S_t(P) L_{-t}(M) and L_t(P - M) = L_t(P) S_{-t}(M)
+    a line of M contributes the other one with -t.
+    """
+    pos, neg = split_char(E)
+    lines = [(w, mult, flip) for weights, flip in ((pos, False), (neg, True))
+             for w, mult in sorted(weights.items())]
+    return [(-sign if flip else sign, w, h, exterior == flip, mult)
+            for h, sign, exterior in powers for w, mult, flip in lines]
+
+
+def factor_pairs(factors, top: int) -> dict:
+    """``{(s, w): mult}``, w > 0, of the full Theta2 pairs among the
+    binomial ``factors`` applied to the half-grades 0..top: the multiply
+    factors (s, +-w, h, False), s = +-1, of every odd h <= top, with one
+    summed multiplicity mult <= 3 isqrt(top)."""
+    odd = {}
+    for s, w, h, divide, mult in factors:
+        if w and h & 1 and h <= top and not divide and s * s == 1:
+            odd[s, w, h] = odd.get((s, w, h), 0) + mult
+    pairs = {}
+    for s, w, h in odd:
+        if h == 1 and w > 0:
+            mults = {odd.get((s, v, j)) for v in (w, -w) for j in range(1, top + 1, 2)}
+            mult = mults.pop()
+            if not mults and mult <= 3 * math.isqrt(top):
+                pairs[s, w] = mult
+    return pairs
 
 
 # -- the binomial kernel's width bound --------------------------------------

@@ -4,10 +4,13 @@ The convolution route builds every factor as a full series (a geometric
 series for S_t of a line, a two-term series for L_t of a line, the three
 triple-product factors of a theta function) and multiplies the factors
 with ``QSeries.__mul__``.  ``reference_binomial_product`` applies the
-same factors in place on per-grade ``{exponent: coeff}`` rows.  The
-Kronecker-packed kernel must give the same series at every grade, on
-its grade lattice or off it, and its digit-width bound must equal the
-factor-by-factor one of ``oracles.factor_majorant``.
+same factors in place on per-grade ``{exponent: coeff}`` rows, one
+factor per line of the character and power of q (``oracles.line_factors``).
+The Kronecker-packed kernel, which reads the character and its powers,
+must give the same series at every grade, on its grade lattice or off
+it; its digit-width bound must equal the factor-by-factor one of
+``oracles.factor_majorant``, and the pairs it runs by Jacobi's triple
+product must be those that ``oracles.factor_pairs`` finds in the factors.
 """
 
 import json
@@ -17,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import factor_majorant
+from oracles import factor_majorant, factor_pairs, line_factors, split_char
 
 from propergenus.cli import main
 from propergenus.core import LAMBDA_RING, RATIONAL, Z_RING, LaurentPoly, QSeries, half_units, qseries
@@ -36,8 +39,6 @@ from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
-    _line_factors,
-    _split,
     eval_bundle_expr,
     ext_total,
     sym_total,
@@ -85,6 +86,12 @@ def reference_binomial_product(ring, trunc, factors, start=None):
     return QSeries(ring, trunc, [LaurentPoly(row, ring.var) for row in rows])
 
 
+def reference_product(E, powers, trunc, start=None):
+    """The dict-row kernel on the factors of the character E and its
+    ``powers``, multiplied out (``oracles.line_factors``)."""
+    return reference_binomial_product(LaurentRing(E.var), trunc, line_factors(E, powers), start)
+
+
 # -- the convolution route -------------------------------------------------------
 
 
@@ -110,7 +117,7 @@ def _two_term_factor(ring, w: int, h_t: int, sign: int, trunc: int) -> QSeries:
 def reference_total_power(E, t_grade, sign, N, exterior):
     h_t = half_units(t_grade)
     ring = LaurentRing(E.var)
-    pos, neg = _split(E)
+    pos, neg = split_char(E)
     out = QSeries.one(ring, N)
     # S_t(P - M) = S_t(P) L_{-t}(M);  L_t(P - M) = L_t(P) S_{-t}(M)
     for weights, flip in ((pos, False), (neg, True)):
@@ -239,17 +246,18 @@ def test_p_series_one_minus_factor():
     ref = QSeries.one(LAMBDA_RING, N)
     for n in range(1, N + 1):
         ref = ref * QSeries.from_terms(LAMBDA_RING, N, {0: 1, n: -1}) ** 8
-    got = _binomial_product(LAMBDA_RING, N, [(-1, 0, 2 * n, False, 8) for n in range(1, N + 1)])
+    got = _binomial_product(LaurentPoly.constant(-8), [(2 * n, 1, False) for n in range(1, N + 1)], N)
     assert got == ref
 
 
 def test_divide_undoes_multiply():
+    # S_t(E) S_t(-E) = L_t(E) L_t(-E) = 1: each line's factor against its inverse
     rng = random.Random(47)
-    factors = [(rng.choice([1, -1]), rng.randint(-4, 4), rng.randint(1, 5), rng.random() < 0.5,
-                rng.randint(1, 7)) for _ in range(12)]
-    inverse = [(-s, w, h, not divide, mult) for s, w, h, divide, mult in factors]
-    prod = _binomial_product(LAMBDA_RING, 6, factors)
-    assert prod * _binomial_product(LAMBDA_RING, 6, inverse) == QSeries.one(LAMBDA_RING, 6)
+    for _ in range(12):
+        E = rand_lines(rng, range(-4, 5), (1, 2, 7))
+        powers = rand_powers(rng, 10, rng.randint(1, 5))
+        prod = _binomial_product(E, powers, 6)
+        assert prod * _binomial_product(-E, powers, 6) == QSeries.one(LAMBDA_RING, 6), (E, powers)
 
 
 def test_product_route_refuses_non_integral_character():
@@ -289,15 +297,22 @@ def test_exp_recurrence_matches_power_loop():
 # -- the packed kernel against the dict-row kernel -----------------------------------
 
 
-def rand_factors(rng, weights, top, count, mults=(1,)):
-    """Mixed multiply and divide factors with |s| up to 3."""
-    return [(rng.choice([1, -1, 2, -2, 3, -3]), rng.choice(weights), rng.randint(1, top),
-             rng.random() < 0.5, rng.choice(mults)) for _ in range(count)]
+def rand_lines(rng, weights, mults=(1,), var="lam"):
+    """A character on some of ``weights``, multiplicities +-mult of both
+    signs, so its factors multiply and divide."""
+    weights = list(weights)
+    return LaurentPoly({w: rng.choice([1, -1]) * rng.choice(mults)
+                        for w in rng.sample(weights, rng.randint(1, len(weights)))}, var)
 
 
-def assert_kernels_agree(ring, trunc, factors, start=None):
-    got = _binomial_product(ring, trunc, factors, start)
-    assert got == reference_binomial_product(ring, trunc, factors, start), (factors, start)
+def rand_powers(rng, top, count):
+    """Symmetric and exterior powers (h, sign, exterior), h in 1..top."""
+    return [(rng.randint(1, top), rng.choice([1, -1]), rng.random() < 0.5) for _ in range(count)]
+
+
+def assert_kernels_agree(E, powers, trunc, start=None):
+    got = _binomial_product(E, powers, trunc, start)
+    assert got == reference_product(E, powers, trunc, start), (E, powers, start)
 
 
 def kernel_widths(*args):
@@ -315,58 +330,64 @@ def test_packed_kernel_matches_dict_kernel():
     for i in range(40):
         weights = weight_sets[i % len(weight_sets)]
         trunc = rng.randint(1, 4)
-        factors = rand_factors(rng, weights, 2 * trunc, rng.randint(1, 10))
-        assert_kernels_agree(LAMBDA_RING, trunc, factors)
+        E = rand_lines(rng, weights, (1, 1, 2, 3))
+        assert_kernels_agree(E, rand_powers(rng, 2 * trunc, rng.randint(1, 4)), trunc)
 
 
 def test_packed_kernel_edge_lists():
-    assert _binomial_product(LAMBDA_RING, 3, []) == QSeries.one(LAMBDA_RING, 3)
-    # every factor starts above the truncation
-    late = [(2, 3, 7, False, 1), (-1, -2, 9, True, 5)]
-    assert _binomial_product(Z_RING, 3, late) == QSeries.one(Z_RING, 3)
+    assert _binomial_product(LaurentPoly.zero(), [], 3) == QSeries.one(LAMBDA_RING, 3)
+    assert _binomial_product(LaurentPoly({2: 3, -1: -2}), [], 3) == QSeries.one(LAMBDA_RING, 3)
+    # every power starts above the truncation
+    late = [(7, 1, False), (9, -1, True)]
+    assert _binomial_product(LaurentPoly({3: 2, -2: -5}, "z"), late, 3) == QSeries.one(Z_RING, 3)
     # weights sharing the gcd 3
     rng = random.Random(61)
-    factors = rand_factors(rng, [-9, -3, 3, 6], 6, 12)
-    assert_kernels_agree(Z_RING, 3, factors)
+    for _ in range(4):
+        assert_kernels_agree(rand_lines(rng, [-9, -3, 3, 6], (1, 2), "z"), rand_powers(rng, 6, 4), 3)
 
 
 def test_packed_kernel_wide_digits():
-    # 40 divisions by 1 - 3x q^(1/2): coefficients far above 2^64
-    factors = [(3, 1, 1, True, 1)] * 40 + [(-1, -1, 2, False, 1)] * 3
-    got = _binomial_product(LAMBDA_RING, 8, factors)
+    # 1/(1 - x q^(1/2))^300 (1 - q^(1/2)/x)^3: coefficients far above 2^64
+    E, powers = LaurentPoly({1: 300, -1: -3}), [(1, 1, False)]
+    got = _binomial_product(E, powers, 8)
     assert max(abs(c) for poly in got.coeffs for c in poly.coeffs.values()) > 2 ** 64
-    assert got == reference_binomial_product(LAMBDA_RING, 8, factors)
+    assert got == reference_product(E, powers, 8)
     # the Theta2 twist of a 2l = 8 tangent character at N = 20 packs
     # 72-bit digits through byte slices and unpacks them through byte
     # copies onto 64 bits, from the default start, from the start 1 and
     # from a seeded start
     E = tilde(_tangent_char(validate_weights((0, 1, 2, 3, 4, 6, 7, 9))[0]))
     ring, N = LaurentRing(E.var), 20
-    factors = witten_factors(E, THETA2, N)
-    default = kernel_widths(ring, N, factors)
+    powers = witten_powers(THETA2, N)
+    default = kernel_widths(E, powers, N)
     assert default[1] == [72]
-    assert default[0] == reference_binomial_product(ring, N, factors)
-    assert kernel_widths(ring, N, factors, QSeries.one(ring, N)) == default
+    assert default[0] == reference_product(E, powers, N)
+    assert kernel_widths(E, powers, N, QSeries.one(ring, N)) == default
     start = rand_start(random.Random(107), ring, N, 4)
-    got, widths = kernel_widths(ring, N, factors, start)
+    got, widths = kernel_widths(E, powers, N, start)
     assert widths == [72]
-    assert got == reference_binomial_product(ring, N, factors, start)
+    assert got == reference_product(E, powers, N, start)
 
 
 def test_multiplicity_is_one_factor():
-    # a factor of multiplicity m equals m unit factors, for weight 0 (the
-    # scalar start) and for weighted lines, at multiplicities the
-    # truncation cuts (one binomial-series pass) and ones it does not
+    # a line of multiplicity m under one power equals the unit line under
+    # that power repeated m times, for weight 0 (the scalar start) and for
+    # weighted lines, at multiplicities the truncation cuts (one
+    # binomial-series pass) and ones it does not; the start
+    # 1/(1 - x q^(1/2)) gives every product an x
     rng = random.Random(67)
     for w in (0, 0, 1, -2, 3):
         for _ in range(12):
             trunc = rng.randint(1, 4)
-            s, h, divide = rng.choice([1, -1, 2, -3]), rng.randint(1, 2 * trunc), rng.random() < 0.5
-            mult = rng.choice([2, 3, 2 * trunc // h + 1, 2 * trunc + 5])
-            got = _binomial_product(LAMBDA_RING, trunc, [(s, w, h, divide, mult), (1, 1, 1, True, 1)])
-            units = [(s, w, h, divide, 1)] * mult + [(1, 1, 1, True, 1)]
-            assert got == _binomial_product(LAMBDA_RING, trunc, units), (s, w, h, divide, mult)
-            assert got == reference_binomial_product(LAMBDA_RING, trunc, units)
+            power = (rng.randint(1, 2 * trunc), rng.choice([1, -1]), rng.random() < 0.5)
+            mult = rng.choice([2, 3, 2 * trunc // power[0] + 1, 2 * trunc + 5])
+            sign = rng.choice([1, -1])
+            start = _binomial_product(LaurentPoly({1: 1}), [(1, 1, False)], trunc)
+            E = LaurentPoly({w: sign * mult})
+            got = _binomial_product(E, [power], trunc, start)
+            units = _binomial_product(LaurentPoly({w: sign}), [power] * mult, trunc, start)
+            assert got == units, (E, power)
+            assert got == reference_product(E, [power], trunc, start)
 
 
 def test_large_multiplicity_is_one_binomial_series():
@@ -399,42 +420,45 @@ def test_packed_kernel_from_a_start():
     for i in range(50):
         weights = weight_sets[i % len(weight_sets)]
         trunc = rng.randint(1, 4)
-        factors = rand_factors(rng, weights, 2 * trunc, rng.randint(0, 8), (1, 1, 2, 5))
+        E = rand_lines(rng, weights, (1, 1, 2, 5))
+        powers = rand_powers(rng, 2 * trunc, rng.randint(0, 4))
         start = rand_start(rng, LAMBDA_RING, trunc, rng.choice([0, 2, 7]), big=i % 4 == 3)
-        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+        assert_kernels_agree(E, powers, trunc, start)
     # starts whose exponents share a gcd with the weights, or not
     for span_step, weights in ((4, [-8, 4, 12]), (3, [-2, 6]), (2, [0])):
         trunc = 3
         start = QSeries(Z_RING, trunc, [LaurentPoly({span_step * rng.randint(-3, 3): k + 1}, "z")
                                         for k in range(2 * trunc + 1)])
-        assert_kernels_agree(Z_RING, trunc, rand_factors(rng, weights, 6, 6, (1, 3)), start)
+        E = rand_lines(rng, weights, (1, 3), "z")
+        assert_kernels_agree(E, rand_powers(rng, 6, 3), trunc, start)
 
 
 def test_packed_kernel_start_edge_cases():
-    factors = [(1, 2, 1, True, 1), (-1, 0, 2, False, 3), (2, -1, 3, False, 4)]
+    E, powers = LaurentPoly({2: 1, 0: -3, -1: 4}), [(1, 1, False), (3, -1, True)]
     # the all-zero start gives the zero series
     zero = QSeries(LAMBDA_RING, 3)
-    assert _binomial_product(LAMBDA_RING, 3, factors, zero) == zero
+    assert _binomial_product(E, powers, 3, zero) == zero
     # the start 1 is the default start: the same series at the same width B;
     # a start alone comes back unchanged
     one = QSeries.one(LAMBDA_RING, 3)
-    assert kernel_widths(LAMBDA_RING, 3, factors, one) == kernel_widths(LAMBDA_RING, 3, factors)
+    assert kernel_widths(E, powers, 3, one) == kernel_widths(E, powers, 3)
     rng = random.Random(73)
     start = rand_start(rng, LAMBDA_RING, 3, 5)
-    assert _binomial_product(LAMBDA_RING, 3, [], start) == start
+    assert _binomial_product(LaurentPoly.zero(), [], 3, start) == start
     # a start of a lower truncation cuts the product to it
     short = rand_start(rng, LAMBDA_RING, 1, 5)
-    assert _binomial_product(LAMBDA_RING, 3, factors, short) == _binomial_product(
-        LAMBDA_RING, 3, factors) * short
+    assert _binomial_product(E, powers, 3, short) == _binomial_product(E, powers, 3) * short
     # coefficients at +-(2^31 - 1) fill a 32-bit digit exactly; one factor
     # (1 + x q^(1/2)) doubles the l1 norm of row 1 and calls for 64 bits
     for c in (2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31)):
         start = QSeries(LAMBDA_RING, 1, [LaurentPoly({-3: c}), LaurentPoly({3: c}), LaurentPoly()])
-        assert _binomial_product(LAMBDA_RING, 1, [], start) == start
-        for factors in ([(1, 1, 1, False, 1)], [(1, 0, 1, False, 1)], [(-1, 2, 1, True, 3)]):
-            assert_kernels_agree(LAMBDA_RING, 1, factors, start)
+        assert _binomial_product(LaurentPoly.zero(), [], 1, start) == start
+        # 1 + x q^(1/2), 1 + q^(1/2) and 1/(1 + x^2 q^(1/2))^3
+        for E, power in ((LaurentPoly({1: 1}), (1, 1, True)), (LaurentPoly({0: 1}), (1, 1, True)),
+                         (LaurentPoly({2: 3}), (1, -1, False))):
+            assert_kernels_agree(E, [power], 1, start)
     with pytest.raises(RingMismatch):
-        _binomial_product(LAMBDA_RING, 1, [], QSeries.one(Z_RING, 1))
+        _binomial_product(LaurentPoly.zero(), [], 1, QSeries.one(Z_RING, 1))
     half_start = QSeries(LAMBDA_RING, 1, [1, LaurentPoly({2: Fraction(1, 2)})])
     with pytest.raises(NonIntegral, match="^a start coefficient is not integral$"):
         theta_bundle(LaurentPoly({2: 1, -2: 1}), THETA, 1, half_start)
@@ -456,12 +480,12 @@ def test_theta_bundle_from_a_start_is_the_product():
 def test_packed_kernel_sign_bit(n, s):
     # 1/(1 - s x q^(1/2))^n reaches its majorant n(n+1)/2 at q^1, which needs
     # exactly 8 (n = 16) or 16 (n = 256) magnitude bits: a digit of that
-    # width without room for the sign would overflow; as n unit factors
-    # and as one factor of multiplicity n
-    for factors in ([(s, 1, 1, True, 1)] * n, [(s, 1, 1, True, n)]):
-        got = _binomial_product(LAMBDA_RING, 1, factors)
+    # width without room for the sign would overflow; as S_t(x) for n
+    # powers t = s q^(1/2) and as S_t(n x) for one
+    for E, powers in ((LaurentPoly({1: 1}), [(1, s, False)] * n), (LaurentPoly({1: n}), [(1, s, False)])):
+        got = _binomial_product(E, powers, 1)
         assert got.coeffs[2] == LaurentPoly({2: n * (n + 1) // 2})
-        assert got == reference_binomial_product(LAMBDA_RING, 1, factors)
+        assert got == reference_product(E, powers, 1)
 
 
 @pytest.mark.parametrize("B", [8, 16, 24, 32, 40, 56, 64, 72, 80, 88, 96, 120])
@@ -554,10 +578,12 @@ def test_span_and_relay_read_the_digits(B):
 # -- the grade lattice ---------------------------------------------------------------
 
 
-def rand_lattice_factors(rng, d, top, count, mults=(1,)):
-    """Factors whose h are all multiples of d, weight 0 among the weights."""
-    return [(rng.choice([1, -1, 2, -2, 3, -3]), rng.choice([-4, -1, 0, 0, 2, 3]),
-             d * rng.randint(1, top // d), rng.random() < 0.5, rng.choice(mults))
+LATTICE_WEIGHTS = (-4, -1, 0, 2, 3)
+
+
+def rand_lattice_powers(rng, d, top, count):
+    """Powers whose h are all multiples of d."""
+    return [(d * rng.randint(1, top // d), rng.choice([1, -1]), rng.random() < 0.5)
             for _ in range(count)]
 
 
@@ -589,9 +615,10 @@ def test_packed_kernel_on_grade_lattices():
     for i in range(60):
         d = (2, 3)[i % 2]
         trunc = rng.randint(2, 6)
-        factors = rand_lattice_factors(rng, d, 2 * trunc, rng.randint(1, 8), (1, 1, 2, 5))
+        E = rand_lines(rng, LATTICE_WEIGHTS, (1, 1, 2, 5))
+        powers = rand_lattice_powers(rng, d, 2 * trunc, rng.randint(1, 4))
         start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 4) if i % 3 else None
-        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+        assert_kernels_agree(E, powers, trunc, start)
 
 
 def test_off_lattice_entries_force_the_full_grid():
@@ -599,16 +626,18 @@ def test_off_lattice_entries_force_the_full_grid():
     for i in range(30):
         d = (2, 3)[i % 2]
         trunc = rng.randint(2, 5)
-        factors = rand_lattice_factors(rng, d, 2 * trunc, rng.randint(1, 6), (1, 2))
+        E = rand_lines(rng, LATTICE_WEIGHTS, (1, 2))
+        powers = rand_lattice_powers(rng, d, 2 * trunc, rng.randint(1, 4))
         # one nonzero start row off the lattice
         start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 3)
         coeffs = list(start.coeffs)
         coeffs[d * rng.randint(0, (2 * trunc - 1) // d) + 1] = LaurentPoly({rng.randint(-3, 3): 5})
-        assert_kernels_agree(LAMBDA_RING, trunc, factors, QSeries(LAMBDA_RING, trunc, coeffs))
-        # a weight-0 factor with odd h puts the scalar start off the lattice
-        odd = (rng.choice([1, -1, 2]), 0, rng.randrange(1, 2 * trunc + 1, 2), rng.random() < 0.5, 1)
-        assert_kernels_agree(LAMBDA_RING, trunc, factors + [odd])
-        assert_kernels_agree(LAMBDA_RING, trunc, [odd] + factors, start)
+        assert_kernels_agree(E, powers, trunc, QSeries(LAMBDA_RING, trunc, coeffs))
+        # a power with odd h puts every line off the lattice, and the
+        # weight-0 line alone puts the scalar start off the start's lattice
+        odd = (rng.randrange(1, 2 * trunc + 1, 2), rng.choice([1, -1]), rng.random() < 0.5)
+        assert_kernels_agree(E, powers + [odd], trunc)
+        assert_kernels_agree(LaurentPoly.constant(rng.choice([-2, -1, 1, 3])), [odd] + powers, trunc, start)
 
 
 def test_lattice_multiplicities_past_the_truncation():
@@ -618,20 +647,22 @@ def test_lattice_multiplicities_past_the_truncation():
         d = (2, 3)[i % 2]
         trunc = rng.randint(2, 6)
         top = 2 * trunc
-        factors = [(s, w, h, divide, top // h + rng.choice([1, 2, 7]))
-                   for s, w, h, divide, _ in rand_lattice_factors(rng, d, top, rng.randint(1, 4))]
+        powers = rand_lattice_powers(rng, d, top, rng.randint(1, 3))
+        low = min(h for h, _, _ in powers)
+        E = LaurentPoly({w: rng.choice([1, -1]) * (top // low + rng.choice([1, 2, 7]))
+                         for w in rng.sample(LATTICE_WEIGHTS, rng.randint(1, 3))})
         start = rand_lattice_start(rng, LAMBDA_RING, trunc, d, 2) if i % 2 else None
-        assert_kernels_agree(LAMBDA_RING, trunc, factors, start)
+        assert_kernels_agree(E, powers, trunc, start)
 
 
-def witten_factors(E, variant, N):
-    """The factor list of ``theta_series(E, variant, N)``."""
+def witten_powers(variant, N):
+    """The powers (h, sign, exterior) of ``theta_series(E, variant, N)``."""
     powers = [(2 * n, 1, False) for n in range(1, N + 1)]
     if variant == THETA1:
         powers += [(2 * m, 1, True) for m in range(1, N + 1)]
     elif variant == THETA2:
         powers += [(h, -1, True) for h in range(1, 2 * N + 1, 2)]
-    return _line_factors(E, powers)
+    return powers
 
 
 def test_witten_bundles_on_the_lattice(monkeypatch):
@@ -642,12 +673,11 @@ def test_witten_bundles_on_the_lattice(monkeypatch):
         E = tilde(rand_char(rng, var="mu" if i % 2 else "lam"))
         N = rng.randint(1, 5)
         for variant in (THETA, THETA1, THETA2):
-            factors = witten_factors(E, variant, N)
-            ring = LaurentRing(E.var)
-            got, widths = unpacked_widths(monkeypatch, ring, N, factors)
+            powers = witten_powers(variant, N)
+            got, widths = unpacked_widths(monkeypatch, E, powers, N)
             monkeypatch.undo()
             assert got == theta_series(E, variant, N)
-            assert got == reference_binomial_product(ring, N, factors)
+            assert got == reference_product(E, powers, N)
             g = math.gcd(*E.coeffs)
             m = max(map(abs, E.coeffs)) // g
             if variant == THETA2:
@@ -658,10 +688,11 @@ def test_witten_bundles_on_the_lattice(monkeypatch):
 
 def test_bundle_expression_on_a_third_of_the_grades(capsys, monkeypatch):
     # S_t(x) with t = q^(3/2) is sum_j x^j q^(3j/2): d = 3, three rows of 1, 3, 5 digits
-    got, widths = unpacked_widths(monkeypatch, LAMBDA_RING, 3, [(1, 1, 3, True, 1)])
+    E, powers = LaurentPoly({1: 1}), [(3, 1, False)]
+    got, widths = unpacked_widths(monkeypatch, E, powers, 3)
     monkeypatch.undo()
     assert widths == [1, 3, 5]
-    assert got == reference_binomial_product(LAMBDA_RING, 3, [(1, 1, 3, True, 1)])
+    assert got == reference_product(E, powers, 3)
     assert main(["bundle", "expand", "--expr", "(sym q^3/2 (rep 1))", "--order", "3"]) == 0
     terms = {t["grade"]: t["coeff"] for t in json.loads(capsys.readouterr().out)["series"]["terms"]}
     assert terms == {"0": {"0": "1"}, "1/2": {}, "1": {}, "3/2": {"1": "1"},
@@ -702,12 +733,11 @@ def test_theta2_twists_by_the_triple_product(monkeypatch, weights):
     for N in range(1, 13):
         for datum in validate_weights(weights):
             E = tilde(_tangent_char(datum))
-            ring = LaurentRing(E.var)
-            factors = witten_factors(E, THETA2, N)
+            powers = witten_powers(THETA2, N)
             pairs, lengths = triple_spy(monkeypatch)
-            got = _binomial_product(ring, N, factors)
+            got = _binomial_product(E, powers, N)
             monkeypatch.undo()
-            assert got == reference_binomial_product(ring, N, factors), (datum, N)
+            assert got == reference_product(E, powers, N), (datum, N)
             if N <= 12 // (len(weights) - 2):
                 assert got == reference_theta_series(E, THETA2, N), (datum, N)
             mults = Counter(datum.tangent_weights).values()
@@ -727,13 +757,12 @@ def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
     for E, mult in ((tilde(tangent_character((1, 1, 4))), 2),
                     (tilde(tangent_character((1, 1, 1, 2))), 3),
                     (tilde(LaurentPoly({1: 7, -1: 7, 3: 1, -3: 1}, "x")), 7)):
-        ring = LaurentRing(E.var)
         for N in range(1, 9):
             pairs, lengths = triple_spy(monkeypatch)
             got = theta_series(E, THETA2, N)
             monkeypatch.undo()
             assert got == reference_theta_series(E, THETA2, N), (E, N)
-            assert got == reference_binomial_product(ring, N, witten_factors(E, THETA2, N))
+            assert got == reference_product(E, witten_powers(THETA2, N), N)
             assert (mult in [p[-1] for p in pairs]) == (mult <= pair_bound(N))
             if mult > pair_bound(N):
                 assert set(lengths) == {2 * N + 1}
@@ -751,13 +780,12 @@ def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
 ])
 def test_theta2_bundle_expressions_and_the_triple_product(monkeypatch, expr, pairs, phase1):
     E = eval_bundle_expr(expr[len("(theta2 "):-1])
-    ring = LaurentRing(E.var)
     for N in range(1, 9):
         spied, lengths = triple_spy(monkeypatch)
         got = eval_bundle_expr(expr, N)
         monkeypatch.undo()
         assert got == reference_theta_series(E, THETA2, N), (expr, N)
-        assert got == reference_binomial_product(ring, N, witten_factors(E, THETA2, N))
+        assert got == reference_product(E, witten_powers(THETA2, N), N)
         assert len(spied) == pairs
         assert set(lengths) == {N + 1 if phase1 else 2 * N + 1}
 
@@ -769,16 +797,71 @@ def test_triple_product_from_a_start(monkeypatch):
     E = tilde(_tangent_char(validate_weights((0, 1, 2, 5))[0]))
     ring = LaurentRing(E.var)
     for N in range(1, 9):
-        factors = witten_factors(E, THETA2, N)
+        powers = witten_powers(THETA2, N)
         odd = list(rand_start(rng, ring, N, 4).coeffs)
         odd[2 * rng.randint(0, N - 1) + 1] = LaurentPoly({rng.randint(-4, 4): rng.choice([-7, 7])}, ring.var)
         for start, rows in ((QSeries(ring, N, odd), 2 * N + 1),
                             (rand_lattice_start(rng, ring, N, 2, 4), N + 1)):
             pairs, lengths = triple_spy(monkeypatch)
-            got = _binomial_product(ring, N, factors, start)
+            got = _binomial_product(E, powers, N, start)
             monkeypatch.undo()
-            assert got == reference_binomial_product(ring, N, factors, start), (N, start)
+            assert got == reference_product(E, powers, N, start), (N, start)
             assert len(pairs) == 3 and set(lengths) == {rows}
+
+
+def kernel_pairs(monkeypatch, E, powers, N):
+    """``{(s, w): mult}`` of the pairs that the kernel's ``_triple`` calls
+    name; with the default start, g is the gcd of the weights."""
+    spied, _ = triple_spy(monkeypatch)
+    _binomial_product(E, powers, N)
+    monkeypatch.undo()
+    g = math.gcd(*E.coeffs)
+    return {(s, w * g): mult for s, w, _, _, mult in spied}
+
+
+def assert_oracle_pairs(monkeypatch, E, powers, N):
+    pairs = kernel_pairs(monkeypatch, E, powers, N)
+    assert pairs == factor_pairs(line_factors(E, powers), 2 * N), (E, powers, N)
+    return pairs
+
+
+def test_kernel_pairs_are_the_oracle_pairs(monkeypatch):
+    # the kernel reads its Theta2 pairs from the character and its powers;
+    # the pairs that run by the triple product are those the flat factor
+    # list holds, a path choice that the output bytes cannot show
+    found = 0
+    for weights in ((0, 2), (0, 1, 2, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6, 7, 9)):
+        for datum in validate_weights(weights):
+            E = tilde(_tangent_char(datum))
+            for N in range(1, 13):
+                for variant in (THETA, THETA1, THETA2):
+                    found += len(assert_oracle_pairs(monkeypatch, E, witten_powers(variant, N), N))
+    assert found > 0
+    for expr in ("(sum (rep 3) (rep 1) (rep -1))", "(sum (rep 2) (rep 2) (rep -2))",
+                 "(difference (trivial 4) (sum (rep 1) (rep -1)))", "(sum (rep 1) (rep -1))",
+                 "(tilde (sum (rep 2) (rep -2) (rep 4) (rep -4)))"):
+        E = eval_bundle_expr(expr)
+        for N in range(1, 9):
+            assert_oracle_pairs(monkeypatch, E, witten_powers(THETA2, N), N)
+    # a single odd power pairs only at order 1, where it is every odd h <= 2N
+    for E in (LaurentPoly({1: 1, -1: 1}), LaurentPoly({1: -2, -1: -2, 3: 1}),
+              tilde(tangent_character((1, 2, 2)))):
+        for N in (1, 2, 3):
+            for h in range(1, 2 * N + 2, 2):
+                for sign in (1, -1):
+                    for exterior in (False, True):
+                        pairs = assert_oracle_pairs(monkeypatch, E, [(h, sign, exterior)], N)
+                        assert not pairs or (N, h) == (1, 1)
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: 1, -1: 1}), [(1, -1, True)], 1) == {(-1, 1): 1}
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: -1, -1: -1}), [(1, 1, False)], 1) == {(-1, 1): 1}
+    # the pair +-1 of multiplicity 7 runs by the triple product from N = 5
+    # on; 3 and 6 reach the bound itself at N = 1 and N = 2
+    for mult, first in ((3, 1), (6, 2), (7, 5)):
+        E = tilde(LaurentPoly({1: mult, -1: mult, 3: 1, -3: 1}, "x"))
+        for N in range(1, 9):
+            pairs = assert_oracle_pairs(monkeypatch, E, witten_powers(THETA2, N), N)
+            assert ((-1, 1) in pairs) == (mult <= pair_bound(N)) == (N >= first)
+    assert (pair_bound(1), pair_bound(2)) == (3, 6)
 
 
 # -- the majorant -------------------------------------------------------------------
@@ -800,28 +883,29 @@ def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
         trunc = rng.randint(2, 5)
         top = 2 * trunc
         if i % 2:
-            factors = rand_lattice_factors(rng, (2, 3)[i % 4 // 2], top, rng.randint(1, 8))
+            powers = rand_lattice_powers(rng, (2, 3)[i % 4 // 2], top, rng.randint(1, 4))
         else:
-            factors = rand_factors(rng, [-3, -1, 0, 2, 5], top, rng.randint(1, 8))
-        # repeated (|s|, h, divide) merge; some multiplicities pass top // h
-        factors += [(-s, w + 1, h, divide, mult) for s, w, h, divide, mult in factors[:2]]
-        factors = [(s, w, h, divide, rng.choice([1, 2, mult, top // h + rng.choice([1, 3])]))
-                   for s, w, h, divide, mult in factors]
+            powers = rand_powers(rng, top, rng.randint(1, 4))
+        # the lines of one sign merge into one (h, divide) per power, and so
+        # do repeated powers; some multiplicities pass top // h
+        E = LaurentPoly({w: rng.choice([1, -1]) * rng.choice([1, 2, 3, top + rng.choice([1, 3])])
+                         for w in rng.sample([-3, -1, 0, 2, 5], rng.randint(1, 5))})
+        powers += powers[:rng.randint(0, 2)]
         start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
-        _binomial_product(LAMBDA_RING, trunc, factors, start)
-        assert seen.pop() == factor_majorant(trunc, factors, start), (factors, start)
+        _binomial_product(E, powers, trunc, start)
+        assert seen.pop() == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
     # full Theta2 sets, which run by the triple product, alone and beside
-    # seeded factors: B is still the width of their binomial factorisation
+    # seeded even powers: B is still the width of their binomial factorisation
     pairs, _ = triple_spy(monkeypatch)
     for i in range(40):
         trunc = rng.randint(1, 5)
         E = tilde(tangent_character(rng.choice(range(1, 6)) for _ in range(rng.randint(1, 4))))
-        factors = witten_factors(E, THETA2, trunc)
+        powers = witten_powers(THETA2, trunc)
         if i % 2:
-            factors += rand_factors(rng, [-3, -1, 0, 2, 5], 2 * trunc, rng.randint(1, 4), (1, 2))
+            powers += rand_lattice_powers(rng, 2, 2 * trunc, rng.randint(1, 4))
         start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
-        _binomial_product(LAMBDA_RING, trunc, factors, start)
-        assert seen.pop() == factor_majorant(trunc, factors, start), (factors, start)
+        _binomial_product(E, powers, trunc, start)
+        assert seen.pop() == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
     assert len(pairs) > 40
 
 

@@ -9,7 +9,6 @@ from propergenus.lambda_ring import (
     THETA,
     THETA1,
     THETA2,
-    _split,
     eval_bundle_expr,
     ext_total,
     parse_sexpr,
@@ -19,7 +18,7 @@ from propergenus.lambda_ring import (
     tilde,
 )
 
-from oracles import adams_theta_series, adams_total_power
+from oracles import adams_theta_series, adams_total_power, split_char
 
 ADJOINT = LaurentPoly({2: 1, -2: 1})
 
@@ -194,7 +193,9 @@ def test_tilde_is_rank_zero():
 
 def test_genuine_detection():
     # a genuine character splits with no negative part
-    assert _split(ADJOINT) == ({2: 1, -2: 1}, {})
-    assert _split(tilde(ADJOINT)) == ({2: 1, -2: 1}, {0: 2})
-    with pytest.raises(NonIntegral, match=r"^multiplicity 1/2 at weight 0 is not an integer$"):
-        _split(lam({0: Fraction(1, 2)}))
+    assert split_char(ADJOINT) == ({2: 1, -2: 1}, {})
+    assert split_char(tilde(ADJOINT)) == ({2: 1, -2: 1}, {0: 2})
+    # the split and the product route refuse a non-integral line alike
+    for refuse in (split_char, lambda E: sym_total(E, 1, 1, 2)):
+        with pytest.raises(NonIntegral, match=r"^multiplicity 1/2 at weight 0 is not an integer$"):
+            refuse(lam({0: Fraction(1, 2)}))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from propergenus import lefschetz
 from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
-from propergenus.core.qseries import PackedSeries, _width
+from propergenus.core.qseries import PackedSeries, _binomial_product, _width
 from propergenus.core.ratfunc import Poly
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
 from propergenus.lambda_ring import (
@@ -258,9 +258,16 @@ def _count_packs(monkeypatch, first=None):
     return widths
 
 
-def _certificate(data, series, operator):
-    """_certificate_data of the point series, read as packed rows."""
-    return _certificate_data(data, [PackedSeries.of(s) for s in series], operator)
+def _packed(series):
+    """``series`` as the kernel's packed rows: its empty product started
+    from ``series``."""
+    return _binomial_product(LaurentPoly.zero(), [], series.trunc, series)
+
+
+def _flipped(data, series):
+    """The twists of the unsigned sum under the signed assembly: negated,
+    and packed again, at the points with sigma_j = -1."""
+    return [_packed(-s) if d.sign < 0 else s for d, s in zip(data, series)]
 
 
 PACKED_CASES = [
@@ -288,7 +295,7 @@ def test_packed_assembly_matches_dense_oracle(operator, twist, monkeypatch):
         for h in range(2 * N + 1):
             assert packed.coeffs[h] == reference.coeffs[h], (ws, h)
         assert len(widths) == 2, (ws, widths)  # B0, then one pack
-        flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
+        flipped = _flipped(data, series)
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
         with pytest.raises(NotLaurent) as got:
@@ -306,7 +313,7 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
-    cert = _certificate(data, series, DIRAC)
+    cert = _certificate_data(data, series, DIRAC)
     B = _width(max(max(grade[3] for grade in cert[4]), cert[2]))
     assert B == 16
     assert {s.packed[1] for s in series} == {32}
@@ -373,14 +380,14 @@ def test_proven_width_decides_every_grade(operator, twist, monkeypatch):
         reference = dense_assemble(data, series, operator, True)
         den_norm, bounds = quotient_bounds(data, series, operator)
         bounds = [grade[2] for grade in bounds]
-        cert = _certificate(data, series, operator)
+        cert = _certificate_data(data, series, operator)
         assert cert[2] == den_norm and [grade[3] for grade in cert[4]] == bounds, ws
         packs.clear()
         assert lefschetz._assemble(data, series, operator) == reference, ws
         assert packs[1:] == [_width(max(bounds) * (den_norm + 1))], ws
         with pytest.raises(NotLaurent) as expected:
             dense_assemble(data, series, operator, False)
-        flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
+        flipped = _flipped(data, series)
         with pytest.raises(NotLaurent) as got:
             lefschetz._assemble(data, flipped, operator)
         assert str(got.value) == str(expected.value), ws
@@ -391,11 +398,11 @@ def _assert_certificate_reads_like_oracle(data, series, operator):
     equal the dense oracle's; the sum equals the dense assembly; and the
     sign-flipped twists of the unsigned sum raise the oracle's NotLaurent."""
     den_norm, bounds = quotient_bounds(data, series, operator)
-    cert = _certificate(data, series, operator)
+    cert = _certificate_data(data, series, operator)
     assert cert[2] == den_norm
     assert [grade[1:] for grade in cert[4]] == bounds
     assert lefschetz._assemble(data, series, operator) == dense_assemble(data, series, operator, True)
-    flipped = [-s if d.sign < 0 else s for d, s in zip(data, series)]
+    flipped = _flipped(data, series)
     with pytest.raises(NotLaurent) as expected:
         dense_assemble(data, series, operator, False)
     with pytest.raises(NotLaurent) as got:
@@ -406,15 +413,16 @@ def _assert_certificate_reads_like_oracle(data, series, operator):
 @pytest.mark.parametrize("operator", [DIRAC, SIGNATURE])
 @pytest.mark.parametrize("twist", [None, THETA, THETA1, THETA2])
 def test_certificate_reads_rows_like_the_oracle(operator, twist):
-    # the kernel's rows (the twist-less 1 and the negated twists packed by
-    # _pack) give the certificate the dense oracle's spans and bounds
+    # the kernel's rows (the twist-less 1 is its empty product, and the
+    # negated twists are packed through its start) give the certificate
+    # the dense oracle's spans and bounds
     rng = random.Random(f"rows-{operator}-{twist}")
     N = 4
     for two_l in (2, 4, 6, 8):
         ws = _seeded_weights(rng, two_l, 6)
         data = validate_weights(ws)
         series = [_twist_series(d, twist, N) for d in data]
-        assert all(isinstance(s, PackedSeries) == (twist is not None) for s in series)
+        assert all(isinstance(s, PackedSeries) for s in series)
         _assert_certificate_reads_like_oracle(data, series, operator)
 
 
@@ -449,7 +457,7 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     def over(c, k, B):
         """The arguments of _packed_grade for the grade c / (lam - 1)^k at
         width B: c packed as a twist, re-laid at B."""
-        twist = PackedSeries.of(QSeries(LAMBDA_RING, 1, [c])).relaid(B)
+        twist = _packed(QSeries(LAMBDA_RING, 1, [c])).relaid(B)
         grade = [(0, 0)], min(c.coeffs), max(c.coeffs), sum(map(abs, c.coeffs.values()))
         packed = B, ((1 << B) - 1) ** k, [1]
         return grade, [twist], packed, ([], k, 2 ** k, [(0, 0, 1)], [])

@@ -13,7 +13,6 @@ import cmath
 import functools
 import math
 import struct
-import sys
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
@@ -367,16 +366,16 @@ class PackedSeries(QSeries):
         return rows[k] << shift if shift >= 0 else rows[k] >> -shift
 
 
-# memoryview (and struct) formats of the digit widths that one cast can read
-_DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"} if sys.byteorder == "little" else {}
+# struct codes of the digit widths that one format reads, always little-endian
+_DIGIT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 # the sign byte of a two's complement digit, from the digit's top byte
 _SIGN_BYTES = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def _width(bound: int) -> int:
     """The narrowest packed digit width B whose balanced digits hold every
-    |c| <= bound, that is bound < 2^(B-1): 8, 16, 32 or 64, which one cast
-    reads, or else a whole number of bytes."""
+    |c| <= bound, that is bound < 2^(B-1): 8, 16, 32 or 64, which one
+    struct format reads, or else a whole number of bytes."""
     bits = bound.bit_length() + 1
     return next((b for b in _DIGIT_FORMATS if b >= bits), -(-bits // 8) * 8)
 
@@ -396,9 +395,9 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
     Every exponent is at least ``lo`` and congruent to it mod ``step``,
     and every |c_e| < 2^(B-1).  This is the one Kronecker layout of the
     package (Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer
-    Algebra, 8.4): the digits are laid out in two's complement, and the
-    inverse of the bias step of :func:`_raw` turns that into the
-    signed value.  One term is one shift.
+    Algebra, 8.4): the digits are laid out in two's complement, and
+    :func:`_value` turns that into the signed value.  One term is one
+    shift.
     """
     if not poly.coeffs:
         return 0
@@ -414,8 +413,7 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
         raw = struct.pack(f"<{n}{fmt}", *digits)
     else:
         raw = b"".join(d.to_bytes(B // 8, "little", signed=True) for d in digits)
-    half = _half(B, n)
-    return (int.from_bytes(raw, "little") ^ half) - half
+    return _value(raw, B)
 
 
 def _raw(value: int, B: int, n: int) -> bytes:
@@ -430,28 +428,32 @@ def _raw(value: int, B: int, n: int) -> bytes:
     return ((value + half) ^ half).to_bytes(B // 8 * n, "little")
 
 
-def _read(raw: bytes, B: int):
-    """The signed digits of :func:`_raw` bytes.
+def _value(raw, B: int) -> int:
+    """The inverse of :func:`_raw`: the value whose balanced base-2^B
+    digits are the two's complement digits ``raw``, lowest first."""
+    half = _half(B, len(raw) // (B // 8))
+    return (int.from_bytes(raw, "little") ^ half) - half
 
-    One memoryview cast reads them when B is 8, 16, 32 or 64.  Any other
-    width is first re-laid by byte copies (:func:`_recast`): onto the
-    next wider cast width, or onto 64 bits when every digit fits one,
-    that is when each digit's bytes above its eighth repeat the sign of
-    its eighth.  Byte slices read the rest.
+
+def _read(raw: bytes, B: int):
+    """The signed digits of :func:`_raw` bytes, on every host.
+
+    A little-endian struct format reads them when B is 8, 16, 32 or 64.
+    Any other width is re-laid onto 64 bits by byte copies
+    (:func:`_recast`) when every digit fits, that is when each digit's
+    bytes above its eighth repeat the sign of its eighth.  Byte slices
+    read the rest.
     """
+    nbytes = B // 8
     fmt = _DIGIT_FORMATS.get(B)
     if fmt:
-        return memoryview(raw).cast(fmt)
-    nbytes = B // 8
-    wider = min((w for w in _DIGIT_FORMATS if w > B), default=None)
-    if wider:
-        return memoryview(_recast(raw, nbytes, wider // 8)).cast(_DIGIT_FORMATS[wider])
-    if _DIGIT_FORMATS:
+        return struct.unpack(f"<{len(raw) // nbytes}{fmt}", raw)
+    if nbytes > 8:
         sign = raw[7::nbytes].translate(_SIGN_BYTES)
-        if all(raw[b::nbytes] == sign for b in range(8, nbytes)):
-            return memoryview(_recast(raw, nbytes, 8)).cast("q")
-    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-            for i in range(0, len(raw), nbytes)]
+        if any(raw[b::nbytes] != sign for b in range(8, nbytes)):
+            return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                    for i in range(0, len(raw), nbytes)]
+    return struct.unpack(f"<{len(raw) // nbytes}q", _recast(raw, nbytes, 8))
 
 
 def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> LaurentPoly:
@@ -508,9 +510,7 @@ def _relay(value: int, B: int, n: int, step: int, width: int) -> int:
     when every digit fits the new width."""
     if not value:
         return 0
-    out = _recast(_raw(value, B, n), B // 8, width // 8, step)
-    half = _half(width, len(out) // (width // 8))
-    return (int.from_bytes(out, "little") ^ half) - half
+    return _value(_recast(_raw(value, B, n), B // 8, width // 8, step), width)
 
 
 def _convolve(rows, c, h: int, shift: int):

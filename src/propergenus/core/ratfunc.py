@@ -5,13 +5,13 @@ When ``lefschetz`` has shown that D does not divide a grade's numerator,
 :class:`RationalFunc` reduces the grade's rational function in mu by
 Euclid's gcd over the rationals, and :meth:`RationalFunc.to_laurent`
 raises :class:`NotLaurent` naming the reduced denominator.
-:class:`Poly` holds what that needs: the conversion to and from Laurent
-polynomials (:meth:`Poly.from_laurent`, :meth:`Poly.to_laurent`), an
-exact ``divmod`` and the printed form of the message.  The same
-``divmod``, by the monic D on ints, decides a grade whose quotient the
-packed check of ``lefschetz`` cannot read at its width, and the tests'
-dense oracle divides on it too.  There is no rational-function
-arithmetic here, and the package does not export these names.
+:class:`Poly` holds what that needs: an exact ``divmod``,
+:meth:`Poly.to_laurent` and the printed form of the message.  The same
+``divmod``, by the monic D on ints, decides every grade that the packed
+check leaves open; ``lefschetz._exact_grade`` is the package's one
+caller.  :meth:`Poly.from_laurent`, :meth:`Poly.monomial` and the product
+of two polynomials serve only the tests' oracles.  There is no
+rational-function arithmetic here, and the package does not export them.
 """
 
 from __future__ import annotations

@@ -35,13 +35,13 @@ balanced base-2^B digits with
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
 
 prove q' D = P: the difference vanishes at 2^B, and N_h bounds every
-coefficient of P, so each of its coefficients is below 2^(B-1).  D is
-monic, so a nonzero remainder proves that D does not divide P: the grade
-raises NotLaurent, which names the pole of the reduced rational form in
-mu.  A zero remainder whose quotient fails the check leaves B too
-narrow for q', but not for P and D, whose coefficients are below
-2^(B-1): both unpack exactly, and ``Poly``'s division by the monic D
-decides the grade on ints.  Each grade's rows, span and N_h, and each
+coefficient of P, so each of its coefficients is below 2^(B-1).  A grade
+that the check leaves open takes one exact route: the coefficients of P
+and D are below 2^(B-1), so they read exactly from their digits, and
+``Poly``'s division by the monic D decides the grade on ints.  A nonzero
+remainder proves that D does not divide P: the grade raises NotLaurent,
+which names the pole of the reduced rational form in mu.  This route
+alone reaches ``core.ratfunc``.  Each grade's rows, span and N_h, and each
 point's norms, are computed once per call, and the width is the
 ``core.qseries._width`` of a bound.
 The sum collapses to a Laurent polynomial exactly when the orientation
@@ -65,7 +65,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _binomial_product, _span, _unpack, _width
+from .core.qseries import LAMBDA_RING, QSeries, _binomial_product, _raw, _read, _span, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -181,22 +181,27 @@ def _certificate_data(data, twists, operator: str):
     return pairs, den_degree, den_norm, points, grades
 
 
-def _raise_not_laurent(num: int, lo: int, hi: int, packed, den_degree: int):
-    """Raise NotLaurent for lam^lo P / D, given P(2^B) = num with deg P <=
-    hi - lo, once D is known not to divide P.
-
-    N_h and |D|_1 are below 2^(B-1), so P and D unpack exactly from their
-    values, straight onto even mu exponents (lam = mu^2).  They give the
-    same rational function in mu as the Laurent sum, and its reduced form
-    is unique (monic denominator, coprime to the numerator): the message
-    names the same denominator whichever way the sum was formed.
+def _exact_grade(num: int, lo: int, hi: int, packed, den_degree: int) -> LaurentPoly:
+    """lam^lo P / D, given P(2^B) = num with deg P <= hi - lo, by exact
+    division on ints of P by the monic D, both read exactly from their
+    digits since N_h and |D|_1 are below 2^(B-1).  Otherwise NotLaurent
+    names the pole of the rational function in mu (lam = mu^2), whose
+    reduced form is unique: the same whichever way the sum was formed.
     """
     B, den, _ = packed
-    top, shift = Poly.from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
-    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
+    top = _read(_raw(num, B, hi - lo + 1), B)
+    bottom = _read(_raw(den, B, den_degree + 1), B)
+    quo, rem = divmod(Poly(top), Poly(bottom))
+    if rem.is_zero():
+        return quo.to_laurent(-lo, LAMBDA)
+    sides = []  # every exponent doubles, and mu^(2 lo) joins the side of its sign
+    for digits, shift in ((top, 2 * lo), (bottom, -2 * lo)):
+        side = [0] * (max(shift, 0) + 2 * len(digits) - 1)
+        side[max(shift, 0)::2] = digits
+        sides.append(Poly(side))
     # D is coprime to mu, so the reduced denominator keeps a factor of D
-    RationalFunc(top, bottom * Poly.monomial(shift)).to_laurent(MU)
-    raise AssertionError(f"({top}) / ({bottom}) reduced to a Laurent polynomial")
+    RationalFunc(*sides).to_laurent(MU)
+    raise AssertionError(f"({sides[0]}) / ({sides[1]}) reduced to a Laurent polynomial")
 
 
 def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
@@ -210,7 +215,8 @@ def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     P = lam^(-lo) num, and P(2^B) is one big int: over the terms (j, k),
     row k of twist j with lam^e at digit e + low_j - lo, one shift of
     the kernel's row (``PackedSeries.row``), times sigma_j P_j(2^B).  No
-    row is unpacked.  One divmod by D(2^B) and :func:`_unpack` give q'.  The check is the proof: with a zero remainder and
+    row is unpacked.  One divmod by D(2^B) and :func:`_unpack` give q'.
+    The check is the proof: with a zero remainder and
 
         max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |c_j|_1 |P_j|_1,
 
@@ -218,12 +224,9 @@ def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     below 2^(B-1), so it is zero and num / D = lam^lo q'.  N_h bounds
     every coefficient of P and of every c_j.
 
-    D is monic, so D | P gives D(2^B) | P(2^B): a nonzero remainder, or
-    a nonzero P of lower degree than D, proves that the grade is not
-    Laurent and raises NotLaurent.  A zero remainder whose q' fails the
-    check, or has no balanced form, is decided by dividing P by D
-    exactly: both unpack from their values, since N_h and |D|_1 are
-    below 2^(B-1), and D is monic, so the division stays on ints.
+    Every other grade is left open to :func:`_exact_grade`: a nonzero
+    remainder, a nonzero P of lower degree than D, or a q' that fails
+    the check or has no balanced form.
     """
     terms, lo, hi, bound = grade
     if not terms:
@@ -238,21 +241,14 @@ def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
         return LaurentPoly.zero(LAMBDA)
     n = hi - lo + 1 - den_degree  # digits of an exact quotient
     quo, rem = divmod(num, den)
-    if rem or n < 1:
-        _raise_not_laurent(num, lo, hi, packed, den_degree)
-    try:
-        q = _unpack(quo, B, lo, n, LAMBDA)
-        if max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
-            return q
-    except OverflowError:
-        pass
-    # B is too narrow for q' but holds P and D: divide them exactly
-    top, _ = Poly.from_laurent(_unpack(num, B, 0, hi - lo + 1, LAMBDA))
-    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, LAMBDA))
-    quo, rem = divmod(top, bottom)
-    if rem.is_zero():
-        return quo.to_laurent(-lo, LAMBDA)
-    _raise_not_laurent(num, lo, hi, packed, den_degree)
+    if not rem and n >= 1:
+        try:
+            q = _unpack(quo, B, lo, n, LAMBDA)
+            if max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
+                return q
+        except OverflowError:
+            pass
+    return _exact_grade(num, lo, hi, packed, den_degree)
 
 
 def _assemble(data, point_series, operator: str) -> QSeries:

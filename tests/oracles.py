@@ -28,6 +28,10 @@ function here recomputes one of them by another.
   certificate of ``lefschetz``.
 - ``lefschetz_grade_ratfunc``: one grade of the fixed-point sum as a
   gcd-reduced rational function in mu.
+- ``packed_grade_ratfunc``: a grade given by packed values, P(2^B)
+  over D(2^B), unpacked straight onto even mu exponents and reduced in
+  mu, against the lam-side digits of ``lefschetz._exact_grade``, which
+  doubles their exponents itself.
 - ``dense_assemble``: the fixed-point sum by Laurent products and dense
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
@@ -80,6 +84,7 @@ from propergenus.core import (
     QSeries,
     half_units,
 )
+from propergenus.core.qseries import _unpack
 from propergenus.core.ratfunc import Poly, RationalFunc
 from propergenus.errors import InconsistentSystem, NonIntegral, SingularSystem
 from propergenus.lambda_ring import THETA, THETA1, THETA2
@@ -371,6 +376,16 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
     prefactors, denominator = _prefactors(data, operator, signed)
     poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
     return RationalFunc(poly, denominator * Poly.monomial(shift))
+
+
+def packed_grade_ratfunc(num: int, lo: int, hi: int, B: int, den: int, den_degree: int) -> RationalFunc:
+    """lam^lo P / D reduced in mu, lam = mu^2, from P(2^B) = num, of degree
+    at most hi - lo, and D(2^B) = den: both unpack at step 2, P from
+    mu^(2 lo) up, and the negative powers of mu that clearing the
+    numerator takes join the denominator."""
+    top, shift = Poly.from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
+    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
+    return RationalFunc(top, bottom * Poly.monomial(shift))
 
 
 # -- dense assembly of the fixed-point sum ------------------------------------

@@ -531,10 +531,10 @@ def test_digit_pack_round_trip(B):
 
 @pytest.mark.parametrize("B", [24, 40, 48, 56, 72, 80, 88, 96, 120])
 def test_wide_digits_read_by_one_cast(B):
-    # a width that no cast reads is re-laid onto one by byte copies: onto
-    # the next wider cast width, or onto 64 bits when every digit fits 64
-    # bits; a digit that does not fit sends the read to byte slices, and
-    # both reads give the digits
+    # a width that no struct format reads is re-laid onto 64 bits by byte
+    # copies when every digit fits 64 bits, as every digit below 64 bits
+    # does, and read by one format into a tuple; a digit that does not fit
+    # sends the read to byte slices, and both reads give the digits
     rng = random.Random(f"read-{B}")
     top = 1 << (min(B, 64) - 1)
     for _ in range(30):
@@ -542,7 +542,7 @@ def test_wide_digits_read_by_one_cast(B):
         digits = [rng.choice((0, 1, -1, -top, top - 1, rng.randrange(-top, top))) for _ in range(n)]
         value = sum(c << (B * i) for i, c in enumerate(digits))
         got = _read(_raw(value, B, n), B)
-        assert isinstance(got, memoryview) and list(got) == digits
+        assert isinstance(got, tuple) and list(got) == digits
         if B > 64:
             # one digit past 64 bits, of either sign: just past, or up to B
             wide = rng.choice((top, -top - 1, rng.randrange(top + 1, 1 << (B - 1))))

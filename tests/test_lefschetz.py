@@ -1,5 +1,12 @@
 import ast
+import contextlib
+import hashlib
+import io
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propergenus import lefschetz
+from propergenus.cli import main
 from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
 from propergenus.core.qseries import PackedSeries, _binomial_product, _width
 from propergenus.core.ratfunc import Poly
@@ -23,6 +31,7 @@ from propergenus.lefschetz import (
     DIRAC,
     SIGNATURE,
     _certificate_data,
+    _exact_grade,
     _packed_grade,
     _twist_series,
     lefschetz_twisted,
@@ -36,6 +45,7 @@ from oracles import (
     halve_exponents,
     lefschetz_grade_ratfunc,
     lefschetz_series_strategy,
+    packed_grade_ratfunc,
     poly_value,
     quotient_bounds,
 )
@@ -347,13 +357,17 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     assert widths == [_width(1 << len(cert[0])), B], widths
 
 
-@pytest.mark.parametrize("ws,operator,twist,N,widths", [
+# (weights, operator, twist, N, the widths of the call's packs after B0)
+PINNED_WIDTHS = [
     ((0, 1, 2, 5), DIRAC, THETA, 12, (32,)),
     ((0, 1, 2, 5), SIGNATURE, THETA1, 10, (32,)),
     ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA, 12, (64,)),
     ((0, 1, 2, 3, 4, 6, 7, 9), DIRAC, THETA2, 12, (64,)),
     ((0, 1, 2, 3, 4, 6, 7, 9), SIGNATURE, THETA1, 12, (64,)),
-])
+]
+
+
+@pytest.mark.parametrize("ws,operator,twist,N,widths", PINNED_WIDTHS)
 def test_certificate_widths_are_pinned(ws, operator, twist, N, widths, monkeypatch):
     # the call's width B decides every grade in one pack: the widths after
     # B0, which the norms are read at, are B alone
@@ -498,6 +512,99 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     for case, (c, k, outcome) in outcomes.items():
         with pytest.raises(outcome):
             _packed_grade(*over(c, k, 16))
+
+
+@pytest.mark.parametrize("B", [72, 80])
+def test_exact_grade_matches_the_mu_reference(B):
+    # the exact route on digits wider than 64 bits, some past 64 bits and
+    # read by byte slices, the rest re-laid onto 64 bits, with lo < 0 and
+    # lo >= 0: lam^lo P / D is lam^lo Q when P = Q D, and any other P
+    # raises the NotLaurent of the reduced rational function in mu that
+    # the reference builds from P and D unpacked onto even mu exponents
+    rng = random.Random(f"exact-{B}")
+    seen = set()
+    for _ in range(60):
+        den = Poly([1])
+        for w in rng.sample(range(1, 5), rng.randint(1, 3)):
+            den = den * Poly([-1] + [0] * (w - 1) + [1])
+        size = 1 << rng.choice((8, 40, 66))
+        quo = Poly([rng.randrange(-size, size) for _ in range(rng.randint(0, 4))] + [rng.choice((-1, 1)) * size])
+        divides = rng.random() < 0.5
+        num = quo * den
+        if not divides:
+            rem = [rng.randrange(-size, size) for _ in range(den.degree())]
+            rem[rng.randrange(den.degree())] = size
+            num = Poly([a + b for a, b in zip(num.coeffs, rem + [0] * len(num.coeffs))])
+            if rng.random() < 0.25:  # fewer degrees than D
+                num = Poly(rem)
+        lo = rng.randint(-6, 4)
+        hi = lo + num.degree() + rng.randint(0, 1)  # the span may pass deg P
+        args = sum(c << B * i for i, c in enumerate(num.coeffs)), lo, hi
+        packed = B, sum(c << B * i for i, c in enumerate(den.coeffs)), []
+        assert max(map(abs, num.coeffs)) < 1 << (B - 1)
+        seen.add((divides, lo < 0, max(map(abs, num.coeffs)) >= 1 << 63))
+        if divides:
+            want = LaurentPoly({lo + i: c for i, c in enumerate(quo.coeffs) if c})
+            assert _exact_grade(*args, packed, den.degree()) == want
+            continue
+        with pytest.raises(NotLaurent) as expected:
+            packed_grade_ratfunc(*args, *packed[:2], den.degree()).to_laurent()
+        with pytest.raises(NotLaurent) as got:
+            _exact_grade(*args, packed, den.degree())
+        assert str(got.value) == str(expected.value), (num.coeffs, lo, hi)
+    assert len(seen) == 8, seen
+
+
+# calls whose stdout digests perfbench/golden.json records, with their exit codes
+HOST_CALLS = [
+    (("lefschetz", "--weights", "0,2", "--order", "4", "--unsigned"), 2),
+    (("witten-genus", "--weights", "0,1,2,5", "--order", "12"), 0),
+    (("elliptic-genera", "--weights", "0,1,2,5", "--order", "10"), 0),
+    (("lefschetz", "--weights", "0,1,2,3,4,5,6,9", "--operator", "dirac",
+      "--twist", "theta", "--order", "6"), 0),
+]
+
+
+def _host_results():
+    """The kernel's digit layouts and the certificate's width of every
+    RELAID_CASES call, the widths of every PINNED_WIDTHS call, and the
+    exit code and stdout digest of every HOST_CALLS call, as JSON."""
+    def packs_of(ws, operator, twist, N):
+        data = validate_weights(ws)
+        series = [_twist_series(d, twist, N) for d in data]
+        packs.clear()
+        lefschetz._assemble(data, series, operator)
+        return sorted({s.packed[1:3] for s in series}), packs[1:]
+
+    with pytest.MonkeyPatch.context() as mp:
+        packs = _count_packs(mp)
+        relaid = {case: packs_of(*call) for case, (call, _, _) in RELAID_CASES.items()}
+        widths = [packs_of(*case[:4])[1] for case in PINNED_WIDTHS]
+    calls = {}
+    for argv, _ in HOST_CALLS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        calls[" ".join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return json.dumps({"relaid": relaid, "widths": widths, "calls": calls})
+
+
+def test_results_do_not_depend_on_the_byte_order():
+    # a big-endian host, simulated by setting sys.byteorder before the
+    # package is imported, picks this host's digit widths: the same twist
+    # layouts, certificate widths and output bytes
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    code = "import sys\nsys.byteorder = 'big'\nimport test_lefschetz\nprint(test_lefschetz._host_results())"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    assert run.returncode == 0, run.stderr
+    golden = json.loads((tests.parent / "perfbench" / "golden.json").read_text())["digests"]
+    assert json.loads(run.stdout) == {
+        "relaid": {case: [[list(layout)], [B]] for case, (_, layout, B) in RELAID_CASES.items()},
+        "widths": [list(case[4]) for case in PINNED_WIDTHS],
+        "calls": {" ".join(argv): [code, golden[" ".join(argv)]] for argv, code in HOST_CALLS},
+    }
 
 
 def test_oracles_share_no_assembly_code():

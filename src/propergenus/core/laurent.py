@@ -1,10 +1,11 @@
 """Sparse Laurent polynomials with exact rational coefficients.
 
 A Laurent polynomial is stored as a map from integer exponent to
-coefficient.  Coefficients are Python ints or ``fractions.Fraction``;
-integral fractions are normalised back to int so that the common case
-stays in fast machine/bignum arithmetic.  Zero coefficients are never
-stored, and the zero polynomial has an empty map.
+coefficient; an integral exponent of another type becomes its int, and
+any other exponent is refused.  Coefficients are Python ints or
+``fractions.Fraction``; integral fractions are normalised back to int so
+that the common case stays in fast machine/bignum arithmetic.  Zero
+coefficients are never stored, and the zero polynomial has an empty map.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class LaurentPoly:
         clean: dict[int, Scalar] = {}
         if coeffs:
             for e, c in coeffs.items():
+                if type(e) is not int and int(e) != e:
+                    raise ValueError(f"exponent {e} is not an integer")
                 if type(c) is not int:  # an exact int is already normal
                     c = normalize_scalar(c)
                 if c:
@@ -170,8 +173,8 @@ class LaurentPoly:
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Replace the variable x by x**k (the k-th Adams substitution)."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
+        if int(k) != k or k < 1:
+            raise ValueError(f"substitution power {k} is not an integer >= 1")
         return LaurentPoly({e * k: c for e, c in self.coeffs.items()}, self.var)
 
     def evaluate(self, x):

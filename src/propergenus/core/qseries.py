@@ -582,33 +582,37 @@ def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _scalar_start(zero: tuple, top: int) -> tuple:
-    """The product of the weight-0 factors ``zero``, each (s, h, divide,
-    mult) as in :func:`_apply`, on plain ints: its coefficient of q^(k/2)
-    at index k = 0..top.  The twists at all fixed points of one call
-    share their rank, so they share one start."""
-    base = [1] + [0] * top
-    for s, h, divide, mult in zero:
-        _apply(base, s, h, divide, mult)
-    return tuple(base)
+def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tuple, top: int) -> tuple:
+    """(base, d, M), the scalar part of :func:`_binomial_product`, one
+    pass per distinct input; no exponent of x enters, so the twists at
+    all fixed points of one call share one entry.
 
-
-@functools.lru_cache(maxsize=256)
-def _majorant(norms: tuple, base: tuple, lines: frozenset) -> int:
-    """max_k M_k, the bound on the l1 norm of every row of a product.
-
-    M_k starts as the start rows' l1 ``norms``, padded with zeros, convolved
-    with ``base``, the |base_k|: ``base`` itself at the start 1; the merged
-    weighted factors ``{(h, divide): mult}`` of ``lines`` then run on
-    these scalars with s = 1.  The factors commute, so merging changes no
-    value, and no exponent of x enters, so the twists at all fixed points
-    of one call share one key.
+    The weight-0 line c0 gives every power (h, sign, exterior) one factor
+    of :func:`_apply`, multiplied out on plain ints at the half-grades
+    0..top.  d is the gcd of every h when a line is weighted (``plus`` or
+    ``minus`` is not 0), of every index of a nonzero entry of that
+    product and of every nonzero start norm of ``norms``.  M is max_k M_k,
+    the bound on the l1 norm of every row: M_k starts as the start norms
+    on the lattice convolved with the product's absolute values, then
+    each power's factors of the ``plus`` positive and the ``minus``
+    negative lines run on it with s = 1.  Only then does 1/(q; q)^jtp of
+    the Theta2 pairs join the product, which is returned on the lattice
+    as ``base``; pairs come with the odd powers h, so d = 1 then.
     """
-    majorant = list(norms) + [0] * (len(base) - len(norms))
-    _convolve(majorant, base, 1, 0)
-    for (h, divide), mult in lines:
-        _apply(majorant, 1, h, divide, mult)
-    return max(majorant)
+    base = [1] + [0] * top
+    if c0:
+        for h, sign, ext in powers:
+            _apply(base, sign if c0 > 0 else -sign, h, (c0 > 0) != ext, abs(c0))
+    d = gcd(*(h for h, _, _ in powers if plus or minus), *(k for k, n in enumerate(norms) if n),
+            *(k for k, b in enumerate(base) if b)) or 1
+    majorant = list(norms[::d]) + [0] * (top // d + 1 - len(norms[::d]))
+    _convolve(majorant, [abs(b) for b in base[::d]], 1, 0)
+    for h, _, ext in powers if plus or minus else ():
+        _apply(majorant, 1, h // d, not ext, plus)
+        _apply(majorant, 1, h // d, ext, minus)
+    for h in range(2, top + 1, 2) if jtp else ():
+        _apply(base, 1, h, True, jtp)
+    return tuple(base[::d]), d, max(majorant)
 
 
 def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None = None) -> PackedSeries:
@@ -624,9 +628,9 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     when c > 0 is not exterior or c < 0 is, by S_t(P - M) = S_t(P) L_-t(M)
     and L_t(P - M) = L_t(P) S_-t(M).  A c that is not an integer raises
     NonIntegral.  The weight-0 line's factors multiply out on plain ints
-    into the scalar start ``base``, once per distinct list
-    (:func:`_scalar_start`).  The start's rows are packed, padded with
-    zero rows to the length of the lattice and multiplied by base
+    into the scalar start ``base``, in one cached pass with d and the
+    digit bound (:func:`_scalars`).  The start's rows are packed, padded
+    with zero rows to the length of the lattice and multiplied by base
     (:func:`_convolve`).  Only the grade lattice q^(d k/2) is kept, d the
     gcd of every h (when E has a weighted line) and of every index of a
     nonzero entry of base or of the start; every other grade is zero.
@@ -647,20 +651,21 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     Wright, Theorem 352): its odd factors are
     sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf, |c| downward passes of
     about 2 sqrt(2 trunc) shifted adds per row (:func:`_triple`), where
-    the binomial passes win from about 4 isqrt(2 trunc) on.  Once B is
-    set, 1/(q; q)^|c| joins the scalar start.  When every weighted line
-    is paired and the start has no odd grade, the rest runs first on the
-    whole-q rows, row k' at lo = -g (r + m k'); then row k' moves to
-    half-grade 2k' by one shift of B m k', the scalar start is convolved
-    and the triple product runs.
+    the binomial passes win from about 4 isqrt(2 trunc) on.  Once the
+    digit bound is read, 1/(q; q)^|c| joins the scalar start.  When every
+    weighted line is paired and the start has no odd grade, the rest runs
+    first on the whole-q rows, row k' at lo = -g (r + m k'); then row k'
+    moves to half-grade 2k' by one shift of B m k', the scalar start is
+    convolved and the triple product runs.
 
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
     the rows are exact while the final digits satisfy |c| < 2^(B-1);
     intermediate digits may overflow.  The l1 norm of a product is at
     most the convolution of its factors' l1 norms, so B = :func:`_width`
-    of :func:`_majorant` of the binomial factorisation never overflows,
-    and no exponent of x is dropped.  The rows are returned as they are
-    (:class:`PackedSeries`) and unpack only when read.
+    of the majorant M of the binomial factorisation (:func:`_scalars`)
+    never overflows, and no exponent of x is dropped.  The rows are
+    returned as they are (:class:`PackedSeries`) and unpack only when
+    read.
     """
     ring = LaurentRing(E.var)
     if start is None:
@@ -674,32 +679,15 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     for w, c in E.coeffs.items():
         if not isinstance(c, int):
             raise NonIntegral(f"multiplicity {c} at weight {w} is not an integer")
-    powers = [p for p in powers if p[0] <= top]
+    powers = tuple(p for p in powers if p[0] <= top)
     lines = [(w, c) for w, c in E.coeffs.items() if w] if powers else []
-    c0 = E.coeffs.get(0)
-    zero = tuple((sign if c0 > 0 else -sign, h, (c0 > 0) != ext, abs(c0))
-                 for h, sign, ext in powers) if c0 else ()
-    base = _scalar_start(zero, top)
     exponents = [e for row in start for e in row.coeffs]
     g = gcd(*(w for w, _ in lines), *exponents) or 1
-    d = gcd(*(h for h, _, _ in powers if lines), *(k for k, b in enumerate(base) if b),
-            *(k for k, row in enumerate(start) if row)) or 1
     m = max((abs(w) for w, _ in lines), default=0) // g
     r = max(map(abs, exponents), default=0) // g
-    base = base[::d]
-    start = start[::d]
     norms = tuple(sum(map(abs, row.coeffs.values())) for row in start)
     if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
         raise NonIntegral("a start coefficient is not integral")
-    # per power, the positive and the negative lines merge into one factor each
-    plus = sum(c for _, c in lines if c > 0)
-    minus = -sum(c for _, c in lines if c < 0)
-    merged = {}
-    for h, _, ext in powers:
-        for key, mult in (((h // d, not ext), plus), ((h // d, ext), minus)):
-            if mult:
-                merged[key] = merged.get(key, 0) + mult
-    B = _width(_majorant(norms, tuple(map(abs, base)), frozenset(merged.items())))
 
     pairs = {}
     odd = [p for p in powers if p[0] & 1]
@@ -710,9 +698,11 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
             if w > 0 and E.coeffs.get(-w) == c and (c > 0) == ext and abs(c) <= 3 * math.isqrt(top):
                 pairs[sign if ext else -sign, w] = abs(c)
     paired = {v for _, w in pairs for v in (w, -w)}
-    if pairs:
-        jtp = sum(pairs.values())
-        base = _scalar_start(zero + tuple((1, h, True, jtp) for h in range(2, top + 1, 2)), top)
+    plus = sum(c for _, c in lines if c > 0)
+    minus = -sum(c for _, c in lines if c < 0)
+    base, d, majorant = _scalars(powers, E.coeffs.get(0, 0), plus, minus, sum(pairs.values()), norms, top)
+    B = _width(majorant)
+    start = start[::d]
     # phase 1 runs on the whole-q rows (every = 2) when every weighted line is paired
     every = 2 if pairs and len(paired) == len(lines) and not any(start[1::2]) else 1
     rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]

@@ -19,7 +19,7 @@ function here recomputes one of them by another.
   the character and its powers.
 - ``factor_majorant``: the bound behind the binomial kernel's digit
   width, one factor and one unit of multiplicity at a time over every
-  half-grade, against the merged, cached ``core.qseries._majorant``.
+  half-grade, against the M of the cached ``core.qseries._scalars``.
 - ``factor_pairs``: the Theta2 line pairs that run by Jacobi's triple
   product, found in the flat factor list, against the pair rule that
   the kernel reads from the character and its powers.

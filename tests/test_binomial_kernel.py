@@ -864,21 +864,23 @@ def test_kernel_pairs_are_the_oracle_pairs(monkeypatch):
     assert (pair_bound(1), pair_bound(2)) == (3, 6)
 
 
-# -- the majorant -------------------------------------------------------------------
+# -- the scalar pass -----------------------------------------------------------------
+
+
+def scalars_spy(monkeypatch):
+    """The (base, d, M) of every scalar pass the kernel reads, in order."""
+    seen = []
+    scalars = qseries._scalars
+    monkeypatch.setattr(qseries, "_scalars", lambda *key: seen.append(scalars(*key)) or seen[-1])
+    return seen
 
 
 def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
-    # the merged multiset on the lattice gives every majorant, so every
-    # digit width B, of the factor-by-factor route on all half-grades
+    # the pass's M, from the lattice and each power's positive and negative
+    # lines, is the majorant of the factor-by-factor route on all
+    # half-grades, so B is its width
     rng = random.Random(103)
-    seen = []
-
-    def spy(*key):
-        seen.append(majorant(*key))
-        return seen[-1]
-
-    majorant = qseries._majorant
-    monkeypatch.setattr(qseries, "_majorant", spy)
+    seen = scalars_spy(monkeypatch)
     for i in range(80):
         trunc = rng.randint(2, 5)
         top = 2 * trunc
@@ -892,10 +894,13 @@ def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
                          for w in rng.sample([-3, -1, 0, 2, 5], rng.randint(1, 5))})
         powers += powers[:rng.randint(0, 2)]
         start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
-        _binomial_product(E, powers, trunc, start)
-        assert seen.pop() == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
+        got, widths = kernel_widths(E, powers, trunc, start)
+        _, _, majorant = seen.pop()
+        assert majorant == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
+        assert widths == [qseries._width(majorant)] and got.packed[1] == widths[0]
     # full Theta2 sets, which run by the triple product, alone and beside
-    # seeded even powers: B is still the width of their binomial factorisation
+    # seeded even powers: M is still the majorant of their binomial
+    # factorisation, read before 1/(q; q)^jtp joins the start
     pairs, _ = triple_spy(monkeypatch)
     for i in range(40):
         trunc = rng.randint(1, 5)
@@ -905,31 +910,119 @@ def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
             powers += rand_lattice_powers(rng, 2, 2 * trunc, rng.randint(1, 4))
         start = rand_start(rng, LAMBDA_RING, trunc, 3, big=i % 5 == 0) if i % 3 else None
         _binomial_product(E, powers, trunc, start)
-        assert seen.pop() == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
-    assert len(pairs) > 40
+        _, _, majorant = seen.pop()
+        assert majorant == factor_majorant(trunc, line_factors(E, powers), start), (E, powers, start)
+    assert len(pairs) > 40 and not seen
 
 
 def test_fixed_points_share_one_majorant():
-    # the four twists of CP^3 differ only in their weights
-    qseries._majorant.cache_clear()
+    # the four twists of CP^3 differ only in their weights, so they share
+    # one scalar pass and its majorant
+    qseries._scalars.cache_clear()
     lefschetz_witten((0, 1, 2, 5), 12)
-    info = qseries._majorant.cache_info()
+    info = qseries._scalars.cache_info()
     assert (info.misses, info.hits) == (1, 3)
 
 
+def weight0_start(E, powers, trunc, jtp):
+    """The product of the weight-0 factors of ``line_factors`` times
+    1/(q; q)^jtp, its coefficient of q^(k/2) at index k, by series
+    products and inverses over the rationals."""
+    def binomial(s, h):
+        return QSeries.from_terms(RATIONAL, trunc, {0: 1, Fraction(h, 2): s})
+
+    out = QSeries.one(RATIONAL, trunc)
+    for s, w, h, divide, mult in line_factors(E, powers):
+        if not w:
+            out = out * binomial(-s if divide else s, h) ** (-mult if divide else mult)
+    for n in range(1, trunc + 1):
+        out = out * binomial(-1, 2 * n) ** -jtp
+    return tuple(out.coeffs)
+
+
 def test_fixed_points_share_one_scalar_start(monkeypatch):
-    # the four Theta2 twists of CP^3 share their rank, so they share the
-    # product of their weight-0 factors, which sets the majorant, and that
-    # product over the triple product's (q; q)^3, which the rows start from
-    starts = []
-    cached = qseries._scalar_start
-    monkeypatch.setattr(qseries, "_scalar_start", lambda *key: starts.append(cached(*key)) or starts[-1])
+    # the four Theta2 twists of CP^3 share their rank, so they share one
+    # scalar start, their weight-0 product over the triple product's
+    # (q; q)^3, which the rows start from
+    cached = qseries._scalars
+    seen = scalars_spy(monkeypatch)
     cached.cache_clear()
     lefschetz_twisted((0, 1, 2, 5), twist=THETA2, N=12)
     info = cached.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
-    assert len(starts) == 8 and type(starts[0]) is tuple and starts[0] != starts[1]
-    assert all(start is starts[k % 2] for k, start in enumerate(starts))
+    assert (info.misses, info.hits) == (1, 3)
+    assert len(seen) == 4 and all(pass_ is seen[0] for pass_ in seen)
+    base, d, _ = seen[0]
+    assert type(base) is tuple and d == 1
+    E = tilde(_tangent_char(validate_weights((0, 1, 2, 5))[0]))
+    assert E.coeffs[0] == -6
+    assert base == weight0_start(E, witten_powers(THETA2, 12), 12, 3)
+
+
+def scalar_calls():
+    """Seeded kernel calls whose scalar passes share some inputs and differ
+    in others: characters with and without a weight-0 line, of one rank
+    and different lines, pairs or none; the Theta, Theta1 and Theta2
+    power sets, lattice-2 and lattice-3 powers and one fixed set at two
+    orders; no start, random starts and starts on the lattice 2."""
+    rng = random.Random(107)
+    chars = [tilde(tangent_character((1, 2, 5))), tilde(tangent_character((2, 4))),
+             LaurentPoly({0: 3, 1: 2, -2: -1}), LaurentPoly({0: -2, 3: 1, -3: 1}),
+             LaurentPoly({0: -2, 3: 1, -3: 1, 5: -1}), LaurentPoly({0: -2, 1: 1, 4: 1}),
+             LaurentPoly({0: -2, 1: 1}), LaurentPoly({1: 1, -1: 1}), LaurentPoly({0: 4})]
+    calls = []
+    for trunc in (2, 4):
+        top = 2 * trunc
+        power_sets = [witten_powers(variant, trunc) for variant in (THETA, THETA1, THETA2)]
+        power_sets += [rand_lattice_powers(rng, d, top, 3) for d in (2, 3)]
+        power_sets.append([(2, 1, False), (3, -1, True)])
+        starts = [None, rand_start(rng, LAMBDA_RING, trunc, 2),
+                  rand_lattice_start(rng, LAMBDA_RING, trunc, 2, 3)]
+        calls += [(E, powers, trunc, start) for E in chars for powers in power_sets for start in starts]
+    return calls
+
+
+def run_scalar_calls(monkeypatch, calls, order, cold):
+    """{i: (packed rows and layout, the scalar pass read)} of ``calls`` in
+    ``order``, with the cache cleared before every call when ``cold``."""
+    cached = qseries._scalars
+    seen = scalars_spy(monkeypatch)
+    out = {}
+    for i in order:
+        if cold:
+            cached.cache_clear()
+        out[i] = (_binomial_product(*calls[i]).packed, seen[-1])
+    monkeypatch.undo()
+    return out
+
+
+def test_warm_scalar_pass_is_the_cold_one(monkeypatch):
+    # every call reads from a warm cache, in shuffled order, the rows and
+    # the scalar pass that it computes from a cleared one
+    calls = scalar_calls()
+    order = list(range(len(calls)))
+    cold = run_scalar_calls(monkeypatch, calls, order, cold=True)
+    random.Random(109).shuffle(order)
+    qseries._scalars.cache_clear()
+    assert run_scalar_calls(monkeypatch, calls, order, cold=False) == cold
+    # and the calls tell: a cache whose key leaves out any one input of
+    # the pass gives some call another scalar pass
+    scalars = qseries._scalars.__wrapped__
+    for left_out in range(scalars.__code__.co_argcount):
+        cache = {}
+
+        def keyed_without(*key, left_out=left_out, cache=cache):
+            short = key[:left_out] + key[left_out + 1:]
+            if short not in cache:
+                cache[short] = scalars(*key)
+            return cache[short]
+
+        monkeypatch.setattr(qseries, "_scalars", keyed_without)
+        try:
+            warm = run_scalar_calls(monkeypatch, calls, order, cold=False)
+        except ZeroDivisionError:  # a d read from another call cut some h to 0
+            monkeypatch.undo()
+            continue
+        assert any(warm[i][1] != cold[i][1] for i in order), scalars.__code__.co_varnames[left_out]
 
 
 # -- unpacking ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from propergenus.core import LaurentPoly
 from propergenus.errors import NonIntegral, NonUnitConstantTerm
+from propergenus.lambda_ring import THETA, theta_bundle
 
 from oracles import double_exponents, halve_exponents
 
@@ -61,6 +62,26 @@ def test_adams_substitution_examples():
     assert LaurentPoly({0: 3}).substitute_power(7) == LaurentPoly({0: 3})
     adjoint = LaurentPoly({2: 1, -2: 1})
     assert adjoint.substitute_power(3) == LaurentPoly({6: 1, -6: 1})
+
+
+def test_non_integral_exponents_are_refused():
+    # an exponent is refused, not truncated, as a weight is
+    for bad, name in ((Fraction(1, 2), "1/2"), (2.7, "2.7"), (2.5, "2.5")):
+        with pytest.raises(ValueError, match=f"^exponent {name} is not an integer$"):
+            LaurentPoly({1: 3, bad: 1})
+        with pytest.raises(ValueError, match=f"^exponent {name} is not an integer$"):
+            LaurentPoly({bad: 0})
+    with pytest.raises(ValueError, match="^exponent 2.5 is not an integer$"):
+        theta_bundle(LaurentPoly({2.5: 1, -2.5: 1}), THETA, 1)
+    # integral Fractions and floats are the ints they equal
+    p = LaurentPoly({Fraction(4, 2): 3, -1.0: Fraction(1, 2)})
+    assert p.coeffs == {2: 3, -1: Fraction(1, 2)}
+    assert all(type(e) is int for e in p.coeffs)
+    # the Adams substitution takes an integral power only
+    for bad in (1.5, Fraction(3, 2)):
+        with pytest.raises(ValueError, match=f"^substitution power {bad} is not an integer >= 1$"):
+            LaurentPoly({2: 1}).substitute_power(bad)
+    assert LaurentPoly({2: 1}).substitute_power(2.0).coeffs == {4: 1}
 
 
 def test_adams_is_ring_homomorphism():

@@ -261,13 +261,6 @@ def _two_adic(c: Fraction) -> tuple[Fraction, int]:
     return c / Fraction(2) ** e, e
 
 
-def _twisted_top(k: int, N: int, part_basis: list[Partition]) -> dict[Partition, QSeries]:
-    """Weight-4k part of A-hat times the Witten series, at the partitions
-    ``part_basis`` of k: the product is the one exponential
-    exp(sum_s (a_s + c_s(q)) p_s)."""
-    return _exp_power_sums(_witten_form(k, N, _a_hat_form(k)), part_basis)
-
-
 def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport:
     """Decompose the top-weight twisted A-hat q-series in the level-2
     monomial basis and recover the power-of-two schedule against the top
@@ -284,7 +277,9 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     if q_order < nb:
         raise SingularSystem(f"q_order {q_order} < {nb} unknowns")
     part_basis = sorted(partitions_of(k))
-    top = _twisted_top(k, q_order, part_basis)
+    # the weight-4k part of A-hat times the Witten series is the one
+    # exponential exp(sum_s (a_s + c_s(q)) p_s), read at the partitions of k
+    top = _exp_power_sums(_witten_form(k, q_order, _a_hat_form(k)), part_basis)
     rhs = [[top[p].coeffs[h] for p in part_basis] for h in range(2 * q_order + 1)]
     solution = solve_exact(_basis_rows(k, q_order), rhs)  # nb x dim
     combos = [_nonzero(dict(zip(part_basis, row))) for row in solution]

@@ -25,7 +25,9 @@ from .lambda_ring import THETA, THETA1, THETA2, eval_bundle_expr
 from .lefschetz import DIRAC, SIGNATURE, lefschetz_twisted, p_series
 from .theta_modforms import (
     MODFORM_NAMES,
+    MODFORM_ORDER,
     THETA_KINDS,
+    THETA_ORDER,
     modform_qexp,
     theta_qexp,
     verify_modform_transforms,
@@ -88,15 +90,24 @@ def _parse_complex(text: str) -> complex:
     return complex(_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
+def _common(order: int) -> argparse.ArgumentParser:
+    """The options every verb takes, ``order`` the default of --order.
+    Each default has its own parent: a child's set_defaults would change
+    the Action that every child of a shared parent holds."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--order", type=_parse_order, default=order,
+                        help="truncation order N >= 1 (default %(default)s)")
+    parent.add_argument("--json-indent", type=int, choices=range(9), default=2)
+    parent.add_argument("--output", default=None, help="write JSON here instead of stdout")
+    return parent
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every call:
     parsing reads it and never changes it."""
     parser = _Parser(prog="propergenus")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=_parse_order, default=10, help="truncation order N >= 1")
-    common.add_argument("--json-indent", type=int, choices=range(9), default=2)
-    common.add_argument("--output", default=None, help="write JSON here instead of stdout")
+    common = _common(10)
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
     tolerance = argparse.ArgumentParser(add_help=False)
@@ -120,7 +131,7 @@ def build_parser() -> _Parser:
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
-    tcheck = tsub.add_parser("check", parents=[common, tolerance])
+    tcheck = tsub.add_parser("check", parents=[_common(THETA_ORDER), tolerance])
     tcheck.add_argument("--v", type=_parse_complex, required=True)
     tcheck.add_argument("--tau", type=_parse_complex, required=True)
     texp = tsub.add_parser("expand", parents=[common])
@@ -131,7 +142,7 @@ def build_parser() -> _Parser:
     msub = mf.add_subparsers(dest="action", required=True)
     mexp = msub.add_parser("expand", parents=[common])
     mexp.add_argument("--name", choices=list(MODFORM_NAMES), required=True)
-    mcheck = msub.add_parser("check", parents=[common, tolerance])
+    mcheck = msub.add_parser("check", parents=[_common(MODFORM_ORDER), tolerance])
     mcheck.add_argument("--tau", type=_parse_complex, required=True)
 
     bundle = sub.add_parser("bundle")

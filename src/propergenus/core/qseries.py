@@ -508,8 +508,6 @@ def _relay(value: int, B: int, n: int, step: int, width: int) -> int:
     balanced base-2^B digits of ``value``, and every other digit 0:
     :func:`_recast` of its two's complement digits (:func:`_raw`).  Exact
     when every digit fits the new width."""
-    if not value:
-        return 0
     return _value(_recast(_raw(value, B, n), B // 8, width // 8, step), width)
 
 

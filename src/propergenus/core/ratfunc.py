@@ -1,17 +1,16 @@
 """Exact polynomial division, and the Euclid reduction that names a
 grade which is not Laurent.
 
-When ``lefschetz`` has shown that D does not divide a grade's numerator,
-:class:`RationalFunc` reduces the grade's rational function in mu by
-Euclid's gcd over the rationals, and :meth:`RationalFunc.to_laurent`
-raises :class:`NotLaurent` naming the reduced denominator.
-:class:`Poly` holds what that needs: an exact ``divmod``,
-:meth:`Poly.to_laurent` and the printed form of the message.  The same
-``divmod``, by the monic D on ints, decides every grade that the packed
-check leaves open; ``lefschetz._exact_grade`` is the package's one
-caller.  :meth:`Poly.from_laurent`, :meth:`Poly.monomial` and the product
-of two polynomials serve only the tests' oracles.  There is no
-rational-function arithmetic here, and the package does not export them.
+``lefschetz._exact_grade`` is this module's one caller.  It decides
+every grade that the packed check leaves open by ``Poly``'s exact
+``divmod`` by the monic D on ints.  When D does not divide the grade's
+numerator, :class:`RationalFunc` reduces the grade's rational function
+in mu by Euclid's gcd over the rationals, and
+:meth:`RationalFunc.to_laurent` raises :class:`NotLaurent` naming the
+reduced denominator.  :class:`Poly` holds only what these two need: the
+division, :meth:`Poly.to_laurent` and the printed form of the message.
+There is no product and no rational-function arithmetic here, and the
+package does not export them.
 """
 
 from __future__ import annotations
@@ -37,21 +36,8 @@ class Poly:
     def zero(cls) -> "Poly":
         return cls([])
 
-    @classmethod
-    def monomial(cls, deg: int, c: Scalar = 1) -> "Poly":
-        return cls([0] * deg + [c])
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> tuple["Poly", int]:
-        """Clear negative exponents: return (poly, shift) with p = poly * x^(-shift)."""
-        shift = -min(0, p.min_exp())
-        coeffs = [0] * (p.max_exp() + shift + 1) if p.coeffs else []
-        for e, c in p.coeffs.items():
-            coeffs[e + shift] = c
-        return cls(coeffs), shift
-
     def to_laurent(self, shift: int, var: str = MU) -> LaurentPoly:
-        """The Laurent polynomial self * x^(-shift); inverse of :meth:`from_laurent`."""
+        """The Laurent polynomial self * x^(-shift)."""
         return LaurentPoly({i - shift: c for i, c in enumerate(self.coeffs) if c != 0}, var)
 
     def degree(self) -> int:
@@ -62,20 +48,6 @@ class Poly:
 
     def leading(self) -> Scalar:
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Poly(out)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -159,7 +131,7 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         den, _ = divmod(den, g)
     lead = Fraction(den.leading())
     if lead != 1:
-        num = num * (Fraction(1) / lead)
+        num = Poly([c / lead for c in num.coeffs])
         den = den.monic()
     return num, den
 

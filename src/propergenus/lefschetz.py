@@ -24,12 +24,13 @@ Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4).  Its numerator, shifted into a polynomial P in lam, and D are
 evaluated at lam = 2^B as big ints, and the quotient is read back, by
 the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).
-Every twist, the twist-less 1 included, is a product of the binomial
-kernel and enters as its packed rows (``core.qseries.PackedSeries``),
-never unpacked here.  Each row's span and l1 norm are read from its
-digits, and P(2^B) is a sum of shifted rows times the prefactors'
-values.  A twist at another digit width or exponent step is re-laid at
-B once, by byte copies.  A zero remainder and a quotient q' read as
+Every twist is a Witten bundle of ``lambda_ring``, the binomial
+kernel's one client; the twist-less 1 is Theta of the zero bundle, the
+kernel's empty product.  Each enters as the kernel's packed rows
+(``core.qseries.PackedSeries``), never unpacked here.  Each row's span
+and l1 norm are read from its digits, and P(2^B) is a sum of shifted
+rows times the prefactors' values.  A twist at another digit width or
+exponent step is re-laid at B once, by byte copies.  A zero remainder and a quotient q' read as
 balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
@@ -65,7 +66,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .core.laurent import LAMBDA, MU, LaurentPoly
-from .core.qseries import LAMBDA_RING, QSeries, _binomial_product, _raw, _read, _span, _unpack, _width
+from .core.qseries import LAMBDA_RING, QSeries, _raw, _read, _span, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, OddWeightSum
 from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
@@ -110,8 +111,8 @@ def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
 
 
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
-    if twist is None:  # the kernel's empty product
-        return _binomial_product(LaurentPoly.zero(LAMBDA), [], N)
+    if twist is None:  # Theta of the zero bundle: the kernel's empty product
+        return theta_series(LaurentPoly.zero(LAMBDA), THETA, N)
     if twist in (THETA, THETA1, THETA2):
         return theta_bundle(_tangent_char(datum), twist, N)
     raise ValueError(f"unknown twist {twist!r}")
@@ -269,10 +270,8 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     packed = _factor_values(pairs, data, operator,
                             _width(max(grade[3] for grade in grades) * (den_norm + 1)))
     twists = [t.relaid(packed[0]) for t in point_series]
-    out = QSeries(LAMBDA_RING, point_series[0].trunc)
-    for h, grade in enumerate(grades):
-        out.coeffs[h] = _packed_grade(grade, twists, packed, cert)
-    return out
+    return QSeries._of(LAMBDA_RING, point_series[0].trunc,
+                       [_packed_grade(grade, twists, packed, cert) for grade in grades])
 
 
 def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,

@@ -23,6 +23,11 @@ from .errors import NumericOverflow
 
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
 
+# the default truncation orders of the numeric theta and modular-form
+# evaluations and checks, and so of the CLI's two check verbs
+THETA_ORDER = 40
+MODFORM_ORDER = 60
+
 # (trig prefactor, z-sign of the paired factors, half-integer offset)
 _THETA_SHAPE = {
     "theta": ("sin", -1, False),
@@ -67,7 +72,7 @@ def theta_qexp(kind: str, n_q: int, n_z: int | None = None) -> ThetaExpansion:
     return ThetaExpansion(kind, pref, trig, series, n_z)
 
 
-def theta_eval(kind: str, v: complex, tau: complex, N: int = 40) -> tuple[complex, float]:
+def theta_eval(kind: str, v: complex, tau: complex, N: int = THETA_ORDER) -> tuple[complex, float]:
     """Numeric theta value from the infinite product, truncated at j <= N,
     and its scale: the same product over absolute values,
     |pref| prod_j |1 - q^j| (1 + |z q_h|) (1 + |q_h / z|).
@@ -109,7 +114,7 @@ def _s_factor(tau: complex, v: complex) -> complex:
     return cmath.sqrt(tau / 1j) * cmath.exp(1j * cmath.pi * tau * v * v)
 
 
-def verify_theta_transforms(v: complex, tau: complex, N: int = 40,
+def verify_theta_transforms(v: complex, tau: complex, N: int = THETA_ORDER,
                             tol: float = 1e-9) -> dict:
     """Residuals of the eight T- and S-transformation laws.
 
@@ -229,11 +234,11 @@ def modform_qexp(name: str, N: int = 10) -> ModFormSeries:
     return ModFormSeries(name, s, weight, group)
 
 
-def modform_eval(name: str, tau: complex, N: int = 60) -> complex:
+def modform_eval(name: str, tau: complex, N: int = MODFORM_ORDER) -> complex:
     return complex_eval(modform_qexp(name, N).series, tau)[0]
 
 
-def verify_modform_transforms(tau: complex, N: int = 60, tol: float = 1e-8) -> dict:
+def verify_modform_transforms(tau: complex, N: int = MODFORM_ORDER, tol: float = 1e-8) -> dict:
     """Residuals of delta2(-1/tau) = tau^2 delta1(tau) and
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
     _check_tau(tau)

@@ -61,9 +61,11 @@ package builds the twists in lam; the oracles read them in mu, with
 lam = mu^2 (``double_exponents``).
 
 Below the routes sit helpers that only the tests need: the lam <-> mu
-exponent maps, the value of a dense polynomial at a rational point, the
-value of a formal theta expansion at a point, and heuristic estimates
-of the tail that a numeric evaluation truncated at q^N drops.
+exponent maps, the dense polynomials that ``core.ratfunc.Poly`` does not
+build (a monomial, a Laurent polynomial with its negative exponents
+cleared, a product), the value of a dense polynomial at a rational
+point, the value of a formal theta expansion at a point, and heuristic
+estimates of the tail that a numeric evaluation truncated at q^N drops.
 """
 
 from __future__ import annotations
@@ -251,13 +253,13 @@ def _prefactors(data, operator: str, signed: bool) -> tuple[list[LaurentPoly], P
             pairs[(i, j)] = _pair_factor(abs(data[i].weight - data[j].weight))
     denominator = Poly([1])
     for f in pairs.values():
-        denominator = denominator * f
+        denominator = poly_mul(denominator, f)
     prefactors = []
     for j, datum in enumerate(data):
         cofactor = Poly([1])
         for (i, k), f in pairs.items():
             if j not in (i, k):
-                cofactor = cofactor * f
+                cofactor = poly_mul(cofactor, f)
         pre = cofactor.to_laurent(-sum(datum.tangent_weights), MU)
         if signed and datum.sign < 0:
             pre = -pre
@@ -276,7 +278,7 @@ def _grade_numerator(point_series, prefactors, h: int) -> tuple[Poly, int]:
         c = series.coeffs[h]
         if not c.is_zero():
             num = num + c * pre
-    return Poly.from_laurent(num)
+    return poly_from_laurent(num)
 
 
 def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
@@ -285,7 +287,7 @@ def _certify(poly: Poly, shift: int, denominator: Poly) -> LaurentPoly:
     if not rem.is_zero():
         # D is coprime to mu, so the reduced form keeps a non-monomial
         # denominator and to_laurent raises NotLaurent naming it
-        return RationalFunc(poly, denominator * Poly.monomial(shift)).to_laurent(MU)
+        return RationalFunc(poly, poly_mul(denominator, poly_monomial(shift))).to_laurent(MU)
     return quo.to_laurent(shift, MU)
 
 
@@ -375,7 +377,7 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
     point_series = [_in_mu(_twist_series(d, twist, N)) for d in data]
     prefactors, denominator = _prefactors(data, operator, signed)
     poly, shift = _grade_numerator(point_series, prefactors, int(Fraction(grade) * 2))
-    return RationalFunc(poly, denominator * Poly.monomial(shift))
+    return RationalFunc(poly, poly_mul(denominator, poly_monomial(shift)))
 
 
 def packed_grade_ratfunc(num: int, lo: int, hi: int, B: int, den: int, den_degree: int) -> RationalFunc:
@@ -383,9 +385,9 @@ def packed_grade_ratfunc(num: int, lo: int, hi: int, B: int, den: int, den_degre
     at most hi - lo, and D(2^B) = den: both unpack at step 2, P from
     mu^(2 lo) up, and the negative powers of mu that clearing the
     numerator takes join the denominator."""
-    top, shift = Poly.from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
-    bottom, _ = Poly.from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
-    return RationalFunc(top, bottom * Poly.monomial(shift))
+    top, shift = poly_from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
+    bottom, _ = poly_from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
+    return RationalFunc(top, poly_mul(bottom, poly_monomial(shift)))
 
 
 # -- dense assembly of the fixed-point sum ------------------------------------
@@ -557,6 +559,31 @@ def halve_exponents(p: LaurentPoly, var: str = LAMBDA) -> LaurentPoly:
         if e % 2 != 0:
             raise NonIntegral(f"odd exponent {e} cannot be halved into {var}")
     return LaurentPoly({e // 2: c for e, c in p.coeffs.items()}, var)
+
+
+def poly_monomial(deg: int) -> Poly:
+    """x^deg as a dense polynomial."""
+    return Poly([0] * deg + [1])
+
+
+def poly_from_laurent(p: LaurentPoly) -> tuple[Poly, int]:
+    """Clear negative exponents: (poly, shift) with p = poly * x^(-shift),
+    the inverse of ``Poly.to_laurent``."""
+    shift = -min(0, p.min_exp())
+    coeffs = [0] * (p.max_exp() + shift + 1) if p.coeffs else []
+    for e, c in p.coeffs.items():
+        coeffs[e + shift] = c
+    return Poly(coeffs), shift
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """a * b, one multiply-add per pair of nonzero coefficients."""
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return Poly(out)
 
 
 def poly_value(p: Poly, x) -> Fraction:

@@ -572,7 +572,12 @@ def test_span_and_relay_read_the_digits(B):
             for step in (1, 2, 3):
                 want = sum(c << (width * step * i) for i, c in enumerate(digits))
                 assert _relay(value, B, n, step, width) == want, (width, step)
-    assert _relay(0, B, 3, 2, 16) == 0
+    # a zero row re-lays to 0 by the same byte copies, at every width and
+    # step, those of the certificate's re-lays (32 and 64 bits, steps 1
+    # and 2) among them
+    for width in (8, 16, 32, 40, 64, 72, 96):
+        for step in (1, 2, 3):
+            assert _relay(0, B, rng.randint(1, 9), step, width) == 0, (width, step)
 
 
 # -- the grade lattice ---------------------------------------------------------------

@@ -6,8 +6,10 @@ import pytest
 
 from propergenus.chern import (
     CancellationReport,
+    _a_hat_form,
     _basis_rows,
-    _twisted_top,
+    _exp_power_sums,
+    _witten_form,
     a_hat,
     ch_witten,
     l_hat,
@@ -114,7 +116,7 @@ def test_exponentials_match_multiplied_out_oracle():
     # exponential, is the weight-k part of A-hat times the Witten series
     for k in range(1, 9):
         for N in (k // 2 + 2, 3):
-            top = _twisted_top(k, N, sorted(partitions_of(k)))
+            top = _exp_power_sums(_witten_form(k, N, _a_hat_form(k)), sorted(partitions_of(k)))
             assert sorted(top) == sorted(partitions_of(k))
             series = witten_chern_series(k, N)
             assert all(f.ring == RATIONAL and f.trunc == N for f in series.values())

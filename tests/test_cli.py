@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import propergenus
 from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
+from propergenus.theta_modforms import verify_modform_transforms, verify_theta_transforms
 
 
 def run(capsys, *argv):
@@ -222,6 +224,21 @@ def test_order_below_one_is_usage_error(capsys, argv, order):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"order must be at least 1, got {order}" in captured.err
+
+
+def test_check_verbs_default_to_the_library_order(capsys):
+    # with no --order the two checks truncate where the library's checks
+    # do, and pass at tau = 0.3i, where order 10 leaves S-law residuals of
+    # 1e-9 to 9e-9; every other verb defaults to order 10
+    library = {verb: inspect.signature(fn).parameters["N"].default
+               for verb, fn in (("theta", verify_theta_transforms), ("modforms", verify_modform_transforms))}
+    for argv in (["theta", "check", "--v", "0.1,0.05", "--tau", "0,0.3"], ["modforms", "check", "--tau", "0,0.3"]):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert (code, doc["order"], doc["failed"], doc["all_passed"]) == (0, library[argv[0]], [], True)
+    parser = build_parser()
+    for argv in VERB_CALLS:
+        assert parser.parse_args(argv).order == (library[argv[0]] if argv[:2] in TOL_VERBS else 10)
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -1,7 +1,7 @@
 """The binomial kernel's layout, pinned call by call.
 
 Every ``_binomial_product`` call that a fixed list of CLI calls makes is
-recorded as its digit layout (B, g, r, m, d) and the SHA-256 of its rows
+recorded at its one door, ``lambda_ring``, as its digit layout (B, g, r, m, d) and the SHA-256 of its rows
 (:class:`propergenus.core.qseries.PackedSeries`).  The calls are the
 weighted verbs on a spread of weight sets and orders, the order-20
 ``theta2`` calls whose rows the certificate re-lays, and bundle
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from propergenus import lambda_ring, lefschetz
+from propergenus import lambda_ring
 from propergenus.cli import main
 from propergenus.core.qseries import _binomial_product
 
@@ -65,8 +65,7 @@ def _layouts(argv) -> dict:
         return product
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (lambda_ring, lefschetz):
-            mp.setattr(module, "_binomial_product", recording)
+        mp.setattr(lambda_ring, "_binomial_product", recording)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(list(argv))
     rows = hashlib.sha256()

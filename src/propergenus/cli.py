@@ -26,8 +26,10 @@ from .lefschetz import DIRAC, SIGNATURE, lefschetz_twisted, p_series
 from .theta_modforms import (
     MODFORM_NAMES,
     MODFORM_ORDER,
+    MODFORM_TOL,
     THETA_KINDS,
     THETA_ORDER,
+    THETA_TOL,
     modform_qexp,
     theta_qexp,
     verify_modform_transforms,
@@ -90,15 +92,18 @@ def _parse_complex(text: str) -> complex:
     return complex(_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
-def _common(order: int) -> argparse.ArgumentParser:
-    """The options every verb takes, ``order`` the default of --order.
-    Each default has its own parent: a child's set_defaults would change
-    the Action that every child of a shared parent holds."""
+def _common(order: int, tol: float | None = None) -> argparse.ArgumentParser:
+    """The options every verb takes, ``order`` the default of --order, and
+    a check verb's --tol, ``tol`` its default.  Each default has its own
+    parent: a child's set_defaults would change the Action that every
+    child of a shared parent holds."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--order", type=_parse_order, default=order,
                         help="truncation order N >= 1 (default %(default)s)")
     parent.add_argument("--json-indent", type=int, choices=range(9), default=2)
     parent.add_argument("--output", default=None, help="write JSON here instead of stdout")
+    if tol:
+        parent.add_argument("--tol", type=_parse_tol, default=tol, help="numeric tolerance")
     return parent
 
 
@@ -110,8 +115,6 @@ def build_parser() -> _Parser:
     common = _common(10)
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tol", type=_parse_tol, default=1e-9, help="numeric tolerance")
 
     sub = parser.add_subparsers(dest="verb", required=True)
     sub.add_parser(
@@ -131,7 +134,7 @@ def build_parser() -> _Parser:
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
-    tcheck = tsub.add_parser("check", parents=[_common(THETA_ORDER), tolerance])
+    tcheck = tsub.add_parser("check", parents=[_common(THETA_ORDER, THETA_TOL)])
     tcheck.add_argument("--v", type=_parse_complex, required=True)
     tcheck.add_argument("--tau", type=_parse_complex, required=True)
     texp = tsub.add_parser("expand", parents=[common])
@@ -142,7 +145,7 @@ def build_parser() -> _Parser:
     msub = mf.add_subparsers(dest="action", required=True)
     mexp = msub.add_parser("expand", parents=[common])
     mexp.add_argument("--name", choices=list(MODFORM_NAMES), required=True)
-    mcheck = msub.add_parser("check", parents=[_common(MODFORM_ORDER), tolerance])
+    mcheck = msub.add_parser("check", parents=[_common(MODFORM_ORDER, MODFORM_TOL)])
     mcheck.add_argument("--tau", type=_parse_complex, required=True)
 
     bundle = sub.add_parser("bundle")

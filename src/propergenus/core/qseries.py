@@ -14,6 +14,7 @@ import functools
 import math
 import struct
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from operator import itemgetter
 
@@ -328,21 +329,20 @@ class PackedSeries(QSeries):
             raise AttributeError(name)
         rows, B, g, r, m, d = self.packed
         coeffs = [self.ring.zero()] * (2 * self.trunc + 1)
-        coeffs[::d] = [_unpack(row, B, -g * (r + m * k), 2 * (r + m * k) + 1, self.ring.var, g)
-                       for k, row in enumerate(rows)]
+        coeffs[::d] = [_unpack(row, B, -g * (r + m * k), self.ring.var, g) for k, row in enumerate(rows)]
         self.coeffs = coeffs
         return coeffs
 
     def spans(self) -> list:
-        """(h, k, lo, hi, l1) of every nonzero row k: its grade h in half
-        units, its lowest and highest exponent of x and the l1 norm of its
-        coefficients, read from its digits (:func:`_span`)."""
+        """(h, k, lo, l1) of every nonzero row k: its grade h in half units,
+        its lowest exponent of x and the l1 norm of its coefficients, read
+        from its digits (:func:`_span`)."""
         rows, B, g, r, m, d = self.packed
         out = []
         for k, row in enumerate(rows):
             if row:
-                first, last, l1 = _span(row, B, 2 * (r + m * k) + 1)
-                out.append((d * k, k, g * (first - r - m * k), g * (last - r - m * k), l1))
+                first, l1 = _span(row, B)
+                out.append((d * k, k, g * (first - r - m * k), l1))
         return out
 
     def relaid(self, B: int) -> "PackedSeries":
@@ -354,7 +354,7 @@ class PackedSeries(QSeries):
         if width == B and g == 1:
             return self
         return PackedSeries(self.ring, self.trunc, (
-            [_relay(row, width, 2 * (r + m * k) + 1, g, B) for k, row in enumerate(rows)],
+            [_relay(row, width, g, B) for row in rows],
             B, 1, g * r, g * m, d))
 
     def row(self, k: int, lo: int) -> int:
@@ -416,14 +416,13 @@ def _pack(poly: LaurentPoly, B: int, lo: int, step: int = 1) -> int:
     return _value(raw, B)
 
 
-def _raw(value: int, B: int, n: int) -> bytes:
-    """The n balanced base-2^B digits of ``value``, lowest first, each in
-    two's complement in B/8 bytes.
-
-    Adding the bias and flipping the top bit of each biased digit leaves
-    each digit c in two's complement.  Raises OverflowError when
-    ``value`` has no n-digit balanced form.
-    """
+def _raw(value: int, B: int) -> bytes:
+    """The balanced base-2^B digits of ``value``, lowest first, each in
+    two's complement in B/8 bytes: n = bit_length // B + 2 of them, since
+    n digits hold every |value| < 2^(B (n - 1)); one fewer may not (32,640
+    at B = 8 needs three).  Adding the bias and flipping the top bit of
+    each biased digit leaves each digit c in two's complement."""
+    n = value.bit_length() // B + 2
     half = _half(B, n)
     return ((value + half) ^ half).to_bytes(B // 8 * n, "little")
 
@@ -456,35 +455,32 @@ def _read(raw: bytes, B: int):
     return struct.unpack(f"<{len(raw) // nbytes}q", _recast(raw, nbytes, 8))
 
 
-def _unpack(value: int, B: int, lo: int, n: int, var: str, step: int = 1) -> LaurentPoly:
+def _unpack(value: int, B: int, lo: int, var: str, step: int = 1) -> LaurentPoly:
     """The inverse of :func:`_pack`: the Laurent polynomial in ``var``
-    whose n balanced base-2^B digits (:func:`_raw`), lowest first, are
-    those of ``value``, digit i at exponent lo + step i.
+    whose coefficients are the balanced base-2^B digits of ``value``
+    (:func:`_raw`), digit i at exponent lo + step i.
 
     The zeros drop in C, so every digit kept is a nonzero int, and the
     result is built without the normalising constructor.
     """
     if not value:
         return LaurentPoly.zero(var)
-    exponents = range(lo, lo + step * n, step)
     poly = LaurentPoly.__new__(LaurentPoly)
-    poly.coeffs = dict(filter(itemgetter(1), zip(exponents, _read(_raw(value, B, n), B))))
+    poly.coeffs = dict(filter(itemgetter(1), zip(count(lo, step), _read(_raw(value, B), B))))
     poly.var = var
     return poly
 
 
-def _span(value: int, B: int, n: int) -> tuple[int, int, int]:
-    """(i, j, l1) of a nonzero ``value`` read as n balanced base-2^B
-    digits (:func:`_raw`): its lowest and highest nonzero digits i <= j
-    and the l1 norm of its digits.  A digit is zero exactly when its two's
-    complement bytes are, so stripping zero bytes finds i and j in C, and
-    only digits i..j are read.
+def _span(value: int, B: int) -> tuple[int, int]:
+    """(i, l1) of a nonzero ``value`` read as balanced base-2^B digits
+    (:func:`_raw`): its lowest nonzero digit i and the l1 norm of its
+    digits.  A digit is zero exactly when its two's complement bytes are,
+    so stripping zero bytes finds i in C; only digits from i up are read.
     """
-    raw = _raw(value, B, n)
+    raw = _raw(value, B)
     nbytes = B // 8
     i = (len(raw) - len(raw.lstrip(b"\0"))) // nbytes
-    j = (len(raw.rstrip(b"\0")) - 1) // nbytes
-    return i, j, sum(map(abs, _read(raw[i * nbytes:(j + 1) * nbytes], B)))
+    return i, sum(map(abs, _read(raw[i * nbytes:], B)))
 
 
 def _recast(raw: bytes, old: int, new: int, step: int = 1) -> bytearray:
@@ -503,12 +499,12 @@ def _recast(raw: bytes, old: int, new: int, step: int = 1) -> bytearray:
     return out
 
 
-def _relay(value: int, B: int, n: int, step: int, width: int) -> int:
-    """The value whose base-2^width digit step i is digit i of the n
-    balanced base-2^B digits of ``value``, and every other digit 0:
-    :func:`_recast` of its two's complement digits (:func:`_raw`).  Exact
-    when every digit fits the new width."""
-    return _value(_recast(_raw(value, B, n), B // 8, width // 8, step), width)
+def _relay(value: int, B: int, step: int, width: int) -> int:
+    """The value whose base-2^width digit step i is balanced base-2^B
+    digit i of ``value``, and every other digit 0: :func:`_recast` of its
+    two's complement digits (:func:`_raw`).  Exact when every digit fits
+    the new width."""
+    return _value(_recast(_raw(value, B), B // 8, width // 8, step), width)
 
 
 def _convolve(rows, c, h: int, shift: int):
@@ -725,12 +721,14 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     return PackedSeries(ring, trunc, (rows, B, g, r, m, d))
 
 
-def _check_tau(tau: complex, name: str = "tau"):
+def _check_tau(tau: complex, image: bool = False):
     """Refuse tau outside the upper half-plane, and tau so close to the
-    real axis that |q|^(1/2) = exp(-pi Im tau) rounds to 1.  The message
-    calls the point ``name``, say -1/tau for an S-image."""
+    real axis that |q|^(1/2) = exp(-pi Im tau) rounds to 1.  The S-image
+    -1/tau of a tau that passed (``image``) has Im tau / |tau|^2 > 0, so
+    an Im of 0 there has underflowed, and is refused as close to the axis."""
     tau = complex(tau)
-    if tau.imag <= 0:
+    name = "-1/tau" if image else "tau"
+    if tau.imag <= 0 and not image:
         raise NotUpperHalfPlane(f"{name} = {tau} is not in the upper half-plane")
     if math.exp(-math.pi * tau.imag) == 1.0:
         raise NotUpperHalfPlane(f"{name} = {tau} is so close to the real axis "

@@ -27,11 +27,12 @@ the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).
 Every twist is a Witten bundle of ``lambda_ring``, the binomial
 kernel's one client; the twist-less 1 is Theta of the zero bundle, the
 kernel's empty product.  Each enters as the kernel's packed rows
-(``core.qseries.PackedSeries``), never unpacked here.  Each row's span
-and l1 norm are read from its digits, and P(2^B) is a sum of shifted
-rows times the prefactors' values.  A twist at another digit width or
-exponent step is re-laid at B once, by byte copies.  A zero remainder and a quotient q' read as
-balanced base-2^B digits with
+(``core.qseries.PackedSeries``), never unpacked here.  Each row's lowest
+exponent and l1 norm are read from its digits, and P(2^B) is a sum of
+shifted rows times the prefactors' values.  Every value reads as many
+digits as its size needs, so no degree is kept.  A twist at another digit
+width or exponent step is re-laid at B once, by byte copies.  A zero
+remainder and a quotient q' read as balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
 
@@ -42,9 +43,9 @@ and D are below 2^(B-1), so they read exactly from their digits, and
 ``Poly``'s division by the monic D decides the grade on ints.  A nonzero
 remainder proves that D does not divide P: the grade raises NotLaurent,
 which names the pole of the reduced rational form in mu.  This route
-alone reaches ``core.ratfunc``.  Each grade's rows, span and N_h, and each
-point's norms, are computed once per call, and the width is the
-``core.qseries._width`` of a bound.
+alone reaches ``core.ratfunc``.  Each grade's rows, lowest exponent and
+N_h, and each point's norm, are computed once per call, and the width is
+the ``core.qseries._width`` of a bound.
 The sum collapses to a Laurent polynomial exactly when the orientation
 signs sigma_j = (-1)^j (weights sorted ascending) are in place, and the
 assembly always applies them.  The literal unsigned sum, kept only for
@@ -140,18 +141,18 @@ def _factor_values(pairs, data, operator: str, B: int):
 
 def _certificate_data(data, twists, operator: str):
     """What the certificate of one call reads, computed once:
-    (pairs, deg D, |D|_1, points, grades).
+    (pairs, |D|_1, points, grades).
 
     In lam, pre_j = sigma_j lam^(low_j) P_j.  With C_j the product of the
     pair factors not containing j, P_j = C_j for the Dirac operator
     (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for the
-    signature operator (low_j = 0).  points[j] = (low_j, deg P_j,
-    |P_j|_1).  twists[j] is the twist c_j of point j as packed rows, and
-    grades[h] = (terms, lo, hi, N_h): terms holds (j, k) for each nonzero
-    row k of a twist j on grade h, the numerator sum_j c_j pre_j spans
-    lam^lo .. lam^hi, and N_h = sum_j |c_j|_1 |P_j|_1 bounds its
-    coefficients.  The span and |c_j|_1 of a row (``PackedSeries.spans``),
-    and |D|_1 and |P_j|_1 from their values at 2^B0, are read from digits
+    signature operator (low_j = 0).  points[j] = (low_j, |P_j|_1).
+    twists[j] is the twist c_j of point j as packed rows, and
+    grades[h] = (terms, lo, N_h): terms holds (j, k) for each nonzero row
+    k of a twist j on grade h, the numerator sum_j c_j pre_j starts at
+    lam^lo, and N_h = sum_j |c_j|_1 |P_j|_1 bounds its coefficients.  The
+    lowest exponent and |c_j|_1 of a row (``PackedSeries.spans``), and
+    |D|_1 and |P_j|_1 from their values at 2^B0, are read from digits
     (``_span``), not unpacked.
     """
     if operator not in (DIRAC, SIGNATURE):
@@ -159,39 +160,33 @@ def _certificate_data(data, twists, operator: str):
     npts = len(data)
     pairs = [(i, k, abs(data[i].weight - data[k].weight))
              for i in range(npts) for k in range(i + 1, npts)]
-    den_degree = sum(w for _, _, w in pairs)
     # D and every P_j are products of at most len(pairs) binomials of l1
     # norm 2, so no coefficient exceeds 2^len(pairs)
     B0 = _width(1 << len(pairs))
     _, den, values = _factor_values(pairs, data, operator, B0)
-    points = []
-    for datum, value in zip(data, values):
-        W = sum(datum.tangent_weights)
-        low, degree = (0, den_degree) if operator == SIGNATURE else (W // 2, den_degree - W)
-        points.append((low, degree, _span(value, B0, degree + 1)[2]))
-    # per grade, (j, k) with the row's lowest and highest exponent of the
-    # numerator and its share of N_h
+    points = [(0 if operator == SIGNATURE else sum(datum.tangent_weights) // 2, _span(value, B0)[1])
+              for datum, value in zip(data, values)]
+    # per grade, (j, k) with the row's lowest exponent of the numerator and
+    # its share of N_h
     rows = [[] for _ in range(2 * twists[0].trunc + 1)]
     for j, twist in enumerate(twists):
-        low, degree, norm = points[j]
-        for h, k, first, last, l1 in twist.spans():
-            rows[h].append(((j, k), low + first, low + last + degree, l1 * norm))
-    grades = [([t[0] for t in ts], min((t[1] for t in ts), default=0),
-               max((t[2] for t in ts), default=0), sum(t[3] for t in ts)) for ts in rows]
-    den_norm = _span(den, B0, den_degree + 1)[2]
-    return pairs, den_degree, den_norm, points, grades
+        low, norm = points[j]
+        for h, k, first, l1 in twist.spans():
+            rows[h].append(((j, k), low + first, l1 * norm))
+    grades = [([t[0] for t in ts], min((t[1] for t in ts), default=0), sum(t[2] for t in ts))
+              for ts in rows]
+    return pairs, _span(den, B0)[1], points, grades
 
 
-def _exact_grade(num: int, lo: int, hi: int, packed, den_degree: int) -> LaurentPoly:
-    """lam^lo P / D, given P(2^B) = num with deg P <= hi - lo, by exact
-    division on ints of P by the monic D, both read exactly from their
-    digits since N_h and |D|_1 are below 2^(B-1).  Otherwise NotLaurent
-    names the pole of the rational function in mu (lam = mu^2), whose
-    reduced form is unique: the same whichever way the sum was formed.
+def _exact_grade(num: int, lo: int, packed) -> LaurentPoly:
+    """lam^lo P / D, given P(2^B) = num, by exact division on ints of P by
+    the monic D, both read exactly from their digits since N_h and |D|_1
+    are below 2^(B-1).  Otherwise NotLaurent names the pole of the
+    rational function in mu (lam = mu^2), whose reduced form is unique:
+    the same whichever way the sum was formed.
     """
     B, den, _ = packed
-    top = _read(_raw(num, B, hi - lo + 1), B)
-    bottom = _read(_raw(den, B, den_degree + 1), B)
+    top, bottom = (_read(_raw(value, B), B) for value in (num, den))
     quo, rem = divmod(Poly(top), Poly(bottom))
     if rem.is_zero():
         return quo.to_laurent(-lo, LAMBDA)
@@ -208,7 +203,7 @@ def _exact_grade(num: int, lo: int, hi: int, packed, den_degree: int) -> Laurent
 def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
-    ``grade`` = (terms, lo, hi, N_h) and ``cert`` are what
+    ``grade`` = (terms, lo, N_h) and ``cert`` are what
     :func:`_certificate_data` computes for the call, ``twists`` are the
     twists re-laid at the width B and step 1, and ``packed`` is what
     :func:`_factor_values` returns.  The numerator num = sum_j c_j pre_j,
@@ -226,30 +221,26 @@ def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     every coefficient of P and of every c_j.
 
     Every other grade is left open to :func:`_exact_grade`: a nonzero
-    remainder, a nonzero P of lower degree than D, or a q' that fails
-    the check or has no balanced form.
+    remainder, which a nonzero P of lower degree than D always leaves,
+    since then |P(2^B)| < D(2^B), or a q' that fails the check.
     """
-    terms, lo, hi, bound = grade
+    terms, lo, bound = grade
     if not terms:
         return LaurentPoly.zero(LAMBDA)
     B, den, values = packed
-    _, den_degree, den_norm, points, _ = cert
+    _, den_norm, points, _ = cert
     limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
         raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
     num = sum(twists[j].row(k, lo - points[j][0]) * values[j] for j, k in terms)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
-    n = hi - lo + 1 - den_degree  # digits of an exact quotient
     quo, rem = divmod(num, den)
-    if not rem and n >= 1:
-        try:
-            q = _unpack(quo, B, lo, n, LAMBDA)
-            if max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
-                return q
-        except OverflowError:
-            pass
-    return _exact_grade(num, lo, hi, packed, den_degree)
+    if not rem:
+        q = _unpack(quo, B, lo, LAMBDA)
+        if max(map(abs, q.coeffs.values())) * den_norm + bound < limit:
+            return q
+    return _exact_grade(num, lo, packed)
 
 
 def _assemble(data, point_series, operator: str) -> QSeries:
@@ -266,9 +257,9 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     since N_h >= |c_j|_1.
     """
     cert = _certificate_data(data, point_series, operator)
-    pairs, _, den_norm, _, grades = cert
+    pairs, den_norm, _, grades = cert
     packed = _factor_values(pairs, data, operator,
-                            _width(max(grade[3] for grade in grades) * (den_norm + 1)))
+                            _width(max(grade[2] for grade in grades) * (den_norm + 1)))
     twists = [t.relaid(packed[0]) for t in point_series]
     return QSeries._of(LAMBDA_RING, point_series[0].trunc,
                        [_packed_grade(grade, twists, packed, cert) for grade in grades])

@@ -24,9 +24,11 @@ from .errors import NumericOverflow
 THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
 
 # the default truncation orders of the numeric theta and modular-form
-# evaluations and checks, and so of the CLI's two check verbs
+# evaluations and checks, and the checks' tolerances: the CLI's defaults too
 THETA_ORDER = 40
 MODFORM_ORDER = 60
+THETA_TOL = 1e-9
+MODFORM_TOL = 1e-8
 
 # (trig prefactor, z-sign of the paired factors, half-integer offset)
 _THETA_SHAPE = {
@@ -115,7 +117,7 @@ def _s_factor(tau: complex, v: complex) -> complex:
 
 
 def verify_theta_transforms(v: complex, tau: complex, N: int = THETA_ORDER,
-                            tol: float = 1e-9) -> dict:
+                            tol: float = THETA_TOL) -> dict:
     """Residuals of the eight T- and S-transformation laws.
 
     T-laws: theta and theta1 pick up e^(pi i / 4) under tau -> tau + 1,
@@ -124,7 +126,7 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = THETA_ORDER,
     with an extra 1/i for theta.  Square roots use the principal branch.
     """
     _check_tau(tau)
-    _check_tau(-1 / tau, "-1/tau")
+    _check_tau(-1 / tau, image=True)
     t_partner = {"theta": "theta", "theta1": "theta1",
                  "theta2": "theta3", "theta3": "theta2"}
     t_phase = {"theta": cmath.exp(1j * cmath.pi / 4),
@@ -238,12 +240,12 @@ def modform_eval(name: str, tau: complex, N: int = MODFORM_ORDER) -> complex:
     return complex_eval(modform_qexp(name, N).series, tau)[0]
 
 
-def verify_modform_transforms(tau: complex, N: int = MODFORM_ORDER, tol: float = 1e-8) -> dict:
+def verify_modform_transforms(tau: complex, N: int = MODFORM_ORDER, tol: float = MODFORM_TOL) -> dict:
     """Residuals of delta2(-1/tau) = tau^2 delta1(tau) and
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
     _check_tau(tau)
     inv = -1 / tau
-    _check_tau(inv, "-1/tau")
+    _check_tau(inv, image=True)
 
     def side(name, t):
         return complex_eval(modform_qexp(name, N).series, t)

@@ -36,7 +36,7 @@ function here recomputes one of them by another.
   polynomial division, grade by grade, against the packed certificate
   of ``lefschetz._assemble``.
 - ``quotient_bounds``: the certificate's bounds |D|_1 and N_h, and
-  each grade's span, from dense products, against
+  each grade's lowest exponent, from dense products, against
   ``lefschetz._certificate_data``, which reads them from packed rows.
 - ``root_class_series``: A-hat and L from their definitions, as the
   product over Chern roots of one-variable series, against the closed
@@ -380,13 +380,13 @@ def lefschetz_grade_ratfunc(weights, grade, operator: str = DIRAC,
     return RationalFunc(poly, poly_mul(denominator, poly_monomial(shift)))
 
 
-def packed_grade_ratfunc(num: int, lo: int, hi: int, B: int, den: int, den_degree: int) -> RationalFunc:
-    """lam^lo P / D reduced in mu, lam = mu^2, from P(2^B) = num, of degree
-    at most hi - lo, and D(2^B) = den: both unpack at step 2, P from
-    mu^(2 lo) up, and the negative powers of mu that clearing the
-    numerator takes join the denominator."""
-    top, shift = poly_from_laurent(_unpack(num, B, 2 * lo, hi - lo + 1, MU, 2))
-    bottom, _ = poly_from_laurent(_unpack(den, B, 0, den_degree + 1, MU, 2))
+def packed_grade_ratfunc(num: int, lo: int, B: int, den: int) -> RationalFunc:
+    """lam^lo P / D reduced in mu, lam = mu^2, from P(2^B) = num and
+    D(2^B) = den: both unpack at step 2, P from mu^(2 lo) up, and the
+    negative powers of mu that clearing the numerator takes join the
+    denominator."""
+    top, shift = poly_from_laurent(_unpack(num, B, 2 * lo, MU, 2))
+    bottom, _ = poly_from_laurent(_unpack(den, B, 0, MU, 2))
     return RationalFunc(top, poly_mul(bottom, poly_monomial(shift)))
 
 
@@ -413,14 +413,13 @@ def dense_assemble(data, point_series, operator: str, signed: bool) -> QSeries:
     return out
 
 
-def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[int, int, int]]]:
-    """|D|_1 and, for every grade h, (lo, hi, N_h) from dense products.
+def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[int, int]]]:
+    """|D|_1 and, for every grade h, (lo, N_h) from dense products.
 
-    The numerator sum_j c_j pre_j of grade h spans lam^lo .. lam^hi, the
-    lowest and highest exponents of the products c_j pre_j over the
-    nonzero c_j, read in mu (0 and 0 when there is none), and
-    N_h = sum_j |c_j|_1 |pre_j|_1 bounds every one of its coefficients;
-    integral twists give int bounds.
+    The numerator sum_j c_j pre_j of grade h starts at lam^lo, the lowest
+    exponent of the products c_j pre_j over the nonzero c_j, read in mu
+    (0 when there is none), and N_h = sum_j |c_j|_1 |pre_j|_1 bounds
+    every one of its coefficients; integral twists give int bounds.
     """
     prefactors, denominator = _prefactors(data, operator, True)
     series = [_in_mu(s) for s in point_series]
@@ -431,9 +430,8 @@ def quotient_bounds(data, point_series, operator: str) -> tuple[int, list[tuple[
     grades = []
     for h in range(len(series[0].coeffs)):
         terms = [(s.coeffs[h], pre) for s, pre in zip(series, prefactors) if s.coeffs[h]]
-        # the extreme terms of a product of two Laurent polynomials do not cancel
+        # the lowest terms of a product of two Laurent polynomials do not cancel
         grades.append((min(((c.min_exp() + pre.min_exp()) // 2 for c, pre in terms), default=0),
-                       max(((c.max_exp() + pre.max_exp()) // 2 for c, pre in terms), default=0),
                        sum(l1(c.coeffs.values()) * l1(pre.coeffs.values()) for c, pre in terms)))
     return l1(denominator.coeffs), grades
 

@@ -494,8 +494,8 @@ def test_digit_pack_round_trip(B):
     # width first, or byte slices when a digit above 64 bits does not fit
     # 64), from exponent lo in steps of step: the packed value is
     # sum_i c_i 2^(B i) with c_i at exponent lo + step i, unpacking inverts
-    # packing, and a value with no n-digit balanced form raises
-    # OverflowError
+    # packing, and a value just past the n-digit balanced range unpacks to
+    # n + 1 digits, since the count comes from the value
     rng = random.Random(B)
     top = 1 << (B - 1)
     for lo, step in ((0, 1), (-7, 1), (-6, 2), (4, 2), (-9, 3), (3, 3)):
@@ -506,16 +506,16 @@ def test_digit_pack_round_trip(B):
             poly = LaurentPoly({lo + step * i: d for i, d in enumerate(digits)}, "x")
             value = _pack(poly, B, lo, step)
             assert value == sum(d << (B * i) for i, d in enumerate(digits))
-            assert _unpack(value, B, lo, n, "x", step) == poly
+            assert _unpack(value, B, lo, "x", step) == poly
             # n digits hold exactly the values from -top ones to (top - 1) ones
             ones = sum(1 << (B * i) for i in range(n))
             lowest, highest = -top * ones, (top - 1) * ones
             exponents = range(lo, lo + step * n, step)
-            assert _unpack(lowest, B, lo, n, "x", step) == LaurentPoly(dict.fromkeys(exponents, -top), "x")
-            assert _unpack(highest, B, lo, n, "x", step) == LaurentPoly(dict.fromkeys(exponents, top - 1), "x")
+            assert _unpack(lowest, B, lo, "x", step) == LaurentPoly(dict.fromkeys(exponents, -top), "x")
+            assert _unpack(highest, B, lo, "x", step) == LaurentPoly(dict.fromkeys(exponents, top - 1), "x")
             for outside in (lowest - 1, highest + 1):
-                with pytest.raises(OverflowError):
-                    _unpack(outside, B, lo, n, "x", step)
+                got = _unpack(outside, B, lo, "x", step)
+                assert max(got.coeffs) == lo + step * n and _pack(got, B, lo, step) == outside
     assert _pack(LaurentPoly.zero("x"), B, -3, 2) == 0
     # a one-term polynomial is one shift, and adds to another one-term
     # polynomial as the two-term polynomial packs on the digit path
@@ -526,7 +526,15 @@ def test_digit_pack_round_trip(B):
             other = LaurentPoly({lo + step * j: rng.choice((-top, top - 1))}, "x")
             assert _pack(one, B, lo, step) == c << B * i
             assert _pack(one, B, lo, step) + _pack(other, B, lo, step) == _pack(one + other, B, lo, step)
-            assert _unpack(_pack(one, B, lo, step), B, lo, i + 1, "x", step) == one
+            assert _unpack(_pack(one, B, lo, step), B, lo, "x", step) == one
+
+
+def _no_top_zeros(digits) -> list:
+    """``digits`` without its zero digits on top."""
+    digits = list(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
 
 
 @pytest.mark.parametrize("B", [24, 40, 48, 56, 72, 80, 88, 96, 120])
@@ -534,28 +542,29 @@ def test_wide_digits_read_by_one_cast(B):
     # a width that no struct format reads is re-laid onto 64 bits by byte
     # copies when every digit fits 64 bits, as every digit below 64 bits
     # does, and read by one format into a tuple; a digit that does not fit
-    # sends the read to byte slices, and both reads give the digits
+    # sends the read to byte slices, and both reads give the digits, with
+    # zero digits on top
     rng = random.Random(f"read-{B}")
     top = 1 << (min(B, 64) - 1)
     for _ in range(30):
         n = rng.randint(1, 9)
         digits = [rng.choice((0, 1, -1, -top, top - 1, rng.randrange(-top, top))) for _ in range(n)]
         value = sum(c << (B * i) for i, c in enumerate(digits))
-        got = _read(_raw(value, B, n), B)
-        assert isinstance(got, tuple) and list(got) == digits
+        got = _read(_raw(value, B), B)
+        assert isinstance(got, tuple) and _no_top_zeros(got) == _no_top_zeros(digits)
         if B > 64:
             # one digit past 64 bits, of either sign: just past, or up to B
             wide = rng.choice((top, -top - 1, rng.randrange(top + 1, 1 << (B - 1))))
             digits[rng.randrange(n)] = wide if rng.random() < 0.5 else -wide - 1
             value = sum(c << (B * i) for i, c in enumerate(digits))
-            got = _read(_raw(value, B, n), B)
-            assert isinstance(got, list) and got == digits
+            got = _read(_raw(value, B), B)
+            assert isinstance(got, list) and _no_top_zeros(got) == _no_top_zeros(digits)
 
 
 @pytest.mark.parametrize("B", [8, 16, 24, 32, 64, 72, 80])
 def test_span_and_relay_read_the_digits(B):
-    # _span finds the lowest and highest nonzero digits and the l1 norm of
-    # the digits; _relay moves digit i to digit step i at another width,
+    # _span finds the lowest nonzero digit and the l1 norm of the digits;
+    # _relay moves digit i to digit step i at another width,
     # narrower or wider, as packing the digits there does
     rng = random.Random(f"span-{B}")
     top = 1 << (B - 1)
@@ -565,19 +574,62 @@ def test_span_and_relay_read_the_digits(B):
         digits[rng.randrange(n)] = rng.choice((-1, 1, -top, top - 1))
         value = sum(c << (B * i) for i, c in enumerate(digits))
         nonzero = [i for i, c in enumerate(digits) if c]
-        assert _span(value, B, n) == (nonzero[0], nonzero[-1], sum(map(abs, digits)))
+        assert _span(value, B) == (nonzero[0], sum(map(abs, digits)))
         for width in (8, 16, 32, 40, 64, 72, 96):
             if max(map(abs, digits)) >= 1 << (width - 1):
                 continue
             for step in (1, 2, 3):
                 want = sum(c << (width * step * i) for i, c in enumerate(digits))
-                assert _relay(value, B, n, step, width) == want, (width, step)
+                assert _relay(value, B, step, width) == want, (width, step)
     # a zero row re-lays to 0 by the same byte copies, at every width and
     # step, those of the certificate's re-lays (32 and 64 bits, steps 1
     # and 2) among them
     for width in (8, 16, 32, 40, 64, 72, 96):
         for step in (1, 2, 3):
-            assert _relay(0, B, rng.randint(1, 9), step, width) == 0, (width, step)
+            assert _relay(0, B, step, width) == 0, (width, step)
+
+
+def _balanced_digits(value: int, B: int) -> list:
+    """The balanced base-2^B digits of ``value``, lowest first, one at a
+    time: each is the residue of what is left in [-2^(B-1), 2^(B-1))."""
+    top, digits = 1 << (B - 1), []
+    while value:
+        c = (value + top) % (1 << B) - top
+        digits.append(c)
+        value = (value - c) >> B
+    return digits
+
+
+@pytest.mark.parametrize("B", [8, 16, 32, 64, 72, 96])
+def test_digit_count_comes_from_the_value(B):
+    # the largest and smallest k-digit balanced values, every digit
+    # 2^(B-1) - 1 or every digit -2^(B-1), and the values just past them,
+    # which take k + 1 digits; one past the largest has at most B k - 1
+    # bits for k >= 2, so a count of bit_length // B + 1 digits is one short.
+    # Every codec reads the count from the value, at every width that
+    # _width returns and wider ones
+    top = 1 << (B - 1)
+    for k in range(1, 6):
+        ones = sum(1 << (B * i) for i in range(k))
+        edges = {-top * ones: k, (top - 1) * ones: k, -top * ones - 1: k + 1, (top - 1) * ones + 1: k + 1}
+        for value, n in edges.items():
+            digits = _balanced_digits(value, B)
+            assert len(digits) == n and value.bit_length() // B + 2 >= n
+            if value > 0 and n > k > 1:  # one past the largest
+                assert value.bit_length() // B + 1 < n
+            assert _no_top_zeros(_read(_raw(value, B), B)) == digits
+            for lo, step in ((0, 1), (-5, 2), (4, 3)):
+                want = LaurentPoly({lo + step * i: c for i, c in enumerate(digits)}, "x")
+                assert _unpack(value, B, lo, "x", step) == want
+            assert _span(value, B) == (0, sum(map(abs, digits)))
+            for width in (8, 16, 32, 64, 72, 96):
+                if max(map(abs, digits)) >= 1 << (width - 1):
+                    continue
+                for step in (1, 2):
+                    want = sum(c << (width * step * i) for i, c in enumerate(digits))
+                    assert _relay(value, B, step, width) == want, (width, step)
+            # shifted up by whole digits, the lowest nonzero digit moves
+            assert _span(value << 3 * B, B) == (3, sum(map(abs, digits)))
 
 
 # -- the grade lattice ---------------------------------------------------------------
@@ -600,12 +652,13 @@ def rand_lattice_start(rng, ring, trunc, d, span):
 
 
 def unpacked_widths(monkeypatch, *args):
-    """The kernel's result and the digit count of every row it unpacks."""
+    """The kernel's result and the digit span 2(r + m k) + 1 of every row k
+    it unpacks, read from the row's lowest exponent -g (r + m k)."""
     widths = []
 
-    def spy(value, B, lo, n, var, step=1):
-        widths.append(n)
-        return unpack(value, B, lo, n, var, step)
+    def spy(value, B, lo, var, step=1):
+        widths.append(1 - 2 * lo // step)
+        return unpack(value, B, lo, var, step)
 
     unpack = qseries._unpack
     monkeypatch.setattr(qseries, "_unpack", spy)
@@ -1047,14 +1100,16 @@ def test_unpack_builds_the_normal_polynomial(B, step):
                   for _ in range(n)]
         value = sum(c << (B * i) for i, c in enumerate(digits))
         exponents = range(lo, lo + step * n, step)
-        got = _unpack(value, B, lo, n, "mu", step)
+        got = _unpack(value, B, lo, "mu", step)
         want = LaurentPoly(dict(zip(exponents, digits)), "mu")
         assert got == want and hash(got) == hash(want)
         assert got.var == "mu"
         assert all(type(c) is int and c for c in got.coeffs.values())
+        # just past the n-digit range: n + 1 digits, the top one -1 or 1
         ones = sum(1 << (B * i) for i in range(n))
-        for outside in (-top * ones - 1, (top - 1) * ones + 1):
-            with pytest.raises(OverflowError):
-                _unpack(outside, B, lo, n, "mu", step)
-    zero = _unpack(0, B, -3, 4, "z", step)
+        for outside, past in ((-top * ones - 1, [top - 1] * n + [-1]), ((top - 1) * ones + 1, [-top] * n + [1])):
+            got = _unpack(outside, B, lo, "mu", step)
+            assert got == LaurentPoly(dict(zip(range(lo, lo + step * (n + 1), step), past)), "mu")
+            assert all(type(c) is int and c for c in got.coeffs.values())
+    zero = _unpack(0, B, -3, "z", step)
     assert zero == LaurentPoly.zero("z") and zero.var == "z" and not zero.coeffs

@@ -146,9 +146,18 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     (["modforms", "check", "--tau", "0,1e-300"], "NotUpperHalfPlane"),
     # 2 pi v overflows inside cmath.exp, which raises ValueError
     (["theta", "check", "--v", "1e308,0", "--tau", "0,1"], "NumericOverflow"),
-    # tau is in the upper half-plane; its S-image underflows onto the axis
+    # tau is in the upper half-plane, and so is its S-image, since
+    # Im(-1/tau) = Im tau / |tau|^2 > 0; that imaginary part underflows to 0
     (["modforms", "check", "--tau", "1e308,1"],
-     "NotUpperHalfPlane: -1/tau = (-1e-308+0j) is not in the upper half-plane"),
+     "NotUpperHalfPlane: -1/tau = (-1e-308+0j) is so close to the real axis that |q|^(1/2) rounds to 1"),
+    (["modforms", "check", "--tau", "1e300,1"],
+     "NotUpperHalfPlane: -1/tau = (-1e-300+0j) is so close to the real axis that |q|^(1/2) rounds to 1"),
+    (["theta", "check", "--v", "0,0", "--tau", "1e308,1"],
+     "NotUpperHalfPlane: -1/tau = (-1e-308+0j) is so close to the real axis that |q|^(1/2) rounds to 1"),
+    # an input tau on or below the axis is outside the half-plane
+    (["modforms", "check", "--tau", "0,0"], "NotUpperHalfPlane: tau = 0j is not in the upper half-plane"),
+    (["theta", "check", "--v", "0,0", "--tau", "1,-1"],
+     "NotUpperHalfPlane: tau = (1-1j) is not in the upper half-plane"),
 ])
 def test_numeric_check_out_of_range_is_domain_error(capsys, argv, expected):
     # finite input whose evaluation cannot be done in floating point;
@@ -239,6 +248,19 @@ def test_check_verbs_default_to_the_library_order(capsys):
     parser = build_parser()
     for argv in VERB_CALLS:
         assert parser.parse_args(argv).order == (library[argv[0]] if argv[:2] in TOL_VERBS else 10)
+
+
+def test_check_verbs_default_to_the_library_tolerance(capsys):
+    # with no --tol each check judges its laws at its library check's
+    # default: 1e-9 for the theta laws, 1e-8 for the modular forms
+    library = {verb: inspect.signature(fn).parameters["tol"].default
+               for verb, fn in (("theta", verify_theta_transforms), ("modforms", verify_modform_transforms))}
+    assert library == {"theta": 1e-9, "modforms": 1e-8}
+    for argv, printed in ((["theta", "check", "--v", "0,0", "--tau", "0,1"], '"tolerance": 1e-09'),
+                          (["modforms", "check", "--tau", "0,1"], '"tolerance": 1e-08')):
+        code, out = run(capsys, *argv)
+        assert code == 0 and printed in out
+        assert json.loads(out)["tolerance"] == library[argv[0]]
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -107,6 +107,14 @@ def _common(order: int, tol: float | None = None) -> argparse.ArgumentParser:
     return parent
 
 
+def _verb(sub, name: str, run, **kwargs) -> _Parser:
+    """A leaf parser that carries its runner and itself, on keys that no
+    parent sets, so ``main`` runs it and reports its usage errors."""
+    leaf = sub.add_parser(name, **kwargs)
+    leaf.set_defaults(run=run, leaf=leaf)
+    return leaf
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every call:
@@ -117,43 +125,43 @@ def build_parser() -> _Parser:
     weighted.add_argument("--weights", type=_parse_weights, required=True)
 
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser(
-        "witten-genus", parents=[common, weighted],
+    _verb(
+        sub, "witten-genus", _run_witten, parents=[common, weighted],
         description=(
             "Averaged Witten genus of the weighted action. The series is "
             "evaluated by two routes, the literal product p_series and "
             "the factored route Theta(adjoint) * Lefschetz, and the two must agree "
             "exactly at every grade."))
-    sub.add_parser("elliptic-genera", parents=[common, weighted])
-    lf = sub.add_parser("lefschetz", parents=[common, weighted])
+    _verb(sub, "elliptic-genera", _run_elliptic, parents=[common, weighted])
+    lf = _verb(sub, "lefschetz", _run_lefschetz, parents=[common, weighted])
     lf.add_argument("--unsigned", action="store_true",
                     help="use the literal unsigned fixed-point formula")
     lf.add_argument("--operator", choices=[DIRAC, SIGNATURE], default=DIRAC)
     lf.add_argument("--twist", choices=["none", THETA, THETA1, THETA2], default=THETA)
-    sub.add_parser("p-series", parents=[common, weighted])
+    _verb(sub, "p-series", _run_p_series, parents=[common, weighted])
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
-    tcheck = tsub.add_parser("check", parents=[_common(THETA_ORDER, THETA_TOL)])
+    tcheck = _verb(tsub, "check", _run_theta_check, parents=[_common(THETA_ORDER, THETA_TOL)])
     tcheck.add_argument("--v", type=_parse_complex, required=True)
     tcheck.add_argument("--tau", type=_parse_complex, required=True)
-    texp = tsub.add_parser("expand", parents=[common])
+    texp = _verb(tsub, "expand", _run_theta_expand, parents=[common])
     texp.add_argument("--kind", choices=list(THETA_KINDS), required=True)
     texp.add_argument("--z-order", type=int, default=None)
 
     mf = sub.add_parser("modforms")
     msub = mf.add_subparsers(dest="action", required=True)
-    mexp = msub.add_parser("expand", parents=[common])
+    mexp = _verb(msub, "expand", _run_modforms_expand, parents=[common])
     mexp.add_argument("--name", choices=list(MODFORM_NAMES), required=True)
-    mcheck = msub.add_parser("check", parents=[_common(MODFORM_ORDER, MODFORM_TOL)])
+    mcheck = _verb(msub, "check", _run_modforms_check, parents=[_common(MODFORM_ORDER, MODFORM_TOL)])
     mcheck.add_argument("--tau", type=_parse_complex, required=True)
 
     bundle = sub.add_parser("bundle")
     bsub = bundle.add_subparsers(dest="action", required=True)
-    bexp = bsub.add_parser("expand", parents=[common])
+    bexp = _verb(bsub, "expand", _run_bundle, parents=[common])
     bexp.add_argument("--expr", required=True, help="S-expression, e.g. (theta1 (tilde (rep 2)))")
 
-    canc = sub.add_parser("cancellation", parents=[common])
+    canc = _verb(sub, "cancellation", _run_cancellation, parents=[common])
     canc.add_argument("--k", type=int, required=True)
     return parser
 
@@ -193,10 +201,12 @@ def _check_report(verb: str, args, report: dict, **point) -> dict:
             "order": args.order, **report}
 
 
-def _run_theta(args) -> dict:
-    if args.action == "check":
-        report = verify_theta_transforms(args.v, args.tau, args.order, args.tol)
-        return _check_report("theta-check", args, report, v=[args.v.real, args.v.imag])
+def _run_theta_check(args) -> dict:
+    report = verify_theta_transforms(args.v, args.tau, args.order, args.tol)
+    return _check_report("theta-check", args, report, v=[args.v.real, args.v.imag])
+
+
+def _run_theta_expand(args) -> dict:
     exp = theta_qexp(args.kind, args.order, args.z_order)
     return {
         "verb": "theta-expand",
@@ -208,10 +218,12 @@ def _run_theta(args) -> dict:
     }
 
 
-def _run_modforms(args) -> dict:
-    if args.action == "check":
-        report = verify_modform_transforms(args.tau, args.order, args.tol)
-        return _check_report("modforms-check", args, report)
+def _run_modforms_check(args) -> dict:
+    report = verify_modform_transforms(args.tau, args.order, args.tol)
+    return _check_report("modforms-check", args, report)
+
+
+def _run_modforms_expand(args) -> dict:
     mf = modform_qexp(args.name, args.order)
     return {
         "verb": "modforms-expand",
@@ -248,27 +260,15 @@ def _run_cancellation(args) -> dict:
     }
 
 
-_RUNNERS = {
-    "witten-genus": _run_witten,
-    "elliptic-genera": _run_elliptic,
-    "lefschetz": _run_lefschetz,
-    "p-series": _run_p_series,
-    "theta": _run_theta,
-    "modforms": _run_modforms,
-    "bundle": _run_bundle,
-    "cancellation": _run_cancellation,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = _RUNNERS[args.verb](args), 0
+        doc, code = args.run(args), 0
     except DomainError as exc:
         doc, code = {"error": {"code": type(exc).__name__, "message": str(exc)}}, DOMAIN_ERROR
     except ValueError as exc:
-        parser.error(str(exc))
+        args.leaf.error(str(exc))
     text = json.dumps(doc, sort_keys=True, indent=args.json_indent) + "\n"
     if not args.output:
         sys.stdout.write(text)

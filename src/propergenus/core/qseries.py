@@ -345,25 +345,17 @@ class PackedSeries(QSeries):
                 out.append((d * k, k, g * (first - r - m * k), l1))
         return out
 
-    def relaid(self, B: int) -> "PackedSeries":
-        """The same series at width B and step g = 1: exponent e of row k
-        moves from digit e/g + r + m k to digit e + g (r + m k), and each
-        row moves by byte copies (:func:`_relay`).  Every coefficient must
-        fit a balanced base-2^B digit."""
-        rows, width, g, r, m, d = self.packed
-        if width == B and g == 1:
-            return self
-        return PackedSeries(self.ring, self.trunc, (
-            [_relay(row, width, g, B) for row in rows],
-            B, 1, g * r, g * m, d))
-
-    def row(self, k: int, lo: int) -> int:
-        """Row k at x = 2^B with exponent e at digit e - lo, for step 1 and
-        lo at most every exponent of the row: one shift, exact to the
-        right too, since every digit it drops is zero."""
-        rows, B, _, r, m, _ = self.packed
-        shift = B * (-lo - r - m * k)
-        return rows[k] << shift if shift >= 0 else rows[k] >> -shift
+    def row(self, k: int, lo: int, B: int) -> int:
+        """Row k at x = 2^B with exponent e at digit e - lo, for lo at most
+        every exponent of the row.  A row of another width or step is
+        re-laid by byte copies (:func:`_relay`): exponent e moves from
+        digit e/g + r + m k to digit e + g (r + m k), exact when every
+        coefficient fits a balanced base-2^B digit.  Then one shift, exact
+        to the right too, since every digit it drops is zero."""
+        rows, width, g, r, m, _ = self.packed
+        row = rows[k] if width == B and g == 1 else _relay(rows[k], width, g, B)
+        shift = B * (-lo - g * (r + m * k))
+        return row << shift if shift >= 0 else row >> -shift
 
 
 # struct codes of the digit widths that one format reads, always little-endian

@@ -108,17 +108,13 @@ class RationalFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _reduce(num, den)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def to_laurent(self, var: str = MU) -> LaurentPoly:
         """Certify the reduced form as a Laurent polynomial.
 
-        Succeeds exactly when the (monic) denominator is a monomial x^k;
+        Succeeds exactly when the (monic) denominator is a monomial x^k,
+        as it is for a zero numerator, whose reduced denominator is 1;
         otherwise raises :class:`NotLaurent`.
         """
-        if self.is_zero():
-            return LaurentPoly.zero(var)
         if not self.den.is_monomial():
             raise NotLaurent(f"denominator {self.den} has a non-monomial factor")
         return self.num.to_laurent(self.den.degree(), var)

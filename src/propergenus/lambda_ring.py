@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from fractions import Fraction
 
 from .core.laurent import LaurentPoly
@@ -140,14 +141,17 @@ def parse_sexpr(text: str):
     return tree
 
 
+# -q^n/d with optional sign, exponent and denominator, in ASCII digits
+# alone: Fraction's own parser takes "1_0" only from Python 3.11 on
+_T_TOKEN = re.compile(r"(-?)q(?:\^([+-]?\d+)(?:/(\d+))?)?", re.ASCII)
+
+
 def _parse_t_token(tok: str):
-    sign = -1 if tok.startswith("-") else 1
-    power = tok[1:] if sign < 0 else tok
-    if power == "q":
-        return Fraction(1), sign
-    if power.startswith("q^"):
-        try:
-            return Fraction(power[2:]), sign
+    match = _T_TOKEN.fullmatch(tok)
+    if match:
+        sign, num, den = match.groups()
+        try:  # a zero denominator, or more digits than int() reads
+            return Fraction(int(num or 1), int(den or 1)), -1 if sign else 1
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"bad q-power token {tok!r}")

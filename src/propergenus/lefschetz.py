@@ -22,16 +22,18 @@ polynomial, and the quotient is exact.
 Each grade is certified by one integer division (Kronecker substitution:
 Schoenhage 1982; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4).  Its numerator, shifted into a polynomial P in lam, and D are
-evaluated at lam = 2^B as big ints, and the quotient is read back, by
-the one packed layout of ``core.qseries`` (``_pack``, ``_unpack``).
-Every twist is a Witten bundle of ``lambda_ring``, the binomial
-kernel's one client; the twist-less 1 is Theta of the zero bundle, the
-kernel's empty product.  Each enters as the kernel's packed rows
-(``core.qseries.PackedSeries``), never unpacked here.  Each row's lowest
-exponent and l1 norm are read from its digits, and P(2^B) is a sum of
-shifted rows times the prefactors' values.  Every value reads as many
-digits as its size needs, so no degree is kept.  A twist at another digit
-width or exponent step is re-laid at B once, by byte copies.  A zero
+evaluated at lam = 2^B as big ints in the one packed layout of
+``core.qseries``: D and the prefactors by one shift and one add per
+factor (:func:`_factor_values`), and the quotient is read back by
+``_unpack``.  Every twist is a Witten bundle of ``lambda_ring``, the
+binomial kernel's one client; the twist-less 1 is Theta of the zero
+bundle, the kernel's empty product.  Each enters as the kernel's packed
+rows (``core.qseries.PackedSeries``), never unpacked here.  Each row's
+lowest exponent and l1 norm are read from its digits, and P(2^B) is a
+sum of shifted rows times the prefactors' values.  Every value reads as
+many digits as its size needs, so no degree is kept.  A row at another
+digit width or exponent step is re-laid at B by byte copies where its
+one grade reads it (``PackedSeries.row``).  A zero
 remainder and a quotient q' read as balanced base-2^B digits with
 
     max|q'_i| |D|_1 + N_h < 2^(B-1),   N_h = sum_j |c_j|_1 |pre_j|_1,
@@ -141,17 +143,17 @@ def _factor_values(pairs, data, operator: str, B: int):
 
 def _certificate_data(data, twists, operator: str):
     """What the certificate of one call reads, computed once:
-    (pairs, |D|_1, points, grades).
+    (pairs, |D|_1, grades).
 
     In lam, pre_j = sigma_j lam^(low_j) P_j.  With C_j the product of the
     pair factors not containing j, P_j = C_j for the Dirac operator
     (low_j = W_j / 2) and P_j = C_j prod_s (lam^(w_s) + 1) for the
-    signature operator (low_j = 0).  points[j] = (low_j, |P_j|_1).
-    twists[j] is the twist c_j of point j as packed rows, and
-    grades[h] = (terms, lo, N_h): terms holds (j, k) for each nonzero row
-    k of a twist j on grade h, the numerator sum_j c_j pre_j starts at
-    lam^lo, and N_h = sum_j |c_j|_1 |P_j|_1 bounds its coefficients.  The
-    lowest exponent and |c_j|_1 of a row (``PackedSeries.spans``), and
+    signature operator (low_j = 0).  twists[j] is the twist c_j of point
+    j as packed rows, and grades[h] = (terms, lo, N_h): terms holds
+    (j, k, low_j) for each nonzero row k of a twist j on grade h, the
+    numerator sum_j c_j pre_j starts at lam^lo, and
+    N_h = sum_j |c_j|_1 |P_j|_1 bounds its coefficients.  The lowest
+    exponent and |c_j|_1 of a row (``PackedSeries.spans``), and
     |D|_1 and |P_j|_1 from their values at 2^B0, are read from digits
     (``_span``), not unpacked.
     """
@@ -164,18 +166,16 @@ def _certificate_data(data, twists, operator: str):
     # norm 2, so no coefficient exceeds 2^len(pairs)
     B0 = _width(1 << len(pairs))
     _, den, values = _factor_values(pairs, data, operator, B0)
-    points = [(0 if operator == SIGNATURE else sum(datum.tangent_weights) // 2, _span(value, B0)[1])
-              for datum, value in zip(data, values)]
-    # per grade, (j, k) with the row's lowest exponent of the numerator and
-    # its share of N_h
+    # per grade, (j, k, low_j) with the row's lowest exponent of the
+    # numerator and its share of N_h
     rows = [[] for _ in range(2 * twists[0].trunc + 1)]
-    for j, twist in enumerate(twists):
-        low, norm = points[j]
+    for j, (datum, value, twist) in enumerate(zip(data, values, twists)):
+        low, norm = 0 if operator == SIGNATURE else sum(datum.tangent_weights) // 2, _span(value, B0)[1]
         for h, k, first, l1 in twist.spans():
-            rows[h].append(((j, k), low + first, l1 * norm))
+            rows[h].append(((j, k, low), low + first, l1 * norm))
     grades = [([t[0] for t in ts], min((t[1] for t in ts), default=0), sum(t[2] for t in ts))
               for ts in rows]
-    return pairs, _span(den, B0)[1], points, grades
+    return pairs, _span(den, B0)[1], grades
 
 
 def _exact_grade(num: int, lo: int, packed) -> LaurentPoly:
@@ -200,19 +200,20 @@ def _exact_grade(num: int, lo: int, packed) -> LaurentPoly:
     raise AssertionError(f"({sides[0]}) / ({sides[1]}) reduced to a Laurent polynomial")
 
 
-def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
+def _packed_grade(grade, twists, packed, den_norm: int) -> LaurentPoly:
     """One grade of the sum, in lam, by one integer division at lam = 2^B.
 
-    ``grade`` = (terms, lo, N_h) and ``cert`` are what
+    ``grade`` = (terms, lo, N_h) and |D|_1 = ``den_norm`` are what
     :func:`_certificate_data` computes for the call, ``twists`` are the
-    twists re-laid at the width B and step 1, and ``packed`` is what
+    kernel's packed twists as they are, and ``packed`` is what
     :func:`_factor_values` returns.  The numerator num = sum_j c_j pre_j,
     aligned on its lowest exponent lo, is the polynomial
-    P = lam^(-lo) num, and P(2^B) is one big int: over the terms (j, k),
-    row k of twist j with lam^e at digit e + low_j - lo, one shift of
-    the kernel's row (``PackedSeries.row``), times sigma_j P_j(2^B).  No
-    row is unpacked.  One divmod by D(2^B) and :func:`_unpack` give q'.
-    The check is the proof: with a zero remainder and
+    P = lam^(-lo) num, and P(2^B) is one big int: over the terms
+    (j, k, low_j), row k of twist j with lam^e at digit e + low_j - lo,
+    the kernel's row read at width B (``PackedSeries.row``: re-laid
+    when its width or step is not B's, then one shift), times
+    sigma_j P_j(2^B).  No row is unpacked.  One divmod by D(2^B) and
+    :func:`_unpack` give q'.  The check is the proof: with a zero remainder and
 
         max|q'_i| |D|_1 + N_h < 2^(B-1),  N_h = sum_j |c_j|_1 |P_j|_1,
 
@@ -228,11 +229,10 @@ def _packed_grade(grade, twists, packed, cert) -> LaurentPoly:
     if not terms:
         return LaurentPoly.zero(LAMBDA)
     B, den, values = packed
-    _, den_norm, points, _ = cert
     limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
         raise AssertionError(f"N_h = {bound} or |D|_1 = {den_norm} does not fit 2^{B - 1}")
-    num = sum(twists[j].row(k, lo - points[j][0]) * values[j] for j, k in terms)
+    num = sum(twists[j].row(k, lo - low, B) * values[j] for j, k, low in terms)
     if not num:  # P(2^B) = 0 and every |P_i| < 2^(B-1), so P = 0
         return LaurentPoly.zero(LAMBDA)
     quo, rem = divmod(num, den)
@@ -252,17 +252,15 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     through the packed certificate, which proves it an integral Laurent
     polynomial in lam or raises.  The call's width B holds every N_h and
     |D|_1, and it admits every quotient no larger than the largest N_h,
-    since then max|q'_i| |D|_1 + N_h <= max_h N_h (|D|_1 + 1).  A twist
-    at another width or step is re-laid at B once; B holds its digits,
-    since N_h >= |c_j|_1.
+    since then max|q'_i| |D|_1 + N_h <= max_h N_h (|D|_1 + 1).  A row
+    at another width or step is re-laid at B where its one grade reads
+    it; B holds its digits, since N_h >= |c_j|_1.
     """
-    cert = _certificate_data(data, point_series, operator)
-    pairs, den_norm, _, grades = cert
+    pairs, den_norm, grades = _certificate_data(data, point_series, operator)
     packed = _factor_values(pairs, data, operator,
                             _width(max(grade[2] for grade in grades) * (den_norm + 1)))
-    twists = [t.relaid(packed[0]) for t in point_series]
     return QSeries._of(LAMBDA_RING, point_series[0].trunc,
-                       [_packed_grade(grade, twists, packed, cert) for grade in grades])
+                       [_packed_grade(grade, point_series, packed, den_norm) for grade in grades])
 
 
 def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import propergenus
 from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
+from propergenus.core import LaurentPoly
+from propergenus.lambda_ring import sym_total
 from propergenus.theta_modforms import verify_modform_transforms, verify_theta_transforms
 
 
@@ -122,6 +125,15 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     "(rep 1 2)", "(tilde (rep 1) (rep 2))", "(rep (rep 1))", "(sym (rep 1) (rep 0))",
     "(sym q^1/0 (rep 1))", "(sym -q^abc (rep 1))", "(sym q^ (rep 1))", "(sym q^1/2/3 (rep 1))",
     "(rep abc)", "(trivial 1.5)",
+    # an exponent is ASCII digits alone on every Python: Fraction's parser
+    # takes "1_0" from 3.11 on, and float-like forms and other scripts'
+    # digits are no q-power
+    "(sym q^1_0 (rep 1))", "(sym q^1_0/2 (rep 1))", "(sym q^1/2_0 (rep 1))", "(sym q^1.5 (rep 1))",
+    "(sym q^1e3 (rep 1))", "(sym q^1/00 (rep 1))",
+    pytest.param("(sym q^\u0661 (rep 1))", id="arabic-indic-digit"),
+    pytest.param("(sym q^1/\uff12 (rep 1))", id="fullwidth-digit"),
+    pytest.param("(sym q^" + "1" * 5000 + " (rep 1))", id="exponent-5000-digits"),
+    pytest.param("(sym q^1/" + "1" * 5000 + " (rep 1))", id="denominator-5000-digits"),
     pytest.param("(tilde " * 2000 + "(rep 1)" + ")" * 2000, id="nested-2000"),
     pytest.param("(" * 2000, id="open-2000"),
 ])
@@ -136,6 +148,45 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     if expr in ("(rep abc)", "(trivial 1.5)"):
         head, token = expr[1:-1].split()
         assert f"{head} takes an integer, got '{token}'" in captured.err
+
+
+@pytest.mark.parametrize("token, grade, sign", [
+    ("q", 1, 1), ("-q", 1, -1), ("q^2", 2, 1), ("-q^1/2", Fraction(1, 2), -1),
+    ("q^+3/2", Fraction(3, 2), 1), ("q^06/04", Fraction(3, 2), 1),
+])
+def test_q_power_token_reads_its_grade(capsys, token, grade, sign):
+    code, out = run(capsys, "bundle", "expand", "--expr", f"(sym {token} (rep 1))", "--order", "3")
+    assert code == 0
+    want = sym_total(LaurentPoly({1: 1}), grade, sign, 3)
+    assert json.loads(out)["series"] == want.to_json()
+
+
+@pytest.mark.parametrize("token", ["q^0", "q^-1", "-q^0/3"])
+def test_q_power_token_must_be_positive(capsys, token):
+    with pytest.raises(SystemExit) as exc:
+        main(["bundle", "expand", "--expr", f"(sym {token} (rep 1))", "--order", "2"])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t must carry a positive power of q" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "expand", "--kind", "theta", "--z-order", "-1"],
+    ["bundle", "expand", "--expr", "(rep abc)"],
+    ["witten-genus", "--weights", "0,1,2"],
+    ["cancellation", "--k", "0"],
+])
+def test_runner_usage_error_comes_from_its_verb(capsys, argv):
+    # a value that only the verb's runner refuses is reported like the
+    # verb's own argparse errors: its usage line and its prog
+    verb = " ".join(a for a in argv[:2] if not a.startswith("-"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: propergenus {verb} [-h]")
+    assert f"\npropergenus {verb}: error: " in captured.err
 
 
 @pytest.mark.parametrize("argv, expected", [

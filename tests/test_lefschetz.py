@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from propergenus import lefschetz
 from propergenus.cli import main
-from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries
+from propergenus.core import LAMBDA_RING, LaurentPoly, QSeries, qseries
 from propergenus.core.qseries import PackedSeries, _binomial_product, _width
 from propergenus.core.ratfunc import Poly
 from propergenus.errors import DuplicateWeights, NonIntegral, NotLaurent, OddWeightSum
@@ -247,12 +247,13 @@ def _seeded_weights(rng, two_l, span):
 def _count_packs(monkeypatch, first=None):
     """Record the width of every _factor_values call: the norms' width B0
     of _certificate_data, then one per pack.  With ``first``, the first
-    pack is at that width instead of the one it is given, and so are the
-    twists, which the assembly re-lays at the pack's width.  Every grade
-    must read its twists at the pack's width and step 1."""
+    pack is at that width instead of the one it is given.  Every grade
+    must read the kernel's twists as they are, each row at the pack's
+    width."""
     widths = []
     real_values = lefschetz._factor_values
     real_grade = lefschetz._packed_grade
+    real_row = PackedSeries.row
 
     def values(pairs, data, operator, B):
         if first and len(widths) == 1:
@@ -260,13 +261,31 @@ def _count_packs(monkeypatch, first=None):
         widths.append(B)
         return real_values(pairs, data, operator, B)
 
-    def grade(grade, twists, packed, cert):
-        assert {t.packed[1:3] for t in twists} == {(packed[0], 1)}, packed[0]
-        return real_grade(grade, twists, packed, cert)
+    def grade(grade, twists, packed, den_norm):
+        assert all(isinstance(t, PackedSeries) for t in twists)
+        return real_grade(grade, twists, packed, den_norm)
+
+    def row(self, k, lo, B):
+        assert B == widths[-1], (B, widths)
+        return real_row(self, k, lo, B)
 
     monkeypatch.setattr(lefschetz, "_factor_values", values)
     monkeypatch.setattr(lefschetz, "_packed_grade", grade)
+    monkeypatch.setattr(PackedSeries, "row", row)
     return widths
+
+
+def _count_relays(monkeypatch):
+    """Record the row that every _relay call re-lays."""
+    relaid = []
+    real_relay = qseries._relay
+
+    def relay(value, B, step, width):
+        relaid.append(value)
+        return real_relay(value, B, step, width)
+
+    monkeypatch.setattr(qseries, "_relay", relay)
+    return relaid
 
 
 def _packed(series):
@@ -318,14 +337,15 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     # at the narrowest width that holds every N_h and |D|_1, the packed
     # check leaves one grade undecided; exact division of P by D decides
     # it, and the sum still comes out exact from one pack.  The kernel's
-    # rows are 32 bits wide, and the assembly re-lays them at B = 16, so
-    # the narrow width runs through the rows as the call's width does.
+    # rows are 32 bits wide, and each grade re-lays the rows it reads at
+    # B = 16, so the narrow width runs through the rows as the call's
+    # width does.
     ws, N = (0, 1, 2, 5), 12
     data = validate_weights(ws)
     series = [_twist_series(d, THETA, N) for d in data]
     reference = dense_assemble(data, series, DIRAC, True)
     cert = _certificate_data(data, series, DIRAC)
-    B = _width(max(max(grade[2] for grade in cert[3]), cert[1]))
+    B = _width(max(max(grade[2] for grade in cert[2]), cert[1]))
     assert B == 16
     assert {s.packed[1] for s in series} == {32}
     divisions = []
@@ -340,10 +360,10 @@ def test_packed_grade_falls_back_at_narrow_width(monkeypatch):
     divided, grades = [], []
     counting_grade = lefschetz._packed_grade
 
-    def grade(grade, twists, packed, cert):
+    def grade(grade, twists, packed, den_norm):
         assert packed[0] == B
         calls = len(divisions)
-        got = counting_grade(grade, twists, packed, cert)
+        got = counting_grade(grade, twists, packed, den_norm)
         if len(divisions) > calls:
             divided.append(len(grades))
         grades.append(got)
@@ -396,7 +416,7 @@ def test_proven_width_decides_every_grade(operator, twist, monkeypatch):
         den_norm, bounds = quotient_bounds(data, series, operator)
         bounds = [grade[1] for grade in bounds]
         cert = _certificate_data(data, series, operator)
-        assert cert[1] == den_norm and [grade[2] for grade in cert[3]] == bounds, ws
+        assert cert[1] == den_norm and [grade[2] for grade in cert[2]] == bounds, ws
         packs.clear()
         assert lefschetz._assemble(data, series, operator) == reference, ws
         assert packs[1:] == [_width(max(bounds) * (den_norm + 1))], ws
@@ -415,7 +435,7 @@ def _assert_certificate_reads_like_oracle(data, series, operator):
     den_norm, bounds = quotient_bounds(data, series, operator)
     cert = _certificate_data(data, series, operator)
     assert cert[1] == den_norm
-    assert [grade[1:] for grade in cert[3]] == bounds
+    assert [grade[1:] for grade in cert[2]] == bounds
     assert lefschetz._assemble(data, series, operator) == dense_assemble(data, series, operator, True)
     flipped = _flipped(data, series)
     with pytest.raises(NotLaurent) as expected:
@@ -458,10 +478,30 @@ def test_relaid_twists_certify_like_the_oracle(case, monkeypatch):
     series = [_twist_series(d, twist, N) for d in data]
     assert {s.packed[1:3] for s in series} == {layout}
     _assert_certificate_reads_like_oracle(data, series, operator)
-    # every grade reads the twists re-laid at the call's width B
+    # every grade reads the kernel's rows at the call's width B, and each
+    # nonzero row of each twist is re-laid once, by the one grade it is on
     packs = _count_packs(monkeypatch)
+    relaid = _count_relays(monkeypatch)
     lefschetz._assemble(data, series, operator)
     assert packs[1:] == [B]
+    assert sorted(relaid) == sorted(row for s in series for row in s.packed[0] if row)
+
+
+def test_benchmark_call_re_lays_no_row(monkeypatch):
+    # at witten-cert's size every kernel row is at the certificate's width
+    # and step 1: the grades read rows, and none is re-laid
+    relaid = _count_relays(monkeypatch)
+    reads = []
+    real_row = PackedSeries.row
+
+    def row(self, k, lo, B):
+        reads.append(k)
+        return real_row(self, k, lo, B)
+
+    monkeypatch.setattr(PackedSeries, "row", row)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["witten-genus", "--weights", "0,1,2,5", "--order", "12"]) == 0
+    assert reads and relaid == []
 
 
 def test_packed_grade_refuses_what_it_cannot_prove():
@@ -471,11 +511,11 @@ def test_packed_grade_refuses_what_it_cannot_prove():
     # hold N_h
     def over(c, k, B):
         """The arguments of _packed_grade for the grade c / (lam - 1)^k at
-        width B: c packed as a twist, re-laid at B."""
-        twist = _packed(QSeries(LAMBDA_RING, 1, [c])).relaid(B)
-        grade = [(0, 0)], min(c.coeffs), sum(map(abs, c.coeffs.values()))
+        width B: c packed as a twist, whose row the grade re-lays at B."""
+        twist = _packed(QSeries(LAMBDA_RING, 1, [c]))
+        grade = [(0, 0, 0)], min(c.coeffs), sum(map(abs, c.coeffs.values()))
         packed = B, ((1 << B) - 1) ** k, [1]
-        return grade, [twist], packed, ([], 2 ** k, [(0, 1)], [])
+        return grade, [twist], packed, 2 ** k
 
     # (1 - lam^n)^2 / (lam - 1)^2 = (1 + ... + lam^(n-1))^2 has the middle
     # coefficient n: with n = 200 the numerator bound is only 4, and only

@@ -49,6 +49,14 @@ def test_to_laurent_monomial_division():
     assert f.to_laurent() == LaurentPoly({1: 1, -1: 1}, "mu")
 
 
+@pytest.mark.parametrize("den", [[1], [2], [-1, 1], [0, 0, 1], [2, 0, 2], [-1, 0, 0, 1]])
+def test_zero_numerator_reduces_to_the_zero_laurent_polynomial(den):
+    # gcd(0, D) is D made monic, so the reduced denominator is 1
+    f = RationalFunc(Poly.zero(), Poly(den))
+    assert f.num.is_zero() and f.den.coeffs == [1]
+    assert f.to_laurent() == LaurentPoly.zero("mu")
+
+
 def test_to_laurent_rejects_off_origin_pole():
     with pytest.raises(NotLaurent):
         RationalFunc(Poly([1]), Poly([-1, 1])).to_laurent()

@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_weights(text: str) -> list[int]:
     try:
-        return [int(w) for w in text.split(",") if w != ""]
+        return [int(w) for w in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}") from exc
 
@@ -92,14 +92,15 @@ def _parse_complex(text: str) -> complex:
     return complex(_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
-def _common(order: int, tol: float | None = None) -> argparse.ArgumentParser:
+def _common(order: int | None, tol: float | None = None) -> argparse.ArgumentParser:
     """The options every verb takes, ``order`` the default of --order, and
     a check verb's --tol, ``tol`` its default.  Each default has its own
     parent: a child's set_defaults would change the Action that every
-    child of a shared parent holds."""
+    child of a shared parent holds.  With no order, cancellation solves
+    at the library's k // 2 + 2."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--order", type=_parse_order, default=order,
-                        help="truncation order N >= 1 (default %(default)s)")
+                        help=f"truncation order N >= 1 (default {order or 'k // 2 + 2'})")
     parent.add_argument("--json-indent", type=int, choices=range(9), default=2)
     parent.add_argument("--output", default=None, help="write JSON here instead of stdout")
     if tol:
@@ -161,7 +162,7 @@ def build_parser() -> _Parser:
     bexp = _verb(bsub, "expand", _run_bundle, parents=[common])
     bexp.add_argument("--expr", required=True, help="S-expression, e.g. (theta1 (tilde (rep 2)))")
 
-    canc = _verb(sub, "cancellation", _run_cancellation, parents=[common])
+    canc = _verb(sub, "cancellation", _run_cancellation, parents=[_common(None)])
     canc.add_argument("--k", type=int, required=True)
     return parser
 
@@ -208,14 +209,8 @@ def _run_theta_check(args) -> dict:
 
 def _run_theta_expand(args) -> dict:
     exp = theta_qexp(args.kind, args.order, args.z_order)
-    return {
-        "verb": "theta-expand",
-        "kind": exp.kind,
-        "prefactor_exponent": str(exp.prefactor_exponent),
-        "trig": exp.trig or "none",
-        "z_order": exp.z_order,
-        "series": exp.series.to_json(),
-    }
+    return {"verb": "theta-expand", **exp._asdict(), "series": exp.series.to_json(),
+            "prefactor_exponent": str(exp.prefactor_exponent), "trig": exp.trig or "none"}
 
 
 def _run_modforms_check(args) -> dict:
@@ -225,13 +220,7 @@ def _run_modforms_check(args) -> dict:
 
 def _run_modforms_expand(args) -> dict:
     mf = modform_qexp(args.name, args.order)
-    return {
-        "verb": "modforms-expand",
-        "name": mf.name,
-        "weight": mf.weight,
-        "group": mf.group,
-        "series": mf.series.to_json(),
-    }
+    return {"verb": "modforms-expand", **mf._asdict(), "series": mf.series.to_json()}
 
 
 def _run_bundle(args) -> dict:

@@ -189,7 +189,7 @@ class LaurentPoly:
 
     def eval_one(self) -> Scalar:
         """Value at 1: the rank of the virtual representation."""
-        return normalize_scalar(sum(self.coeffs.values(), start=Fraction(0)))
+        return normalize_scalar(sum(self.coeffs.values()))
 
     # -- serialization ------------------------------------------------
 

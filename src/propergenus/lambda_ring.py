@@ -116,29 +116,23 @@ def parse_sexpr(text: str):
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty bundle expression")
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unbalanced bundle expression")
-        tok = tokens[pos]
-        pos += 1
+    # stack[0] holds the top-level node, stack[-1] the innermost open one
+    stack = [[]]
+    for tok in tokens:
+        if len(stack) == 1 and stack[0]:
+            raise ValueError("trailing tokens in bundle expression")
         if tok == "(":
-            node = []
-            # read() refuses to run past the end, so an unclosed node raises
-            while pos == len(tokens) or tokens[pos] != ")":
-                node.append(read())
-            pos += 1
-            return node
-        if tok == ")":
-            raise ValueError("unexpected ')'")
-        return tok
-
-    tree = read()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in bundle expression")
-    return tree
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise ValueError("unexpected ')'")
+            stack.pop()
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ValueError("unbalanced bundle expression")
+    return stack[0][0]
 
 
 # -q^n/d with optional sign, exponent and denominator, in ASCII digits

@@ -57,7 +57,7 @@ case.
 
 Witten-bundle factors outside the sum fold into every twist, since the
 sum is linear in its twists and Theta multiplies: the literal series is
-the sum over Theta(T_j + adjoint - 4l) (:func:`p_series`).  The tests
+the sum over Theta((T_j + adjoint)~) (:func:`p_series`).  The tests
 hold the certificate equal to Laurent products with dense polynomial
 division, to a mu-adic series expansion of the same sum, to the
 gcd-reduced rational function of each grade and to sympy's cancellation
@@ -72,7 +72,7 @@ from .core.laurent import LAMBDA, MU, LaurentPoly
 from .core.qseries import LAMBDA_RING, QSeries, _raw, _read, _span, _unpack, _width
 from .core.ratfunc import Poly, RationalFunc
 from .errors import DuplicateWeights, OddWeightSum
-from .lambda_ring import THETA, THETA1, THETA2, theta_bundle, theta_series
+from .lambda_ring import THETA, theta_bundle, theta_series
 
 DIRAC = "dirac"
 SIGNATURE = "signature"
@@ -116,9 +116,7 @@ def _tangent_char(datum: FixedPointDatum) -> LaurentPoly:
 def _twist_series(datum: FixedPointDatum, twist: str | None, N: int) -> QSeries:
     if twist is None:  # Theta of the zero bundle: the kernel's empty product
         return theta_series(LaurentPoly.zero(LAMBDA), THETA, N)
-    if twist in (THETA, THETA1, THETA2):
-        return theta_bundle(_tangent_char(datum), twist, N)
-    raise ValueError(f"unknown twist {twist!r}")
+    return theta_bundle(_tangent_char(datum), twist, N)
 
 
 def _factor_values(pairs, data, operator: str, B: int):
@@ -288,11 +286,11 @@ def p_series(weights, N: int = 10) -> QSeries:
     Theta(T_j), no rank normalisation.
 
     The two outer factors are Theta(adjoint - 4l), folded into every
-    point's twist: one fixed-point sum over Theta(T_j + adjoint - 4l).
-    Regrouped as Theta(adjoint~) times the Witten Lefschetz series, it is
-    the second route of the Witten genus, which ``induction`` compares.
+    point's twist: one fixed-point sum over Theta of the rank-reduced
+    T_j + adjoint, whose rank is 4l.  Regrouped as Theta(adjoint~) times
+    the Witten Lefschetz series, it is the second route of the Witten
+    genus, which ``induction`` compares.
     """
     data = validate_weights(weights)
-    outer = ADJOINT - 2 * len(data)  # adjoint - 4l over the 2l points
-    point_series = [theta_series(_tangent_char(d) + outer, THETA, N) for d in data]
+    point_series = [theta_bundle(_tangent_char(d) + ADJOINT, THETA, N) for d in data]
     return _assemble(data, point_series, DIRAC)

@@ -21,8 +21,6 @@ from .core.laurent import Z, LaurentPoly
 from .core.qseries import RATIONAL, Z_RING, QSeries, _check_tau, complex_eval
 from .errors import NumericOverflow
 
-THETA_KINDS = ("theta", "theta1", "theta2", "theta3")
-
 # the default truncation orders of the numeric theta and modular-form
 # evaluations and checks, and the checks' tolerances: the CLI's defaults too
 THETA_ORDER = 40
@@ -36,6 +34,16 @@ _THETA_SHAPE = {
     "theta1": ("cos", +1, False),
     "theta2": (None, -1, True),
     "theta3": (None, +1, True),
+}
+THETA_KINDS = tuple(_THETA_SHAPE)
+
+# each kind's laws (verify_theta_transforms):
+# (T-partner, T-phase, S-partner, extra S-factor)
+_THETA_LAWS = {
+    "theta": ("theta", cmath.exp(1j * cmath.pi / 4), "theta", 1 / 1j),
+    "theta1": ("theta1", cmath.exp(1j * cmath.pi / 4), "theta2", 1.0),
+    "theta2": ("theta3", 1.0, "theta1", 1.0),
+    "theta3": ("theta2", 1.0, "theta3", 1.0),
 }
 
 
@@ -88,12 +96,8 @@ def theta_eval(kind: str, v: complex, tau: complex, N: int = THETA_ORDER) -> tup
     trig, sign, half_offset = _THETA_SHAPE[kind]
     q = cmath.exp(2j * cmath.pi * tau)
     z = cmath.exp(2j * cmath.pi * v)
-    if trig == "sin":
-        pref = 2 * cmath.exp(2j * cmath.pi * tau / 8) * cmath.sin(cmath.pi * v)
-    elif trig == "cos":
-        pref = 2 * cmath.exp(2j * cmath.pi * tau / 8) * cmath.cos(cmath.pi * v)
-    else:
-        pref = 1.0
+    pref = (2 * cmath.exp(2j * cmath.pi * tau / 8) * getattr(cmath, trig)(cmath.pi * v)
+            if trig else 1.0)
     value = complex(pref)
     scale = abs(pref)
     absz = abs(z)
@@ -127,23 +131,15 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = THETA_ORDER,
     """
     _check_tau(tau)
     _check_tau(-1 / tau, image=True)
-    t_partner = {"theta": "theta", "theta1": "theta1",
-                 "theta2": "theta3", "theta3": "theta2"}
-    t_phase = {"theta": cmath.exp(1j * cmath.pi / 4),
-               "theta1": cmath.exp(1j * cmath.pi / 4),
-               "theta2": 1.0, "theta3": 1.0}
-    s_partner = {"theta": "theta", "theta1": "theta2",
-                 "theta2": "theta1", "theta3": "theta3"}
 
     def sides():
         out = {}
-        for kind in THETA_KINDS:
+        for kind, (t_partner, t_phase, s_partner, extra) in _THETA_LAWS.items():
             out[f"{kind}_T"] = (theta_eval(kind, v, tau + 1, N),
-                                _times(t_phase[kind], theta_eval(t_partner[kind], v, tau, N)))
-            extra = 1 / 1j if kind == "theta" else 1.0
+                                _times(t_phase, theta_eval(t_partner, v, tau, N)))
             out[f"{kind}_S"] = (theta_eval(kind, v, -1 / tau, N),
                                 _times(extra * _s_factor(tau, v),
-                                       theta_eval(s_partner[kind], tau * v, tau, N)))
+                                       theta_eval(s_partner, tau * v, tau, N)))
         return out
 
     return _report(sides, tol)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import propergenus
+from propergenus.chern import solve_cancellation
 from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
 from propergenus.core import LaurentPoly
 from propergenus.lambda_ring import sym_total
@@ -112,6 +113,10 @@ def test_usage_error_exit_code(capsys):
     ["cancellation", "--k", "1", "--order", "1", "--json-indent", "-1"],
     ["cancellation", "--k", "1", "--order", "1", "--json-indent", "9"],
     ["cancellation", "--k", "1", "--order", "1", "--json-indent", "100000000000"],
+    # an empty weight entry is refused, not dropped: "0,,2" is not 0,2
+    ["witten-genus", "--weights", "0,,2", "--order", "2"],
+    ["witten-genus", "--weights", ",0,2", "--order", "2"],
+    ["witten-genus", "--weights", "0,2,", "--order", "2"],
 ])
 def test_non_finite_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -289,16 +294,27 @@ def test_order_below_one_is_usage_error(capsys, argv, order):
 def test_check_verbs_default_to_the_library_order(capsys):
     # with no --order the two checks truncate where the library's checks
     # do, and pass at tau = 0.3i, where order 10 leaves S-law residuals of
-    # 1e-9 to 9e-9; every other verb defaults to order 10
+    # 1e-9 to 9e-9; cancellation leaves the order to solve_cancellation,
+    # and every other verb defaults to order 10
     library = {verb: inspect.signature(fn).parameters["N"].default
                for verb, fn in (("theta", verify_theta_transforms), ("modforms", verify_modform_transforms))}
+    library["cancellation"] = inspect.signature(solve_cancellation).parameters["q_order"].default
     for argv in (["theta", "check", "--v", "0.1,0.05", "--tau", "0,0.3"], ["modforms", "check", "--tau", "0,0.3"]):
         code, out = run(capsys, *argv)
         doc = json.loads(out)
         assert (code, doc["order"], doc["failed"], doc["all_passed"]) == (0, library[argv[0]], [], True)
     parser = build_parser()
     for argv in VERB_CALLS:
-        assert parser.parse_args(argv).order == (library[argv[0]] if argv[:2] in TOL_VERBS else 10)
+        want = library[argv[0]] if argv[:2] in TOL_VERBS or argv[0] == "cancellation" else 10
+        assert parser.parse_args(argv).order == want
+
+
+def test_cancellation_without_order_solves_at_the_library_order(capsys):
+    # the library needs k // 2 + 1 grades: 11 at k = 20, beyond the shared 10
+    code, out = run(capsys, "cancellation", "--k", "20")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["residual_is_zero"] is True and doc["schedule"] == "2^(3k-6j)"
 
 
 def test_check_verbs_default_to_the_library_tolerance(capsys):

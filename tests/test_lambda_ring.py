@@ -186,6 +186,22 @@ def test_parse_and_eval_bundle_expr():
     assert mixed == theta_bundle(LaurentPoly.monomial(2), THETA, N=2).scale(3)
 
 
+@pytest.mark.parametrize("text, message", [
+    (")", "unexpected ')'"),
+    ("(rep 1))", "trailing tokens in bundle expression"),
+    ("(rep 1) (rep 2)", "trailing tokens in bundle expression"),
+    ("(rep 1) (", "trailing tokens in bundle expression"),
+    ("a )", "trailing tokens in bundle expression"),
+    ("(", "unbalanced bundle expression"),
+    ("((rep 1)", "unbalanced bundle expression"),
+    ("", "empty bundle expression"),
+])
+def test_bundle_grammar_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == message
+
+
 def test_tilde_is_rank_zero():
     assert tilde(ADJOINT).eval_one() == 0
     assert tilde(ADJOINT) == lam({2: 1, -2: 1, 0: -2})

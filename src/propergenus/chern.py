@@ -125,7 +125,7 @@ def _witten_form(k: int, N: int, shift: dict | None = None) -> dict[int, tuple[Q
         a, half = Fraction((shift or {}).get(s, 0)), factorial(2 * s) // 2
         den = lcm(half, a.denominator)
         g = [den // half * sum((-1) ** (h // d) * d ** (2 * s - 1) for d in ds) for h, ds in divisors]
-        form[s] = QSeries._of(RATIONAL, N, [a.numerator * den // a.denominator, *g]), den
+        form[s] = QSeries(RATIONAL, N, [a.numerator * den // a.denominator, *g]), den
     return form
 
 
@@ -152,7 +152,7 @@ def _exp_power_sums(form: dict, parts: list[Partition]) -> dict[Partition, objec
     for lam in parts:
         nums, dens = zip(*[powers[s][lam.count(s) - 1] for s in set(lam)])
         n, d = reduce(mul, nums), prod(dens)
-        out[lam] = (QSeries._of(RATIONAL, n.trunc, _over(n.coeffs, d))
+        out[lam] = (QSeries(RATIONAL, n.trunc, _over(n.coeffs, d))
                     if isinstance(n, QSeries) else Fraction(n, d))
     return out
 

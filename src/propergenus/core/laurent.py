@@ -133,8 +133,6 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly.zero(self.var)
             return LaurentPoly({e: c * other for e, c in self.coeffs.items()}, self.var)
         if not isinstance(other, LaurentPoly) or other.var != self.var:
             return NotImplemented

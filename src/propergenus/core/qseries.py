@@ -114,39 +114,29 @@ def half_units(grade) -> int:
     return int(h)
 
 
+def _check_order(trunc: int):
+    if trunc < 1:
+        raise ValueError("truncation order must be a positive integer")
+
+
 class QSeries:
     """Truncated series sum_h c_h q^(h/2), h = 0..2N."""
 
     __slots__ = ("ring", "trunc", "coeffs")
 
     def __init__(self, ring, trunc: int, coeffs=None):
-        if trunc < 1:
-            raise ValueError("truncation order must be a positive integer")
+        _check_order(trunc)
         self.ring = ring
         self.trunc = trunc
         n = 2 * trunc + 1
-        if coeffs is None:
-            self.coeffs = [ring.zero()] * n
-        else:
-            coeffs = [ring.coerce(c) for c in coeffs]
-            if len(coeffs) < n:
-                coeffs += [ring.zero()] * (n - len(coeffs))
-            self.coeffs = coeffs[:n]
-
-    @classmethod
-    def _of(cls, ring, trunc: int, coeffs: list) -> "QSeries":
-        """The series of 2 trunc + 1 ``coeffs`` already in ``ring``'s normal form."""
-        s = cls.__new__(cls)
-        s.ring, s.trunc, s.coeffs = ring, trunc, coeffs
-        return s
+        coeffs = [ring.coerce(c) for c in coeffs or ()][:n]
+        self.coeffs = coeffs + [ring.zero()] * (n - len(coeffs))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def one(cls, ring, trunc: int) -> "QSeries":
-        s = cls(ring, trunc)
-        s.coeffs[0] = ring.one()
-        return s
+        return cls(ring, trunc, [ring.one()])
 
     @classmethod
     def from_terms(cls, ring, trunc: int, terms: dict) -> "QSeries":
@@ -586,9 +576,8 @@ def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tup
     as ``base``; pairs come with the odd powers h, so d = 1 then.
     """
     base = [1] + [0] * top
-    if c0:
-        for h, sign, ext in powers:
-            _apply(base, sign if c0 > 0 else -sign, h, (c0 > 0) != ext, abs(c0))
+    for h, sign, ext in powers:
+        _apply(base, sign if c0 > 0 else -sign, h, (c0 > 0) != ext, abs(c0))
     d = gcd(*(h for h, _, _ in powers if plus or minus), *(k for k, n in enumerate(norms) if n),
             *(k for k, b in enumerate(base) if b)) or 1
     majorant = list(norms[::d]) + [0] * (top // d + 1 - len(norms[::d]))
@@ -596,7 +585,7 @@ def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tup
     for h, _, ext in powers if plus or minus else ():
         _apply(majorant, 1, h // d, not ext, plus)
         _apply(majorant, 1, h // d, ext, minus)
-    for h in range(2, top + 1, 2) if jtp else ():
+    for h in range(2, top + 1, 2):
         _apply(base, 1, h, True, jtp)
     return tuple(base[::d]), d, max(majorant)
 
@@ -653,6 +642,7 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     returned as they are (:class:`PackedSeries`) and unpack only when
     read.
     """
+    _check_order(trunc)
     ring = LaurentRing(E.var)
     if start is None:
         start = [ring.one()]

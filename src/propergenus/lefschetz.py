@@ -257,8 +257,8 @@ def _assemble(data, point_series, operator: str) -> QSeries:
     pairs, den_norm, grades = _certificate_data(data, point_series, operator)
     packed = _factor_values(pairs, data, operator,
                             _width(max(grade[2] for grade in grades) * (den_norm + 1)))
-    return QSeries._of(LAMBDA_RING, point_series[0].trunc,
-                       [_packed_grade(grade, point_series, packed, den_norm) for grade in grades])
+    return QSeries(LAMBDA_RING, point_series[0].trunc,
+                   [_packed_grade(grade, point_series, packed, den_norm) for grade in grades])
 
 
 def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,

@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core.laurent import Z, LaurentPoly
-from .core.qseries import RATIONAL, Z_RING, QSeries, _check_tau, complex_eval
+from .core.qseries import RATIONAL, Z_RING, QSeries, _check_order, _check_tau, complex_eval
 from .errors import NumericOverflow
 
 # the default truncation orders of the numeric theta and modular-form
@@ -92,6 +92,7 @@ def theta_eval(kind: str, v: complex, tau: complex, N: int = THETA_ORDER) -> tup
     """
     if kind not in _THETA_SHAPE:
         raise ValueError(f"unknown theta kind {kind!r}")
+    _check_order(N)
     _check_tau(tau)
     trig, sign, half_offset = _THETA_SHAPE[kind]
     q = cmath.exp(2j * cmath.pi * tau)
@@ -129,6 +130,7 @@ def verify_theta_transforms(v: complex, tau: complex, N: int = THETA_ORDER,
     a partner at tau through the factor (tau/i)^(1/2) e^(pi i tau v^2),
     with an extra 1/i for theta.  Square roots use the principal branch.
     """
+    _check_order(N)
     _check_tau(tau)
     _check_tau(-1 / tau, image=True)
 
@@ -239,6 +241,7 @@ def modform_eval(name: str, tau: complex, N: int = MODFORM_ORDER) -> complex:
 def verify_modform_transforms(tau: complex, N: int = MODFORM_ORDER, tol: float = MODFORM_TOL) -> dict:
     """Residuals of delta2(-1/tau) = tau^2 delta1(tau) and
     eps2(-1/tau) = tau^4 eps1(tau), both sides summed as q-expansions."""
+    _check_order(N)
     _check_tau(tau)
     inv = -1 / tau
     _check_tau(inv, image=True)

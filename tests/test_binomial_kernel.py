@@ -51,6 +51,7 @@ from propergenus.lefschetz import (
     _tangent_char,
     lefschetz_twisted,
     lefschetz_witten,
+    p_series,
     validate_weights,
 )
 from propergenus.theta_modforms import THETA_KINDS, _THETA_SHAPE, theta_qexp
@@ -462,6 +463,24 @@ def test_packed_kernel_start_edge_cases():
     half_start = QSeries(LAMBDA_RING, 1, [1, LaurentPoly({2: Fraction(1, 2)})])
     with pytest.raises(NonIntegral, match="^a start coefficient is not integral$"):
         theta_bundle(LaurentPoly({2: 1, -2: 1}), THETA, 1, half_start)
+
+
+ORDER_ENTRIES = {
+    "theta_series": lambda N: theta_series(LaurentPoly({1: 1, -1: 1}), THETA, N),
+    "sym_total": lambda N: sym_total(LaurentPoly({1: 1}), 1, 1, N),
+    "lefschetz_twisted": lambda N: lefschetz_twisted((0, 2), N=N),
+    "p_series": lambda N: p_series((0, 2), N),
+    "eval_bundle_expr": lambda N: eval_bundle_expr("(theta (rep 1))", N),
+    "theta_bundle_start": lambda N: theta_bundle(LaurentPoly({1: 1}), THETA, N, QSeries.one(LAMBDA_RING, 3)),
+}
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_kernel_refuses_an_order_below_one(entry, N):
+    # the kernel is every entry's door; a start's own order does not lift N
+    with pytest.raises(ValueError, match="^truncation order must be a positive integer$"):
+        ORDER_ENTRIES[entry](N)
 
 
 def test_theta_bundle_from_a_start_is_the_product():

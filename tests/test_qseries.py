@@ -252,3 +252,25 @@ def test_to_json_dense_and_bit_exact():
 def test_laurent_ring_equality_by_variable():
     assert LaurentRing("lam") == LaurentRing("lam")
     assert LaurentRing("lam") != LaurentRing("mu")
+
+
+def test_constructor_coerces_cuts_and_pads():
+    # every unpacked series is built by one constructor: absent coefficients
+    # are zeros, a short list is padded, a long one cut to 2N + 1 entries,
+    # and each entry is coerced into the ring
+    for absent in (QSeries(LAMBDA_RING, 2), QSeries(LAMBDA_RING, 2, None)):
+        assert [(type(c), c.var, c.is_zero()) for c in absent.coeffs] == [(LaurentPoly, "lam", True)] * 5
+    assert QSeries(RATIONAL, 2).coeffs == [0] * 5
+    assert QSeries(RATIONAL, 2, [1, 2]).coeffs == [1, 2, 0, 0, 0]
+    assert QSeries(RATIONAL, 1, range(1, 9)).coeffs == [1, 2, 3]
+    lam = QSeries(LAMBDA_RING, 1, [3])
+    assert lam.coeffs[0] == LaurentPoly.constant(3) and type(lam.coeffs[0]) is LaurentPoly
+    assert lam.coeffs[0].var == LAMBDA_RING.var
+    rat = QSeries(RATIONAL, 1, [Fraction(4, 2), Fraction(1, 2)])
+    assert rat.coeffs == [2, Fraction(1, 2), 0] and type(rat.coeffs[0]) is int
+    with pytest.raises(ValueError, match="^truncation order must be a positive integer$"):
+        QSeries(RATIONAL, 0)
+    for ring, unit in ((RATIONAL, 1), (LAMBDA_RING, LaurentPoly.constant(1))):
+        one = QSeries.one(ring, 2)
+        assert one.coeffs == [unit] + [ring.zero()] * 4
+        assert one == QSeries(ring, 2, [1]) and one.ring == ring

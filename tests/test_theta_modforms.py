@@ -279,3 +279,16 @@ def test_unknown_names_rejected():
     with pytest.raises(ValueError):
         modform_qexp("delta3", 3)
     assert set(MODFORM_NAMES) == {"delta1", "eps1", "delta2", "eps2"}
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_numeric_checks_refuse_an_order_below_one(N):
+    # theta_eval at N <= 0 would be its prefactor alone, and the T-laws
+    # would pass on it; the refusal comes before any evaluation
+    refusal = "^truncation order must be a positive integer$"
+    with pytest.raises(ValueError, match=refusal):
+        theta_eval("theta", 0.1, 1j, N)
+    with pytest.raises(ValueError, match=refusal):
+        verify_theta_transforms(0.1, 1j, N)
+    with pytest.raises(ValueError, match=refusal):
+        verify_modform_transforms(1j, N)

@@ -23,8 +23,9 @@ partitions lambda asked for.  A product of two such exponentials is the
 exponential of the sum of their linear forms, so the Witten-twisted
 A-hat q-series is exp(sum_s (a_s + c_s(q)) p_s) and its top weight 4k
 is read at the partitions of k without multiplying any series in the
-p_s.  The headline computation decomposes that top weight in the
-monomial basis (8 delta_2)^a eps_2^b by exact linear algebra, then
+p_s.  The headline computation decomposes each a_s + c_s(q) once in the
+monomial basis (8 delta_2)^a eps_2^b by forward substitution, reads the
+top weight's decomposition off products of polynomials in eps_2, then
 recovers the power-of-two schedule relating it to the top L-class.
 """
 
@@ -33,11 +34,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from .core.laurent import normalize_scalar
-from .core.qseries import RATIONAL, QSeries
+from .core.qseries import RATIONAL, QSeries, _check_order
 from .errors import InconsistentSystem, SingularSystem
 from .theta_modforms import _divisors, modform_qexp
 
@@ -64,12 +65,6 @@ def _partitions_upto(k: int) -> list[Partition]:
 def _nonzero(terms: dict) -> dict[Partition, int | Fraction]:
     """A class with its zero coefficients dropped and integral ones as int."""
     return {p: normalize_scalar(c) for p, c in terms.items() if c != 0}
-
-
-def _numerators(values) -> tuple[list[int], int]:
-    """Rationals as int numerators over one denominator, the lcm of theirs."""
-    den = lcm(*[c.denominator for c in values])
-    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 def _over(numerators, den: int) -> list:
@@ -183,54 +178,37 @@ def ch_witten(k: int, grade) -> dict[Partition, int | Fraction]:
     return _nonzero({p: f.coefficient(grade) for p, f in witten_chern_series(k, N).items()})
 
 
-# -- exact linear algebra ----------------------------------------------------
+# -- forward substitution ----------------------------------------------------
 
-def solve_exact(rows: list[list], rhs: list[list]) -> list[list[Fraction]]:
-    """Solve A x = y for every right-hand column, exactly and fraction-free:
-    each equation is scaled to ints, and Gauss-Jordan clears a row r
-    against the pivot row as p r - f (pivot row), divided by its gcd (where
-    Bareiss, Math. Comp. 1968, divides by the previous pivot).
-
-    Raises SingularSystem when the unknowns are underdetermined and
-    InconsistentSystem when no exact solution exists.  Returns the
-    solutions as columns, each entry one Fraction(rhs, pivot).
-    """
-    n_un = len(rows[0]) if rows else 0
-    aug = [_numerators([*a, *y])[0] for a, y in zip(rows, rhs)]
-    row = 0
-    for col in range(n_un):
-        pivot = next((r for r in range(row, len(aug)) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        p_row = aug[row]
-        p = p_row[col]
-        for r, other in enumerate(aug):
-            f = other[col]
-            if r != row and f:
-                other = [p * a - f * b for a, b in zip(other, p_row)]
-                g = gcd(*other)
-                aug[r] = [v // g for v in other] if g > 1 else other
-        row += 1
-        if row == len(aug):
-            break
-    if row < n_un:
-        raise SingularSystem(f"rank {row} < {n_un} unknowns")
-    if any(any(y[n_un:]) for y in aug[row:]):
-        raise InconsistentSystem("no exact solution; extra equations do not vanish")
-    return [[Fraction(y, r[i]) for y in r[n_un:]] for i, r in enumerate(aug[:n_un])]
-
-
-def _basis_rows(weight_half: int, N: int) -> list[list[int | Fraction]]:
-    """The basis (8 delta_2)^(weight_half - 2b) * eps_2^b, b = 0..[weight_half/2],
-    of weight 2 weight_half, as rows: row h holds the q^(h/2) coefficients."""
+def _basis(m: int, N: int) -> list[QSeries]:
+    """The basis (8 delta_2)^(m - 2b) eps_2^b, b = 0..[m/2], of weight 2m:
+    basis b is (-1)^(m - 2b) q^(b/2) plus higher grades, as
+    8 delta_2 = -1 + O(q^(1/2)) and eps_2 = q^(1/2) + O(q)."""
     d2 = modform_qexp("delta2", N).series.scale(8)
     e2 = modform_qexp("eps2", N).series
     basis = []
-    for b in range(weight_half // 2 + 1):
-        a = weight_half - 2 * b
+    for b in range(m // 2 + 1):
+        a = m - 2 * b
         basis.append(d2 ** a * e2 ** b if a and b else d2 ** a if a else e2 ** b)
-    return [[s.coeffs[h] for s in basis] for h in range(2 * N + 1)]
+    return basis
+
+
+def _decompose(coeffs: list, basis: list[QSeries]) -> list:
+    """The x_b with sum_b x_b basis[b] = coeffs at every stored grade, by
+    forward substitution: x_b is read at half-grade b, where basis b leads
+    with +-1, and basis b is subtracted from what is left, so integer
+    coefficients give integer x_b.  Every grade left must then be zero."""
+    if len(coeffs) < len(basis):
+        raise SingularSystem(f"rank {len(coeffs)} < {len(basis)} unknowns")
+    rest, out = list(coeffs), []
+    for b, s in enumerate(basis):
+        x = rest[b] * s.coeffs[b]
+        if x:
+            rest[b:] = [r - x * c for r, c in zip(rest[b:], s.coeffs[b:])]
+        out.append(x)
+    if any(rest):
+        raise InconsistentSystem("no exact solution; extra equations do not vanish")
+    return out
 
 
 def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
@@ -239,8 +217,7 @@ def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
     The input q-expansion must determine the [m/2]+1 coefficients and
     stay consistent at every further stored grade.
     """
-    rhs = [[c] for c in genus.coeffs]
-    return [x[0] for x in solve_exact(_basis_rows(m, genus.trunc), rhs)]
+    return [Fraction(x) for x in _decompose(genus.coeffs, _basis(m, genus.trunc))]
 
 
 class CancellationReport(namedtuple(
@@ -267,29 +244,41 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     L-class.
 
     The number of modular unknowns is [k/2]+1, so q_order must be at
-    least [k/2]+1; all further grades are consistency equations.
+    least [k/2]+1.  Each linear form a_s + c_s(q) is a weight-2s form
+    P_s(X, Y), X = 8 delta_2 and Y = eps_2, checked at every stored
+    grade.  Reading Q[X, Y] as q-series is a ring map, and setting X = 1
+    loses nothing within one weight, so row b of the decomposition at
+    lambda is the Y^b coefficient of prod_s P_s(Y)^(m_s) / m_s!.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     nb = k // 2 + 1
     if q_order is None:
         q_order = nb + 1
+    _check_order(q_order)
     if q_order < nb:
         raise SingularSystem(f"q_order {q_order} < {nb} unknowns")
     part_basis = sorted(partitions_of(k))
-    # the weight-4k part of A-hat times the Witten series is the one
-    # exponential exp(sum_s (a_s + c_s(q)) p_s), read at the partitions of k
-    top = _exp_power_sums(_witten_form(k, q_order, _a_hat_form(k)), part_basis)
-    rhs = [[top[p].coeffs[h] for p in part_basis] for h in range(2 * q_order + 1)]
-    solution = solve_exact(_basis_rows(k, q_order), rhs)  # nb x dim
-    combos = [_nonzero(dict(zip(part_basis, row))) for row in solution]
-    # scalar solve: sum_b c_b * combo_b = top part of the L-class
+    # P_s(Y) as an integer series whose half-grade b holds Y^b, over d_s
+    forms = {s: (QSeries(RATIONAL, nb // 2 + 1, _decompose(n.coeffs, _basis(s, q_order))), d)
+             for s, (n, d) in _witten_form(k, q_order, _a_hat_form(k)).items()}
+    top = _exp_power_sums(forms, part_basis)
+    combos = [_nonzero({p: top[p].coeffs[b] for p in part_basis}) for b in range(nb)]
     ell = _exp_power_sums(_l_hat_form(k), part_basis)
-    lrows = [[combo.get(p, 0) for combo in combos] for p in part_basis]
-    scalars = [c[0] for c in solve_exact(lrows, [[ell[p]] for p in part_basis])]
+    scalars = []
+
+    def fitted(p):
+        return sum(c * combo.get(p, 0) for c, combo in zip(scalars, combos))
+
+    # sum_b c_b * combo_b = top part of the L-class: at (2^b 1^(k-2b)) row b
+    # is the last nonzero one, so the scalars solve forward there
+    for b, combo in enumerate(combos):
+        lam = (2,) * b + (1,) * (k - 2 * b)
+        scalars.append((ell[lam] - fitted(lam)) / combo[lam])
+    residual = _nonzero({p: ell[p] - fitted(p) for p in part_basis})
+    if residual:
+        raise InconsistentSystem("no exact solution; extra equations do not vanish")
     h_coeffs, exponents = map(list, zip(*map(_two_adic, scalars)))
-    residual = _nonzero({p: ell[p] - sum(c * combo.get(p, 0) for c, combo in zip(scalars, combos))
-                         for p in part_basis})
     expected = [3 * k - 6 * b for b in range(nb)]
     schedule = "2^(3k-6j)" if exponents == expected else f"custom {exponents}"
     return CancellationReport(k, h_coeffs, exponents, combos, residual, schedule)

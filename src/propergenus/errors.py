@@ -51,8 +51,10 @@ class NumericOverflow(DomainError):
 
 
 class SingularSystem(DomainError):
-    """Linear solve hit a singular system (wrong order or basis)."""
+    """A triangular decomposition in the (8 delta_2)^a eps_2^b basis has
+    fewer stored grades than unknowns (the truncation order is too low)."""
 
 
 class InconsistentSystem(DomainError):
-    """Overdetermined linear solve has no exact solution."""
+    """A triangular decomposition leaves a stored grade nonzero, or the
+    L-class scalars leave a residual at some partition: no exact solution."""

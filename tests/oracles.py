@@ -47,7 +47,13 @@ function here recomputes one of them by another.
 - ``fraction_product`` and ``fraction_solve``: a product of rational
   q-series by one Fraction multiply-add per pair of grades, and
   Gauss-Jordan elimination on Fractions, against the integer-numerator
-  ``QSeries.__mul__`` and the fraction-free ``chern.solve_exact``.
+  ``QSeries.__mul__`` and the forward substitution of
+  ``chern.p2_decompose``.
+- ``elimination_cancellation``: the cancellation report by elimination,
+  the top weight at every partition against the basis at every stored
+  grade and then the L-class scalars over every partition, against
+  ``chern.solve_cancellation``, which decomposes each linear form once
+  and solves the scalars forward.
 - ``sl2_formal_degree``: the formal degree of a discrete series of
   SL(2,R) by the Harish-Chandra product, against the trace
   ``induction.pi_s1`` in absolute value.
@@ -91,7 +97,7 @@ from propergenus.core.ratfunc import Poly, RationalFunc
 from propergenus.errors import InconsistentSystem, NonIntegral, SingularSystem
 from propergenus.lambda_ring import THETA, THETA1, THETA2
 from propergenus.lefschetz import DIRAC, SIGNATURE, _twist_series, validate_weights
-from propergenus.theta_modforms import ThetaExpansion, theta_eval
+from propergenus.theta_modforms import ThetaExpansion, modform_qexp, theta_eval
 
 # -- Adams-operation exponential ---------------------------------------------
 
@@ -527,6 +533,47 @@ def fraction_solve(rows, rhs) -> list[list[Fraction]]:
     for i, col in enumerate(pivots):
         solution[col] = aug[i][n_un:]
     return solution
+
+
+def elimination_cancellation(top: dict, ell: dict, k: int, N: int) -> dict:
+    """The fields of a cancellation report by Gauss-Jordan on Fractions.
+
+    ``top`` holds the top-weight q-series at every partition of k, each
+    solved against the basis (8 delta_2)^(k-2b) eps_2^b, built by
+    ``fraction_product``, at every stored grade; ``ell``, the top part of
+    the L-class, is then solved against those rows over every partition.
+    Each scalar splits as h 2^e with h of odd numerator and denominator.
+    """
+    parts = sorted(top)
+    d2 = modform_qexp("delta2", N).series.scale(8)
+    e2 = modform_qexp("eps2", N).series
+    basis = []
+    for b in range(k // 2 + 1):
+        s = QSeries.one(RATIONAL, N)
+        for f in [d2] * (k - 2 * b) + [e2] * b:
+            s = fraction_product(s, f)
+        basis.append(s)
+    grades = range(2 * N + 1)
+    solution = fraction_solve([[s.coeffs[h] for s in basis] for h in grades],
+                              [[top[p].coeffs[h] for p in parts] for h in grades])
+    combos = [{p: c for p, c in zip(parts, row) if c} for row in solution]
+    scalars = [x[0] for x in fraction_solve([[combo.get(p, 0) for combo in combos] for p in parts],
+                                            [[ell.get(p, 0)] for p in parts])]
+    residual = {p: ell.get(p, 0) - sum(c * combo.get(p, 0) for c, combo in zip(scalars, combos))
+                for p in parts}
+    h_coeffs, exponents = [], []
+    for c in scalars:
+        e = 0
+        while c and c.numerator % 2 == 0:
+            c, e = c / 2, e + 1
+        while c and c.denominator % 2 == 0:
+            c, e = c * 2, e - 1
+        h_coeffs.append(c)
+        exponents.append(e)
+    expected = [3 * k - 6 * b for b in range(k // 2 + 1)]
+    return {"combinations": combos, "h_coeffs": h_coeffs, "exponents": exponents,
+            "schedule": "2^(3k-6j)" if exponents == expected else f"custom {exponents}",
+            "residual": {p: c for p, c in residual.items() if c}}
 
 
 # -- formal degree of the discrete series of SL(2,R) -------------------------

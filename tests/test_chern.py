@@ -4,10 +4,11 @@ from math import factorial
 
 import pytest
 
+from propergenus import chern
 from propergenus.chern import (
     CancellationReport,
     _a_hat_form,
-    _basis_rows,
+    _basis,
     _exp_power_sums,
     _witten_form,
     a_hat,
@@ -16,7 +17,6 @@ from propergenus.chern import (
     p2_decompose,
     partitions_of,
     solve_cancellation,
-    solve_exact,
     witten_chern_series,
 )
 from propergenus.core import RATIONAL, LaurentPoly, QSeries
@@ -24,7 +24,13 @@ from propergenus.errors import InconsistentSystem, SingularSystem
 from propergenus.lambda_ring import THETA2, theta_bundle
 from propergenus.theta_modforms import modform_qexp
 
-from oracles import class_product_part, fraction_solve, power_sum_value, root_class_series
+from oracles import (
+    class_product_part,
+    elimination_cancellation,
+    fraction_solve,
+    power_sum_value,
+    root_class_series,
+)
 
 
 def n_partitions(n: int) -> int:
@@ -198,7 +204,52 @@ def test_cancellation_refuses_k_below_one(k):
         solve_cancellation(k)
 
 
-def test_basis_rows_multiply_only_what_they_need(monkeypatch):
+@pytest.mark.parametrize("order", [0, -1])
+def test_cancellation_refuses_order_below_one(order):
+    # like every other library entry, before the unknowns are counted
+    with pytest.raises(ValueError, match="truncation order must be a positive integer"):
+        solve_cancellation(2, order)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cancellation_matches_elimination_oracle(k):
+    # the top weight at every partition against the basis at every stored
+    # grade, then the L-class scalars over every partition, both by
+    # Gauss-Jordan on Fractions, at the default order and k//2 + 1..k//2 + 4
+    parts = sorted(partitions_of(k))
+    ell = weight_part(l_hat(k), k)
+    for order in (None, *range(k // 2 + 1, k // 2 + 5)):
+        N = k // 2 + 2 if order is None else order
+        top = _exp_power_sums(_witten_form(k, N, _a_hat_form(k)), parts)
+        rep = solve_cancellation(k, order)
+        got = {"combinations": rep.combinations, "h_coeffs": rep.h_coeffs,
+               "exponents": rep.exponents, "schedule": rep.schedule, "residual": rep.residual}
+        assert got == elimination_cancellation(top, ell, k, N), (k, order)
+
+
+@pytest.mark.parametrize("form, s", [("_a_hat_form", 1), ("_l_hat_form", 3)])
+def test_cancellation_refuses_a_perturbed_form(monkeypatch, form, s):
+    # a_1 + 1 + c_1(q) is no weight-2 form, so its decomposition fails;
+    # l_3 + 1 moves the L-class at (3,) alone, which the forward scalar
+    # solve never reads, so the residual over every partition catches it
+    build = getattr(chern, form)
+    monkeypatch.setattr(chern, form, lambda k: {**build(k), s: build(k)[s] + 1})
+    with pytest.raises(InconsistentSystem, match="extra equations do not vanish"):
+        solve_cancellation(3)
+
+
+def test_cancellation_rows_are_triangular():
+    # at (2^b 1^(k-2b)) row b of the decomposition is nonzero and every
+    # later row vanishes, which the forward L-class solve rests on
+    for k in range(1, 21):
+        combos = solve_cancellation(k).combinations
+        for b in range(k // 2 + 1):
+            lam = (2,) * b + (1,) * (k - 2 * b)
+            assert combos[b].get(lam, 0) != 0, (k, b)
+            assert all(lam not in later for later in combos[b + 1:]), (k, b)
+
+
+def test_basis_multiplies_only_what_it_needs(monkeypatch):
     # (8 delta2)^(k-2b) eps2^b for b = 0..[k/2]: k = 1 is delta2 alone,
     # k = 2 one square, k = 3 a cube (two products) and delta2 * eps2
     products = []
@@ -212,7 +263,7 @@ def test_basis_rows_multiply_only_what_they_need(monkeypatch):
     monkeypatch.setattr(QSeries, "__mul__", counting)
     for k, expected in ((1, 0), (2, 1), (3, 3)):
         products.clear()
-        _basis_rows(k, 4)
+        _basis(k, 4)
         assert len(products) == expected, k
 
 
@@ -253,56 +304,48 @@ def test_p2_decompose_rejects_non_modular_input():
         p2_decompose(bad, 2)
 
 
-def test_solve_exact_errors():
-    with pytest.raises(SingularSystem):
-        solve_exact([[Fraction(1), Fraction(2)]], [[Fraction(1)]])
-    with pytest.raises(InconsistentSystem):
-        solve_exact([[Fraction(1)], [Fraction(1)]], [[Fraction(1)], [Fraction(2)]])
-    sol = solve_exact([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]],
-                      [[Fraction(6)], [Fraction(8)]])
-    assert sol == [[Fraction(3)], [Fraction(2)]]
+def _outcome(solve):
+    """What ``solve()`` returns, or the class and message of its solve error."""
+    try:
+        return solve()
+    except (SingularSystem, InconsistentSystem) as exc:
+        return type(exc), str(exc)
 
 
+@pytest.mark.parametrize("fractions", [False, True])
+def test_p2_decompose_matches_fraction_oracle(fractions):
+    # seeded combinations of the basis, int or Fraction, at truncations with
+    # too few grades, exactly enough and more: the same coefficients as
+    # Gauss-Jordan on Fractions, and with one extra grade perturbed the
+    # same InconsistentSystem, or the same SingularSystem and rank text
+    rng = random.Random(1968 + fractions)
 
-def _random_system(rng, n_eq, n_un, rank, consistent, fractions):
-    """A seeded n_eq x n_un system of the given rank with two right-hand
-    columns, int entries or, with ``fractions``, Fraction ones."""
     def entry():
         if fractions and rng.random() < 0.6:
             return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
         return rng.randint(-30, 30)
 
-    left = [[entry() for _ in range(rank)] for _ in range(n_eq)]
-    right = [[entry() for _ in range(n_un)] for _ in range(rank)]
-    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
-    x = [[entry(), entry()] for _ in range(n_un)]
-    rhs = [[sum(a * xi[j] for a, xi in zip(row, x)) for j in range(2)] for row in rows]
-    if not consistent:
-        rhs[rng.randrange(n_eq)][rng.randrange(2)] += 1
-    return rows, rhs
-
-
-@pytest.mark.parametrize("fractions", [False, True])
-def test_solve_exact_matches_fraction_oracle(fractions):
-    # full rank (square and overdetermined), rank-deficient, inconsistent
-    # and fewer equations than unknowns: the same solution or the same
-    # exception class as elimination on Fractions
-    rng = random.Random(1968 + fractions)
-    shapes = [(3, 3, 3, True), (6, 3, 3, True), (5, 4, 3, True), (6, 3, 3, False),
-              (5, 2, 2, False), (2, 4, 2, True), (4, 4, 2, False), (1, 1, 1, True)]
-    outcomes = set()
-    for _ in range(25):
-        for n_eq, n_un, rank, consistent in shapes:
-            rows, rhs = _random_system(rng, n_eq, n_un, rank, consistent, fractions)
-            try:
-                expected = fraction_solve(rows, rhs)
-            except (SingularSystem, InconsistentSystem) as exc:
-                with pytest.raises(type(exc)):
-                    solve_exact(rows, rhs)
-                outcomes.add(type(exc))
-                continue
-            got = solve_exact(rows, rhs)
-            assert got == expected, (n_eq, n_un, rank, consistent)
-            assert all(type(v) is Fraction for col in got for v in col)
-            outcomes.add(None)
-    assert outcomes == {None, SingularSystem, InconsistentSystem}
+    outcomes = []
+    for m in range(1, 9):
+        for N in (1, 2, 3, 6):
+            d2 = modform_qexp("delta2", N).series.scale(8)
+            e2 = modform_qexp("eps2", N).series
+            basis = [d2 ** (m - 2 * b) * e2 ** b for b in range(m // 2 + 1)]
+            rows = [[s.coeffs[h] for s in basis] for h in range(2 * N + 1)]
+            x = [entry() for _ in basis]
+            coeffs = [sum(c * xb for c, xb in zip(row, x)) for row in rows]
+            if 2 * N + 1 > len(basis):
+                cases = [coeffs, list(coeffs)]
+                cases[1][rng.randrange(len(basis), 2 * N + 1)] += entry() or 1
+            else:
+                cases = [coeffs]
+            for case in cases:
+                expected = _outcome(lambda: [c[0] for c in fraction_solve(rows, [[c] for c in case])])
+                got = _outcome(lambda: p2_decompose(QSeries(RATIONAL, N, case), m))
+                assert got == expected, (m, N, case)
+                if isinstance(got, list):
+                    assert all(type(c) is Fraction for c in got)
+                    assert case is not coeffs or got == x
+                outcomes.append(got if isinstance(got, tuple) else None)
+    assert {o and o[0] for o in outcomes} == {None, SingularSystem, InconsistentSystem}
+    assert (SingularSystem, "rank 3 < 5 unknowns") in outcomes

@@ -340,6 +340,18 @@ def test_cancellation_k_below_one_is_usage_error(capsys, k):
     assert f"k must be at least 1, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--k", "33"], ["--k", "33", "--order", "1"], ["--k", "1000"]])
+def test_cancellation_k_above_limit_is_usage_error(capsys, argv):
+    # refused by the verb before any solve, whatever the order
+    with pytest.raises(SystemExit) as exc:
+        main(["cancellation", *argv])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: propergenus cancellation [-h]")
+    assert f"k must be at most 32, got {argv[1]}" in captured.err
+
+
 @pytest.mark.parametrize("verb", ["witten-genus", "elliptic-genera", "lefschetz", "p-series"])
 def test_negative_leading_weight_parses_either_way(capsys, verb):
     # a weight list that starts with a negative weight is the value of

@@ -40,7 +40,7 @@ from operator import mul
 from .core.laurent import normalize_scalar
 from .core.qseries import RATIONAL, QSeries, _check_order
 from .errors import InconsistentSystem, SingularSystem
-from .theta_modforms import _divisors, modform_qexp
+from .theta_modforms import _divisor_table, modform_qexp
 
 Partition = tuple[int, ...]
 
@@ -114,7 +114,7 @@ def _witten_form(k: int, N: int, shift: dict | None = None) -> dict[int, tuple[Q
     sum_m q^(r(m - 1/2))) is sum_s c_s p_s with c_s = 2 G_s / (2s)! and
     G_s = sum_h q^(h/2) sum_{d | h} (-1)^(h/d) d^(2s-1).
     """
-    divisors = [(h, _divisors(h)) for h in range(1, 2 * N + 1)]
+    divisors = list(enumerate(_divisor_table(2 * N)))[1:]
     form = {}
     for s in range(1, k + 1):
         a, half = Fraction((shift or {}).get(s, 0)), factorial(2 * s) // 2
@@ -180,17 +180,17 @@ def ch_witten(k: int, grade) -> dict[Partition, int | Fraction]:
 
 # -- forward substitution ----------------------------------------------------
 
-def _basis(m: int, N: int) -> list[QSeries]:
-    """The basis (8 delta_2)^(m - 2b) eps_2^b, b = 0..[m/2], of weight 2m:
-    basis b is (-1)^(m - 2b) q^(b/2) plus higher grades, as
-    8 delta_2 = -1 + O(q^(1/2)) and eps_2 = q^(1/2) + O(q)."""
+def _bases(k: int, N: int) -> list[list[QSeries]]:
+    """Row m, m = 0..k, is the basis (8 delta_2)^(m - 2b) eps_2^b, b = 0..[m/2],
+    of weight 2m: 8 delta_2 times row m - 1, then at even m eps_2 times the last
+    of row m - 2, one product each past row 1.  Basis b is (-1)^(m - 2b) q^(b/2)
+    plus higher grades, as 8 delta_2 = -1 + O(q^(1/2)) and eps_2 = q^(1/2) + O(q)."""
     d2 = modform_qexp("delta2", N).series.scale(8)
     e2 = modform_qexp("eps2", N).series
-    basis = []
-    for b in range(m // 2 + 1):
-        a = m - 2 * b
-        basis.append(d2 ** a * e2 ** b if a and b else d2 ** a if a else e2 ** b)
-    return basis
+    table = [[QSeries.one(RATIONAL, N)], [d2]]
+    for m in range(2, k + 1):
+        table.append([d2 * s for s in table[-1]] + ([table[-2][-1] * e2] if m % 2 == 0 else []))
+    return table
 
 
 def _decompose(coeffs: list, basis: list[QSeries]) -> list:
@@ -217,7 +217,9 @@ def p2_decompose(genus: QSeries, m: int) -> list[Fraction]:
     The input q-expansion must determine the [m/2]+1 coefficients and
     stay consistent at every further stored grade.
     """
-    return [Fraction(x) for x in _decompose(genus.coeffs, _basis(m, genus.trunc))]
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
+    return [Fraction(x) for x in _decompose(genus.coeffs, _bases(m, genus.trunc)[m])]
 
 
 class CancellationReport(namedtuple(
@@ -259,8 +261,9 @@ def solve_cancellation(k: int, q_order: int | None = None) -> CancellationReport
     if q_order < nb:
         raise SingularSystem(f"q_order {q_order} < {nb} unknowns")
     part_basis = sorted(partitions_of(k))
+    bases = _bases(k, q_order)
     # P_s(Y) as an integer series whose half-grade b holds Y^b, over d_s
-    forms = {s: (QSeries(RATIONAL, nb // 2 + 1, _decompose(n.coeffs, _basis(s, q_order))), d)
+    forms = {s: (QSeries(RATIONAL, nb // 2 + 1, _decompose(n.coeffs, bases[s])), d)
              for s, (n, d) in _witten_form(k, q_order, _a_hat_form(k)).items()}
     top = _exp_power_sums(forms, part_basis)
     combos = [_nonzero({p: top[p].coeffs[b] for p in part_basis}) for b in range(nb)]

@@ -68,9 +68,10 @@ def _parse_order(text: str) -> int:
     return order
 
 
-# the largest k that cancellation solves: solve_cancellation(32) takes
-# about 2 s and 40 MB (Python 3.11, 2-core Intel Xeon)
-MAX_K = 32
+# the largest k and order that cancellation solves: solve_cancellation(32)
+# takes about 1.5 s and 40 MB, and (32, 100) about 2.5 s and 43 MB (Python
+# 3.11, 2-core Intel Xeon); the cost grows about as the square of the order
+MAX_K, MAX_ORDER = 32, 100
 
 
 def _parse_finite(text: str) -> float:
@@ -241,6 +242,8 @@ def _run_bundle(args) -> dict:
 def _run_cancellation(args) -> dict:
     if args.k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}, got {args.k}")
+    if (args.order or 0) > MAX_ORDER:
+        raise ValueError(f"order must be at most {MAX_ORDER}, got {args.order}")
     report = solve_cancellation(args.k, args.order)
     return {
         "verb": "cancellation",

@@ -188,30 +188,22 @@ def _report(sides_of, tol: float) -> dict:
 ModFormSeries = namedtuple("ModFormSeries", "name series weight group")
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-        d += 1
-    return out
+def _divisor_table(top: int) -> list[list[int]]:
+    """Row n, n = 0..top, lists the divisors of n in ascending order."""
+    rows = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for row in rows[d::d]:
+            row.append(d)
+    return rows
 
 
-def _odd_divisor_sum(n: int) -> int:
-    return sum(d for d in _divisors(n) if d % 2 == 1)
-
-
-# name: (weight, group, constant term, half-unit step, coefficient of q^(step n / 2))
+# name: (weight, group, constant term, half-unit step, coefficient of
+#        q^(step n / 2) from n and the divisors of n)
 _MODFORMS = {
-    "delta1": (2, "Gamma_0(2)", Fraction(1, 4), 2, lambda n: 6 * _odd_divisor_sum(n)),
-    "eps1": (4, "Gamma_0(2)", Fraction(1, 16), 2,
-             lambda n: sum((-1) ** d * d ** 3 for d in _divisors(n))),
-    "delta2": (2, "Gamma^0(2)", Fraction(-1, 8), 1, lambda n: -3 * _odd_divisor_sum(n)),
-    "eps2": (4, "Gamma^0(2)", 0, 1,
-             lambda n: sum(d ** 3 for d in _divisors(n) if (n // d) % 2 == 1)),
+    "delta1": (2, "Gamma_0(2)", Fraction(1, 4), 2, lambda n, ds: 6 * sum(d for d in ds if d % 2)),
+    "eps1": (4, "Gamma_0(2)", Fraction(1, 16), 2, lambda n, ds: sum((-1) ** d * d ** 3 for d in ds)),
+    "delta2": (2, "Gamma^0(2)", Fraction(-1, 8), 1, lambda n, ds: -3 * sum(d for d in ds if d % 2)),
+    "eps2": (4, "Gamma^0(2)", 0, 1, lambda n, ds: sum(d ** 3 for d in ds if n // d % 2)),
 }
 MODFORM_NAMES = tuple(_MODFORMS)
 
@@ -229,8 +221,8 @@ def modform_qexp(name: str, N: int = 10) -> ModFormSeries:
     weight, group, constant, step, coefficient = _MODFORMS[name]
     s = QSeries(RATIONAL, N)
     s.coeffs[0] = constant
-    for n in range(1, 2 * N // step + 1):
-        s.coeffs[step * n] = coefficient(n)
+    for n, ds in enumerate(_divisor_table(2 * N // step)[1:], 1):
+        s.coeffs[step * n] = coefficient(n, ds)
     return ModFormSeries(name, s, weight, group)
 
 

@@ -54,6 +54,9 @@ function here recomputes one of them by another.
   grade and then the L-class scalars over every partition, against
   ``chern.solve_cancellation``, which decomposes each linear form once
   and solves the scalars forward.
+- ``divisors`` and ``odd_divisor_sum``: the divisors of n by trial
+  division up to its square root, against the sieve that
+  ``theta_modforms.modform_qexp`` and ``chern`` read them from.
 - ``sl2_formal_degree``: the formal degree of a discrete series of
   SL(2,R) by the Harish-Chandra product, against the trace
   ``induction.pi_s1`` in absolute value.
@@ -574,6 +577,26 @@ def elimination_cancellation(top: dict, ell: dict, k: int, N: int) -> dict:
     return {"combinations": combos, "h_coeffs": h_coeffs, "exponents": exponents,
             "schedule": "2^(3k-6j)" if exponents == expected else f"custom {exponents}",
             "residual": {p: c for p, c in residual.items() if c}}
+
+
+# -- divisors by trial division ----------------------------------------------
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n, each found with its cofactor by trial division."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def odd_divisor_sum(n: int) -> int:
+    return sum(d for d in divisors(n) if d % 2 == 1)
 
 
 # -- formal degree of the discrete series of SL(2,R) -------------------------

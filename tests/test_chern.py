@@ -8,7 +8,7 @@ from propergenus import chern
 from propergenus.chern import (
     CancellationReport,
     _a_hat_form,
-    _basis,
+    _bases,
     _exp_power_sums,
     _witten_form,
     a_hat,
@@ -249,9 +249,26 @@ def test_cancellation_rows_are_triangular():
             assert all(lam not in later for later in combos[b + 1:]), (k, b)
 
 
-def test_basis_multiplies_only_what_it_needs(monkeypatch):
-    # (8 delta2)^(k-2b) eps2^b for b = 0..[k/2]: k = 1 is delta2 alone,
-    # k = 2 one square, k = 3 a cube (two products) and delta2 * eps2
+def test_bases_are_built_once_per_call(monkeypatch):
+    # one expansion of delta2 and of eps2 per call, whatever the weight
+    expanded = []
+    expand = chern.modform_qexp
+    monkeypatch.setattr(chern, "modform_qexp", lambda name, N: expanded.append(name) or expand(name, N))
+    for k in (1, 3, 8, 20):
+        expanded.clear()
+        solve_cancellation(k)
+        assert sorted(expanded) == ["delta2", "eps2"], k
+    for m in range(8):
+        expanded.clear()
+        p2_decompose(QSeries(RATIONAL, 5), m)
+        assert sorted(expanded) == ["delta2", "eps2"], m
+
+
+def test_bases_multiply_once_per_basis_past_weight_two(monkeypatch):
+    # row m is (8 delta2)^(m-2b) eps2^b, b = 0..[m/2], and each entry of
+    # rows 2..k costs one product: rows 0 and 1 are 1 and 8 delta2
+    d2 = modform_qexp("delta2", 4).series.scale(8)
+    e2 = modform_qexp("eps2", 4).series
     products = []
     mul = QSeries.__mul__
 
@@ -261,10 +278,12 @@ def test_basis_multiplies_only_what_it_needs(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(QSeries, "__mul__", counting)
-    for k, expected in ((1, 0), (2, 1), (3, 3)):
+    for k in range(9):
         products.clear()
-        _basis(k, 4)
-        assert len(products) == expected, k
+        table = _bases(k, 4)
+        assert len(products) == sum(m // 2 + 1 for m in range(2, k + 1)), k
+        for m in range(k + 1):
+            assert table[m] == [d2 ** (m - 2 * b) * e2 ** b for b in range(m // 2 + 1)], (k, m)
 
 
 def test_p2_decompose_basis_element():
@@ -276,6 +295,13 @@ def test_p2_decompose_basis_element():
 
 def test_p2_decompose_zero_series():
     assert p2_decompose(QSeries(RATIONAL, 5), 2) == [0, 0]
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+@pytest.mark.parametrize("series", [QSeries(RATIONAL, 4), modform_qexp("delta2", 4).series])
+def test_p2_decompose_refuses_negative_weight(series, m):
+    with pytest.raises(ValueError, match=f"m must be at least 0, got {m}"):
+        p2_decompose(series, m)
 
 
 def test_p2_decompose_is_left_inverse_of_basis():

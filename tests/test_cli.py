@@ -352,6 +352,25 @@ def test_cancellation_k_above_limit_is_usage_error(capsys, argv):
     assert f"k must be at most 32, got {argv[1]}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--k", "3", "--order", "101"], ["--k", "1", "--order", "100000"],
+                                  ["--k", "32", "--order", "101"]])
+def test_cancellation_order_above_limit_is_usage_error(capsys, argv):
+    # the cost grows about as the square of the order: refused before any solve
+    with pytest.raises(SystemExit) as exc:
+        main(["cancellation", *argv])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: propergenus cancellation [-h]")
+    assert f"order must be at most 100, got {argv[3]}" in captured.err
+
+
+def test_cancellation_order_at_limit_is_solved(capsys):
+    code, out = run(capsys, "cancellation", "--k", "2", "--order", "100")
+    doc = json.loads(out)
+    assert code == 0 and doc["residual_is_zero"] and doc["schedule"] == "2^(3k-6j)"
+
+
 @pytest.mark.parametrize("verb", ["witten-genus", "elliptic-genera", "lefschetz", "p-series"])
 def test_negative_leading_weight_parses_either_way(capsys, verb):
     # a weight list that starts with a negative weight is the value of

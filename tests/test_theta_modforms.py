@@ -7,6 +7,7 @@ from propergenus.errors import NotUpperHalfPlane
 from propergenus.theta_modforms import (
     MODFORM_NAMES,
     THETA_KINDS,
+    _divisor_table,
     modform_eval,
     modform_qexp,
     theta_eval,
@@ -15,7 +16,7 @@ from propergenus.theta_modforms import (
     verify_theta_transforms,
 )
 
-from oracles import theta_expansion_eval, theta_tail
+from oracles import divisors, odd_divisor_sum, theta_expansion_eval, theta_tail
 
 
 def z_poly(d):
@@ -202,6 +203,29 @@ def test_modform_qexp_matches_sympy_theta_nullwert_products():
             if a <= top:
                 expected[a] = Fraction(int(c.p), int(c.q))
         assert modform_qexp(name, N).series.coeffs == expected, name
+
+
+def test_divisor_table_matches_trial_division():
+    table = _divisor_table(240)
+    assert table[0] == []
+    assert all(table[n] == sorted(divisors(n)) for n in range(1, 241))
+
+
+def test_modform_qexp_matches_trial_division_divisor_sums():
+    # every coefficient at every order through 60, against the divisor
+    # sums of the docstring with divisors found by trial division
+    rules = {
+        "delta1": (Fraction(1, 4), 2, lambda n: 6 * odd_divisor_sum(n)),
+        "eps1": (Fraction(1, 16), 2, lambda n: sum((-1) ** d * d ** 3 for d in divisors(n))),
+        "delta2": (Fraction(-1, 8), 1, lambda n: -3 * odd_divisor_sum(n)),
+        "eps2": (0, 1, lambda n: sum(d ** 3 for d in divisors(n) if (n // d) % 2 == 1)),
+    }
+    for N in range(1, 61):
+        for name, (constant, step, coefficient) in rules.items():
+            expected = [constant] + [0] * (2 * N)
+            for n in range(1, 2 * N // step + 1):
+                expected[step * n] = coefficient(n)
+            assert modform_qexp(name, N).series.coeffs == expected, (name, N)
 
 
 def test_modform_leading_terms():

@@ -68,9 +68,8 @@ def _nonzero(terms: dict) -> dict[Partition, int | Fraction]:
 
 
 def _over(numerators, den: int) -> list:
-    """The rationals c / den, integral ones as int (``numerators`` itself at 1)."""
-    return numerators if den == 1 else [Fraction(c, den) if c % den else c // den
-                                        for c in numerators]
+    """The rationals c / den, integral ones as int."""
+    return [Fraction(c, den) if c % den else c // den for c in numerators]
 
 
 # -- the linear forms --------------------------------------------------------

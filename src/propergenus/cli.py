@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .chern import solve_cancellation
 from .core.laurent import LaurentPoly
@@ -58,13 +57,15 @@ def _parse_weights(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad weight list {text!r}") from exc
 
 
-def _parse_order(text: str) -> int:
+def _parse_order(text: str, top: int | None = None) -> int:
     try:
         order = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if order < 1:
         raise argparse.ArgumentTypeError(f"order must be at least 1, got {order}")
+    if top and order > top:
+        raise argparse.ArgumentTypeError(f"order must be at most {top}, got {order}")
     return order
 
 
@@ -72,6 +73,9 @@ def _parse_order(text: str) -> int:
 # takes about 1.5 s and 40 MB, and (32, 100) about 2.5 s and 43 MB (Python
 # 3.11, 2-core Intel Xeon); the cost grows about as the square of the order
 MAX_K, MAX_ORDER = 32, 100
+# the largest order of the theta and modular-form verbs: at 10,000 each takes
+# 0.15-0.3 s and at most 35 MB, about linear in the order (same machine)
+MAX_FORM_ORDER = 10_000
 
 
 def _parse_finite(text: str) -> float:
@@ -98,14 +102,15 @@ def _parse_complex(text: str) -> complex:
     return complex(_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
-def _common(order: int | None, tol: float | None = None) -> argparse.ArgumentParser:
-    """The options every verb takes, ``order`` the default of --order, and
-    a check verb's --tol, ``tol`` its default.  Each default has its own
-    parent: a child's set_defaults would change the Action that every
-    child of a shared parent holds.  With no order, cancellation solves
-    at the library's k // 2 + 2."""
+def _common(order: int | None, tol: float | None = None,
+            top: int | None = None) -> argparse.ArgumentParser:
+    """The options every verb takes, ``order`` the default of --order and
+    ``top`` its largest value, and a check verb's --tol, ``tol`` its
+    default.  Each default has its own parent: a child's set_defaults
+    would change the Action that every child of a shared parent holds.
+    With no order, cancellation solves at the library's k // 2 + 2."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--order", type=_parse_order, default=order,
+    parent.add_argument("--order", type=functools.partial(_parse_order, top=top), default=order,
                         help=f"truncation order N >= 1 (default {order or 'k // 2 + 2'})")
     parent.add_argument("--json-indent", type=int, choices=range(9), default=2)
     parent.add_argument("--output", default=None, help="write JSON here instead of stdout")
@@ -127,7 +132,7 @@ def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every call:
     parsing reads it and never changes it."""
     parser = _Parser(prog="propergenus")
-    common = _common(10)
+    common, forms = _common(10), _common(10, top=MAX_FORM_ORDER)
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weights", type=_parse_weights, required=True)
 
@@ -149,18 +154,20 @@ def build_parser() -> _Parser:
 
     theta = sub.add_parser("theta")
     tsub = theta.add_subparsers(dest="action", required=True)
-    tcheck = _verb(tsub, "check", _run_theta_check, parents=[_common(THETA_ORDER, THETA_TOL)])
+    tcheck = _verb(tsub, "check", _run_theta_check,
+                   parents=[_common(THETA_ORDER, THETA_TOL, MAX_FORM_ORDER)])
     tcheck.add_argument("--v", type=_parse_complex, required=True)
     tcheck.add_argument("--tau", type=_parse_complex, required=True)
-    texp = _verb(tsub, "expand", _run_theta_expand, parents=[common])
+    texp = _verb(tsub, "expand", _run_theta_expand, parents=[forms])
     texp.add_argument("--kind", choices=list(THETA_KINDS), required=True)
     texp.add_argument("--z-order", type=int, default=None)
 
     mf = sub.add_parser("modforms")
     msub = mf.add_subparsers(dest="action", required=True)
-    mexp = _verb(msub, "expand", _run_modforms_expand, parents=[common])
+    mexp = _verb(msub, "expand", _run_modforms_expand, parents=[forms])
     mexp.add_argument("--name", choices=list(MODFORM_NAMES), required=True)
-    mcheck = _verb(msub, "check", _run_modforms_check, parents=[_common(MODFORM_ORDER, MODFORM_TOL)])
+    mcheck = _verb(msub, "check", _run_modforms_check,
+                   parents=[_common(MODFORM_ORDER, MODFORM_TOL, MAX_FORM_ORDER)])
     mcheck.add_argument("--tau", type=_parse_complex, required=True)
 
     bundle = sub.add_parser("bundle")
@@ -233,7 +240,7 @@ def _run_bundle(args) -> dict:
     value = eval_bundle_expr(args.expr, args.order)
     if isinstance(value, LaurentPoly):
         body = {"type": "character", "character": value.to_json(),
-                "rank": str(Fraction(value.eval_one()))}
+                "rank": str(value.eval_one())}
     else:
         body = {"type": "series", "series": value.to_json()}
     return {"verb": "bundle-expand", "expr": args.expr, "order": args.order, **body}
@@ -253,7 +260,7 @@ def _run_cancellation(args) -> dict:
         "schedule": report.schedule,
         "residual_is_zero": report.residual_is_zero,
         "combinations": [
-            {"*".join(map(str, p)) or "1": str(Fraction(c)) for p, c in sorted(c.items())}
+            {"*".join(map(str, p)) or "1": str(c) for p, c in sorted(c.items())}
             for c in report.combinations
         ],
     }

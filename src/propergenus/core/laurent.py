@@ -28,10 +28,6 @@ def normalize_scalar(c: Scalar) -> Scalar:
     return c
 
 
-def scalar_to_str(c: Scalar) -> str:
-    return str(Fraction(c)) if not isinstance(c, int) else str(c)
-
-
 class LaurentPoly:
     """A Laurent polynomial in a single tagged variable."""
 
@@ -39,14 +35,13 @@ class LaurentPoly:
 
     def __init__(self, coeffs: dict[int, Scalar] | None = None, var: str = LAMBDA):
         clean: dict[int, Scalar] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if type(e) is not int and int(e) != e:
-                    raise ValueError(f"exponent {e} is not an integer")
-                if type(c) is not int:  # an exact int is already normal
-                    c = normalize_scalar(c)
-                if c:
-                    clean[int(e)] = c
+        for e, c in (coeffs or {}).items():
+            if type(e) is not int and int(e) != e:
+                raise ValueError(f"exponent {e} is not an integer")
+            if type(c) is not int:  # an exact int is already normal
+                c = normalize_scalar(c)
+            if c:
+                clean[int(e)] = c
         self.coeffs = clean
         self.var = var
 
@@ -192,7 +187,7 @@ class LaurentPoly:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
-        return {str(e): scalar_to_str(c) for e, c in sorted(self.coeffs.items())}
+        return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -201,10 +196,10 @@ class LaurentPoly:
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             if e == 0:
-                parts.append(scalar_to_str(c))
+                parts.append(str(c))
             else:
                 var = self.var if e == 1 else f"{self.var}^{e}"
-                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{scalar_to_str(c)}*{var}")
+                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__

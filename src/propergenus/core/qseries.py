@@ -25,7 +25,7 @@ from ..errors import (
     NotUpperHalfPlane,
     RingMismatch,
 )
-from .laurent import LAMBDA, MU, Z, LaurentPoly, normalize_scalar, scalar_to_str
+from .laurent import LAMBDA, MU, Z, LaurentPoly, normalize_scalar
 
 
 class RationalRing:
@@ -50,7 +50,7 @@ class RationalRing:
         return normalize_scalar(Fraction(1, 1) / x)
 
     def to_json(self, x) -> str:
-        return scalar_to_str(x)
+        return str(x)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalRing)
@@ -429,11 +429,10 @@ def _read(raw: bytes, B: int):
     fmt = _DIGIT_FORMATS.get(B)
     if fmt:
         return struct.unpack(f"<{len(raw) // nbytes}{fmt}", raw)
-    if nbytes > 8:
-        sign = raw[7::nbytes].translate(_SIGN_BYTES)
-        if any(raw[b::nbytes] != sign for b in range(8, nbytes)):
-            return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-                    for i in range(0, len(raw), nbytes)]
+    sign = raw[7::nbytes].translate(_SIGN_BYTES)
+    if any(raw[b::nbytes] != sign for b in range(8, nbytes)):
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                for i in range(0, len(raw), nbytes)]
     return struct.unpack(f"<{len(raw) // nbytes}q", _recast(raw, nbytes, 8))
 
 

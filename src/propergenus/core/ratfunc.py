@@ -54,8 +54,6 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(), Poly(rem)
         quo = [0] * (dq + 1)
         lead = other.leading()
         # a unit leading coefficient is its own inverse: stay in int arithmetic
@@ -70,8 +68,6 @@ class Poly:
         return Poly(quo), Poly(rem)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
         inv = Fraction(1) / Fraction(self.leading())
         return Poly([c * inv for c in self.coeffs])
 
@@ -122,9 +118,8 @@ class RationalFunc:
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     g = poly_gcd(num, den)
-    if g.degree() > 0:
-        num, _ = divmod(num, g)
-        den, _ = divmod(den, g)
+    num, _ = divmod(num, g)
+    den, _ = divmod(den, g)
     lead = Fraction(den.leading())
     if lead != 1:
         num = Poly([c / lead for c in num.coeffs])

@@ -155,8 +155,6 @@ def _certificate_data(data, twists, operator: str):
     |D|_1 and |P_j|_1 from their values at 2^B0, are read from digits
     (``_span``), not unpacked.
     """
-    if operator not in (DIRAC, SIGNATURE):
-        raise ValueError(f"unknown operator {operator!r}")
     npts = len(data)
     pairs = [(i, k, abs(data[i].weight - data[k].weight))
              for i in range(npts) for k in range(i + 1, npts)]
@@ -224,8 +222,6 @@ def _packed_grade(grade, twists, packed, den_norm: int) -> LaurentPoly:
     since then |P(2^B)| < D(2^B), or a q' that fails the check.
     """
     terms, lo, bound = grade
-    if not terms:
-        return LaurentPoly.zero(LAMBDA)
     B, den, values = packed
     limit = 1 << (B - 1)
     if bound >= limit or den_norm >= limit:
@@ -269,6 +265,8 @@ def lefschetz_twisted(weights, operator: str = DIRAC, twist: str | None = THETA,
     NonIntegral flag a sign-convention or truncation error.
     """
     data = validate_weights(weights)
+    if operator not in (DIRAC, SIGNATURE):
+        raise ValueError(f"unknown operator {operator!r}")
     if not signed:  # the assembly signs every point by its datum's sign
         data = [d._replace(sign=1) for d in data]
     return _assemble(data, [_twist_series(d, twist, N) for d in data], operator)

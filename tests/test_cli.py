@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import propergenus
+from propergenus import cli
 from propergenus.chern import solve_cancellation
 from propergenus.cli import DOMAIN_ERROR, USAGE_ERROR, build_parser, main
 from propergenus.core import LaurentPoly
@@ -140,6 +141,7 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     pytest.param("(sym q^" + "1" * 5000 + " (rep 1))", id="exponent-5000-digits"),
     pytest.param("(sym q^1/" + "1" * 5000 + " (rep 1))", id="denominator-5000-digits"),
     pytest.param("(tilde " * 2000 + "(rep 1)" + ")" * 2000, id="nested-2000"),
+    pytest.param("(tilde " * 5000 + "(rep 1)" + ")" * 5000, id="nested-5000"),
     pytest.param("(" * 2000, id="open-2000"),
 ])
 def test_malformed_bundle_expression_is_usage_error(capsys, expr):
@@ -153,6 +155,8 @@ def test_malformed_bundle_expression_is_usage_error(capsys, expr):
     if expr in ("(rep abc)", "(trivial 1.5)"):
         head, token = expr[1:-1].split()
         assert f"{head} takes an integer, got '{token}'" in captured.err
+    if expr.startswith("(tilde (tilde "):  # the evaluator recurses: its RecursionError is the guard
+        assert captured.err.endswith("error: bundle expression nested too deeply\n")
 
 
 @pytest.mark.parametrize("token, grade, sign", [
@@ -369,6 +373,30 @@ def test_cancellation_order_at_limit_is_solved(capsys):
     code, out = run(capsys, "cancellation", "--k", "2", "--order", "100")
     doc = json.loads(out)
     assert code == 0 and doc["residual_is_zero"] and doc["schedule"] == "2^(3k-6j)"
+
+
+FORM_VERBS = [["theta", "check", "--v", "0,0.1", "--tau", "0,1"], ["theta", "expand", "--kind", "theta"],
+              ["modforms", "check", "--tau", "0,1"], ["modforms", "expand", "--name", "eps1"]]
+
+
+@pytest.mark.parametrize("argv", FORM_VERBS)
+def test_form_order_above_limit_is_usage_error(capsys, monkeypatch, argv):
+    # time and memory grow about linearly in the order: refused before any series
+    for name in ("theta_qexp", "modform_qexp", "verify_theta_transforms", "verify_modform_transforms"):
+        monkeypatch.setattr(cli, name, None)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", "10001"])
+    assert exc.value.code == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: propergenus {argv[0]} {argv[1]} [-h]")
+    assert "order must be at most 10000, got 10001" in captured.err
+
+
+def test_form_order_at_limit_is_checked(capsys):
+    code, out = run(capsys, "theta", "check", "--v", "0,0.1", "--tau", "0,1", "--order", "10000")
+    doc = json.loads(out)
+    assert code == 0 and doc["order"] == 10000 and doc["all_passed"] is True
 
 
 @pytest.mark.parametrize("verb", ["witten-genus", "elliptic-genera", "lefschetz", "p-series"])

@@ -88,6 +88,21 @@ def test_validate_rejects_bad_input():
     assert validate_weights((0, 1.0, Fraction(4, 2), 5)) == validate_weights((0, 1, 2, 5))
 
 
+def test_unknown_operator_is_refused_before_any_twist(monkeypatch):
+    # a weight error keeps its precedence, and no twist is built for a
+    # call that the operator alone refuses
+    def no_twist(*args):
+        raise AssertionError("a twist was built")
+
+    monkeypatch.setattr(lefschetz, "theta_bundle", no_twist)
+    with pytest.raises(ValueError, match="^unknown operator 'spin'$"):
+        lefschetz_twisted((0, 1, 2, 5), "spin", THETA, 20)
+    with pytest.raises(DuplicateWeights):
+        lefschetz_twisted((0, 2, 2, 4), "spin")
+    with pytest.raises(ValueError, match="^need an even number"):
+        lefschetz_twisted((0, 1, 3), "spin")
+
+
 def test_cp1_witten_series_vanishes():
     s = lefschetz_witten((0, 2), N=6)
     assert s.is_zero()

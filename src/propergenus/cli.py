@@ -110,8 +110,9 @@ def _common(order: int | None, tol: float | None = None,
     would change the Action that every child of a shared parent holds.
     With no order, cancellation solves at the library's k // 2 + 2."""
     parent = argparse.ArgumentParser(add_help=False)
+    bound = f", at most {top}" if top else ""
     parent.add_argument("--order", type=functools.partial(_parse_order, top=top), default=order,
-                        help=f"truncation order N >= 1 (default {order or 'k // 2 + 2'})")
+                        help=f"truncation order N >= 1{bound} (default {order or 'k // 2 + 2'})")
     parent.add_argument("--json-indent", type=int, choices=range(9), default=2)
     parent.add_argument("--output", default=None, help="write JSON here instead of stdout")
     if tol:
@@ -175,7 +176,7 @@ def build_parser() -> _Parser:
     bexp = _verb(bsub, "expand", _run_bundle, parents=[common])
     bexp.add_argument("--expr", required=True, help="S-expression, e.g. (theta1 (tilde (rep 2)))")
 
-    canc = _verb(sub, "cancellation", _run_cancellation, parents=[_common(None)])
+    canc = _verb(sub, "cancellation", _run_cancellation, parents=[_common(None, top=MAX_ORDER)])
     canc.add_argument("--k", type=int, required=True)
     return parser
 
@@ -249,8 +250,6 @@ def _run_bundle(args) -> dict:
 def _run_cancellation(args) -> dict:
     if args.k > MAX_K:
         raise ValueError(f"k must be at most {MAX_K}, got {args.k}")
-    if (args.order or 0) > MAX_ORDER:
-        raise ValueError(f"order must be at most {MAX_ORDER}, got {args.order}")
     report = solve_cancellation(args.k, args.order)
     return {
         "verb": "cancellation",

@@ -532,32 +532,56 @@ def _apply(rows, s: int, h: int, divide: bool, mult: int, shift: int = 0):
                 rows[k] -= src
 
 
-def _triple(rows, s: int, w: int, m: int, B: int, mult: int):
-    """Multiply rows (row i the coefficient of q^(i/2)) by
-    (sum_k s^k x^(w k) q^(k^2/2))^mult, with s = +-1 and w > 0 in units of
-    g, one downward pass per unit of multiplicity.  The terms k = +-j sit
-    j^2 rows down, at shifts B (m j^2 -+ w j), so row i adds at most
-    2 floor(sqrt(i)) shifted rows, each read before anything is added
-    to it."""
+def _pairs(rows, s: int, w: int, m: int, B: int, mult: int, divide: bool, whole: bool, h: int):
+    """Multiply rows (row k the coefficient of u^k, u one step of the
+    grade lattice) by the sum side of Jacobi's triple product for the
+    line pair +-w, w > 0 in units of g, mult times, or divide them by it
+    mult times; h rows make one step of the run, q for a run of whole
+    powers and q^(1/2) for a run of odd ones.
+
+    Its term k >= 1 is s^k z^-k C_k y^(e_k) with z = x^w, s = +-1 and y
+    the run's step, after the constant term 1.  For whole powers
+    e_k = k(k+1)/2 and z^-k C_k is chi_k(z) = z^-k + ... + z^k, or
+    psi_k(z) with alternating signs when s = 1, so C_k Y is the running
+    sum C_(k-1) Y + (z - s) z^(2k-1) Y from C_0 = 1; for odd powers
+    e_k = k^2 and C_k Y = Y + z^2k Y, which does not accumulate.  Each
+    source row Y pushes s^k z^-k C_k Y into the row h e_k further up, at
+    a shift of B (m h e_k - w k) >= 0: two shifted adds per (row, k).  To
+    multiply, the sources run downwards, so each is read before anything
+    is added to it; to divide, upwards and with the opposite sign, so
+    each row is final when it pushes.
+    """
     top = len(rows) - 1
-    terms = [(j * j, s ** j, B * (m * j * j - w * j), 2 * B * w * j)
-             for j in range(1, math.isqrt(top) + 1)]
+    n = top // h
+    bw = B * w
+    terms = []
+    for k in count(1):
+        e = k * (k + 1) // 2 if whole else k * k
+        if e > n:
+            break
+        gap = (2 * k - 1) * bw if whole else 2 * k * bw
+        terms.append((h * e, B * m * h * e - bw * k, gap, (s ** k > 0) != divide))
     for _ in range(mult):
-        for i in range(top, 0, -1):
-            acc = rows[i]
-            for offset, sign, shift, gap in terms:
-                if offset > i:
+        for i in range(top + 1) if divide else range(top - 1, -1, -1):
+            y = rows[i]
+            if not y:
+                continue
+            c = step = y
+            if whole:
+                step = (y << bw) - y if s > 0 else (y << bw) + y
+            for offset, shift, gap, add in terms:
+                j = i + offset
+                if j > top:
                     break
-                src = rows[i - offset]
-                if src:
-                    src <<= shift
-                    src += src << gap
-                    acc = acc + src if sign > 0 else acc - src
-            rows[i] = acc
+                c = (c if whole else y) + (step << gap)
+                if add:
+                    rows[j] += c << shift
+                else:
+                    rows[j] -= c << shift
 
 
 @functools.lru_cache(maxsize=256)
-def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tuple, top: int) -> tuple:
+def _scalars(powers: tuple, c0: int, plus: int, minus: int, qq: int, norms: tuple, top: int) -> tuple:
     """(base, d, M), the scalar part of :func:`_binomial_product`, one
     pass per distinct input; no exponent of x enters, so the twists at
     all fixed points of one call share one entry.
@@ -570,9 +594,11 @@ def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tup
     the bound on the l1 norm of every row: M_k starts as the start norms
     on the lattice convolved with the product's absolute values, then
     each power's factors of the ``plus`` positive and the ``minus``
-    negative lines run on it with s = 1.  Only then does 1/(q; q)^jtp of
-    the Theta2 pairs join the product, which is returned on the lattice
-    as ``base``; pairs come with the odd powers h, so d = 1 then.
+    negative lines run on it with s = 1.  Only then does (q; q)^qq join
+    the product, qq the net power of the line pairs' (q; q) factors
+    (:func:`_binomial_product`), and the product is returned on the
+    lattice as ``base``: a pair's run puts h = 1 or 2 among the powers,
+    so d divides 2 then, and (q; q) has whole powers only.
     """
     base = [1] + [0] * top
     for h, sign, ext in powers:
@@ -585,7 +611,7 @@ def _scalars(powers: tuple, c0: int, plus: int, minus: int, jtp: int, norms: tup
         _apply(majorant, 1, h // d, not ext, plus)
         _apply(majorant, 1, h // d, ext, minus)
     for h in range(2, top + 1, 2):
-        _apply(base, 1, h, True, jtp)
+        _apply(base, -1 if qq > 0 else 1, h, qq < 0, abs(qq))
     return tuple(base[::d]), d, max(majorant)
 
 
@@ -619,18 +645,29 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     is ``R_k +-= R_(k-h/d) << B (w/g + m h/d)`` for k downwards, or
     upwards to divide, or one binomial series per row (:func:`_apply`).
 
-    When the odd powers are one per odd h <= 2 trunc, all of one sign and
-    kind (Theta2), each line pair +-w of one multiplying c with
-    |c| <= 3 isqrt(2 trunc) runs by Jacobi's triple product (Hardy and
-    Wright, Theorem 352): its odd factors are
-    sum_k s^k x^(w k) q^(k^2/2) / (q; q)_inf, |c| downward passes of
-    about 2 sqrt(2 trunc) shifted adds per row (:func:`_triple`), where
-    the binomial passes win from about 4 isqrt(2 trunc) on.  Once the
-    digit bound is read, 1/(q; q)^|c| joins the scalar start.  When every
-    weighted line is paired and the start has no odd grade, the rest runs
-    first on the whole-q rows, row k' at lo = -g (r + m k'); then row k'
-    moves to half-grade 2k' by one shift of B m k', the scalar start is
-    convolved and the triple product runs.
+    One pair rule covers Theta, Theta1 and Theta2.  A run is the powers
+    of one sign and kind at every whole h <= 2 trunc, or at every odd one.
+    Under a run, a line pair +-w of one c with |c| <= 3 isqrt(2 trunc)
+    has the factor (1 + s z t)(1 + s t/z), z = x^w, at each of the run's
+    t = q^(h/2), multiplied or divided |c| times, and Jacobi's triple
+    product (Hardy and Wright, Theorem 352) sums their product over the
+    run: with T_k = k(k+1)/2,
+    prod_n (1 - z q^n)(1 - q^n/z) = S'(z) / (q; q)_inf,
+    S' = sum_k (-1)^k chi_k(z) q^(T_k), and
+    prod_n (1 + z q^n)(1 + q^n/z) = S+'(z) / (q; q)_inf,
+    S+' = sum_k psi_k(z) q^(T_k); at the odd powers the sum is
+    sum_k s^k z^k q^(k^2/2).  So the pair multiplies or divides the rows
+    by its sum |c| times, one pass each of about 2 sqrt(2 trunc) shifted
+    adds per row (:func:`_pairs`), in place of its binomial factors, and
+    (q; q)^(-+|c|) joins the scalar start once the digit bound is read.
+    Theta divides by S', Theta1's exterior factors multiply by S+' and
+    cancel its (q; q), Theta2's odd factors multiply by the odd sum.  A
+    lone pair's binomial passes win from about 2 isqrt(2 trunc) on for
+    Theta and from the cap on for the others.  When every odd run pairs
+    every weighted line and the start has no odd grade, the whole powers
+    run first on the whole-q rows, row k' at lo = -g (r + m k'); then row
+    k' moves to half-grade 2k' by one shift of B m k', the scalar start
+    is convolved and the odd runs' pairs run.
 
     Evaluation at 2^B is a ring map and Python ints do not overflow, so
     the rows are exact while the final digits satisfy |c| < 2^(B-1);
@@ -664,41 +701,53 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     if not all(type(n) is int for n in norms):  # a Fraction makes its norm one
         raise NonIntegral("a start coefficient is not integral")
 
-    pairs = {}
-    odd = [p for p in powers if p[0] & 1]
-    kinds = {p[1:] for p in odd}
-    if lines and len(kinds) == 1 and sorted(h for h, _, _ in odd) == list(range(1, top, 2)):
-        ((sign, ext),) = kinds
+    # the runs: the powers of one sign and kind at every whole h, or every odd one
+    runs = {}
+    for h, sign, ext in powers:
+        runs.setdefault((h & 1, sign, ext), []).append(h)
+    pairs, skip, qq = [], {}, 0
+    for kind, hs in runs.items():
+        odd, sign, ext = kind
+        if sorted(hs) != list(range(2 - odd, top + 1, 2)):
+            continue
         for w, c in lines:
-            if w > 0 and E.coeffs.get(-w) == c and (c > 0) == ext and abs(c) <= 3 * math.isqrt(top):
-                pairs[sign if ext else -sign, w] = abs(c)
-    paired = {v for _, w in pairs for v in (w, -w)}
+            if w > 0 and E.coeffs.get(-w) == c and abs(c) <= 3 * math.isqrt(top):
+                # the factors (1 + s x^(+-w) t), s = sign for L_t and -sign for S_t
+                divide = (c > 0) != ext
+                pairs.append((not odd, sign if ext else -sign, w, divide, abs(c)))
+                skip.setdefault(kind, set()).update((w, -w))
+                qq += abs(c) if divide else -abs(c)
     plus = sum(c for _, c in lines if c > 0)
     minus = -sum(c for _, c in lines if c < 0)
-    base, d, majorant = _scalars(powers, E.coeffs.get(0, 0), plus, minus, sum(pairs.values()), norms, top)
+    base, d, majorant = _scalars(powers, E.coeffs.get(0, 0), plus, minus, qq, norms, top)
     B = _width(majorant)
     start = start[::d]
-    # phase 1 runs on the whole-q rows (every = 2) when every weighted line is paired
-    every = 2 if pairs and len(paired) == len(lines) and not any(start[1::2]) else 1
+    # phase 1 runs on the whole-q rows (every = 2) when the odd runs pair every weighted line
+    odd = [len(skip.get(kind, ())) for kind in runs if kind[0]]
+    every = 2 if lines and odd and min(odd) == len(lines) and not any(start[1::2]) else 1
     rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]
     rows += [0] * (len(base[::every]) - len(rows))
     if every == 1:
         _convolve(rows, base, 1, B * m)
     units = [(w, B * w // g, c > 0, abs(c)) for w, c in lines]
     for h, sign, ext in powers:
-        skip = paired if h & 1 else ()
+        paired = skip.get((h & 1, sign, ext), ())
         h //= d * every
         lift = B * m * h
         for w, shift, positive, mult in units:
-            if w not in skip:
+            if w not in paired:
                 _apply(rows, sign if positive else -sign, h, positive != ext, mult, shift + lift)
+    for whole, s, w, divide, mult in pairs:
+        if whole:
+            _pairs(rows, s, w // g, m, B, mult, divide, True, 2 // (d * every))
     if every == 2:
         spread = [0] * len(base)
         spread[::2] = [row << B * m * k for k, row in enumerate(rows)]
         rows = spread
         _convolve(rows, base, 1, B * m)
-    for (s, w), mult in pairs.items():
-        _triple(rows, s, w // g, m, B, mult)
+    for whole, s, w, divide, mult in pairs:
+        if not whole:
+            _pairs(rows, s, w // g, m, B, mult, divide, False, 1 // d)
     return PackedSeries(ring, trunc, (rows, B, g, r, m, d))
 
 

@@ -32,10 +32,6 @@ class Poly:
             coeffs.pop()
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls([])
-
     def to_laurent(self, shift: int, var: str = MU) -> LaurentPoly:
         """The Laurent polynomial self * x^(-shift)."""
         return LaurentPoly({i - shift: c for i, c in enumerate(self.coeffs) if c != 0}, var)
@@ -47,7 +43,7 @@ class Poly:
         return not self.coeffs
 
     def leading(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else 0
+        return self.coeffs[-1]
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -87,7 +83,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         _, r = divmod(a, b)
         a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 class RationalFunc:

@@ -20,9 +20,10 @@ function here recomputes one of them by another.
 - ``factor_majorant``: the bound behind the binomial kernel's digit
   width, one factor and one unit of multiplicity at a time over every
   half-grade, against the M of the cached ``core.qseries._scalars``.
-- ``factor_pairs``: the Theta2 line pairs that run by Jacobi's triple
-  product, found in the flat factor list, against the pair rule that
-  the kernel reads from the character and its powers.
+- ``factor_pairs``: the line pairs of a full run of whole or odd powers
+  that run by Jacobi's triple product, found in the flat factor list,
+  against the pair rule that the kernel reads from the character and
+  its powers.
 - ``lefschetz_series_strategy``: the fixed-point sum by mu-adic
   expansion of each local denominator, against the exact-division
   certificate of ``lefschetz``.
@@ -173,21 +174,23 @@ def line_factors(E: LaurentPoly, powers) -> list:
 
 
 def factor_pairs(factors, top: int) -> dict:
-    """``{(s, w): mult}``, w > 0, of the full Theta2 pairs among the
-    binomial ``factors`` applied to the half-grades 0..top: the multiply
-    factors (s, +-w, h, False), s = +-1, of every odd h <= top, with one
-    summed multiplicity mult <= 3 isqrt(top)."""
-    odd = {}
+    """``{(whole, s, w, divide): mult}``, w > 0, of the full line pairs
+    among the binomial ``factors`` applied to the half-grades 0..top: the
+    factors (s', +-w, h, divide), s' = +-1, of every whole h <= top
+    (``whole``) or of every odd one, with one summed multiplicity
+    mult <= 3 isqrt(top).  s is the sign of the pair's factors
+    (1 + s x^(+-w) q^(h/2)), so s = -s' when they divide."""
+    run = {}
     for s, w, h, divide, mult in factors:
-        if w and h & 1 and h <= top and not divide and s * s == 1:
-            odd[s, w, h] = odd.get((s, w, h), 0) + mult
+        if w and h <= top and s * s == 1:
+            run[s, w, h, divide] = run.get((s, w, h, divide), 0) + mult
     pairs = {}
-    for s, w, h in odd:
-        if h == 1 and w > 0:
-            mults = {odd.get((s, v, j)) for v in (w, -w) for j in range(1, top + 1, 2)}
+    for s, w, h, divide in run:
+        if h in (1, 2) and w > 0:
+            mults = {run.get((s, v, j, divide)) for v in (w, -w) for j in range(h, top + 1, 2)}
             mult = mults.pop()
             if not mults and mult <= 3 * math.isqrt(top):
-                pairs[s, w] = mult
+                pairs[h == 2, -s if divide else s, w, divide] = mult
     return pairs
 
 

@@ -20,6 +20,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import factor_majorant, factor_pairs, line_factors, split_char
 
 from propergenus.cli import main
@@ -779,20 +781,25 @@ def test_bundle_expression_on_a_third_of_the_grades(capsys, monkeypatch):
 # -- the triple product -------------------------------------------------------------
 
 
-def triple_spy(monkeypatch):
-    """The pairs that run by the triple product, as ``_triple``'s arguments
-    after the rows, and the row count of every weighted binomial pass
-    (one with a shift, unlike the scalar passes of the scalar start and
-    the majorant)."""
+def pair_spy(monkeypatch):
+    """The pairs that run by the triple product, each as (whole, s, w,
+    divide, mult, rows) from a ``_pairs`` call, w in units of g and rows
+    the row count, and the row count of every weighted binomial pass (one
+    with a shift, unlike the scalar passes of the scalar start and the
+    majorant)."""
     pairs, lengths = [], []
-    triple, apply = qseries._triple, qseries._apply
+    run_pairs, apply = qseries._pairs, qseries._apply
+
+    def pairs_spy(rows, s, w, m, B, mult, divide, whole, h):
+        pairs.append((whole, s, w, divide, mult, len(rows)))
+        run_pairs(rows, s, w, m, B, mult, divide, whole, h)
 
     def apply_spy(rows, s, h, divide, mult, shift=0):
         if shift:
             lengths.append(len(rows))
         apply(rows, s, h, divide, mult, shift)
 
-    monkeypatch.setattr(qseries, "_triple", lambda rows, *args: pairs.append(args) or triple(rows, *args))
+    monkeypatch.setattr(qseries, "_pairs", pairs_spy)
     monkeypatch.setattr(qseries, "_apply", apply_spy)
     return pairs, lengths
 
@@ -804,22 +811,25 @@ def tangent_character(tangent_weights):
 @pytest.mark.parametrize("weights", [(0, 1, 2, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6, 7, 9)])
 def test_theta2_twists_by_the_triple_product(monkeypatch, weights):
     # each +-w pair of a point's Theta2 twist runs by the triple product
-    # (its multiplicity is at most 3 <= pair_bound(N)), and then every
-    # other weighted factor runs on the N + 1 whole-q rows; the
-    # convolution route checks the orders it reaches in a few seconds
+    # (its multiplicity is at most 3 <= pair_bound(N)) twice: its whole
+    # factors on the N + 1 whole-q rows, then its odd factors on the
+    # 2N + 1 half-grades, and no binomial pass is left; the convolution
+    # route checks the orders it reaches in a few seconds
     for N in range(1, 13):
         for datum in validate_weights(weights):
             E = tilde(_tangent_char(datum))
             powers = witten_powers(THETA2, N)
-            pairs, lengths = triple_spy(monkeypatch)
+            pairs, lengths = pair_spy(monkeypatch)
             got = _binomial_product(E, powers, N)
             monkeypatch.undo()
             assert got == reference_product(E, powers, N), (datum, N)
             if N <= 12 // (len(weights) - 2):
                 assert got == reference_theta_series(E, THETA2, N), (datum, N)
             mults = Counter(datum.tangent_weights).values()
-            assert sorted(p[-1] for p in pairs) == sorted(mults)
-            assert set(lengths) == {N + 1}
+            for whole, rows in ((True, N + 1), (False, 2 * N + 1)):
+                assert sorted(p[4] for p in pairs if p[0] == whole) == sorted(mults)
+                assert {p[5] for p in pairs if p[0] == whole} == {rows}
+            assert not lengths
 
 
 def pair_bound(N):
@@ -835,12 +845,12 @@ def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
                     (tilde(tangent_character((1, 1, 1, 2))), 3),
                     (tilde(LaurentPoly({1: 7, -1: 7, 3: 1, -3: 1}, "x")), 7)):
         for N in range(1, 9):
-            pairs, lengths = triple_spy(monkeypatch)
+            pairs, lengths = pair_spy(monkeypatch)
             got = theta_series(E, THETA2, N)
             monkeypatch.undo()
             assert got == reference_theta_series(E, THETA2, N), (E, N)
             assert got == reference_product(E, witten_powers(THETA2, N), N)
-            assert (mult in [p[-1] for p in pairs]) == (mult <= pair_bound(N))
+            assert (mult in [p[4] for p in pairs]) == (mult <= pair_bound(N))
             if mult > pair_bound(N):
                 assert set(lengths) == {2 * N + 1}
 
@@ -848,23 +858,27 @@ def test_triple_product_pairs_of_higher_multiplicity(monkeypatch):
 @pytest.mark.parametrize("expr, pairs, phase1", [
     # a pair beside an unpaired odd line: one phase on every half-grade
     ("(theta2 (sum (rep 3) (rep 1) (rep -1)))", 1, False),
-    # unequal multiplicities, and negative ones (divide factors): no pair
+    # unequal multiplicities: no pair
     ("(theta2 (sum (rep 2) (rep 2) (rep -2)))", 0, False),
-    ("(theta2 (difference (trivial 4) (sum (rep 1) (rep -1))))", 0, False),
-    # a scalar start on whole grades, and one with odd grades, beside phase 1
+    # a negative pair divides its odd factors, a scalar start on whole
+    # grades, and one with odd grades, beside phase 1
+    ("(theta2 (difference (trivial 4) (sum (rep 1) (rep -1))))", 1, True),
     ("(theta2 (sum (rep 1) (rep -1)))", 1, True),
     ("(theta2 (tilde (sum (rep 2) (rep -2) (rep 4) (rep -4))))", 2, True),
 ])
 def test_theta2_bundle_expressions_and_the_triple_product(monkeypatch, expr, pairs, phase1):
+    # each pair runs in both runs; the weighted passes of the whole powers,
+    # binomial or paired, see the N + 1 whole-q rows in phase 1
     E = eval_bundle_expr(expr[len("(theta2 "):-1])
     for N in range(1, 9):
-        spied, lengths = triple_spy(monkeypatch)
+        spied, lengths = pair_spy(monkeypatch)
         got = eval_bundle_expr(expr, N)
         monkeypatch.undo()
         assert got == reference_theta_series(E, THETA2, N), (expr, N)
         assert got == reference_product(E, witten_powers(THETA2, N), N)
-        assert len(spied) == pairs
-        assert set(lengths) == {N + 1 if phase1 else 2 * N + 1}
+        assert sorted(p[0] for p in spied) == [False] * pairs + [True] * pairs
+        whole_rows = {p[5] for p in spied if p[0]} | set(lengths)
+        assert whole_rows == {N + 1 if phase1 else 2 * N + 1}
 
 
 def test_triple_product_from_a_start(monkeypatch):
@@ -879,21 +893,23 @@ def test_triple_product_from_a_start(monkeypatch):
         odd[2 * rng.randint(0, N - 1) + 1] = LaurentPoly({rng.randint(-4, 4): rng.choice([-7, 7])}, ring.var)
         for start, rows in ((QSeries(ring, N, odd), 2 * N + 1),
                             (rand_lattice_start(rng, ring, N, 2, 4), N + 1)):
-            pairs, lengths = triple_spy(monkeypatch)
+            pairs, lengths = pair_spy(monkeypatch)
             got = _binomial_product(E, powers, N, start)
             monkeypatch.undo()
             assert got == reference_product(E, powers, N, start), (N, start)
-            assert len(pairs) == 3 and set(lengths) == {rows}
+            assert not lengths and sorted(p[0] for p in pairs) == [False] * 3 + [True] * 3
+            assert {p[5] for p in pairs if p[0]} == {rows}
 
 
 def kernel_pairs(monkeypatch, E, powers, N):
-    """``{(s, w): mult}`` of the pairs that the kernel's ``_triple`` calls
-    name; with the default start, g is the gcd of the weights."""
-    spied, _ = triple_spy(monkeypatch)
+    """``{(whole, s, w, divide): mult}`` of the pairs that the kernel's
+    ``_pairs`` calls name; with the default start, g is the gcd of the
+    weights."""
+    spied, _ = pair_spy(monkeypatch)
     _binomial_product(E, powers, N)
     monkeypatch.undo()
     g = math.gcd(*E.coeffs)
-    return {(s, w * g): mult for s, w, _, _, mult in spied}
+    return {(whole, s, w * g, divide): mult for whole, s, w, divide, mult, _ in spied}
 
 
 def assert_oracle_pairs(monkeypatch, E, powers, N):
@@ -903,9 +919,9 @@ def assert_oracle_pairs(monkeypatch, E, powers, N):
 
 
 def test_kernel_pairs_are_the_oracle_pairs(monkeypatch):
-    # the kernel reads its Theta2 pairs from the character and its powers;
-    # the pairs that run by the triple product are those the flat factor
-    # list holds, a path choice that the output bytes cannot show
+    # the kernel reads its pairs from the character and its powers; the
+    # pairs that run by the triple product are those the flat factor list
+    # holds, a path choice that the output bytes cannot show
     found = 0
     for weights in ((0, 2), (0, 1, 2, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3, 4, 6, 7, 9)):
         for datum in validate_weights(weights):
@@ -929,16 +945,61 @@ def test_kernel_pairs_are_the_oracle_pairs(monkeypatch):
                     for exterior in (False, True):
                         pairs = assert_oracle_pairs(monkeypatch, E, [(h, sign, exterior)], N)
                         assert not pairs or (N, h) == (1, 1)
-    assert kernel_pairs(monkeypatch, LaurentPoly({1: 1, -1: 1}), [(1, -1, True)], 1) == {(-1, 1): 1}
-    assert kernel_pairs(monkeypatch, LaurentPoly({1: -1, -1: -1}), [(1, 1, False)], 1) == {(-1, 1): 1}
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: 1, -1: 1}), [(1, -1, True)], 1) == {(False, -1, 1, False): 1}
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: -1, -1: -1}), [(1, 1, False)], 1) == {(False, -1, 1, False): 1}
+    # a single whole power is every whole grade at order 1: Theta divides
+    # by S'(x), and a negative pair multiplies by it
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: 1, -1: 1}), [(2, 1, False)], 1) == {(True, -1, 1, True): 1}
+    assert kernel_pairs(monkeypatch, LaurentPoly({1: -1, -1: -1}), [(2, 1, False)], 1) == {(True, -1, 1, False): 1}
     # the pair +-1 of multiplicity 7 runs by the triple product from N = 5
     # on; 3 and 6 reach the bound itself at N = 1 and N = 2
     for mult, first in ((3, 1), (6, 2), (7, 5)):
         E = tilde(LaurentPoly({1: mult, -1: mult, 3: 1, -3: 1}, "x"))
         for N in range(1, 9):
             pairs = assert_oracle_pairs(monkeypatch, E, witten_powers(THETA2, N), N)
-            assert ((-1, 1) in pairs) == (mult <= pair_bound(N)) == (N >= first)
+            assert ((False, -1, 1, False) in pairs) == (mult <= pair_bound(N)) == (N >= first)
     assert (pair_bound(1), pair_bound(2)) == (3, 6)
+
+
+@st.composite
+def self_dual_calls(draw):
+    """(E, N, start): a self-dual character with a weight-0 line, weights
+    of gcd 1 or 2 and pair multiplicities of both signs, some at or one
+    past the pair cap 3 isqrt(2N), and no start or a start whose odd
+    grades put the rows on every half-grade (d = 1)."""
+    N = draw(st.integers(1, 5))
+    g = draw(st.sampled_from([1, 2]))
+    cap = pair_bound(N)
+    mults = st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from([cap, cap + 1, -cap, -cap - 1]))
+    E = {0: draw(st.integers(-6, 6))}
+    for w in draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)):
+        E[g * w] = E[-g * w] = draw(mults)
+    start = None
+    if draw(st.booleans()):
+        rows = [{g * draw(st.integers(-2, 2)): draw(st.integers(-9, 9))} for _ in range(2 * N + 1)]
+        rows[1] = {g: draw(st.integers(1, 9))}
+        start = QSeries(LAMBDA_RING, N, [LaurentPoly(row) for row in rows])
+    return LaurentPoly(E), N, start
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(self_dual_calls(), st.sampled_from([THETA, THETA1, THETA2]))
+def test_pair_passes_equal_the_binomial_route(call, variant):
+    # P, the positive-weight half of E, has no pair, and neither has E - P,
+    # so their product takes the binomial passes alone; E runs each pair of
+    # multiplicity at most the cap by the triple product, in every run
+    E, N, start = call
+    P = LaurentPoly({w: c for w, c in E.coeffs.items() if w > 0})
+    with pytest.MonkeyPatch.context() as mp:
+        spied, _ = pair_spy(mp)
+        got = theta_series(E, variant, N, start)
+    runs = 1 if variant == THETA else 2
+    assert len(spied) == runs * sum(abs(c) <= pair_bound(N) for c in P.coeffs.values())
+    with pytest.MonkeyPatch.context() as mp:
+        spied, _ = pair_spy(mp)
+        want = theta_series(P, variant, N, start) * theta_series(E - P, variant, N)
+    assert not spied
+    assert got == want
 
 
 # -- the scalar pass -----------------------------------------------------------------
@@ -977,8 +1038,8 @@ def test_majorant_is_the_factor_by_factor_majorant(monkeypatch):
         assert widths == [qseries._width(majorant)] and got.packed[1] == widths[0]
     # full Theta2 sets, which run by the triple product, alone and beside
     # seeded even powers: M is still the majorant of their binomial
-    # factorisation, read before 1/(q; q)^jtp joins the start
-    pairs, _ = triple_spy(monkeypatch)
+    # factorisation, read before (q; q)^qq joins the start
+    pairs, _ = pair_spy(monkeypatch)
     for i in range(40):
         trunc = rng.randint(1, 5)
         E = tilde(tangent_character(rng.choice(range(1, 6)) for _ in range(rng.randint(1, 4))))
@@ -1001,10 +1062,10 @@ def test_fixed_points_share_one_majorant():
     assert (info.misses, info.hits) == (1, 3)
 
 
-def weight0_start(E, powers, trunc, jtp):
+def weight0_start(E, powers, trunc, qq):
     """The product of the weight-0 factors of ``line_factors`` times
-    1/(q; q)^jtp, its coefficient of q^(k/2) at index k, by series
-    products and inverses over the rationals."""
+    (q; q)^qq, its coefficient of q^(k/2) at index k, by series products
+    and inverses over the rationals."""
     def binomial(s, h):
         return QSeries.from_terms(RATIONAL, trunc, {0: 1, Fraction(h, 2): s})
 
@@ -1013,26 +1074,28 @@ def weight0_start(E, powers, trunc, jtp):
         if not w:
             out = out * binomial(-s if divide else s, h) ** (-mult if divide else mult)
     for n in range(1, trunc + 1):
-        out = out * binomial(-1, 2 * n) ** -jtp
+        out = out * binomial(-1, 2 * n) ** qq
     return tuple(out.coeffs)
 
 
-def test_fixed_points_share_one_scalar_start(monkeypatch):
-    # the four Theta2 twists of CP^3 share their rank, so they share one
-    # scalar start, their weight-0 product over the triple product's
-    # (q; q)^3, which the rows start from
+@pytest.mark.parametrize("variant, d, qq", [(THETA, 2, 3), (THETA2, 1, 0)])
+def test_fixed_points_share_one_scalar_start(monkeypatch, variant, d, qq):
+    # the four twists of CP^3 share their rank, so they share one scalar
+    # start, which the rows start from: their weight-0 product times the
+    # (q; q)^3 of dividing by the three pairs' S', which in Theta2 the
+    # triple product's 1/(q; q)^3 cancels
     cached = qseries._scalars
     seen = scalars_spy(monkeypatch)
     cached.cache_clear()
-    lefschetz_twisted((0, 1, 2, 5), twist=THETA2, N=12)
+    lefschetz_twisted((0, 1, 2, 5), twist=variant, N=12)
     info = cached.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert len(seen) == 4 and all(pass_ is seen[0] for pass_ in seen)
-    base, d, _ = seen[0]
-    assert type(base) is tuple and d == 1
+    base, got_d, _ = seen[0]
+    assert type(base) is tuple and got_d == d
     E = tilde(_tangent_char(validate_weights((0, 1, 2, 5))[0]))
     assert E.coeffs[0] == -6
-    assert base == weight0_start(E, witten_powers(THETA2, 12), 12, 3)
+    assert base == weight0_start(E, witten_powers(variant, 12), 12, qq)[::d]
 
 
 def scalar_calls():

@@ -5,8 +5,10 @@ code and the SHA-256 of its stdout are compared with ``cli_bytes.json``.
 The sweep is the weighted verbs on six weight sets from 2l = 2 to 2l = 8
 at three orders each, both operators with every twist, signed and
 ``--unsigned``, the order-20 ``theta2`` calls, bundle expressions at
-three orders, ``cancellation`` for k = 1, 2, 3 and 5 and every ``theta``
-and ``modforms`` expand.  The two numeric check verbs and stderr are
+three orders, the 2l = 8 and 2l = 10 genera at orders 20 and 12, a
+``theta`` and ``theta1`` line pair at and past the pair cap,
+``cancellation`` for k = 1, 2, 3 and 5 and every ``theta`` and
+``modforms`` expand.  The two numeric check verbs and stderr are
 left out: their floats and argparse's wording may differ between Python
 versions.  A refactor that moves one stdout byte fails here.  Run this
 file as a script to record it.
@@ -27,6 +29,7 @@ RECORD = Path(__file__).with_name("cli_bytes.json")
 
 WEIGHTS = [("0,1,2,5", (1, 4, 12)), ("0,2", (1, 4, 12)), ("0,1,2,3,4,6", (1, 4, 12)),
            ("0,2,4,6", (1, 4, 12)), ("-3,0,1,4", (1, 4, 12)), ("0,1,2,3,4,6,7,9", (1, 4, 8))]
+LARGE = [("0,1,2,3,4,6,7,9", "20"), ("0,1,2,3,4,6,7,9,11,15", "12")]
 EXPRESSIONS = [
     "(sym q^3/2 (rep 1))",
     "(theta1 (tilde (sum (rep 2) (rep -2))))",
@@ -51,6 +54,11 @@ def _argvs():
     argvs += [["lefschetz", "--weights", ws, "--operator", "dirac", "--twist", "theta2", "--order", "20"]
               for ws in ("0,1,2,5", "0,1,2,3,4,6,7,9")]
     argvs += [["bundle", "expand", "--expr", expr, "--order", N] for expr in EXPRESSIONS for N in ("1", "3", "6")]
+    # the sizes where the line-pair passes dominate, and a pair of multiplicity
+    # c on both sides of the cap 3 isqrt(2 * 6) = 9 at order 6
+    argvs += [[verb, "--weights", ws, "--order", N] for ws, N in LARGE for verb in ("witten-genus", "elliptic-genera")]
+    argvs += [["bundle", "expand", "--expr", f"({kind} (tensor (trivial {c}) (sum (rep 3) (rep -3))))", "--order", "6"]
+              for kind in ("theta", "theta1") for c in (9, 10)]
     argvs += [["cancellation", "--k", k] for k in ("1", "2", "3", "5")]
     argvs += [["theta", "expand", "--kind", kind, "--order", N, *z]
               for kind in THETA_KINDS for N in ("1", "5") for z in ([], ["--z-order", "2"])]

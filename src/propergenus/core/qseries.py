@@ -723,8 +723,8 @@ def _binomial_product(E: LaurentPoly, powers, trunc: int, start: QSeries | None 
     B = _width(majorant)
     start = start[::d]
     # phase 1 runs on the whole-q rows (every = 2) when the odd runs pair every weighted line
-    odd = [len(skip.get(kind, ())) for kind in runs if kind[0]]
-    every = 2 if lines and odd and min(odd) == len(lines) and not any(start[1::2]) else 1
+    paired_odd = [len(skip.get(kind, ())) for kind in runs if kind[0]]
+    every = 2 if lines and paired_odd and min(paired_odd) == len(lines) and not any(start[1::2]) else 1
     rows = [_pack(row, B, -g * r, g) << B * m * k for k, row in enumerate(start[::every])]
     rows += [0] * (len(base[::every]) - len(rows))
     if every == 1:

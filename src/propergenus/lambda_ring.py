@@ -15,12 +15,23 @@ each factor as a line and a power inside its loops, multiplies the
 weight-0 factors, the rank part of E~ among them, out on plain ints
 into a scalar start built once for all fixed points of a call, and
 bounds the cost of a weighted factor by the truncation, not by its
-multiplicity.  In Theta2 the exterior factors of a line pair +-w of
-equal multiplicity run by Jacobi's triple product instead,
-prod_m (1 - z q^(m-1/2))(1 - q^(m-1/2)/z)
-= sum_k (-1)^k z^k q^(k^2/2) / prod_n (1 - q^n), in two phases.  The
-product can start from a given series, so Theta(E~) times a series is
-one such run.  A character with a non-integral multiplicity is refused
+multiplicity.  One pair rule serves all three Witten bundles: under a
+run of powers of one kind at every whole grade, or at every odd
+half-grade, a line pair +-w of equal multiplicity c, |c| at most
+3 isqrt(2N), runs by Jacobi's triple product instead of its binomial
+factors.  With z = x^w and T_k = k(k+1)/2,
+
+    prod_n (1 - z q^n)(1 - q^n/z) = sum_k (-1)^k chi_k(z) q^(T_k) / (q; q)_inf,
+    prod_n (1 + z q^n)(1 + q^n/z) = sum_k (-1)^k chi_k(-z) q^(T_k) / (q; q)_inf,
+    prod_m (1 - z q^(m-1/2))(1 - q^(m-1/2)/z)
+        = sum_k (-1)^k z^k q^(k^2/2) / (q; q)_inf,
+
+with chi_k(z) = z^-k + ... + z^k (the second is the first at -z), so
+Theta divides by the first sum, Theta1's exterior factors multiply by
+the second and Theta2's odd ones by the third, |c| sparse passes each,
+and the net power of (q; q) joins the scalar start.  The product can
+start from a given series, so Theta(E~) times a series is one such
+run.  A character with a non-integral multiplicity is refused
 with NonIntegral.  The tests hold this route equal to the
 Adams-operation exponential
 
